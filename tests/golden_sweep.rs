@@ -1,16 +1,19 @@
 //! Golden-results test layer for the parallel sweep executor.
 //!
-//! Fixtures under `tests/golden/` snapshot the Figure 4–9 and §5
-//! summary ("Table 5") numbers produced by the serial harness path at
-//! the quick test configuration. These tests pin the determinism
-//! contract from two directions:
+//! Fixtures under `tests/golden/` snapshot every CSV that
+//! [`report::write_all`] emits — Figures 4–9, the §5 summary, the
+//! extension studies (energy, ablation, sensitivity, asymmetry sweep,
+//! staggered arrivals, faults, quantified Table 1, fairness) and the
+//! per-cell decision telemetry — at the quick test configuration. These
+//! tests pin the determinism contract from two directions:
 //!
-//! 1. the plain serial path (`Harness::mix`, figure by figure) must
-//!    still produce the snapshotted bytes — a regression gate on the
-//!    simulator and schedulers themselves;
+//! 1. the plain serial path (`write_all` on a fresh harness, every cell
+//!    filled through `Harness::mix`) must still produce the snapshotted
+//!    bytes — a regression gate on the simulator and schedulers
+//!    themselves;
 //! 2. the parallel sweep executor must reproduce the same bytes
-//!    bit-identically at `--jobs 1`, `2`, and `8`, with the figures
-//!    afterwards served entirely from the prewarmed cache.
+//!    bit-identically at `--jobs 1`, `2`, and `8`, with `write_all`
+//!    afterwards served entirely from the prewarmed cell cache.
 //!
 //! Regenerate after an intentional behaviour change with:
 //!
@@ -20,7 +23,28 @@
 
 use std::path::PathBuf;
 
-use colab::{experiments, report, ExperimentConfig, Harness, SweepPlan};
+use colab::{report, ExperimentConfig, Harness, SweepPlan};
+
+/// Every file `report::write_all` writes, in its order; each is pinned
+/// by a fixture of the same name.
+const CSV_FILES: [&str; 16] = [
+    "fig4.csv",
+    "fig5.csv",
+    "fig6.csv",
+    "fig7.csv",
+    "fig8.csv",
+    "fig9.csv",
+    "summary.csv",
+    "ablation.csv",
+    "energy.csv",
+    "fairness.csv",
+    "sensitivity.csv",
+    "freqsweep.csv",
+    "staggered.csv",
+    "faults.csv",
+    "table1.csv",
+    "telemetry.csv",
+];
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
@@ -30,25 +54,21 @@ fn quick_harness() -> Harness {
     Harness::new(ExperimentConfig::quick()).expect("quick harness builds")
 }
 
-/// Renders every goldened artifact from a harness, in fixture order.
-fn render_all(h: &mut Harness) -> Vec<(&'static str, String)> {
-    vec![
-        ("fig4.csv", report::fig4_csv(&experiments::figure4(h).unwrap())),
-        ("fig5.csv", report::group_figure_csv(&experiments::figure5(h).unwrap())),
-        ("fig6.csv", report::group_figure_csv(&experiments::figure6(h).unwrap())),
-        ("fig7.csv", report::group_figure_csv(&experiments::figure7(h).unwrap())),
-        ("fig8.csv", report::group_figure_csv(&experiments::figure8(h).unwrap())),
-        ("fig9.csv", report::group_figure_csv(&experiments::figure9(h).unwrap())),
-        ("summary.csv", report::summary_csv(&experiments::summary(h).unwrap())),
-    ]
-}
-
-/// The plan covering everything [`render_all`] consumes.
-fn golden_plan() -> SweepPlan {
-    let mut plan = SweepPlan::new();
-    plan.add_figure4();
-    plan.add_paper_grid();
-    plan
+/// Runs `report::write_all` into a scratch directory and returns every
+/// file it wrote, as `(name, contents)` in write order.
+fn write_csvs(h: &mut Harness, tag: &str) -> Vec<(&'static str, String)> {
+    let dir = std::env::temp_dir().join(format!("colab-golden-{}-{tag}", std::process::id()));
+    let written = report::write_all(h, &dir).expect("CSV report written");
+    assert_eq!(written, CSV_FILES, "{tag}: write_all's file list changed");
+    let rendered = CSV_FILES
+        .iter()
+        .map(|&name| {
+            let contents = std::fs::read_to_string(dir.join(name)).expect("CSV readable");
+            (name, contents)
+        })
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    rendered
 }
 
 fn assert_matches_golden(rendered: &[(&'static str, String)], context: &str) {
@@ -85,23 +105,23 @@ fn assert_matches_golden(rendered: &[(&'static str, String)], context: &str) {
 #[test]
 fn serial_path_matches_golden_fixtures() {
     let mut h = quick_harness();
-    let rendered = render_all(&mut h);
+    let rendered = write_csvs(&mut h, "serial");
     assert_matches_golden(&rendered, "serial mix path");
 }
 
 #[test]
 fn parallel_executor_reproduces_golden_at_jobs_1_2_8() {
-    let plan = golden_plan();
+    let plan = SweepPlan::full();
     for jobs in [1usize, 2, 8] {
         let mut h = quick_harness();
         let report = h.run_plan(&plan, jobs).expect("sweep runs");
         assert_eq!(report.executed, plan.len(), "jobs={jobs}: fresh harness executes all");
         let prewarmed = h.cells_evaluated();
-        let rendered = render_all(&mut h);
+        let rendered = write_csvs(&mut h, &format!("jobs{jobs}"));
         assert_eq!(
             h.cells_evaluated(),
             prewarmed,
-            "jobs={jobs}: figures must be pure cache hits after the sweep"
+            "jobs={jobs}: the CSV report must read cells from the prewarmed cache"
         );
         assert_matches_golden(&rendered, &format!("parallel executor, jobs={jobs}"));
     }
@@ -115,7 +135,7 @@ fn regenerate() {
     let dir = golden_dir();
     std::fs::create_dir_all(&dir).expect("golden dir creatable");
     let mut h = quick_harness();
-    for (name, contents) in render_all(&mut h) {
+    for (name, contents) in write_csvs(&mut h, "regenerate") {
         std::fs::write(dir.join(name), contents).expect("fixture written");
         eprintln!("wrote {}", dir.join(name).display());
     }
