@@ -5,6 +5,12 @@
 //! configuration plus an overall geomean — [`grouped`] produces exactly
 //! that shape, and each `figure*` function supplies the paper's grouping.
 //! All figures share the same memoized 312-cell sweep inside [`Harness`].
+//!
+//! The extension studies either read the memoized cells (energy, fairness,
+//! the quantified Table 1, the full-COLAB ablation row) or enumerate their
+//! own independent runs and evaluate them with [`sweep::parallel_map`] on
+//! the harness's worker count, folding the results in enumeration order
+//! so the output does not depend on it. Each study runs once per harness.
 
 use std::fmt;
 
@@ -13,9 +19,55 @@ use amp_types::Result;
 use amp_workloads::{BenchmarkId, PaperWorkload, WorkloadClass, WorkloadSpec};
 
 use crate::harness::{Harness, SchedulerKind};
+use crate::sweep;
 
 /// The four hardware configurations of the evaluation, `(big, little)`.
 pub const CONFIGS: [(usize, usize); 4] = [(2, 2), (2, 4), (4, 2), (4, 4)];
+
+/// The extension studies a [`Harness`] has computed, one slot each.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Studies {
+    energy: Option<EnergyStudy>,
+    ablation: Option<Ablation>,
+    sensitivity: Option<Sensitivity>,
+    frequency_sweep: Option<FrequencySweep>,
+    staggered: Option<Staggered>,
+    faults: Option<FaultsStudy>,
+}
+
+/// Returns the study in `slot`, computing it with `run` the first time.
+fn memoized<T: Clone>(
+    h: &mut Harness,
+    slot: fn(&mut Studies) -> &mut Option<T>,
+    run: fn(&mut Harness) -> Result<T>,
+) -> Result<T> {
+    if let Some(done) = slot(&mut h.studies) {
+        return Ok(done.clone());
+    }
+    let study = run(h)?;
+    *slot(&mut h.studies) = Some(study.clone());
+    Ok(study)
+}
+
+/// Each app's turnaround in a run, in seconds.
+fn turnaround_secs(outcome: &amp_sim::SimulationOutcome) -> Vec<f64> {
+    outcome
+        .apps
+        .iter()
+        .map(|app| app.turnaround.as_secs_f64())
+        .collect()
+}
+
+/// Evaluates `f` over a study's independent `runs` on the harness's
+/// sweep workers; results come back in input order, and the first error
+/// in that order wins.
+fn run_all<I: Sync, O: Send>(
+    h: &Harness,
+    runs: &[I],
+    f: impl Fn(&I) -> Result<O> + Sync,
+) -> Result<Vec<O>> {
+    sweep::parallel_map(h.jobs(), runs, f).into_iter().collect()
+}
 
 // ---------------------------------------------------------------------
 // Figure 4
@@ -213,7 +265,8 @@ impl fmt::Display for GroupFigure {
     }
 }
 
-fn class_specs(class: WorkloadClass) -> Vec<WorkloadSpec> {
+/// The Table 4 workloads of one class.
+pub(crate) fn class_specs(class: WorkloadClass) -> Vec<WorkloadSpec> {
     PaperWorkload::all()
         .into_iter()
         .filter(|w| w.class() == class)
@@ -418,40 +471,33 @@ pub struct EnergyStudy {
     pub rows: Vec<EnergyRow>,
 }
 
-/// Runs the energy study on the 2-big 4-little machine.
+/// The energy study's machine, `(big, little)`.
+pub(crate) const ENERGY_CONFIG: (usize, usize) = (2, 4);
+
+/// Runs the energy study on the 2-big 4-little machine. Its cells are
+/// the paper grid's and the quantified Table 1's 2B4S cells, so it reads
+/// their memoized energy (evaluating any that are missing).
 ///
 /// # Errors
 ///
 /// Propagates simulation failures.
 pub fn energy(h: &mut Harness) -> Result<EnergyStudy> {
-    use amp_sim::Simulation;
-    use amp_types::{CoreOrder, MachineConfig};
+    memoized(h, |s| &mut s.energy, run_energy)
+}
 
+fn run_energy(h: &mut Harness) -> Result<EnergyStudy> {
     let specs: Vec<WorkloadSpec> = PaperWorkload::all().iter().map(|w| w.spec()).collect();
     let kinds = SchedulerKind::EXTENDED;
 
     // energy[k][w], edp[k][w]
     let mut energies = vec![Vec::new(); kinds.len()];
     let mut edps = vec![Vec::new(); kinds.len()];
+    let (big, little) = ENERGY_CONFIG;
     for spec in &specs {
-        for (ki, kind) in kinds.iter().enumerate() {
-            let mut joules = 0.0;
-            let mut edp = 0.0;
-            for order in CoreOrder::BOTH {
-                let machine = MachineConfig::asymmetric(2, 4, order);
-                let sim = Simulation::build_scaled(
-                    &machine,
-                    spec,
-                    h.config().seed,
-                    h.config().scale,
-                )?;
-                let mut sched = kind.create(&machine, h.model());
-                let outcome = sim.run(sched.as_mut())?;
-                joules += outcome.energy.total_joules();
-                edp += outcome.edp();
-            }
-            energies[ki].push(joules / 2.0);
-            edps[ki].push(edp / 2.0);
+        for (ki, &kind) in kinds.iter().enumerate() {
+            let cell = h.cell_energy(spec, big, little, kind)?;
+            energies[ki].push(cell.joules);
+            edps[ki].push(cell.edp);
         }
     }
 
@@ -580,6 +626,10 @@ pub struct Staggered {
 ///
 /// Propagates simulation failures.
 pub fn staggered(h: &mut Harness) -> Result<Staggered> {
+    memoized(h, |s| &mut s.staggered, |h| run_staggered(h))
+}
+
+fn run_staggered(h: &Harness) -> Result<Staggered> {
     use amp_sim::Simulation;
     use amp_types::{CoreOrder, MachineConfig, SimTime};
 
@@ -591,38 +641,44 @@ pub fn staggered(h: &mut Harness) -> Result<Staggered> {
     let kinds = SchedulerKind::EXTENDED;
     let gap = SimTime::from_millis(40);
 
-    // turnarounds[k][flattened app]
-    let mut turnarounds = vec![Vec::new(); kinds.len()];
+    let mut runs = Vec::new();
     for spec in &workloads {
-        for (ki, kind) in kinds.iter().enumerate() {
-            let mut per_app_sums: Vec<f64> = Vec::new();
+        for &kind in &kinds {
             for order in CoreOrder::BOTH {
-                let machine = MachineConfig::asymmetric(2, 4, order);
-                let apps = spec.instantiate(h.config().seed, h.config().scale);
-                let staged: Vec<_> = apps
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, app)| {
-                        (app, SimTime::from_nanos(gap.as_nanos() * i as u64))
-                    })
-                    .collect();
-                let sim = Simulation::from_apps_with_arrivals(
-                    &machine,
-                    staged,
-                    h.config().seed,
-                    h.config().sim_params,
-                )?;
-                let mut sched = kind.create(&machine, h.model());
-                let outcome = sim.run(sched.as_mut())?;
-                if per_app_sums.is_empty() {
-                    per_app_sums = vec![0.0; outcome.apps.len()];
-                }
-                for (sum, app) in per_app_sums.iter_mut().zip(&outcome.apps) {
-                    *sum += app.turnaround.as_secs_f64();
-                }
+                runs.push((spec, kind, order));
             }
-            turnarounds[ki].extend(per_app_sums);
         }
+    }
+    // Per run, each app's arrival-to-finish turnaround in seconds.
+    let per_run = run_all(h, &runs, |&(spec, kind, order)| {
+        let machine = MachineConfig::asymmetric(2, 4, order);
+        let apps = spec.instantiate(h.config().seed, h.config().scale);
+        let staged: Vec<_> = apps
+            .into_iter()
+            .enumerate()
+            .map(|(i, app)| (app, SimTime::from_nanos(gap.as_nanos() * i as u64)))
+            .collect();
+        let sim = Simulation::from_apps_with_arrivals(
+            &machine,
+            staged,
+            h.config().seed,
+            h.config().sim_params,
+        )?;
+        let mut sched = kind.create(&machine, h.model());
+        let outcome = sim.run(sched.as_mut())?;
+        Ok(turnaround_secs(&outcome))
+    })?;
+
+    // turnarounds[k][flattened app], summed over the core-order pair.
+    let mut turnarounds = vec![Vec::new(); kinds.len()];
+    for (i, orders) in per_run.chunks(CoreOrder::BOTH.len()).enumerate() {
+        let mut per_app_sums = vec![0.0; orders[0].len()];
+        for times in orders {
+            for (sum, t) in per_app_sums.iter_mut().zip(times) {
+                *sum += t;
+            }
+        }
+        turnarounds[i % kinds.len()].extend(per_app_sums);
     }
 
     let rows = kinds
@@ -689,49 +745,71 @@ pub struct FrequencySweep {
 ///
 /// Propagates simulation failures.
 pub fn frequency_sweep(h: &mut Harness) -> Result<FrequencySweep> {
+    memoized(h, |s| &mut s.frequency_sweep, |h| run_frequency_sweep(h))
+}
+
+fn run_frequency_sweep(h: &Harness) -> Result<FrequencySweep> {
     use amp_sim::Simulation;
     use amp_types::{CoreKind, CoreSpec, MachineConfig};
 
+    const LITTLE_GHZ: [f64; 5] = [0.6, 0.9, 1.2, 1.6, 2.0];
+    let kinds = [SchedulerKind::Linux, SchedulerKind::Colab];
     let specs = class_specs(WorkloadClass::Sync);
-    let mut points = Vec::new();
-    for little_ghz in [0.6, 0.9, 1.2, 1.6, 2.0] {
-        let machine = MachineConfig::from_cores(
-            std::iter::repeat_n(CoreSpec::big(), 2)
-                .chain(std::iter::repeat_n(
-                    CoreSpec {
-                        kind: CoreKind::Little,
-                        freq_ghz: little_ghz,
-                    },
-                    4,
-                ))
-                .collect(),
-        );
-        let mut ratios = Vec::new();
+    let machines: Vec<MachineConfig> = LITTLE_GHZ
+        .iter()
+        .map(|&little_ghz| {
+            MachineConfig::from_cores(
+                std::iter::repeat_n(CoreSpec::big(), 2)
+                    .chain(std::iter::repeat_n(
+                        CoreSpec {
+                            kind: CoreKind::Little,
+                            freq_ghz: little_ghz,
+                        },
+                        4,
+                    ))
+                    .collect(),
+            )
+        })
+        .collect();
+
+    let mut runs = Vec::new();
+    for machine in &machines {
         for spec in &specs {
-            let apps = spec.instantiate(h.config().seed, h.config().scale);
-            let mut per_kind = Vec::new();
-            for kind in [SchedulerKind::Linux, SchedulerKind::Colab] {
-                let sim = Simulation::from_apps_with_params(
-                    &machine,
-                    apps.clone(),
-                    h.config().seed,
-                    h.config().sim_params,
-                )?;
-                let mut sched = kind.create(&machine, h.model());
-                let outcome = sim.run(sched.as_mut())?;
-                per_kind.push(outcome);
-            }
-            for (linux_app, colab_app) in per_kind[0].apps.iter().zip(&per_kind[1].apps) {
-                ratios.push(
-                    colab_app.turnaround.as_secs_f64() / linux_app.turnaround.as_secs_f64(),
-                );
+            for kind in kinds {
+                runs.push((machine, spec, kind));
             }
         }
-        points.push(FrequencyPoint {
-            little_ghz,
-            colab_vs_linux: geomean(&ratios),
-        });
     }
+    // Per run, each app's turnaround in seconds.
+    let per_run = run_all(h, &runs, |&(machine, spec, kind)| {
+        let apps = spec.instantiate(h.config().seed, h.config().scale);
+        let sim = Simulation::from_apps_with_params(
+            machine,
+            apps,
+            h.config().seed,
+            h.config().sim_params,
+        )?;
+        let mut sched = kind.create(machine, h.model());
+        let outcome = sim.run(sched.as_mut())?;
+        Ok(turnaround_secs(&outcome))
+    })?;
+
+    let per_point = specs.len() * kinds.len();
+    let points = LITTLE_GHZ
+        .iter()
+        .zip(per_run.chunks(per_point))
+        .map(|(&little_ghz, point)| {
+            let mut ratios = Vec::new();
+            for pair in point.chunks(kinds.len()) {
+                let (linux, colab) = (&pair[0], &pair[1]);
+                ratios.extend(colab.iter().zip(linux).map(|(c, l)| c / l));
+            }
+            FrequencyPoint {
+                little_ghz,
+                colab_vs_linux: geomean(&ratios),
+            }
+        })
+        .collect();
     Ok(FrequencySweep { points })
 }
 
@@ -1014,6 +1092,10 @@ pub struct Sensitivity {
 ///
 /// Propagates simulation failures.
 pub fn sensitivity(h: &mut Harness) -> Result<Sensitivity> {
+    memoized(h, |s| &mut s.sensitivity, |h| run_sensitivity(h))
+}
+
+fn run_sensitivity(h: &Harness) -> Result<Sensitivity> {
     use amp_sim::{SimParams, Simulation};
     use amp_types::{CoreOrder, MachineConfig, SimDuration};
 
@@ -1054,43 +1136,56 @@ pub fn sensitivity(h: &mut Harness) -> Result<Sensitivity> {
     ];
 
     let specs = class_specs(WorkloadClass::Sync);
-    let mut rows = Vec::new();
-    for (label, params) in variants {
-        let mut ratios = Vec::new();
+    let kinds = [SchedulerKind::Linux, SchedulerKind::Colab];
+    let mut runs = Vec::new();
+    for (_, params) in &variants {
         for spec in &specs {
-            // Average each app's turnaround over both core orders, per
-            // scheduler, then take per-app ratios.
-            let mut colab_t = vec![0.0f64; spec.num_apps()];
-            let mut linux_t = vec![0.0f64; spec.num_apps()];
             for order in CoreOrder::BOTH {
-                let machine = MachineConfig::asymmetric(2, 4, order);
-                let apps = spec.instantiate(h.config().seed, h.config().scale);
-                for (kind, acc) in [
-                    (SchedulerKind::Linux, &mut linux_t),
-                    (SchedulerKind::Colab, &mut colab_t),
-                ] {
-                    let sim = Simulation::from_apps_with_params(
-                        &machine,
-                        apps.clone(),
-                        h.config().seed,
-                        params,
-                    )?;
-                    let mut sched = kind.create(&machine, h.model());
-                    let outcome = sim.run(sched.as_mut())?;
-                    for (a, app) in acc.iter_mut().zip(&outcome.apps) {
-                        *a += app.turnaround.as_secs_f64();
-                    }
+                for kind in kinds {
+                    runs.push((*params, spec, order, kind));
                 }
             }
-            for (c, l) in colab_t.iter().zip(&linux_t) {
-                ratios.push(c / l);
-            }
         }
-        rows.push(SensitivityRow {
-            variant: label,
-            colab_vs_linux: geomean(&ratios),
-        });
     }
+    // Per run, each app's turnaround in seconds.
+    let per_run = run_all(h, &runs, |&(params, spec, order, kind)| {
+        let machine = MachineConfig::asymmetric(2, 4, order);
+        let apps = spec.instantiate(h.config().seed, h.config().scale);
+        let sim = Simulation::from_apps_with_params(&machine, apps, h.config().seed, params)?;
+        let mut sched = kind.create(&machine, h.model());
+        let outcome = sim.run(sched.as_mut())?;
+        Ok(turnaround_secs(&outcome))
+    })?;
+
+    let per_spec = CoreOrder::BOTH.len() * kinds.len();
+    let per_variant = specs.len() * per_spec;
+    let rows = variants
+        .into_iter()
+        .zip(per_run.chunks(per_variant))
+        .map(|((label, _), variant_runs)| {
+            let mut ratios = Vec::new();
+            for (spec, spec_runs) in specs.iter().zip(variant_runs.chunks(per_spec)) {
+                // Average each app's turnaround over both core orders, per
+                // scheduler, then take per-app ratios.
+                let mut linux_t = vec![0.0f64; spec.num_apps()];
+                let mut colab_t = vec![0.0f64; spec.num_apps()];
+                for pair in spec_runs.chunks(kinds.len()) {
+                    for (acc, times) in [&mut linux_t, &mut colab_t].into_iter().zip(pair) {
+                        for (a, t) in acc.iter_mut().zip(times) {
+                            *a += t;
+                        }
+                    }
+                }
+                for (c, l) in colab_t.iter().zip(&linux_t) {
+                    ratios.push(c / l);
+                }
+            }
+            SensitivityRow {
+                variant: label,
+                colab_vs_linux: geomean(&ratios),
+            }
+        })
+        .collect();
     Ok(Sensitivity { rows })
 }
 
@@ -1131,18 +1226,25 @@ pub struct Ablation {
     pub rows: Vec<AblationRow>,
 }
 
-/// Runs the ablation study.
+/// Runs the ablation study. The full-COLAB row is the memoized COLAB
+/// cells against the memoized Linux cells; each reduced variant runs
+/// every cell's protocol (both core orders, every replication, the
+/// configured simulator parameters) against the Linux cells' baselines.
 ///
 /// # Errors
 ///
 /// Propagates simulation failures.
 pub fn ablation(h: &mut Harness) -> Result<Ablation> {
-    use amp_sched::{ColabConfig, ColabScheduler};
-    use amp_sim::Simulation;
-    use amp_types::{CoreOrder, MachineConfig, SimDuration};
+    memoized(h, |s| &mut s.ablation, run_ablation)
+}
 
-    let variants: [(&str, ColabConfig); 4] = [
-        ("full COLAB", ColabConfig::default()),
+fn run_ablation(h: &mut Harness) -> Result<Ablation> {
+    use amp_sched::{ColabConfig, ColabScheduler, Scheduler};
+    use amp_types::MachineConfig;
+
+    use crate::harness::{run_cell, EvalCtx};
+
+    let reduced: [(&str, ColabConfig); 3] = [
         (
             "− hierarchical allocation",
             ColabConfig::default().without_allocation(),
@@ -1155,42 +1257,49 @@ pub fn ablation(h: &mut Harness) -> Result<Ablation> {
     ];
 
     let specs = class_specs(WorkloadClass::Sync);
-    let mut rows = Vec::new();
-    for (label, config) in variants {
-        let mut ratios = Vec::new();
-        for spec in &specs {
-            for (big, little) in CONFIGS {
-                let linux = h.mix(spec, big, little, SchedulerKind::Linux)?;
-                // Evaluate the variant directly (variants are not part of
-                // the memoized 3-scheduler sweep).
-                let mut sums: Vec<SimDuration> =
-                    vec![SimDuration::ZERO; spec.num_apps()];
-                for order in CoreOrder::BOTH {
-                    let machine = MachineConfig::asymmetric(big, little, order);
-                    let sim = Simulation::build_scaled(
-                        &machine,
-                        spec,
-                        h.config().seed,
-                        h.config().scale,
-                    )?;
-                    let mut sched =
-                        ColabScheduler::with_config(&machine, h.model().clone(), config);
-                    let outcome = sim.run(&mut sched)?;
-                    for (sum, app) in sums.iter_mut().zip(&outcome.apps) {
-                        *sum += app.turnaround;
-                    }
-                }
-                let pairs: Vec<(SimDuration, SimDuration)> = sums
-                    .into_iter()
-                    .zip(linux.apps.iter())
-                    .map(|(sum, &(_, _, sb))| (sum / 2, sb))
-                    .collect();
-                ratios.push(amp_metrics::h_antt(&pairs) / linux.h_antt);
-            }
+    let mut linux_cells = Vec::new();
+    let mut full = Vec::new();
+    for spec in &specs {
+        for (big, little) in CONFIGS {
+            let linux = h.mix(spec, big, little, SchedulerKind::Linux)?;
+            let colab = h.mix(spec, big, little, SchedulerKind::Colab)?;
+            full.push(colab.h_antt / linux.h_antt);
+            linux_cells.push((spec, (big, little), linux));
         }
+    }
+    let mut rows = vec![AblationRow {
+        variant: "full COLAB".to_string(),
+        antt_vs_linux: geomean(&full),
+    }];
+
+    let mut runs = Vec::new();
+    for (_, config) in &reduced {
+        for cell in &linux_cells {
+            runs.push((*config, cell));
+        }
+    }
+    // The variants only read the harness from here on.
+    let h: &Harness = h;
+    let ctx = EvalCtx {
+        config: h.config(),
+        store: &h.programs,
+    };
+    let ratios = run_all(h, &runs, |&(config, (spec, shape, linux))| {
+        let t_sb: Vec<_> = linux.apps.iter().map(|&(_, _, sb)| sb).collect();
+        let create = |machine: &MachineConfig| -> Box<dyn Scheduler> {
+            Box::new(ColabScheduler::with_config(
+                machine,
+                h.model().clone(),
+                config,
+            ))
+        };
+        let variant = run_cell(&ctx, &t_sb, spec, *shape, "colab", &create, None)?;
+        Ok(variant.summary.h_antt / linux.h_antt)
+    })?;
+    for ((label, _), ratios) in reduced.iter().zip(ratios.chunks(linux_cells.len())) {
         rows.push(AblationRow {
             variant: label.to_string(),
-            antt_vs_linux: geomean(&ratios),
+            antt_vs_linux: geomean(ratios),
         });
     }
     Ok(Ablation { rows })
@@ -1253,8 +1362,12 @@ pub struct FaultsStudy {
 ///
 /// Propagates simulation failures and invalid fault plans.
 pub fn faults(h: &mut Harness) -> Result<FaultsStudy> {
+    memoized(h, |s| &mut s.faults, |h| run_faults(h))
+}
+
+fn run_faults(h: &Harness) -> Result<FaultsStudy> {
     use amp_sim::faults::FaultPlan;
-    use amp_sim::{Simulation, SimulationOutcome};
+    use amp_sim::{DegradationReport, Simulation, SimulationOutcome};
     use amp_types::{CoreOrder, MachineConfig, SimDuration};
 
     const INTENSITIES: [f64; 3] = [0.5, 1.0, 2.0];
@@ -1268,11 +1381,7 @@ pub fn faults(h: &mut Harness) -> Result<FaultsStudy> {
         .unwrap_or_else(|| WorkloadSpec::single(BenchmarkId::Ferret, 6));
     let workload = spec.name().to_string();
 
-    let run = |h: &Harness,
-               kind: SchedulerKind,
-               seed: u64,
-               plan: FaultPlan|
-     -> Result<SimulationOutcome> {
+    let run = |kind: SchedulerKind, seed: u64, plan: FaultPlan| -> Result<SimulationOutcome> {
         let apps = spec.instantiate(seed, h.config().scale);
         let sim = Simulation::from_apps_with_params(&machine, apps, seed, h.config().sim_params)?
             .with_fault_plan(plan)?;
@@ -1280,47 +1389,64 @@ pub fn faults(h: &mut Harness) -> Result<FaultsStudy> {
         sim.run(sched.as_mut())
     };
 
-    // Clean baselines, one per (scheduler, seed); the Linux makespan also
+    // Clean baselines, one per (seed, scheduler); the Linux makespan also
     // bounds the fault window so plans cover the whole run.
     let kinds = SchedulerKind::ALL;
-    let mut clean = vec![Vec::new(); kinds.len()];
-    let mut windows = Vec::new();
+    let mut clean_runs = Vec::new();
     for &seed in &SEEDS {
         for (ki, &kind) in kinds.iter().enumerate() {
-            let outcome = run(h, kind, seed, FaultPlan::empty())?;
-            if ki == 0 {
-                windows.push(SimDuration::from_nanos(outcome.makespan.as_nanos()));
-            }
-            clean[ki].push(outcome);
+            clean_runs.push((ki, kind, seed));
         }
     }
+    let clean_outcomes = run_all(h, &clean_runs, |&(_, kind, seed)| {
+        run(kind, seed, FaultPlan::empty())
+    })?;
+    let mut clean = vec![Vec::new(); kinds.len()];
+    let mut windows = Vec::new();
+    for (&(ki, _, _), outcome) in clean_runs.iter().zip(clean_outcomes) {
+        if ki == 0 {
+            windows.push(SimDuration::from_nanos(outcome.makespan.as_nanos()));
+        }
+        clean[ki].push(outcome);
+    }
 
-    let mut rows = Vec::new();
+    // Faulted runs: every scheduler replays each seed's plan.
+    let mut faulted_runs = Vec::new();
     for &intensity in &INTENSITIES {
         for (ki, &kind) in kinds.iter().enumerate() {
+            for (si, &seed) in SEEDS.iter().enumerate() {
+                faulted_runs.push((intensity, ki, kind, si, seed));
+            }
+        }
+    }
+    let faulted = run_all(h, &faulted_runs, |&(intensity, ki, kind, si, seed)| {
+        let plan = FaultPlan::random(&machine, seed, intensity, windows[si]);
+        let outcome = run(kind, seed, plan)?;
+        let clean = &clean[ki][si];
+        let stp = DegradationReport::throughput_retained(clean, &outcome);
+        let antt = DegradationReport::antt_retained(clean, &outcome);
+        Ok((outcome.degradation, stp, antt))
+    })?;
+
+    let rows = faulted_runs
+        .chunks(SEEDS.len())
+        .zip(faulted.chunks(SEEDS.len()))
+        .map(|(cell, per_seed)| {
+            let (intensity, _, kind, _, _) = cell[0];
             let mut faults_injected = 0.0;
             let mut forced = 0.0;
             let mut offline_s = 0.0;
             let mut stp = Vec::new();
             let mut antt = Vec::new();
-            for (si, &seed) in SEEDS.iter().enumerate() {
-                let plan = FaultPlan::random(&machine, seed, intensity, windows[si]);
-                let outcome = run(h, kind, seed, plan)?;
-                let d = &outcome.degradation;
+            for (d, stp_retained, antt_retained) in per_seed {
                 faults_injected += d.faults_injected as f64;
                 forced += d.forced_migrations as f64;
                 offline_s += d.offline_core_time.as_secs_f64();
-                stp.push(amp_sim::DegradationReport::throughput_retained(
-                    &clean[ki][si],
-                    &outcome,
-                ));
-                antt.push(amp_sim::DegradationReport::antt_retained(
-                    &clean[ki][si],
-                    &outcome,
-                ));
+                stp.push(*stp_retained);
+                antt.push(*antt_retained);
             }
             let n = SEEDS.len() as f64;
-            rows.push(FaultsRow {
+            FaultsRow {
                 scheduler: kind.name(),
                 intensity,
                 faults_injected: faults_injected / n,
@@ -1328,9 +1454,9 @@ pub fn faults(h: &mut Harness) -> Result<FaultsStudy> {
                 offline_core_seconds: offline_s / n,
                 throughput_retained: geomean(&stp),
                 antt_retained: geomean(&antt),
-            });
-        }
-    }
+            }
+        })
+        .collect();
     Ok(FaultsStudy { workload, rows })
 }
 
@@ -1434,6 +1560,16 @@ mod tests {
         }
         let rendered = fig.to_string();
         assert!(rendered.contains("geomean"));
+    }
+
+    #[test]
+    fn each_study_runs_once_per_harness() {
+        let mut h = Harness::new(ExperimentConfig::quick()).unwrap();
+        faults(&mut h).unwrap();
+        // Mark the memoized result: the second call must return it
+        // instead of running the study again.
+        h.studies.faults.as_mut().unwrap().workload = "memoized".into();
+        assert_eq!(faults(&mut h).unwrap().workload, "memoized");
     }
 
     #[test]

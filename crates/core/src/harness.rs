@@ -14,6 +14,7 @@ use amp_sim::{SimParams, Simulation};
 use amp_types::{AppId, CoreOrder, MachineConfig, Result, SimDuration};
 use amp_workloads::{BenchmarkId, Scale, WorkloadSpec};
 
+use crate::experiments::Studies;
 use crate::intern::ProgramStore;
 use crate::training;
 
@@ -121,6 +122,35 @@ impl ExperimentConfig {
 /// Key of a memoized experiment cell: `(workload, config, scheduler)`.
 pub(crate) type CellKey = (String, String, &'static str);
 
+/// The memo key of `workload` on a `big`×`little` machine under `kind`.
+pub(crate) fn cell_key(
+    workload: &WorkloadSpec,
+    big: usize,
+    little: usize,
+    kind: SchedulerKind,
+) -> CellKey {
+    (
+        workload.name().to_string(),
+        MachineConfig::asymmetric(big, little, CoreOrder::BigFirst).label(),
+        kind.name(),
+    )
+}
+
+/// Energy of one cell: total joules and energy-delay product, averaged
+/// over the core-order pair and all replications like the turnarounds.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CellEnergy {
+    pub(crate) joules: f64,
+    pub(crate) edp: f64,
+}
+
+/// Everything one evaluated cell yields.
+pub(crate) struct CellOutcome {
+    pub(crate) summary: MixSummary,
+    pub(crate) telemetry: TelemetryReport,
+    pub(crate) energy: CellEnergy,
+}
+
 /// Seed for replication `rep` of a sweep with master seed `master`
 /// (replication 0 is the master seed, so `replications == 1` reproduces
 /// the paper's protocol bit-for-bit).
@@ -190,13 +220,41 @@ pub(crate) fn compute_cell(
     big: usize,
     little: usize,
     kind: SchedulerKind,
-) -> Result<(MixSummary, TelemetryReport)> {
+) -> Result<CellOutcome> {
+    run_cell(
+        ctx,
+        t_sb,
+        workload,
+        (big, little),
+        kind.name(),
+        &|machine| kind.create(machine, model),
+        Some(kind),
+    )
+}
+
+/// The protocol behind [`compute_cell`], for any policy `create` builds
+/// (the ablation study passes COLAB variants). `name` labels the
+/// summary; runs are recorded in [`crate::simcost`] under `cost_kind`
+/// when one is given, so only the evaluated policies are counted.
+pub(crate) fn run_cell(
+    ctx: &EvalCtx<'_>,
+    t_sb: &[SimDuration],
+    workload: &WorkloadSpec,
+    (big, little): (usize, usize),
+    name: &'static str,
+    create: &dyn Fn(&MachineConfig) -> Box<dyn Scheduler>,
+    cost_kind: Option<SchedulerKind>,
+) -> Result<CellOutcome> {
     let EvalCtx { config, store } = *ctx;
     let config_label = MachineConfig::asymmetric(big, little, CoreOrder::BigFirst).label();
     let reps = config.replications.max(1);
     let mut sums: Vec<SimDuration> = vec![SimDuration::ZERO; workload.num_apps()];
     let mut names: Vec<String> = Vec::new();
     let mut telemetry = TelemetryReport::new();
+    let mut energy = CellEnergy {
+        joules: 0.0,
+        edp: 0.0,
+    };
     for rep in 0..reps {
         let seed = rep_seed(config.seed, rep);
         let compiled = store.get_or_compile(workload, seed, config.scale)?;
@@ -210,22 +268,26 @@ pub(crate) fn compute_cell(
                 config.sim_params,
             )?;
             let t1 = std::time::Instant::now();
-            let mut sched = kind.create(&machine, model);
+            let mut sched = create(&machine);
             let outcome = sim.run(sched.as_mut())?;
             let t2 = std::time::Instant::now();
-            crate::simcost::record(
-                kind,
-                (t1 - t0).as_nanos() as u64,
-                (t2 - t1).as_nanos() as u64,
-                outcome.events_processed,
-                outcome.compute_leaves,
-                outcome.compute_events,
-            );
+            if let Some(kind) = cost_kind {
+                crate::simcost::record(
+                    kind,
+                    (t1 - t0).as_nanos() as u64,
+                    (t2 - t1).as_nanos() as u64,
+                    outcome.events_processed,
+                    outcome.compute_leaves,
+                    outcome.compute_events,
+                );
+            }
             names = outcome.apps.iter().map(|a| a.name.clone()).collect();
             for (sum, app) in sums.iter_mut().zip(&outcome.apps) {
                 *sum += app.turnaround;
             }
             telemetry.absorb(&outcome.telemetry);
+            energy.joules += outcome.energy.total_joules();
+            energy.edp += outcome.edp();
         }
     }
     let divisor = 2 * u64::from(reps);
@@ -235,8 +297,14 @@ pub(crate) fn compute_cell(
         .zip(t_sb)
         .map(|((name, sum), &sb)| (name, sum / divisor, sb))
         .collect();
-    let cell = MixSummary::new(workload.name(), config_label, kind.name(), apps);
-    Ok((cell, telemetry))
+    let summary = MixSummary::new(workload.name(), config_label, name, apps);
+    energy.joules /= divisor as f64;
+    energy.edp /= divisor as f64;
+    Ok(CellOutcome {
+        summary,
+        telemetry,
+        energy,
+    })
 }
 
 /// The evaluation harness: owns the trained model and memoizes isolated
@@ -252,10 +320,17 @@ pub struct Harness {
     /// Decision telemetry per cell, absorbed over the core-order pair and
     /// all replications (so `runs` is `2 × replications`).
     pub(crate) telemetry: HashMap<CellKey, TelemetryReport>,
+    /// Energy per cell, averaged like the turnarounds.
+    pub(crate) energy: HashMap<CellKey, CellEnergy>,
     /// Interned compiled workloads, shared by the serial path and every
     /// `run_plan` worker: each distinct `(workload, seed, scale)` is
     /// instantiated and compiled once, however many cells replay it.
     pub(crate) programs: ProgramStore,
+    /// Worker threads of the latest [`run_plan`](Harness::run_plan)
+    /// (1 before any): the extension studies run on as many.
+    pub(crate) jobs: usize,
+    /// The extension studies' results, each computed once per harness.
+    pub(crate) studies: Studies,
 }
 
 impl Harness {
@@ -276,7 +351,10 @@ impl Harness {
             baselines: HashMap::new(),
             cells: HashMap::new(),
             telemetry: HashMap::new(),
+            energy: HashMap::new(),
             programs: ProgramStore::new(),
+            jobs: 1,
+            studies: Studies::default(),
         })
     }
 
@@ -294,6 +372,12 @@ impl Harness {
     /// The active configuration.
     pub fn config(&self) -> &ExperimentConfig {
         &self.config
+    }
+
+    /// Worker threads the extension studies run on: the `jobs` of the
+    /// latest [`run_plan`](Harness::run_plan), or 1 if there was none.
+    pub fn jobs(&self) -> usize {
+        self.jobs
     }
 
     /// Isolated big-only baselines `T_SB` for every app of a workload, on
@@ -326,12 +410,7 @@ impl Harness {
         little: usize,
         kind: SchedulerKind,
     ) -> Result<MixSummary> {
-        let config_label = MachineConfig::asymmetric(big, little, CoreOrder::BigFirst).label();
-        let key: CellKey = (
-            workload.name().to_string(),
-            config_label.clone(),
-            kind.name(),
-        );
+        let key = cell_key(workload, big, little, kind);
         if let Some(cell) = self.cells.get(&key) {
             return Ok(cell.clone());
         }
@@ -342,10 +421,30 @@ impl Harness {
             config: &self.config,
             store: &self.programs,
         };
-        let (cell, telemetry) = compute_cell(&ctx, &self.model, &t_sb, workload, big, little, kind)?;
-        self.telemetry.insert(key.clone(), telemetry);
-        self.cells.insert(key, cell.clone());
-        Ok(cell)
+        let outcome = compute_cell(&ctx, &self.model, &t_sb, workload, big, little, kind)?;
+        Ok(self.memoize(key, outcome).clone())
+    }
+
+    /// Stores an evaluated cell's results under `key`, returning its
+    /// summary.
+    pub(crate) fn memoize(&mut self, key: CellKey, outcome: CellOutcome) -> &MixSummary {
+        self.telemetry.insert(key.clone(), outcome.telemetry);
+        self.energy.insert(key.clone(), outcome.energy);
+        self.cells.insert(key.clone(), outcome.summary);
+        &self.cells[&key]
+    }
+
+    /// The energy of a cell, evaluating the cell through
+    /// [`mix`](Harness::mix) if it is not memoized yet.
+    pub(crate) fn cell_energy(
+        &mut self,
+        workload: &WorkloadSpec,
+        big: usize,
+        little: usize,
+        kind: SchedulerKind,
+    ) -> Result<CellEnergy> {
+        self.mix(workload, big, little, kind)?;
+        Ok(self.energy[&cell_key(workload, big, little, kind)])
     }
 
     /// Single-program H_NTT (Figure 4): the benchmark alone on the

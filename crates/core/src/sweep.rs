@@ -34,13 +34,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use amp_metrics::MixSummary;
-use amp_sim::telemetry::TelemetryReport;
-use amp_types::{CoreOrder, MachineConfig, Result, SimDuration};
-use amp_workloads::{BenchmarkId, PaperWorkload, WorkloadSpec};
+use amp_types::{Result, SimDuration};
+use amp_workloads::{BenchmarkId, PaperWorkload, WorkloadClass, WorkloadSpec};
 
-use crate::experiments::CONFIGS;
-use crate::harness::{compute_baseline, compute_cell, CellKey, EvalCtx, Harness, SchedulerKind};
+use crate::experiments::{class_specs, CONFIGS, ENERGY_CONFIG};
+use crate::harness::{
+    cell_key, compute_baseline, compute_cell, CellKey, CellOutcome, EvalCtx, Harness, SchedulerKind,
+};
 
 // ---------------------------------------------------------------------
 // Plan
@@ -65,11 +65,7 @@ impl SweepCell {
     /// The memo-cache key this cell produces:
     /// `(workload, config label, scheduler)`.
     pub fn key(&self) -> CellKey {
-        (
-            self.workload.name().to_string(),
-            MachineConfig::asymmetric(self.big, self.little, CoreOrder::BigFirst).label(),
-            self.kind.name(),
-        )
+        cell_key(&self.workload, self.big, self.little, self.kind)
     }
 
     /// A stable 64-bit hash of the cell key (FNV-1a over
@@ -185,6 +181,25 @@ impl SweepPlan {
         );
     }
 
+    /// Adds the cells the energy study reads: the 26 Table 4 workloads on
+    /// its machine (2B4S) under the four [`SchedulerKind::EXTENDED`]
+    /// policies — a subset of the paper grid and the Table 1 cells.
+    pub fn add_energy(&mut self) {
+        let specs: Vec<WorkloadSpec> = PaperWorkload::all().iter().map(|w| w.spec()).collect();
+        self.add_grid(&specs, &[ENERGY_CONFIG], &SchedulerKind::EXTENDED);
+    }
+
+    /// Adds the cells the ablation study reads: the Sync workloads on
+    /// every configuration under Linux and full COLAB — a subset of the
+    /// paper grid.
+    pub fn add_ablation(&mut self) {
+        self.add_grid(
+            &class_specs(WorkloadClass::Sync),
+            &CONFIGS,
+            &[SchedulerKind::Linux, SchedulerKind::Colab],
+        );
+    }
+
     /// The paper's evaluation grid alone (312 cells).
     pub fn paper_grid() -> SweepPlan {
         let mut plan = SweepPlan::new();
@@ -224,13 +239,14 @@ impl SweepPlan {
 // ---------------------------------------------------------------------
 // Execute
 
-/// Runs `f` over `items` on `jobs` worker threads, returning outputs in
-/// input order. Workers pull the next unclaimed index from a shared
-/// atomic cursor (a degenerate work-stealing queue: every worker steals
-/// from the one global tail), so scheduling is load-balanced but the
-/// output order is fixed by construction. `jobs <= 1` (or a single
-/// item) runs everything inline on the calling thread, in order — the
-/// exact serial path, with no pool at all.
+/// Runs `f` over `items` on `jobs` workers — the calling thread and
+/// `jobs - 1` scoped threads — returning outputs in input order. Workers
+/// pull the next unclaimed index from a shared atomic cursor (a
+/// degenerate work-stealing queue: every worker steals from the one
+/// global tail), so scheduling is load-balanced but the output order is
+/// fixed by construction. `jobs <= 1` (or a single item) runs everything
+/// inline on the calling thread, in order — the exact serial path, with
+/// no pool at all.
 pub fn parallel_map<I, O, F>(jobs: usize, items: &[I], f: F) -> Vec<O>
 where
     I: Sync,
@@ -244,16 +260,27 @@ where
     let cursor = AtomicUsize::new(0);
     let completed: Mutex<Vec<(usize, O)>> = Mutex::new(Vec::with_capacity(items.len()));
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let index = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(index) else { break };
-                let out = f(item);
-                completed
-                    .lock()
-                    .expect("a sweep worker panicked while holding the results lock")
-                    .push((index, out));
-            });
+        let work = || loop {
+            let index = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(index) else { break };
+            let out = f(item);
+            completed
+                .lock()
+                .expect("a sweep worker panicked while holding the results lock")
+                .push((index, out));
+        };
+        // The calling thread is one of the workers.
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        work();
+        // Join each worker rather than leave it to the scope, which
+        // returns once the closures finish, possibly before the threads
+        // have exited and handed their allocator arenas back: the next
+        // map's workers would then each get a fresh arena, and the
+        // process's resident memory would grow with every map.
+        for handle in handles {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
     let results = completed
@@ -344,7 +371,8 @@ impl Harness {
     /// baselines the plan needs, then every not-yet-memoized cell (each
     /// against the now-complete baseline map). Results are reduced in
     /// plan order; `jobs == 1` runs the identical code serially on the
-    /// calling thread. Output is bit-identical for any `jobs`.
+    /// calling thread. Output is bit-identical for any `jobs`. The
+    /// harness keeps `jobs` for the extension studies it runs later.
     ///
     /// # Errors
     ///
@@ -352,6 +380,7 @@ impl Harness {
     pub fn run_plan(&mut self, plan: &SweepPlan, jobs: usize) -> Result<SweepReport> {
         let start = Instant::now();
         let jobs = jobs.max(1);
+        self.jobs = jobs;
 
         // Phase 1: baselines not yet memoized.
         let baseline_jobs: Vec<(WorkloadSpec, usize)> = plan
@@ -382,27 +411,23 @@ impl Harness {
         let cached = plan.len() - todo.len();
         let model = self.model.clone();
         let baselines = &self.baselines;
-        let cell_results: Vec<Result<(MixSummary, TelemetryReport)>> =
-            parallel_map(jobs, &todo, |cell| {
-                let t_sb = baselines
-                    .get(&(cell.workload.name().to_string(), cell.big + cell.little))
-                    .expect("phase 1 computed every baseline the plan needs");
-                compute_cell(
-                    &ctx,
-                    &model,
-                    t_sb,
-                    &cell.workload,
-                    cell.big,
-                    cell.little,
-                    cell.kind,
-                )
-            });
+        let cell_results: Vec<Result<CellOutcome>> = parallel_map(jobs, &todo, |cell| {
+            let t_sb = baselines
+                .get(&(cell.workload.name().to_string(), cell.big + cell.little))
+                .expect("phase 1 computed every baseline the plan needs");
+            compute_cell(
+                &ctx,
+                &model,
+                t_sb,
+                &cell.workload,
+                cell.big,
+                cell.little,
+                cell.kind,
+            )
+        });
         let executed = todo.len();
         for (cell, result) in todo.into_iter().zip(cell_results) {
-            let (summary, telemetry) = result?;
-            let key = cell.key();
-            self.telemetry.insert(key.clone(), telemetry);
-            self.cells.insert(key, summary);
+            self.memoize(cell.key(), result?);
         }
 
         Ok(SweepReport {
@@ -478,6 +503,16 @@ mod tests {
             assert_eq!(a.3.runs, b.3.runs);
             assert_eq!(a.3.counters, b.3.counters);
         }
+    }
+
+    #[test]
+    fn harness_keeps_the_latest_worker_count() {
+        let mut h = Harness::new(ExperimentConfig::quick()).unwrap();
+        assert_eq!(h.jobs(), 1, "no run_plan yet");
+        h.run_plan(&SweepPlan::new(), 3).unwrap();
+        assert_eq!(h.jobs(), 3);
+        h.run_plan(&SweepPlan::new(), 0).unwrap();
+        assert_eq!(h.jobs(), 1, "jobs are clamped to at least one");
     }
 
     #[test]

@@ -1,7 +1,11 @@
 //! Smoke and sanity tests for the extension experiments (energy, GTS,
 //! sensitivity, fairness, ablation) at quick scale.
 
-use colab::{experiments, ExperimentConfig, Harness, SchedulerKind};
+use amp_metrics::geomean;
+use amp_types::SimDuration;
+use amp_workloads::{PaperWorkload, WorkloadClass};
+use colab::experiments::{self, CONFIGS};
+use colab::{ExperimentConfig, Harness, SchedulerKind};
 
 fn quick_harness() -> Harness {
     Harness::new(ExperimentConfig::quick()).expect("harness builds")
@@ -50,6 +54,34 @@ fn ablation_has_four_variants_with_full_colab_first() {
             row.antt_vs_linux
         );
     }
+}
+
+#[test]
+fn full_colab_ablation_row_is_the_memoized_cells_under_custom_params() {
+    // A non-default tick: the full-COLAB row must come from the cells the
+    // harness ran with these parameters, not from a default-parameter run.
+    let mut config = ExperimentConfig::quick();
+    config.sim_params.tick = SimDuration::from_millis(5);
+    let mut h = Harness::new(config).unwrap();
+    let ablation = experiments::ablation(&mut h).unwrap();
+
+    let mut ratios = Vec::new();
+    for workload in PaperWorkload::all() {
+        if workload.class() != WorkloadClass::Sync {
+            continue;
+        }
+        let spec = workload.spec();
+        for (big, little) in CONFIGS {
+            let linux = h.mix(&spec, big, little, SchedulerKind::Linux).unwrap();
+            let colab = h.mix(&spec, big, little, SchedulerKind::Colab).unwrap();
+            ratios.push(colab.h_antt / linux.h_antt);
+        }
+    }
+    assert_eq!(ablation.rows[0].variant, "full COLAB");
+    assert_eq!(
+        ablation.rows[0].antt_vs_linux.to_bits(),
+        geomean(&ratios).to_bits()
+    );
 }
 
 #[test]

@@ -54,7 +54,7 @@ fn quick_harness() -> Harness {
     Harness::new(ExperimentConfig::quick()).expect("quick harness builds")
 }
 
-/// Runs `report::write_all` into a scratch directory and returns every
+/// Runs `report::write_all` into a temporary directory and returns every
 /// file it wrote, as `(name, contents)` in write order.
 fn write_csvs(h: &mut Harness, tag: &str) -> Vec<(&'static str, String)> {
     let dir = std::env::temp_dir().join(format!("colab-golden-{}-{tag}", std::process::id()));
