@@ -275,7 +275,7 @@ fn bench_stream_fetch(c: &mut Criterion) {
     let spec = WorkloadSpec::single(BenchmarkId::Fluidanimate, 4);
     let app = &spec.instantiate(42, Scale::quick())[0];
     let thread = &app.threads[0];
-    let compiled = CompiledProgram::compile(&thread.program, thread.profile);
+    let compiled = CompiledProgram::compile(&thread.program);
 
     let mut group = c.benchmark_group("action_fetch_fluidanimate");
     group.bench_function("compiled_stream", |b| {
@@ -303,12 +303,12 @@ fn bench_stream_fetch(c: &mut Criterion) {
     group.finish();
 }
 
-/// Event-merging payoff on a fine-grained all-compute loop (50 µs
-/// leaves, millisecond quanta): one timer event per merged stretch
-/// versus one per leaf. Paper benchmarks rarely hit this shape — their
-/// leaves are long and sync-separated — so this pins the mechanism, not
-/// the grid-wide win.
-fn bench_merged_run(c: &mut Criterion) {
+/// Per-leaf event cost on a fine-grained all-compute loop (50 µs
+/// leaves, millisecond quanta): one timer event per leaf. Paper
+/// benchmarks rarely hit this shape — their leaves are long and
+/// sync-separated — so this bounds the engine's worst case, not the
+/// grid-wide cost.
+fn bench_fine_grained_run(c: &mut Criterion) {
     let machine = MachineConfig::paper_2b2s(CoreOrder::BigFirst);
     let spec = WorkloadSpec::single(BenchmarkId::Blackscholes, 4);
     let profile = spec.instantiate(7, Scale::quick())[0].threads[0].profile;
@@ -335,20 +335,20 @@ fn bench_merged_run(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("fine_grained_loop_2b2s");
     group.sample_size(20);
-    for (label, merge) in [("merged", true), ("per_leaf", false)] {
-        let (app, machine, model) = (app.clone(), machine.clone(), model.clone());
-        group.bench_function(label, move |b| {
-            b.iter(|| {
-                let params = SimParams { merge_segments: merge, ..SimParams::default() };
-                let sim =
-                    Simulation::from_apps_with_params(&machine, vec![app.clone()], 7, params)
-                        .expect("workload builds");
-                let mut sched = colab::SchedulerKind::Linux.create(&machine, &model);
-                let outcome = sim.run(sched.as_mut()).expect("simulation completes");
-                black_box(outcome.events_processed)
-            })
-        });
-    }
+    group.bench_function("per_leaf", |b| {
+        b.iter(|| {
+            let sim = Simulation::from_apps_with_params(
+                &machine,
+                vec![app.clone()],
+                7,
+                SimParams::default(),
+            )
+            .expect("workload builds");
+            let mut sched = colab::SchedulerKind::Linux.create(&machine, &model);
+            let outcome = sim.run(sched.as_mut()).expect("simulation completes");
+            black_box(outcome.events_processed)
+        })
+    });
     group.finish();
 }
 
@@ -356,6 +356,6 @@ criterion_group! {
     name = hotpath;
     config = Criterion::default().sample_size(50);
     targets = bench_equeue_churn, bench_equeue_rearm, bench_engine_events, bench_full_mix,
-        bench_compile, bench_stream_fetch, bench_merged_run
+        bench_compile, bench_stream_fetch, bench_fine_grained_run
 }
 criterion_main!(hotpath);

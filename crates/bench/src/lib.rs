@@ -77,7 +77,6 @@ pub fn bench_run_json(harness: &Harness, wall_secs: f64, cells: usize) -> String
                 "\n    {{\"name\": \"{}\", \"runs\": {}, \"run_ms\": {:.3}, ",
                 "\"events\": {}, \"events_per_sec\": {:.0}, ",
                 "\"segments\": {}, \"segments_per_sec\": {:.0}, ",
-                "\"merged_op_ratio\": {:.2}, ",
                 "\"picks\": {}, \"run_ns_per_pick\": {:.1}}}"
             ),
             kind.name,
@@ -87,7 +86,6 @@ pub fn bench_run_json(harness: &Harness, wall_secs: f64, cells: usize) -> String
             kind.events_per_sec(),
             kind.segments,
             kind.segments_per_sec(),
-            kind.merged_op_ratio(),
             picks,
             per_pick,
         ));
@@ -97,14 +95,14 @@ pub fn bench_run_json(harness: &Harness, wall_secs: f64, cells: usize) -> String
     format!(
         concat!(
             "{{\n",
-            "  \"schema\": \"colab-bench-run/1\",\n",
+            "  \"schema\": \"colab-bench-run/2\",\n",
             "  \"wall_secs\": {:.3},\n",
             "  \"cells\": {},\n",
             "  \"cells_per_sec\": {:.2},\n",
             "  \"sim\": {{\"build_ms\": {:.3}, \"run_ms\": {:.3}, ",
             "\"runs\": {}, \"events\": {}, \"events_per_sec\": {:.0}, ",
             "\"compute_leaves\": {}, \"segments\": {}, ",
-            "\"segments_per_sec\": {:.0}, \"merged_op_ratio\": {:.2}}},\n",
+            "\"segments_per_sec\": {:.0}}},\n",
             "  \"interning\": {{\"hits\": {}, \"misses\": {}}},\n",
             "  \"policies\": [{}\n  ]\n",
             "}}\n"
@@ -120,7 +118,6 @@ pub fn bench_run_json(harness: &Harness, wall_secs: f64, cells: usize) -> String
         cost.leaves(),
         cost.segments(),
         cost.segments_per_sec(),
-        cost.merged_op_ratio(),
         interning.hits,
         interning.misses,
         policies,

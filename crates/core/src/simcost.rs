@@ -64,8 +64,8 @@ pub struct KindCost {
     pub runs: u64,
     /// Compute leaves retired (flat `Compute` actions).
     pub leaves: u64,
-    /// Compute `CoreDone` events armed — merged segments, each covering
-    /// one or more leaves.
+    /// Compute `CoreDone` events armed — one per leaf, plus one per
+    /// resumption of an interrupted leaf.
     pub segments: u64,
 }
 
@@ -79,22 +79,12 @@ impl KindCost {
         }
     }
 
-    /// Merged compute segments retired per second of run wall time.
+    /// Compute events armed per second of run wall time.
     pub fn segments_per_sec(&self) -> f64 {
         if self.run_ns == 0 {
             0.0
         } else {
             self.segments as f64 / (self.run_ns as f64 / 1e9)
-        }
-    }
-
-    /// Compute leaves per armed compute event — how much work segment
-    /// merging folds into each timer event (1.0 = no merging).
-    pub fn merged_op_ratio(&self) -> f64 {
-        if self.segments == 0 {
-            0.0
-        } else {
-            self.leaves as f64 / self.segments as f64
         }
     }
 }
@@ -145,23 +135,13 @@ impl CostSnapshot {
         }
     }
 
-    /// Aggregate merged-segment throughput in segments per second.
+    /// Aggregate compute-event throughput in events per second.
     pub fn segments_per_sec(&self) -> f64 {
         let run_ns = self.run_ns();
         if run_ns == 0 {
             0.0
         } else {
             self.segments() as f64 / (run_ns as f64 / 1e9)
-        }
-    }
-
-    /// Aggregate compute leaves per armed compute event.
-    pub fn merged_op_ratio(&self) -> f64 {
-        let segments = self.segments();
-        if segments == 0 {
-            0.0
-        } else {
-            self.leaves() as f64 / segments as f64
         }
     }
 }
@@ -230,9 +210,8 @@ mod tests {
         };
         assert!((k.events_per_sec() - 5.0).abs() < 1e-12);
         assert!((k.segments_per_sec() - 3.0).abs() < 1e-12);
-        assert!((k.merged_op_ratio() - 5.0).abs() < 1e-12);
         let z = KindCost { name: "x", run_ns: 0, events: 0, runs: 0, leaves: 0, segments: 0 };
         assert_eq!(z.events_per_sec(), 0.0);
-        assert_eq!(z.merged_op_ratio(), 0.0);
+        assert_eq!(z.segments_per_sec(), 0.0);
     }
 }

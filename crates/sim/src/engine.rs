@@ -60,8 +60,8 @@ struct ThreadState {
     /// Segment-compiled behaviour; `Arc`-shared with the plan-level
     /// intern store when the harness built this simulation.
     program: Arc<CompiledProgram>,
-    /// Position in the compiled stream (the compiled analogue of the
-    /// legacy tree-walking `Cursor`).
+    /// Position in the compiled stream; yields the same actions the
+    /// tree-walking `Cursor` would.
     pos: SegPos,
     /// Remaining big-core-ns of the current compute leaf; zero means
     /// the next program action must be fetched.
@@ -122,17 +122,6 @@ struct CoreState {
     /// in [`Simulation::clear_core`] so superseded events never sit in
     /// the queue (the `token` check remains as a backstop).
     pending_done: Option<EventKey>,
-    /// While `run_merged`: the instant the running thread's *current*
-    /// compute leaf completes. The armed `CoreDone` may cover several
-    /// leaves; [`Simulation::account_run`] walks this boundary forward
-    /// leaf by leaf so per-leaf accounting stays identical to the
-    /// one-event-per-leaf engine.
-    leaf_until: SimTime,
-    /// Whether the in-flight `CoreDone` covers a merged multi-leaf run.
-    /// Only ever set at nominal frequency (`freq_ratio == 1.0`), where
-    /// merged retirement is provably exact; throttled cores fall back to
-    /// per-leaf events.
-    run_merged: bool,
     /// CPU time consumed by the running thread since it was dispatched
     /// (passed to [`Scheduler::on_stop`]).
     stint: SimDuration,
@@ -200,11 +189,11 @@ pub struct Simulation {
     events: EventQueue<Event>,
     events_processed: u64,
     /// Compute leaves retired — one per `Compute` action the program
-    /// stream yields; independent of event merging.
+    /// stream yields.
     compute_leaves: u64,
-    /// Compute `CoreDone` arming events. With segment merging one event
-    /// can cover many leaves, so `compute_leaves / compute_events` is
-    /// the merged-op ratio.
+    /// Compute `CoreDone` arming events: one per nonzero leaf, plus one
+    /// more each time a leaf resumes after a tick, preemption or quantum
+    /// end.
     compute_events: u64,
     now: SimTime,
     finished: usize,
@@ -437,8 +426,6 @@ impl Simulation {
                 overhead_end: SimTime::ZERO,
                 quantum_end: SimTime::ZERO,
                 pending_done: None,
-                leaf_until: SimTime::ZERO,
-                run_merged: false,
                 stint: SimDuration::ZERO,
                 last_thread: None,
                 need_resched: false,
@@ -787,67 +774,17 @@ impl Simulation {
     /// Charges the on-CPU time since the last accounting point to the
     /// thread. Time inside the overhead window counts as run time (the
     /// core is occupied) but retires no work.
-    ///
-    /// When the core's in-flight event covers a merged multi-leaf run,
-    /// the elapsed interval is split at the precomputed leaf wall
-    /// boundaries (`CoreState::leaf_until`) and each piece is charged
-    /// with exactly the per-leaf arithmetic — same values, same f64
-    /// accumulation order — the one-event-per-leaf engine would have
-    /// used, so merged execution is observably identical.
     fn account_run(&mut self, core: CoreId, tid: ThreadId) {
-        if !self.cores[core.index()].run_merged {
-            self.account_piece(core, tid, self.now);
-            return;
-        }
-        loop {
-            let until = self.cores[core.index()].leaf_until;
-            if self.now < until {
-                // Mid-leaf (tick, preemption, fault): charge the partial
-                // piece and leave the boundary in place.
-                self.account_piece(core, tid, self.now);
-                return;
-            }
-            // The current leaf's wall boundary has passed: retire it
-            // exactly (merging is only armed at nominal frequency, where
-            // the 2 ns snap in `account_piece` provably zeroes `pending`
-            // at the boundary), then step to the next leaf of the run.
-            self.account_piece(core, tid, until);
-            debug_assert!(
-                self.threads[tid.index()].pending.is_zero(),
-                "merged leaf boundary must retire the leaf exactly"
-            );
-            let state = &mut self.threads[tid.index()];
-            match state.program.next_run_leaf(&mut state.pos) {
-                Some(d) => {
-                    state.pending = d;
-                    self.compute_leaves += 1;
-                    let kind = self.cores[core.index()].kind;
-                    let exec = exec_at(self.threads[tid.index()].speedup, d, kind);
-                    self.cores[core.index()].leaf_until = until + exec;
-                }
-                None => {
-                    self.cores[core.index()].run_merged = false;
-                    // Normally `now == until` here; charge any residue
-                    // (a zero-work piece) the legacy engine would have.
-                    self.account_piece(core, tid, self.now);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// One accounting piece: the exact legacy `account_run` body, charged
-    /// up to `upto` instead of `self.now`.
-    fn account_piece(&mut self, core: CoreId, tid: ThreadId, upto: SimTime) {
+        let now = self.now;
         let c = &mut self.cores[core.index()];
-        if upto <= c.acct_from {
+        if now <= c.acct_from {
             return;
         }
         let from = c.acct_from;
-        c.acct_from = upto;
-        let elapsed = upto - from;
-        let work_time = if upto > c.overhead_end {
-            upto - from.max(c.overhead_end)
+        c.acct_from = now;
+        let elapsed = now - from;
+        let work_time = if now > c.overhead_end {
+            now - from.max(c.overhead_end)
         } else {
             SimDuration::ZERO
         };
@@ -935,46 +872,19 @@ impl Simulation {
                     self.deschedule(core, tid, reason, sched);
                     return;
                 }
-                // Schedule the next segment boundary. At nominal
-                // frequency the whole remaining run is armed as one
-                // event (leaf boundaries are reconstructed exactly by
-                // `account_run`); a throttled core re-times each leaf
-                // individually, since fractional rates round per leaf.
+                // Arm the current leaf's completion, capped at the
+                // quantum end. A throttled or overclocked core scales the
+                // execution time by its frequency ratio.
                 let state = &self.threads[tid.index()];
-                let kind = self.cores[core.index()].kind;
-                let freq_ratio = self.cores[core.index()].freq_ratio;
-                let exec_pending = exec_at(state.speedup, state.pending, kind);
-                let until_quantum = self.cores[core.index()].quantum_end - self.now;
-                // A merged event always lands on a leaf boundary strictly
-                // before both the run end and the quantum expiry, so the
-                // events at which anything observable happens (a sync
-                // action, thread exit, or quantum deschedule) are armed
-                // individually — entering the queue at the same instant,
-                // and hence the same FIFO tie-break position, as the
-                // per-leaf engine's events.
-                let (dur, merged) = if self.params.merge_segments && freq_ratio == 1.0 {
-                    match state.program.merge_horizon(
-                        &state.pos,
-                        kind,
-                        state.speedup,
-                        exec_pending,
-                        until_quantum,
-                    ) {
-                        Some(b) => (b, true),
-                        None => (exec_pending.min(until_quantum), false),
-                    }
-                } else {
-                    (exec_pending.div_f64(freq_ratio).min(until_quantum), false)
-                };
-                let token = self.cores[core.index()].token;
-                debug_assert!(self.cores[core.index()].acct_from == self.now);
+                let c = &self.cores[core.index()];
+                let exec_pending = exec_at(state.speedup, state.pending, c.kind);
+                let dur = exec_pending
+                    .div_f64(c.freq_ratio)
+                    .min(c.quantum_end - self.now);
+                let token = c.token;
+                debug_assert!(c.acct_from == self.now);
                 let key = self.push_event(self.now + dur, Event::CoreDone { core, token });
-                let c = &mut self.cores[core.index()];
-                c.pending_done = Some(key);
-                c.run_merged = merged;
-                if merged {
-                    c.leaf_until = self.now + exec_pending;
-                }
+                self.cores[core.index()].pending_done = Some(key);
                 self.compute_events += 1;
                 return;
             }
@@ -1139,7 +1049,6 @@ impl Simulation {
         let c = &mut self.cores[core.index()];
         c.token += 1;
         c.need_resched = false;
-        c.run_merged = false;
         c.stint = SimDuration::ZERO;
         c.last_thread = Some(tid);
         let pending = c.pending_done.take();
@@ -1279,7 +1188,6 @@ impl Simulation {
         let c = &mut self.cores[core.index()];
         c.stint = SimDuration::ZERO;
         c.need_resched = false;
-        c.run_merged = false;
         c.acct_from = self.now;
         c.overhead_end = self.now + overhead;
         c.quantum_end = self.now + overhead + slice;

@@ -155,12 +155,11 @@ pub struct SimulationOutcome {
     /// the events/sec throughput metric in `BENCH_*.json`).
     pub events_processed: u64,
     /// Compute leaves retired — one per flat `Compute` action in the
-    /// workload, independent of how events were merged.
+    /// workload.
     pub compute_leaves: u64,
-    /// Compute `CoreDone` events armed. With segment merging
-    /// (`SimParams::merge_segments`) one event can cover many leaves;
-    /// `compute_leaves / compute_events` is the merged-op ratio reported
-    /// in `BENCH_*.json`.
+    /// Compute `CoreDone` events armed: one per nonzero leaf, plus one
+    /// more each time a leaf resumes after a tick, preemption or quantum
+    /// end.
     pub compute_events: u64,
     /// Per-core busy time, indexed by core id.
     pub core_busy: Vec<SimDuration>,

@@ -68,12 +68,6 @@ pub struct SimParams {
     /// (0 = event recording off; decision counters and latency
     /// histograms are always collected).
     pub event_capacity: usize,
-    /// Arm one `CoreDone` per merged compute run instead of one per
-    /// leaf op (see `amp_workloads::compiled`). Observable simulation
-    /// results are identical either way — pinned by the differential
-    /// test suite — so this stays on except when diffing the two event
-    /// schedules.
-    pub merge_segments: bool,
 }
 
 impl SimParams {
@@ -88,7 +82,6 @@ impl SimParams {
             power: PowerModel::default(),
             trace_capacity: 0,
             event_capacity: 0,
-            merge_segments: true,
         }
     }
 }
