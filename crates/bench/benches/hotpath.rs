@@ -337,13 +337,11 @@ fn bench_fine_grained_run(c: &mut Criterion) {
     group.sample_size(20);
     group.bench_function("per_leaf", |b| {
         b.iter(|| {
-            let sim = Simulation::from_apps_with_params(
-                &machine,
-                vec![app.clone()],
-                7,
-                SimParams::default(),
-            )
-            .expect("workload builds");
+            let apps = amp_workloads::CompiledApp::compile_all(std::slice::from_ref(&app))
+                .expect("workload builds");
+            let sim =
+                Simulation::from_compiled_with_params(&machine, apps, 7, SimParams::default())
+                    .expect("workload builds");
             let mut sched = colab::SchedulerKind::Linux.create(&machine, &model);
             let outcome = sim.run(sched.as_mut()).expect("simulation completes");
             black_box(outcome.events_processed)

@@ -1,12 +1,16 @@
 //! Regenerates every table and figure of the paper.
 //!
 //! ```text
-//! repro [--scale F] [--heuristic-model] [--jobs N] [--table2|--table3|--table4]
-//!       [--fig4|--fig5|--fig6|--fig7|--fig8|--fig9] [--summary]
-//!       [--ablation] [--faults] [--all] [--csv DIR] [--trace-json DIR]
+//! repro [--scale F] [--heuristic-model] [--jobs N] [--reps N]
+//!       [--table2|--table3|--table4] [--fig4|--fig5|--fig6|--fig7|--fig8|--fig9]
+//!       [--summary] [--check] [--ablation] [--energy] [--table1]
+//!       [--sensitivity] [--fairness] [--freqsweep] [--staggered] [--faults]
+//!       [--all] [--csv DIR] [--trace-json DIR] [--bench-json FILE]
 //! ```
 //!
-//! With no selection flags, `--all` is assumed. `--scale` shrinks the
+//! With no selection flags, `--all` is assumed. Any other flag is an
+//! error (exit status 1). `--reps N` runs every cell N times with
+//! derived seeds and averages them (default 1, the paper's protocol). `--scale` shrinks the
 //! workloads (default 1.0, the calibrated full size); the shapes are
 //! stable down to about 0.25. `--heuristic-model` skips the offline
 //! training run and uses the analytic speedup model.
@@ -52,6 +56,13 @@ struct Options {
     trace_dir: Option<std::path::PathBuf>,
     bench_json: Option<std::path::PathBuf>,
 }
+
+/// The selection flags, without their `--`.
+const TARGETS: [&str; 20] = [
+    "all", "table2", "table3", "table4", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
+    "summary", "check", "ablation", "energy", "table1", "sensitivity", "fairness", "freqsweep",
+    "staggered", "faults",
+];
 
 fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -105,9 +116,11 @@ fn parse_args() -> Result<Options, String> {
                 }
             }
             "--heuristic-model" => train = false,
-            "--all" => targets.push("all".into()),
-            flag if flag.starts_with("--") => targets.push(flag[2..].to_string()),
-            other => return Err(format!("unrecognized argument {other}")),
+            other => match other.strip_prefix("--") {
+                Some(name) if TARGETS.contains(&name) => targets.push(name.to_string()),
+                Some(_) => return Err(format!("unknown flag {other}")),
+                None => return Err(format!("unrecognized argument {other}")),
+            },
         }
     }
     if targets.is_empty() && csv_dir.is_none() && trace_dir.is_none() && bench_json.is_none() {

@@ -8,6 +8,9 @@
 //!   scale:     workload scale factor (default: 0.25)
 //! ```
 //!
+//! An unknown workload or scheduler name, or a scale that is not a
+//! positive number, exits with status 1.
+//!
 //! Each row is a core; each letter is the thread running there (`A` =
 //! thread 0); `.` is idle time. The legend maps letters to thread roles
 //! and criticality, and a decision-telemetry block summarizes the run.
@@ -21,7 +24,7 @@
 use amp_perf::SpeedupModel;
 use amp_sim::{SimParams, Simulation};
 use amp_types::{CoreOrder, MachineConfig};
-use amp_workloads::{BenchmarkId, PaperWorkload, Scale, WorkloadSpec};
+use amp_workloads::{BenchmarkId, CompiledWorkload, PaperWorkload, Scale, WorkloadSpec};
 use colab::SchedulerKind;
 
 fn resolve_workload(name: &str) -> Option<WorkloadSpec> {
@@ -34,22 +37,32 @@ fn resolve_workload(name: &str) -> Option<WorkloadSpec> {
         .map(|b| WorkloadSpec::single(b, b.clamp_threads(4)))
 }
 
-fn resolve_scheduler(name: &str) -> SchedulerKind {
+fn resolve_scheduler(name: &str) -> Option<SchedulerKind> {
     SchedulerKind::EXTENDED
         .into_iter()
         .find(|k| k.name() == name)
-        .unwrap_or(SchedulerKind::Colab)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let workload_name = args.first().map(String::as_str).unwrap_or("ferret");
-    let kind = resolve_scheduler(args.get(1).map(String::as_str).unwrap_or("colab"));
-    let scale: f64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(0.25);
+    let scheduler_name = args.get(1).map(String::as_str).unwrap_or("colab");
+    let scale_arg = args.get(2).map(String::as_str).unwrap_or("0.25");
 
     let Some(spec) = resolve_workload(workload_name) else {
         eprintln!("unknown workload {workload_name}; use a Table 4 name or a benchmark name");
         std::process::exit(1);
+    };
+    let Some(kind) = resolve_scheduler(scheduler_name) else {
+        eprintln!("unknown scheduler {scheduler_name}; use linux, gts, wash or colab");
+        std::process::exit(1);
+    };
+    let scale = match scale_arg.parse::<f64>() {
+        Ok(scale) if scale.is_finite() && scale > 0.0 => scale,
+        _ => {
+            eprintln!("bad scale {scale_arg}; use a positive number");
+            std::process::exit(1);
+        }
     };
 
     let machine = MachineConfig::paper_2b2s(CoreOrder::BigFirst);
@@ -58,8 +71,9 @@ fn main() {
         event_capacity: 1 << 16,
         ..SimParams::default()
     };
-    let apps = spec.instantiate(42, Scale::new(scale));
-    let sim = match Simulation::from_apps_with_params(&machine, apps, 42, params) {
+    let sim = match CompiledWorkload::compile(&spec, 42, Scale::new(scale)).and_then(|compiled| {
+        Simulation::from_compiled_with_params(&machine, compiled.apps().to_vec(), 42, params)
+    }) {
         Ok(sim) => sim,
         Err(e) => {
             eprintln!("error building {workload_name}: {e}");

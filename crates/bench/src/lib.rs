@@ -7,7 +7,7 @@ use amp_sim::telemetry::chrome::ChromeTrace;
 use amp_sim::telemetry::SchedEvent;
 use amp_sim::{SimParams, Simulation, SimulationOutcome, TraceEvent};
 use amp_types::{CoreOrder, MachineConfig, SimTime, ThreadId};
-use amp_workloads::{Scale, WorkloadSpec};
+use amp_workloads::{CompiledWorkload, Scale, WorkloadSpec};
 use colab::{ExperimentConfig, Harness, SchedulerKind};
 
 /// Builds a harness at the given scale, optionally with the trained
@@ -140,9 +140,9 @@ pub fn chrome_trace_json(spec: &WorkloadSpec, kind: SchedulerKind, scale: f64) -
         event_capacity: 1 << 16,
         ..SimParams::default()
     };
-    let apps = spec.instantiate(42, Scale::new(scale));
-    let sim = Simulation::from_apps_with_params(&machine, apps, 42, params)
-        .expect("workload builds");
+    let compiled = CompiledWorkload::compile(spec, 42, Scale::new(scale)).expect("workload builds");
+    let sim = Simulation::from_compiled_with_params(&machine, compiled.apps().to_vec(), 42, params)
+        .expect("workload loads");
     let mut sched = kind.create(&machine, &SpeedupModel::heuristic());
     let outcome = sim.run(sched.as_mut()).expect("simulation completes");
     render_chrome_trace(&machine, &outcome)

@@ -15,7 +15,8 @@
 use std::fmt;
 
 use amp_metrics::geomean;
-use amp_types::Result;
+use amp_sim::{SimParams, Simulation, SimulationOutcome};
+use amp_types::{MachineConfig, Result};
 use amp_workloads::{BenchmarkId, PaperWorkload, WorkloadClass, WorkloadSpec};
 
 use crate::harness::{Harness, SchedulerKind};
@@ -50,12 +51,30 @@ fn memoized<T: Clone>(
 }
 
 /// Each app's turnaround in a run, in seconds.
-fn turnaround_secs(outcome: &amp_sim::SimulationOutcome) -> Vec<f64> {
+fn turnaround_secs(outcome: &SimulationOutcome) -> Vec<f64> {
     outcome
         .apps
         .iter()
         .map(|app| app.turnaround.as_secs_f64())
         .collect()
+}
+
+/// One study run: `spec` at `seed`, loaded from the harness's program
+/// store onto `machine` with `params`, staged by `stage` (arrivals or a
+/// fault plan; `Ok` for neither), and run under `kind`.
+fn run_study(
+    h: &Harness,
+    machine: &MachineConfig,
+    (spec, seed): (&WorkloadSpec, u64),
+    params: SimParams,
+    kind: SchedulerKind,
+    stage: impl FnOnce(Simulation) -> Result<Simulation>,
+) -> Result<SimulationOutcome> {
+    let compiled = h.programs.get_or_compile(spec, seed, h.config().scale)?;
+    let sim =
+        Simulation::from_compiled_with_params(machine, compiled.apps().to_vec(), seed, params)?;
+    let mut sched = kind.create(machine, h.model());
+    stage(sim)?.run(sched.as_mut())
 }
 
 /// Evaluates `f` over a study's independent `runs` on the harness's
@@ -630,8 +649,7 @@ pub fn staggered(h: &mut Harness) -> Result<Staggered> {
 }
 
 fn run_staggered(h: &Harness) -> Result<Staggered> {
-    use amp_sim::Simulation;
-    use amp_types::{CoreOrder, MachineConfig, SimTime};
+    use amp_types::{CoreOrder, SimTime};
 
     let workloads: Vec<WorkloadSpec> = PaperWorkload::all()
         .into_iter()
@@ -652,20 +670,18 @@ fn run_staggered(h: &Harness) -> Result<Staggered> {
     // Per run, each app's arrival-to-finish turnaround in seconds.
     let per_run = run_all(h, &runs, |&(spec, kind, order)| {
         let machine = MachineConfig::asymmetric(2, 4, order);
-        let apps = spec.instantiate(h.config().seed, h.config().scale);
-        let staged: Vec<_> = apps
-            .into_iter()
-            .enumerate()
-            .map(|(i, app)| (app, SimTime::from_nanos(gap.as_nanos() * i as u64)))
+        let arrivals = (0..spec.num_apps() as u64)
+            .map(|i| SimTime::from_nanos(gap.as_nanos() * i))
             .collect();
-        let sim = Simulation::from_apps_with_arrivals(
+        let config = h.config();
+        let outcome = run_study(
+            h,
             &machine,
-            staged,
-            h.config().seed,
-            h.config().sim_params,
+            (spec, config.seed),
+            config.sim_params,
+            kind,
+            |sim| sim.with_arrivals(arrivals),
         )?;
-        let mut sched = kind.create(&machine, h.model());
-        let outcome = sim.run(sched.as_mut())?;
         Ok(turnaround_secs(&outcome))
     })?;
 
@@ -749,8 +765,7 @@ pub fn frequency_sweep(h: &mut Harness) -> Result<FrequencySweep> {
 }
 
 fn run_frequency_sweep(h: &Harness) -> Result<FrequencySweep> {
-    use amp_sim::Simulation;
-    use amp_types::{CoreKind, CoreSpec, MachineConfig};
+    use amp_types::{CoreKind, CoreSpec};
 
     const LITTLE_GHZ: [f64; 5] = [0.6, 0.9, 1.2, 1.6, 2.0];
     let kinds = [SchedulerKind::Linux, SchedulerKind::Colab];
@@ -782,15 +797,8 @@ fn run_frequency_sweep(h: &Harness) -> Result<FrequencySweep> {
     }
     // Per run, each app's turnaround in seconds.
     let per_run = run_all(h, &runs, |&(machine, spec, kind)| {
-        let apps = spec.instantiate(h.config().seed, h.config().scale);
-        let sim = Simulation::from_apps_with_params(
-            machine,
-            apps,
-            h.config().seed,
-            h.config().sim_params,
-        )?;
-        let mut sched = kind.create(machine, h.model());
-        let outcome = sim.run(sched.as_mut())?;
+        let config = h.config();
+        let outcome = run_study(h, machine, (spec, config.seed), config.sim_params, kind, Ok)?;
         Ok(turnaround_secs(&outcome))
     })?;
 
@@ -1082,7 +1090,8 @@ pub struct SensitivityRow {
 /// over the Sync workloads on 2B4S.
 #[derive(Debug, Clone)]
 pub struct Sensitivity {
-    /// Default parameters first.
+    /// The configured parameters first (the "defaults" row), then each
+    /// variant of them.
     pub rows: Vec<SensitivityRow>,
 }
 
@@ -1096,10 +1105,9 @@ pub fn sensitivity(h: &mut Harness) -> Result<Sensitivity> {
 }
 
 fn run_sensitivity(h: &Harness) -> Result<Sensitivity> {
-    use amp_sim::{SimParams, Simulation};
-    use amp_types::{CoreOrder, MachineConfig, SimDuration};
+    use amp_types::{CoreOrder, SimDuration};
 
-    let base = SimParams::default();
+    let base = h.config().sim_params;
     let variants: Vec<(String, SimParams)> = vec![
         ("defaults".into(), base),
         (
@@ -1150,10 +1158,7 @@ fn run_sensitivity(h: &Harness) -> Result<Sensitivity> {
     // Per run, each app's turnaround in seconds.
     let per_run = run_all(h, &runs, |&(params, spec, order, kind)| {
         let machine = MachineConfig::asymmetric(2, 4, order);
-        let apps = spec.instantiate(h.config().seed, h.config().scale);
-        let sim = Simulation::from_apps_with_params(&machine, apps, h.config().seed, params)?;
-        let mut sched = kind.create(&machine, h.model());
-        let outcome = sim.run(sched.as_mut())?;
+        let outcome = run_study(h, &machine, (spec, h.config().seed), params, kind, Ok)?;
         Ok(turnaround_secs(&outcome))
     })?;
 
@@ -1240,7 +1245,6 @@ pub fn ablation(h: &mut Harness) -> Result<Ablation> {
 
 fn run_ablation(h: &mut Harness) -> Result<Ablation> {
     use amp_sched::{ColabConfig, ColabScheduler, Scheduler};
-    use amp_types::MachineConfig;
 
     use crate::harness::{run_cell, EvalCtx};
 
@@ -1366,9 +1370,8 @@ pub fn faults(h: &mut Harness) -> Result<FaultsStudy> {
 }
 
 fn run_faults(h: &Harness) -> Result<FaultsStudy> {
-    use amp_sim::faults::FaultPlan;
-    use amp_sim::{DegradationReport, Simulation, SimulationOutcome};
-    use amp_types::{CoreOrder, MachineConfig, SimDuration};
+    use amp_sim::{DegradationReport, FaultPlan};
+    use amp_types::{CoreOrder, SimDuration};
 
     const INTENSITIES: [f64; 3] = [0.5, 1.0, 2.0];
     const SEEDS: [u64; 3] = [11, 12, 13];
@@ -1381,12 +1384,15 @@ fn run_faults(h: &Harness) -> Result<FaultsStudy> {
         .unwrap_or_else(|| WorkloadSpec::single(BenchmarkId::Ferret, 6));
     let workload = spec.name().to_string();
 
-    let run = |kind: SchedulerKind, seed: u64, plan: FaultPlan| -> Result<SimulationOutcome> {
-        let apps = spec.instantiate(seed, h.config().scale);
-        let sim = Simulation::from_apps_with_params(&machine, apps, seed, h.config().sim_params)?
-            .with_fault_plan(plan)?;
-        let mut sched = kind.create(&machine, h.model());
-        sim.run(sched.as_mut())
+    let run = |kind: SchedulerKind, seed: u64, plan: FaultPlan| {
+        run_study(
+            h,
+            &machine,
+            (&spec, seed),
+            h.config().sim_params,
+            kind,
+            |sim| sim.with_fault_plan(plan),
+        )
     };
 
     // Clean baselines, one per (seed, scheduler); the Linux makespan also

@@ -119,8 +119,11 @@ impl ExperimentConfig {
     }
 }
 
-/// Key of a memoized experiment cell: `(workload, config, scheduler)`.
-pub(crate) type CellKey = (String, String, &'static str);
+/// Key of a memoized experiment cell: `(workload, config label,
+/// scheduler)`. The whole spec, not just its name, so two workloads that
+/// share a name but not their entries (`single(b, 4)` and `single(b, 2)`)
+/// never share a cell.
+pub(crate) type CellKey = (WorkloadSpec, String, &'static str);
 
 /// The memo key of `workload` on a `big`×`little` machine under `kind`.
 pub(crate) fn cell_key(
@@ -130,7 +133,7 @@ pub(crate) fn cell_key(
     kind: SchedulerKind,
 ) -> CellKey {
     (
-        workload.name().to_string(),
+        workload.clone(),
         MachineConfig::asymmetric(big, little, CoreOrder::BigFirst).label(),
         kind.name(),
     )
@@ -313,8 +316,8 @@ pub(crate) fn run_cell(
 pub struct Harness {
     pub(crate) config: ExperimentConfig,
     pub(crate) model: SpeedupModel,
-    /// `(workload name, total cores) → per-app T_SB`.
-    pub(crate) baselines: HashMap<(String, usize), Vec<SimDuration>>,
+    /// `(workload, total cores) → per-app T_SB`.
+    pub(crate) baselines: HashMap<(WorkloadSpec, usize), Vec<SimDuration>>,
     /// Memoized `(workload, config, scheduler) → summary`.
     pub(crate) cells: HashMap<CellKey, MixSummary>,
     /// Decision telemetry per cell, absorbed over the core-order pair and
@@ -383,7 +386,7 @@ impl Harness {
     /// Isolated big-only baselines `T_SB` for every app of a workload, on
     /// an all-big machine with `total_cores` cores. Memoized.
     fn baselines(&mut self, workload: &WorkloadSpec, total_cores: usize) -> Result<Vec<SimDuration>> {
-        let key = (workload.name().to_string(), total_cores);
+        let key = (workload.clone(), total_cores);
         if let Some(b) = self.baselines.get(&key) {
             return Ok(b.clone());
         }
@@ -476,13 +479,14 @@ impl Harness {
     /// `(workload, config, scheduler, report)` rows sorted for
     /// deterministic output.
     pub fn telemetry_cells(&self) -> Vec<(&str, &str, &str, &TelemetryReport)> {
-        let mut rows: Vec<_> = self
-            .telemetry
-            .iter()
-            .map(|((w, c, s), report)| (w.as_str(), c.as_str(), *s, report))
-            .collect();
-        rows.sort_unstable_by(|a, b| (a.0, a.1, a.2).cmp(&(b.0, b.1, b.2)));
-        rows
+        let mut cells: Vec<_> = self.telemetry.iter().collect();
+        cells.sort_unstable_by(|((wa, ca, sa), _), ((wb, cb, sb), _)| {
+            (wa.name(), ca, sa, wa.entries()).cmp(&(wb.name(), cb, sb, wb.entries()))
+        });
+        cells
+            .into_iter()
+            .map(|((w, c, s), report)| (w.name(), c.as_str(), *s, report))
+            .collect()
     }
 
     /// Telemetry pooled per scheduler over every evaluated cell, in

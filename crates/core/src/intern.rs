@@ -7,18 +7,20 @@
 //! segment stream ([`CompiledWorkload`]) is immutable and position-free
 //! (per-thread progress lives in the engine's `SegPos`), so one copy
 //! can back every one of those simulations. [`ProgramStore`] memoizes
-//! compilation behind an `Arc`, keyed by the same FNV-1a construction
-//! as [`SweepCell::stable_hash`](crate::SweepCell::stable_hash) so keys
-//! are stable across processes and platforms.
+//! compilation behind an `Arc`, keyed by the whole spec (name and
+//! entries), the seed and the scale.
 //!
 //! Concurrency contract: workloads are compiled *outside* the lock
 //! (compilation walks whole op trees; the critical section is two map
 //! operations), and on a race the first inserted value wins so every
-//! caller shares one allocation. Interning is a pure cache — hit or
-//! miss, callers receive a compilation of exactly
+//! caller shares one allocation. A miss is counted only by the lookup
+//! whose value was inserted; a racing loser counts as a hit, so the
+//! hit/miss split is the same at any worker count. Interning is a pure
+//! cache — hit or miss, callers receive a compilation of exactly
 //! `spec.instantiate(seed, scale)`, which is deterministic — so it
 //! cannot perturb simulation results, only skip redundant work.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -26,12 +28,13 @@ use std::sync::{Arc, Mutex};
 use amp_types::Result;
 use amp_workloads::{CompiledWorkload, Scale, WorkloadSpec};
 
-/// A thread-safe memo table `(workload name, seed, scale) → compiled
+/// A thread-safe memo table `(workload, seed, scale) → compiled
 /// workload`. One store lives in the [`Harness`](crate::Harness) and is
 /// shared by the serial memoized path and every `run_plan` worker.
 #[derive(Debug, Default)]
 pub struct ProgramStore {
-    map: Mutex<HashMap<u64, Arc<CompiledWorkload>>>,
+    /// `(spec, seed, scale bits) → compiled workload`.
+    map: Mutex<HashMap<(WorkloadSpec, u64, u64), Arc<CompiledWorkload>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -41,8 +44,8 @@ pub struct ProgramStore {
 pub struct InternStats {
     /// Lookups served from the store.
     pub hits: u64,
-    /// Lookups that had to compile (== unique workloads compiled, up to
-    /// first-insert-wins races).
+    /// Lookups that inserted a new workload (== distinct workloads
+    /// interned, whatever the races).
     pub misses: u64,
 }
 
@@ -52,28 +55,8 @@ impl ProgramStore {
         ProgramStore::default()
     }
 
-    /// The stable key: FNV-1a over `name \0 seed \0 scale-bits`, the
-    /// same construction (and constants) as `SweepCell::stable_hash`.
-    fn key(spec: &WorkloadSpec, seed: u64, scale: Scale) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01B3;
-        let mut h = OFFSET;
-        for chunk in [
-            spec.name().as_bytes(),
-            b"\0",
-            &seed.to_le_bytes(),
-            b"\0",
-            &scale.factor().to_bits().to_le_bytes(),
-        ] {
-            for &byte in chunk {
-                h = (h ^ u64::from(byte)).wrapping_mul(PRIME);
-            }
-        }
-        h
-    }
-
     /// Returns the compiled form of `spec.instantiate(seed, scale)`,
-    /// compiling at most once per distinct `(name, seed, scale)`.
+    /// compiling at most once per distinct `(spec, seed, scale)`.
     ///
     /// # Errors
     ///
@@ -84,7 +67,7 @@ impl ProgramStore {
         seed: u64,
         scale: Scale,
     ) -> Result<Arc<CompiledWorkload>> {
-        let key = ProgramStore::key(spec, seed, scale);
+        let key = (spec.clone(), seed, scale.factor().to_bits());
         if let Some(found) = self.map.lock().expect("program store poisoned").get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(Arc::clone(found));
@@ -92,9 +75,17 @@ impl ProgramStore {
         // Compile outside the lock; racing compilers produce identical
         // streams, and the first insert wins so all callers share one.
         let compiled = Arc::new(CompiledWorkload::compile(spec, seed, scale)?);
-        self.misses.fetch_add(1, Ordering::Relaxed);
         let mut map = self.map.lock().expect("program store poisoned");
-        Ok(Arc::clone(map.entry(key).or_insert(compiled)))
+        match map.entry(key) {
+            Entry::Occupied(found) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                Ok(Arc::clone(found.get()))
+            }
+            Entry::Vacant(slot) => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                Ok(Arc::clone(slot.insert(compiled)))
+            }
+        }
     }
 
     /// Current hit/miss counts.
@@ -122,15 +113,20 @@ mod tests {
     }
 
     #[test]
-    fn seed_and_scale_key_distinct_entries() {
+    fn seed_scale_and_entries_key_distinct_entries() {
         let store = ProgramStore::new();
         let spec = WorkloadSpec::single(BenchmarkId::Swaptions, 4);
+        // Same name, different entries.
+        let fewer = WorkloadSpec::single(BenchmarkId::Swaptions, 2);
         let a = store.get_or_compile(&spec, 1, Scale::quick()).unwrap();
         let b = store.get_or_compile(&spec, 2, Scale::quick()).unwrap();
         let c = store.get_or_compile(&spec, 1, Scale::new(0.2)).unwrap();
+        let d = store.get_or_compile(&fewer, 1, Scale::quick()).unwrap();
         assert!(!Arc::ptr_eq(&a, &b));
         assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(store.stats().misses, 3);
+        assert_eq!(a.apps()[0].threads.len(), 4);
+        assert_eq!(d.apps()[0].threads.len(), 2);
+        assert_eq!(store.stats().misses, 4);
     }
 
     #[test]
@@ -143,6 +139,7 @@ mod tests {
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
+        assert_eq!(store.stats(), InternStats { hits: 7, misses: 1 });
         let map = store.map.lock().unwrap();
         assert_eq!(map.len(), 1);
         let canonical = map.values().next().unwrap();

@@ -68,15 +68,22 @@ impl SweepCell {
         cell_key(&self.workload, self.big, self.little, self.kind)
     }
 
-    /// A stable 64-bit hash of the cell key (FNV-1a over
-    /// `workload\0config\0scheduler`). Independent of process, platform
-    /// and `HashMap` seeding, so it can name cells in fixtures and logs.
+    /// A stable 64-bit hash of the cell's labels (FNV-1a over
+    /// `workload name\0config\0scheduler`). Independent of process,
+    /// platform and `HashMap` seeding, so it can name cells in fixtures
+    /// and logs.
     pub fn stable_hash(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01B3;
         let (w, c, s) = self.key();
         let mut h = OFFSET;
-        for chunk in [w.as_bytes(), b"\0", c.as_bytes(), b"\0", s.as_bytes()] {
+        for chunk in [
+            w.name().as_bytes(),
+            b"\0",
+            c.as_bytes(),
+            b"\0",
+            s.as_bytes(),
+        ] {
             for &byte in chunk {
                 h = (h ^ u64::from(byte)).wrapping_mul(PRIME);
             }
@@ -225,10 +232,7 @@ impl SweepPlan {
         let mut jobs: Vec<(WorkloadSpec, usize)> = Vec::new();
         for cell in &self.cells {
             let total = cell.big + cell.little;
-            if !jobs
-                .iter()
-                .any(|(w, t)| *t == total && w.name() == cell.workload.name())
-            {
+            if !jobs.iter().any(|(w, t)| *t == total && *w == cell.workload) {
                 jobs.push((cell.workload.clone(), total));
             }
         }
@@ -386,7 +390,7 @@ impl Harness {
         let baseline_jobs: Vec<(WorkloadSpec, usize)> = plan
             .baseline_jobs()
             .into_iter()
-            .filter(|(w, t)| !self.baselines.contains_key(&(w.name().to_string(), *t)))
+            .filter(|job| !self.baselines.contains_key(job))
             .collect();
         let config = self.config.clone();
         let ctx = EvalCtx {
@@ -397,9 +401,8 @@ impl Harness {
             parallel_map(jobs, &baseline_jobs, |(workload, total)| {
                 compute_baseline(&ctx, workload, *total)
             });
-        for ((workload, total), result) in baseline_jobs.iter().zip(baseline_results) {
-            self.baselines
-                .insert((workload.name().to_string(), *total), result?);
+        for (job, result) in baseline_jobs.iter().zip(baseline_results) {
+            self.baselines.insert(job.clone(), result?);
         }
 
         // Phase 2: cells not yet memoized.
@@ -413,7 +416,7 @@ impl Harness {
         let baselines = &self.baselines;
         let cell_results: Vec<Result<CellOutcome>> = parallel_map(jobs, &todo, |cell| {
             let t_sb = baselines
-                .get(&(cell.workload.name().to_string(), cell.big + cell.little))
+                .get(&(cell.workload.clone(), cell.big + cell.little))
                 .expect("phase 1 computed every baseline the plan needs");
             compute_cell(
                 &ctx,

@@ -126,3 +126,62 @@ fn quantified_table1_ranks_colab_ahead_of_gts() {
     // policy (the whole point of Table 1).
     assert!(antt_of("colab") < antt_of("gts"));
 }
+
+#[test]
+fn sensitivity_varies_the_configured_params() {
+    // Every variant starts from the harness's parameters, so a harness
+    // configured with a 5 ms tick reports as "defaults" exactly what a
+    // default harness reports as "tick 5ms".
+    let mut config = ExperimentConfig::quick();
+    config.sim_params.tick = SimDuration::from_millis(5);
+    let mut ticked = Harness::new(config).unwrap();
+    let configured = experiments::sensitivity(&mut ticked).unwrap();
+    let default = experiments::sensitivity(&mut quick_harness()).unwrap();
+    let tick_5ms = default
+        .rows
+        .iter()
+        .find(|row| row.variant == "tick 5ms")
+        .expect("tick 5ms row");
+    assert_eq!(configured.rows[0].variant, "defaults");
+    assert_eq!(
+        configured.rows[0].colab_vs_linux.to_bits(),
+        tick_5ms.colab_vs_linux.to_bits()
+    );
+}
+
+#[test]
+fn workloads_sharing_a_name_do_not_share_cells() {
+    use amp_workloads::BenchmarkId;
+    let fresh = quick_harness()
+        .single(BenchmarkId::Blackscholes, 2, 2, 2, SchedulerKind::Linux)
+        .unwrap();
+    let mut h = quick_harness();
+    let four = h
+        .single(BenchmarkId::Blackscholes, 4, 2, 2, SchedulerKind::Linux)
+        .unwrap();
+    let two = h
+        .single(BenchmarkId::Blackscholes, 2, 2, 2, SchedulerKind::Linux)
+        .unwrap();
+    assert_eq!(two.to_bits(), fresh.to_bits(), "2 threads after 4");
+    assert_ne!(two.to_bits(), four.to_bits());
+}
+
+#[test]
+fn studies_load_the_grids_programs_from_the_store() {
+    // After the full plan, every study's workload at the configured seed
+    // is interned already; only the fault study's own seeds compile.
+    let mut h = quick_harness();
+    h.run_plan(&colab::SweepPlan::full(), 2).unwrap();
+    let before = h.intern_stats();
+    experiments::energy(&mut h).unwrap();
+    experiments::table1_quantified(&mut h).unwrap();
+    experiments::ablation(&mut h).unwrap();
+    experiments::sensitivity(&mut h).unwrap();
+    experiments::fairness(&mut h).unwrap();
+    experiments::frequency_sweep(&mut h).unwrap();
+    experiments::staggered(&mut h).unwrap();
+    experiments::faults(&mut h).unwrap();
+    let after = h.intern_stats();
+    assert_eq!(after.misses, before.misses + 3, "the fault study's seeds");
+    assert!(after.hits > before.hits);
+}

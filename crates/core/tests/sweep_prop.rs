@@ -57,7 +57,8 @@ fn cell_hashes_are_stable_and_collision_free_over_the_full_plan() {
     // Pin one hash value: any change to the key encoding is a breaking
     // change to fixture naming and must be deliberate.
     let first = &plan.cells()[0];
-    assert_eq!(first.stable_hash(), fnv(&format!("{}\0{}\0{}", first.key().0, first.key().1, first.key().2)));
+    let (workload, config, scheduler) = first.key();
+    assert_eq!(first.stable_hash(), fnv(&format!("{}\0{config}\0{scheduler}", workload.name())));
 }
 
 fn fnv(s: &str) -> u64 {

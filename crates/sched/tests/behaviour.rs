@@ -6,7 +6,7 @@ use amp_perf::{ExecutionProfile, SpeedupModel};
 use amp_sched::{ColabScheduler, GtsScheduler, WashScheduler};
 use amp_sim::{SimParams, Simulation, ThreadStats, TraceEvent};
 use amp_types::{CoreOrder, MachineConfig, SimDuration, ThreadId};
-use amp_workloads::{AppBuilder, BenchmarkId, Scale, WorkloadSpec};
+use amp_workloads::{AppBuilder, BenchmarkId, CompiledApp, CompiledWorkload, Scale, WorkloadSpec};
 
 fn traced_params() -> SimParams {
     SimParams {
@@ -23,8 +23,8 @@ fn wash_big_only_threads_never_run_on_little_after_binding() {
     // allow a small transition tail right after the tick.
     let machine = MachineConfig::paper_2b4s(CoreOrder::BigFirst);
     let spec = WorkloadSpec::single(BenchmarkId::Swaptions, 4);
-    let apps = spec.instantiate(9, Scale::new(0.5));
-    let sim = Simulation::from_apps_with_params(&machine, apps, 9, traced_params()).unwrap();
+    let apps = CompiledWorkload::compile(&spec, 9, Scale::new(0.5)).unwrap().apps().to_vec();
+    let sim = Simulation::from_compiled_with_params(&machine, apps, 9, traced_params()).unwrap();
     let outcome = sim
         .run(&mut WashScheduler::new(&machine, SpeedupModel::heuristic()))
         .unwrap();
@@ -61,8 +61,8 @@ fn colab_big_cores_never_idle_with_ready_threads() {
     // the next Dispatch on the same big core.
     let machine = MachineConfig::paper_2b2s(CoreOrder::BigFirst);
     let spec = WorkloadSpec::single(BenchmarkId::Blackscholes, 10);
-    let apps = spec.instantiate(4, Scale::new(0.4));
-    let sim = Simulation::from_apps_with_params(&machine, apps, 4, traced_params()).unwrap();
+    let apps = CompiledWorkload::compile(&spec, 4, Scale::new(0.4)).unwrap().apps().to_vec();
+    let sim = Simulation::from_compiled_with_params(&machine, apps, 4, traced_params()).unwrap();
     let outcome = sim
         .run(&mut ColabScheduler::new(&machine, SpeedupModel::heuristic()))
         .unwrap();
@@ -121,7 +121,8 @@ fn gts_down_migrates_mostly_idle_threads() {
             })
             .done();
     }
-    let sim = Simulation::from_apps(&machine, vec![app.build().unwrap()], 5).unwrap();
+    let apps = CompiledApp::compile_all(&[app.build().unwrap()]).unwrap();
+    let sim = Simulation::from_compiled_with_params(&machine, apps, 5, SimParams::default()).unwrap();
     let outcome = sim.run(&mut GtsScheduler::new(&machine)).unwrap();
 
     let share = |t: &ThreadStats| {

@@ -25,7 +25,9 @@ use amp_telemetry::{ClusterDirection, PreemptCause, SchedEvent, Telemetry};
 use amp_types::{
     AppId, CoreId, CoreKind, Error, MachineConfig, Result, SimDuration, SimTime, ThreadId,
 };
-use amp_workloads::{Action, AppSpec, CompiledApp, CompiledProgram, Scale, SegPos, WorkloadSpec};
+use amp_workloads::{
+    Action, CompiledApp, CompiledProgram, CompiledWorkload, Scale, SegPos, WorkloadSpec,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -133,9 +135,11 @@ struct CoreState {
 
 /// A loaded, ready-to-run simulation: machine + workload + futex state.
 ///
-/// Build one with [`Simulation::build`] (or
-/// [`build_scaled`](Simulation::build_scaled) for shrunk test workloads),
-/// then consume it with [`Simulation::run`] under a chosen scheduler.
+/// Build one with [`Simulation::from_compiled_with_params`] (or
+/// [`build_scaled`](Simulation::build_scaled) for a paper workload),
+/// optionally add [`with_arrivals`](Simulation::with_arrivals) and
+/// [`with_fault_plan`](Simulation::with_fault_plan), then consume it with
+/// [`Simulation::run`] under a chosen scheduler.
 /// Runs are deterministic in `(machine, workload, seed)`.
 pub struct Simulation {
     machine: MachineConfig,
@@ -200,20 +204,9 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// Loads `workload` onto `machine` at full scale.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] if any app fails validation.
-    pub fn build(
-        machine: &MachineConfig,
-        workload: &WorkloadSpec,
-        seed: u64,
-    ) -> Result<Simulation> {
-        Simulation::build_scaled(machine, workload, seed, Scale::default())
-    }
-
-    /// Loads `workload` with scaled loop counts (small scales run fast).
+    /// Compiles `workload` at `(seed, scale)` and loads it with default
+    /// parameters — the shortcut for a paper workload; everything else
+    /// goes through [`from_compiled_with_params`](Simulation::from_compiled_with_params).
     ///
     /// # Errors
     ///
@@ -224,89 +217,22 @@ impl Simulation {
         seed: u64,
         scale: Scale,
     ) -> Result<Simulation> {
-        Simulation::from_apps(machine, workload.instantiate(seed, scale), seed)
+        let compiled = CompiledWorkload::compile(workload, seed, scale)?;
+        Simulation::from_compiled_with_params(
+            machine,
+            compiled.apps().to_vec(),
+            seed,
+            SimParams::default(),
+        )
     }
 
-    /// Loads explicit app specs (e.g. hand-built custom workloads).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] if any app fails validation.
-    pub fn from_apps(
-        machine: &MachineConfig,
-        apps: Vec<AppSpec>,
-        seed: u64,
-    ) -> Result<Simulation> {
-        Simulation::from_apps_with_params(machine, apps, seed, SimParams::default())
-    }
-
-    /// Like [`from_apps`](Simulation::from_apps) with explicit parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] if any app fails validation.
-    pub fn from_apps_with_params(
-        machine: &MachineConfig,
-        apps: Vec<AppSpec>,
-        seed: u64,
-        params: SimParams,
-    ) -> Result<Simulation> {
-        let arrivals = apps.iter().map(|a| (a, SimTime::ZERO)).map(|(_, t)| t).collect();
-        Simulation::from_apps_with_arrivals_inner(machine, apps, arrivals, seed, params)
-    }
-
-    /// Loads apps with per-application arrival times — a staggered
-    /// multiprogrammed scenario (the paper's protocol is the special case
-    /// of every arrival at `SimTime::ZERO`). An application's threads
-    /// become runnable only once it arrives, and its turnaround is
-    /// measured from its arrival.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] if any app fails validation or
-    /// the lists have different lengths.
-    pub fn from_apps_with_arrivals(
-        machine: &MachineConfig,
-        apps: Vec<(AppSpec, SimTime)>,
-        seed: u64,
-        params: SimParams,
-    ) -> Result<Simulation> {
-        let (specs, arrivals): (Vec<AppSpec>, Vec<SimTime>) = apps.into_iter().unzip();
-        Simulation::from_apps_with_arrivals_inner(machine, specs, arrivals, seed, params)
-    }
-
-    fn from_apps_with_arrivals_inner(
-        machine: &MachineConfig,
-        apps: Vec<AppSpec>,
-        arrivals: Vec<SimTime>,
-        seed: u64,
-        params: SimParams,
-    ) -> Result<Simulation> {
-        let compiled = apps
-            .iter()
-            .map(|app| CompiledApp::compile(app).map(Arc::new))
-            .collect::<Result<Vec<_>>>()?;
-        Simulation::from_compiled_inner(machine, compiled, arrivals, seed, params)
-    }
-
-    /// Loads pre-compiled applications (see
-    /// [`CompiledApp::compile`], which validates the specs). The compiled
-    /// programs are `Arc`-shared, so a harness can compile a workload
-    /// once and load it into many simulations.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] if `apps` is empty.
-    pub fn from_compiled(
-        machine: &MachineConfig,
-        apps: Vec<Arc<CompiledApp>>,
-        seed: u64,
-    ) -> Result<Simulation> {
-        Simulation::from_compiled_with_params(machine, apps, seed, SimParams::default())
-    }
-
-    /// Like [`from_compiled`](Simulation::from_compiled) with explicit
-    /// parameters.
+    /// Loads compiled applications (see [`CompiledApp::compile`], which
+    /// validates the specs) onto `machine`. The programs are
+    /// `Arc`-shared, so a harness can compile a workload once and load it
+    /// into many simulations. Every app arrives at `SimTime::ZERO`, the
+    /// paper's checkpoint; see [`with_arrivals`](Simulation::with_arrivals)
+    /// and [`with_fault_plan`](Simulation::with_fault_plan) to change that
+    /// or to disturb the machine.
     ///
     /// # Errors
     ///
@@ -317,22 +243,6 @@ impl Simulation {
         seed: u64,
         params: SimParams,
     ) -> Result<Simulation> {
-        let arrivals = vec![SimTime::ZERO; apps.len()];
-        Simulation::from_compiled_inner(machine, apps, arrivals, seed, params)
-    }
-
-    fn from_compiled_inner(
-        machine: &MachineConfig,
-        apps: Vec<Arc<CompiledApp>>,
-        arrivals: Vec<SimTime>,
-        seed: u64,
-        params: SimParams,
-    ) -> Result<Simulation> {
-        if apps.len() != arrivals.len() {
-            return Err(Error::InvalidConfig(
-                "one arrival time per application is required".into(),
-            ));
-        }
         if apps.is_empty() {
             return Err(Error::InvalidConfig("workload has no applications".into()));
         }
@@ -393,11 +303,7 @@ impl Simulation {
                 });
                 views.push(ThreadView {
                     app: app_id,
-                    phase: if arrivals[ai] == SimTime::ZERO {
-                        ThreadPhase::Ready
-                    } else {
-                        ThreadPhase::NotStarted
-                    },
+                    phase: ThreadPhase::Ready,
                     pmu_window: PmuCounters::zeroed(),
                     blocking_window: SimDuration::ZERO,
                     blocking_ewma: SimDuration::ZERO,
@@ -443,8 +349,8 @@ impl Simulation {
             running: vec![None; num_cores],
             cores,
             sync,
+            arrivals: vec![SimTime::ZERO; app_table.len()],
             apps: app_table,
-            arrivals,
             lock_map,
             barrier_map,
             channel_map,
@@ -471,9 +377,33 @@ impl Simulation {
         })
     }
 
-    /// Total threads loaded.
-    pub fn num_threads(&self) -> usize {
-        self.threads.len()
+    /// Staggers the applications' arrivals: app `i` becomes runnable at
+    /// `arrivals[i]` and its turnaround is measured from then (the
+    /// paper's protocol is every arrival at `SimTime::ZERO`, the
+    /// default). Composes with [`with_fault_plan`](Simulation::with_fault_plan).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidConfig`] unless there is exactly one
+    /// arrival per application.
+    pub fn with_arrivals(mut self, arrivals: Vec<SimTime>) -> Result<Simulation> {
+        if arrivals.len() != self.apps.len() {
+            return Err(Error::InvalidConfig(
+                "one arrival time per application is required".into(),
+            ));
+        }
+        for ((_, members), &arrival) in self.apps.iter().zip(&arrivals) {
+            let phase = if arrival == SimTime::ZERO {
+                ThreadPhase::Ready
+            } else {
+                ThreadPhase::NotStarted
+            };
+            for t in members {
+                self.views[t.index()].phase = phase;
+            }
+        }
+        self.arrivals = arrivals;
+        Ok(self)
     }
 
     /// Arms a fault schedule for the run: each plan event is pushed onto
@@ -1423,10 +1353,16 @@ mod tests {
     use super::*;
     use crate::rr::RoundRobin;
     use amp_types::CoreOrder;
-    use amp_workloads::BenchmarkId;
+    use amp_workloads::{AppSpec, BenchmarkId};
 
     fn machine_2b2s() -> MachineConfig {
         MachineConfig::paper_2b2s(CoreOrder::BigFirst)
+    }
+
+    fn load(apps: &[AppSpec], seed: u64) -> Simulation {
+        let compiled = CompiledApp::compile_all(apps).unwrap();
+        Simulation::from_compiled_with_params(&machine_2b2s(), compiled, seed, SimParams::default())
+            .unwrap()
     }
 
     fn run_single(bench: BenchmarkId, threads: usize) -> SimulationOutcome {
@@ -1466,7 +1402,7 @@ mod tests {
         let workload = WorkloadSpec::single(BenchmarkId::Radix, 4);
         let apps = workload.instantiate(7, Scale::quick());
         let demand: SimDuration = apps.iter().map(|a| a.total_compute()).sum();
-        let sim = Simulation::from_apps(&machine_2b2s(), apps, 7).unwrap();
+        let sim = load(&apps, 7);
         let outcome = sim.run(&mut RoundRobin::new()).unwrap();
         let done = outcome.total_work();
         let err = done.as_nanos().abs_diff(demand.as_nanos());
@@ -1552,7 +1488,7 @@ mod tests {
             barrier_parties: vec![],
             channel_capacities: vec![1, 1],
         };
-        let sim = Simulation::from_apps(&machine_2b2s(), vec![app], 1).unwrap();
+        let sim = load(&[app], 1);
         let err = sim.run(&mut RoundRobin::new()).unwrap_err();
         assert!(matches!(err, Error::Deadlock { blocked: 2 }));
     }
@@ -1566,7 +1502,12 @@ mod tests {
 
     #[test]
     fn empty_workload_rejected() {
-        let err = match Simulation::from_apps(&machine_2b2s(), vec![], 0) {
+        let err = match Simulation::from_compiled_with_params(
+            &machine_2b2s(),
+            vec![],
+            0,
+            SimParams::default(),
+        ) {
             Err(e) => e,
             Ok(_) => panic!("empty workload must be rejected"),
         };

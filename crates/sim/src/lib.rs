@@ -19,18 +19,40 @@
 //!
 //! # Examples
 //!
+//! A run is built in one place —
+//! [`Simulation::from_compiled_with_params`] over compiled apps — and
+//! optionally staggered ([`Simulation::with_arrivals`]) or disturbed
+//! ([`Simulation::with_fault_plan`]) before it runs:
+//!
 //! ```
-//! use amp_sim::{Simulation, RoundRobin};
-//! use amp_types::{CoreOrder, MachineConfig, SimTime};
-//! use amp_workloads::{BenchmarkId, Scale, WorkloadSpec};
+//! use amp_sim::{FaultPlan, RoundRobin, SimParams, Simulation};
+//! use amp_types::{CoreOrder, MachineConfig, SimDuration, SimTime};
+//! use amp_workloads::{BenchmarkId, CompiledWorkload, Scale, WorkloadSpec};
 //!
 //! let machine = MachineConfig::paper_2b2s(CoreOrder::BigFirst);
-//! let workload = WorkloadSpec::single(BenchmarkId::Blackscholes, 4);
-//! let sim = Simulation::build_scaled(&machine, &workload, 1, Scale::quick()).unwrap();
-//! let outcome = sim.run(&mut RoundRobin::new()).unwrap();
+//! let workload = WorkloadSpec::named(
+//!     "pair",
+//!     vec![(BenchmarkId::Blackscholes, 2), (BenchmarkId::Ferret, 6)],
+//! );
+//! let compiled = CompiledWorkload::compile(&workload, 1, Scale::quick()).unwrap();
+//! let plan = FaultPlan::random(&machine, 1, 1.0, SimDuration::from_millis(50));
+//! let outcome = Simulation::from_compiled_with_params(
+//!     &machine,
+//!     compiled.apps().to_vec(),
+//!     1,
+//!     SimParams::default(),
+//! )
+//! .and_then(|sim| sim.with_arrivals(vec![SimTime::ZERO, SimTime::from_millis(5)]))
+//! .and_then(|sim| sim.with_fault_plan(plan))
+//! .unwrap()
+//! .run(&mut RoundRobin::new())
+//! .unwrap();
 //! assert!(outcome.makespan > SimTime::ZERO);
-//! assert_eq!(outcome.apps.len(), 1);
+//! assert_eq!(outcome.apps.len(), 2);
 //! ```
+//!
+//! [`Simulation::build_scaled`] is the shortcut for a paper workload at
+//! default parameters.
 
 #![warn(missing_docs)]
 

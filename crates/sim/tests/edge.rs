@@ -2,12 +2,27 @@
 //! steal-running path, and aggressive wakeup preemption — exercised with
 //! purpose-built test schedulers so no policy crate is needed.
 
-use amp_perf::ExecutionProfile;
-use amp_sim::{
-    EnqueueReason, Pick, RoundRobin, SchedCtx, Scheduler, SimParams, Simulation, StopReason,
+use amp_perf::{ExecutionProfile, SpeedupModel};
+use amp_sched::{
+    CfsScheduler, ColabScheduler, EqualProgressScheduler, GtsScheduler, WashScheduler,
 };
-use amp_types::{CoreId, CoreKind, CoreOrder, Error, MachineConfig, SimDuration, SimTime, ThreadId};
-use amp_workloads::{AppBuilder, AppSpec, BenchmarkId, Op, Program, Scale, ThreadSpec, WorkloadSpec};
+use amp_sim::{
+    EnqueueReason, FaultPlan, Pick, RoundRobin, SchedCtx, Scheduler, SimParams, Simulation,
+    StopReason,
+};
+use amp_types::{
+    AppId, CoreId, CoreKind, CoreOrder, Error, MachineConfig, SimDuration, SimTime, ThreadId,
+};
+use amp_workloads::{
+    AppBuilder, AppSpec, BenchmarkId, CompiledApp, CompiledWorkload, Op, Program, Scale,
+    ThreadSpec, WorkloadSpec,
+};
+
+/// Compiles `apps` and loads them onto `machine` with `params`.
+fn load(machine: &MachineConfig, apps: &[AppSpec], seed: u64, params: SimParams) -> Simulation {
+    let compiled = CompiledApp::compile_all(apps).expect("apps validate");
+    Simulation::from_compiled_with_params(machine, compiled, seed, params).expect("apps load")
+}
 
 fn one_thread_app(name: &str, ops: Vec<Op>) -> AppSpec {
     AppSpec {
@@ -28,8 +43,7 @@ fn one_thread_app(name: &str, ops: Vec<Op>) -> AppSpec {
 fn empty_program_finishes_immediately() {
     let machine = MachineConfig::paper_2b2s(CoreOrder::BigFirst);
     let app = one_thread_app("empty", vec![]);
-    let outcome = Simulation::from_apps(&machine, vec![app], 1)
-        .unwrap()
+    let outcome = load(&machine, &[app], 1, SimParams::default())
         .run(&mut RoundRobin::new())
         .unwrap();
     // Only the dispatch overhead elapses.
@@ -52,8 +66,7 @@ fn sync_only_program_runs_without_compute() {
             b.pop(q);
         })
         .done();
-    let outcome = Simulation::from_apps(&machine, vec![app.build().unwrap()], 1)
-        .unwrap()
+    let outcome = load(&machine, &[app.build().unwrap()], 1, SimParams::default())
         .run(&mut RoundRobin::new())
         .unwrap();
     assert_eq!(outcome.total_work(), SimDuration::ZERO);
@@ -69,8 +82,7 @@ fn tiny_horizon_reports_the_stuck_state() {
         horizon: SimTime::from_millis(1),
         ..SimParams::default()
     };
-    let err = Simulation::from_apps_with_params(&machine, apps, 1, params)
-        .unwrap()
+    let err = load(&machine, &apps, 1, params)
         .run(&mut RoundRobin::new())
         .unwrap_err();
     assert!(matches!(err, Error::HorizonExceeded { .. }), "got {err}");
@@ -87,8 +99,7 @@ fn zero_overheads_speed_things_up() {
         migration_cross_kind: SimDuration::ZERO,
         ..SimParams::default()
     };
-    let fast = Simulation::from_apps_with_params(&machine, apps.clone(), 1, free)
-        .unwrap()
+    let fast = load(&machine, &apps, 1, free)
         .run(&mut RoundRobin::new())
         .unwrap();
     let costly = SimParams {
@@ -97,8 +108,7 @@ fn zero_overheads_speed_things_up() {
         migration_cross_kind: SimDuration::from_micros(1000),
         ..SimParams::default()
     };
-    let slow = Simulation::from_apps_with_params(&machine, apps, 1, costly)
-        .unwrap()
+    let slow = load(&machine, &apps, 1, costly)
         .run(&mut RoundRobin::new())
         .unwrap();
     assert!(
@@ -195,8 +205,7 @@ fn steal_running_preserves_conservation() {
     let workload = WorkloadSpec::single(BenchmarkId::Blackscholes, 3);
     let apps = workload.instantiate(4, Scale::quick());
     let demand: SimDuration = apps.iter().map(|a| a.total_compute()).sum();
-    let outcome = Simulation::from_apps(&machine, apps, 4)
-        .unwrap()
+    let outcome = load(&machine, &apps, 4, SimParams::default())
         .run(&mut GreedyStealer {
             queue: Vec::new(),
             littles: Vec::new(),
@@ -272,8 +281,7 @@ fn single_core_machine_serializes_everything() {
     let workload = WorkloadSpec::single(BenchmarkId::Bodytrack, 4);
     let apps = workload.instantiate(3, Scale::quick());
     let demand: SimDuration = apps.iter().map(|a| a.total_compute()).sum();
-    let outcome = Simulation::from_apps(&machine, apps, 3)
-        .unwrap()
+    let outcome = load(&machine, &apps, 3, SimParams::default())
         .run(&mut RoundRobin::new())
         .unwrap();
     // One big core: makespan is at least the serial demand.
@@ -323,13 +331,9 @@ fn staggered_arrivals_are_respected() {
         .instantiate(2, Scale::quick())
         .remove(0);
     let arrival = SimTime::from_millis(20);
-    let sim = Simulation::from_apps_with_arrivals(
-        &machine,
-        vec![(early, SimTime::ZERO), (late, arrival)],
-        3,
-        SimParams::default(),
-    )
-    .unwrap();
+    let sim = load(&machine, &[early, late], 3, SimParams::default())
+        .with_arrivals(vec![SimTime::ZERO, arrival])
+        .unwrap();
     let outcome = sim.run(&mut RoundRobin::new()).unwrap();
 
     // The late app's threads run nothing before their arrival.
@@ -363,4 +367,106 @@ fn staggered_arrivals_are_respected() {
         late_app.turnaround,
         last_finish.saturating_since(arrival)
     );
+}
+
+/// A two-app mix, compiled: the unit the arrival tests stagger.
+fn two_apps(seed: u64) -> Vec<std::sync::Arc<CompiledApp>> {
+    let spec = WorkloadSpec::named(
+        "arrival-mix",
+        vec![(BenchmarkId::Ferret, 4), (BenchmarkId::Fluidanimate, 3)],
+    );
+    CompiledWorkload::compile(&spec, seed, Scale::quick())
+        .unwrap()
+        .apps()
+        .to_vec()
+}
+
+#[test]
+fn with_arrivals_needs_one_arrival_per_app() {
+    let machine = MachineConfig::paper_2b2s(CoreOrder::BigFirst);
+    for arrivals in [vec![], vec![SimTime::ZERO], vec![SimTime::ZERO; 3]] {
+        let sim =
+            Simulation::from_compiled_with_params(&machine, two_apps(1), 1, SimParams::default())
+                .unwrap();
+        let len = arrivals.len();
+        match sim.with_arrivals(arrivals) {
+            Err(Error::InvalidConfig(_)) => {}
+            Err(e) => panic!("{len} arrivals for 2 apps: wrong error {e}"),
+            Ok(_) => panic!("{len} arrivals for 2 apps must be rejected"),
+        }
+    }
+}
+
+fn five_schedulers(machine: &MachineConfig) -> [Box<dyn Scheduler>; 5] {
+    let model = SpeedupModel::heuristic();
+    [
+        Box::new(CfsScheduler::new(machine)),
+        Box::new(GtsScheduler::new(machine)),
+        Box::new(WashScheduler::new(machine, model.clone())),
+        Box::new(ColabScheduler::new(machine, model.clone())),
+        Box::new(EqualProgressScheduler::new(machine, model)),
+    ]
+}
+
+#[test]
+fn staggered_arrivals_compose_with_random_fault_plans() {
+    let machine = MachineConfig::paper_2b2s(CoreOrder::BigFirst);
+    let arrival = SimTime::from_millis(15);
+    for seed in 0..5u64 {
+        let plan = FaultPlan::random(&machine, seed, 2.0, SimDuration::from_millis(200));
+        for mut sched in five_schedulers(&machine) {
+            let name = sched.name();
+            let outcome = Simulation::from_compiled_with_params(
+                &machine,
+                two_apps(seed),
+                seed,
+                SimParams::default(),
+            )
+            .unwrap()
+            .with_arrivals(vec![SimTime::ZERO, arrival])
+            .unwrap()
+            .with_fault_plan(plan.clone())
+            .unwrap()
+            .run(sched.as_mut())
+            .unwrap_or_else(|e| panic!("{name} (seed {seed}): {e}"));
+            let d = &outcome.degradation;
+            assert_eq!(d.stranded_enqueues, 0, "{name} stranded (seed {seed})");
+            assert!(
+                plan.is_empty() || d.faults_injected > 0,
+                "{name} consumed no faults (seed {seed})"
+            );
+            for t in outcome.threads.iter().filter(|t| t.app == AppId::new(1)) {
+                assert!(t.finish > arrival, "{name}: {} ran before arriving", t.name);
+                assert!(t.work_done > SimDuration::ZERO, "{name}: {} stalled", t.name);
+            }
+        }
+    }
+}
+
+#[test]
+fn empty_plan_and_zero_arrivals_are_bit_identical_to_a_plain_run() {
+    let machine = MachineConfig::paper_2b2s(CoreOrder::BigFirst);
+    let params = SimParams {
+        trace_capacity: 1 << 14,
+        event_capacity: 1 << 12,
+        ..SimParams::default()
+    };
+    let pairs = five_schedulers(&machine).into_iter().zip(five_schedulers(&machine));
+    for (mut plain_sched, mut staged_sched) in pairs {
+        let plain = Simulation::from_compiled_with_params(&machine, two_apps(9), 9, params)
+            .unwrap()
+            .run(plain_sched.as_mut())
+            .unwrap();
+        let staged = Simulation::from_compiled_with_params(&machine, two_apps(9), 9, params)
+            .unwrap()
+            .with_arrivals(vec![SimTime::ZERO; 2])
+            .unwrap()
+            .with_fault_plan(FaultPlan::empty())
+            .unwrap()
+            .run(staged_sched.as_mut())
+            .unwrap();
+        // Debug prints every f64 exactly, so equal text is equal bits.
+        let (plain_text, staged_text) = (format!("{plain:?}"), format!("{staged:?}"));
+        assert_eq!(plain_text, staged_text, "{}", plain.scheduler);
+    }
 }

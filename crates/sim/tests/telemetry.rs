@@ -4,7 +4,7 @@
 
 use amp_sim::{RoundRobin, SimParams, Simulation, SimulationOutcome};
 use amp_types::{CoreOrder, MachineConfig};
-use amp_workloads::{BenchmarkId, Scale, WorkloadSpec};
+use amp_workloads::{BenchmarkId, CompiledWorkload, Scale, WorkloadSpec};
 
 fn run_with(event_capacity: usize) -> SimulationOutcome {
     let machine = MachineConfig::paper_2b2s(CoreOrder::BigFirst);
@@ -16,8 +16,8 @@ fn run_with(event_capacity: usize) -> SimulationOutcome {
         event_capacity,
         ..SimParams::default()
     };
-    let apps = spec.instantiate(7, Scale::quick());
-    Simulation::from_apps_with_params(&machine, apps, 7, params)
+    let compiled = CompiledWorkload::compile(&spec, 7, Scale::quick()).unwrap();
+    Simulation::from_compiled_with_params(&machine, compiled.apps().to_vec(), 7, params)
         .unwrap()
         .run(&mut RoundRobin::new())
         .unwrap()

@@ -220,6 +220,19 @@ impl CompiledApp {
             channel_capacities: spec.channel_capacities.clone(),
         })
     }
+
+    /// Compiles every app of `specs`, `Arc`-wrapped for sharing — the
+    /// form `Simulation::from_compiled_with_params` loads.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first [`AppSpec::validate`] failure.
+    pub fn compile_all(specs: &[AppSpec]) -> Result<Vec<Arc<CompiledApp>>> {
+        specs
+            .iter()
+            .map(|app| CompiledApp::compile(app).map(Arc::new))
+            .collect()
+    }
 }
 
 /// A fully compiled workload instantiation: what the harness interns and
@@ -240,11 +253,7 @@ impl CompiledWorkload {
     pub fn compile(spec: &WorkloadSpec, seed: u64, scale: Scale) -> Result<CompiledWorkload> {
         Ok(CompiledWorkload {
             name: spec.name().to_string(),
-            apps: spec
-                .instantiate(seed, scale)
-                .iter()
-                .map(|app| CompiledApp::compile(app).map(Arc::new))
-                .collect::<Result<_>>()?,
+            apps: CompiledApp::compile_all(&spec.instantiate(seed, scale))?,
         })
     }
 

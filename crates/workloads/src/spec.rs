@@ -207,7 +207,7 @@ fn walk_ops(ops: &[Op], mult: u64, visit: &mut impl FnMut(&Op, u64)) {
 /// assert_eq!(apps.len(), 1);
 /// apps[0].validate().unwrap();
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct WorkloadSpec {
     name: String,
     entries: Vec<(BenchmarkId, usize)>,

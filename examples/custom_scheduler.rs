@@ -81,7 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "policy", "makespan", "switches", "migrations"
     );
     for run in 0..3 {
-        let sim = Simulation::build(&machine, &workload, 11)?;
+        let sim = Simulation::build_scaled(&machine, &workload, 11, Scale::default())?;
         let outcome = match run {
             0 => sim.run(&mut BigFirstFifo {
                 queue: VecDeque::new(),

@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "policy", "makespan", "energy(J)", "idle(J)", "EDP(J·s)"
     );
     for which in 0..4 {
-        let sim = Simulation::build(&machine, &workload, 21)?;
+        let sim = Simulation::build_scaled(&machine, &workload, 21, Scale::default())?;
         let outcome = match which {
             0 => sim.run(&mut CfsScheduler::new(&machine))?,
             1 => sim.run(&mut GtsScheduler::new(&machine))?,

@@ -22,13 +22,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Isolated big-only baseline for H_NTT.
     let big_twin = machine.big_only_twin();
-    let baseline = Simulation::build(&big_twin, &workload, 7)?
+    let baseline = Simulation::build_scaled(&big_twin, &workload, 7, Scale::default())?
         .run(&mut CfsScheduler::new(&big_twin))?
         .makespan;
 
     println!("ferret (6-stage pipeline, hot rank stage) on {machine}\n");
     for run in 0..3 {
-        let sim = Simulation::build(&machine, &workload, 7)?;
+        let sim = Simulation::build_scaled(&machine, &workload, 7, Scale::default())?;
         let outcome = match run {
             0 => sim.run(&mut CfsScheduler::new(&machine))?,
             1 => sim.run(&mut WashScheduler::new(&machine, model.clone()))?,

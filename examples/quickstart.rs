@@ -6,6 +6,8 @@
 //! ```
 
 use colab_suite::prelude::*;
+use colab_suite::sim::SimParams;
+use colab_suite::workloads::CompiledWorkload;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A 2-big + 2-little machine, big cores enumerated first.
@@ -25,11 +27,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // `train_speedup_model` example for the full Table 2 pipeline.
     let model = SpeedupModel::heuristic();
 
+    // Compile the workload once; every run below loads the same shared
+    // programs.
+    let compiled = CompiledWorkload::compile(&workload, 42, Scale::default())?;
+    let load = |machine: &MachineConfig, apps| {
+        Simulation::from_compiled_with_params(machine, apps, 42, SimParams::default())
+    };
+
     // Isolated big-only baselines (T_SB) for the heterogeneous metrics.
     let big_twin = machine.big_only_twin();
     let mut baselines = Vec::new();
-    for app in workload.instantiate(42, colab_suite::workloads::Scale::default()) {
-        let outcome = Simulation::from_apps(&big_twin, vec![app], 42)?
+    for app in compiled.apps() {
+        let outcome = load(&big_twin, vec![app.clone()])?
             .run(&mut CfsScheduler::new(&big_twin))?;
         baselines.push(outcome.apps[0].turnaround);
     }
@@ -41,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     for run in 0..3 {
-        let sim = Simulation::build(&machine, &workload, 42)?;
+        let sim = load(&machine, compiled.apps().to_vec())?;
         let outcome = match run {
             0 => sim.run(&mut CfsScheduler::new(&machine))?,
             1 => sim.run(&mut WashScheduler::new(&machine, model.clone()))?,

@@ -8,7 +8,7 @@
 
 use colab_suite::prelude::*;
 use colab_suite::sim::SimParams;
-use colab_suite::workloads::{Scale, WorkloadSpec};
+use colab_suite::workloads::CompiledWorkload;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workload = WorkloadSpec::named(
@@ -29,20 +29,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let model = SpeedupModel::heuristic();
+    // Compile once; every policy loads the same shared programs.
+    let compiled = CompiledWorkload::compile(&workload, 17, Scale::default())?;
+    let arrivals: Vec<SimTime> = (0..workload.num_apps() as u64)
+        .map(|i| SimTime::from_nanos(gap.as_nanos() * i))
+        .collect();
     for which in 0..4 {
         let machine = MachineConfig::paper_2b4s(CoreOrder::BigFirst);
-        let apps = workload.instantiate(17, Scale::default());
-        let staged: Vec<_> = apps
-            .into_iter()
-            .enumerate()
-            .map(|(i, app)| (app, SimTime::from_nanos(gap.as_nanos() * i as u64)))
-            .collect();
-        let sim = colab_suite::sim::Simulation::from_apps_with_arrivals(
+        let sim = Simulation::from_compiled_with_params(
             &machine,
-            staged,
+            compiled.apps().to_vec(),
             17,
             SimParams::default(),
-        )?;
+        )?
+        .with_arrivals(arrivals.clone())?;
         let outcome = match which {
             0 => sim.run(&mut CfsScheduler::new(&machine))?,
             1 => sim.run(&mut GtsScheduler::new(&machine))?,

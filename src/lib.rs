@@ -21,7 +21,7 @@
 //! let machine = MachineConfig::paper_2b2s(CoreOrder::BigFirst);
 //! let workload = WorkloadSpec::single(BenchmarkId::Blackscholes, 4);
 //! let model = SpeedupModel::heuristic();
-//! let outcome = Simulation::build(&machine, &workload, 42)
+//! let outcome = Simulation::build_scaled(&machine, &workload, 42, Scale::default())
 //!     .expect("valid workload")
 //!     .run(&mut ColabScheduler::new(&machine, model))
 //!     .expect("simulation completes");
@@ -52,6 +52,6 @@ pub mod prelude {
     pub use amp_types::{
         AppId, CoreId, CoreKind, CoreOrder, MachineConfig, SimDuration, SimTime, ThreadId,
     };
-    pub use amp_workloads::{BenchmarkId, WorkloadSpec};
+    pub use amp_workloads::{BenchmarkId, Scale, WorkloadSpec};
     pub use colab::{ExperimentConfig, Harness};
 }

@@ -12,7 +12,8 @@ use amp_perf::SpeedupModel;
 use amp_sim::{SimParams, Simulation};
 use amp_types::{CoreOrder, MachineConfig, SimDuration};
 use amp_workloads::{
-    Action, BenchmarkId, CompiledProgram, Cursor, PaperWorkload, Scale, SegPos, WorkloadSpec,
+    Action, BenchmarkId, CompiledApp, CompiledProgram, Cursor, PaperWorkload, Scale, SegPos,
+    WorkloadSpec,
 };
 use colab::SchedulerKind;
 
@@ -91,8 +92,9 @@ fn every_compute_leaf_arms_its_own_event() {
         channel_capacities: Vec::new(),
     };
     let machine = MachineConfig::paper_2b2s(CoreOrder::BigFirst);
-    let sim = Simulation::from_apps_with_params(&machine, vec![app], 7, SimParams::default())
-        .expect("workload builds");
+    let apps = CompiledApp::compile_all(&[app]).expect("workload builds");
+    let sim = Simulation::from_compiled_with_params(&machine, apps, 7, SimParams::default())
+        .expect("workload loads");
     let mut sched = SchedulerKind::Linux.create(&machine, &SpeedupModel::heuristic());
     let outcome = sim.run(sched.as_mut()).expect("run completes");
     assert_eq!(outcome.compute_leaves, 4 * 2000);

@@ -12,8 +12,9 @@
 
 use colab_suite::prelude::*;
 use colab_suite::perf::ExecutionProfile;
+use colab_suite::sim::SimParams;
 use colab_suite::types::{ChannelId, SimDuration};
-use colab_suite::workloads::{AppSpec, BenchmarkId, Op, Program, ThreadSpec};
+use colab_suite::workloads::{AppSpec, BenchmarkId, CompiledApp, Op, Program, ThreadSpec};
 
 const ITEMS: u32 = 60;
 
@@ -84,7 +85,8 @@ fn build_apps() -> Vec<AppSpec> {
 
 fn run(kind: &str) -> SimulationOutcome {
     let machine = MachineConfig::asymmetric(1, 1, CoreOrder::BigFirst);
-    let sim = Simulation::from_apps(&machine, build_apps(), 9).unwrap();
+    let apps = CompiledApp::compile_all(&build_apps()).unwrap();
+    let sim = Simulation::from_compiled_with_params(&machine, apps, 9, SimParams::default()).unwrap();
     let model = SpeedupModel::heuristic();
     match kind {
         "linux" => sim.run(&mut CfsScheduler::new(&machine)).unwrap(),

@@ -7,7 +7,13 @@ use colab_suite::perf::ExecutionProfile;
 use colab_suite::prelude::*;
 use colab_suite::sim::SimParams;
 use colab_suite::types::SimDuration;
-use colab_suite::workloads::AppBuilder;
+use colab_suite::workloads::{AppBuilder, AppSpec, CompiledApp};
+
+/// Compiles `apps` and loads them onto `machine` with `params`.
+fn load(machine: &MachineConfig, apps: &[AppSpec], params: SimParams) -> Simulation {
+    let compiled = CompiledApp::compile_all(apps).unwrap();
+    Simulation::from_compiled_with_params(machine, compiled, 3, params).unwrap()
+}
 
 fn mem_phase() -> ExecutionProfile {
     ExecutionProfile::new(0.1, 0.9, 0.3, 0.05, 0.3, 0.3, 0.1)
@@ -19,7 +25,7 @@ fn compute_phase() -> ExecutionProfile {
 
 /// One chameleon thread (memory-bound first half, compute-bound second)
 /// next to steady competitors, on a 1-big 1-little machine.
-fn build_workload() -> Vec<colab_suite::workloads::AppSpec> {
+fn build_workload() -> Vec<AppSpec> {
     let half = SimDuration::from_millis(120);
     let chunk = SimDuration::from_micros(500);
     let chunks = (half.as_nanos() / chunk.as_nanos()) as u32;
@@ -56,13 +62,7 @@ fn colab_relabels_after_a_phase_change() {
         trace_capacity: 1 << 16,
         ..SimParams::default()
     };
-    let sim = colab_suite::sim::Simulation::from_apps_with_params(
-        &machine,
-        build_workload(),
-        3,
-        params,
-    )
-    .unwrap();
+    let sim = load(&machine, &build_workload(), params);
     let outcome = sim
         .run(&mut ColabScheduler::new(&machine, SpeedupModel::heuristic()))
         .unwrap();
@@ -101,12 +101,7 @@ fn phase_change_alters_execution_speed() {
     // a big core baseline: total work is 2×half at big-core speed, so the
     // big-only makespan is close to 240 ms for the chameleon alone.
     let machine = MachineConfig::all_big(1);
-    let sim = colab_suite::sim::Simulation::from_apps(
-        &machine,
-        vec![build_workload().remove(0)],
-        3,
-    )
-    .unwrap();
+    let sim = load(&machine, &build_workload()[..1], SimParams::default());
     let outcome = sim
         .run(&mut CfsScheduler::new(&machine))
         .unwrap();
@@ -120,12 +115,7 @@ fn phase_change_alters_execution_speed() {
     // compute phase (speedup 1.x vs 2.x), so the total exceeds 240 ms by
     // the blended speedup factor.
     let little = MachineConfig::all_little(1);
-    let sim = colab_suite::sim::Simulation::from_apps(
-        &little,
-        vec![build_workload().remove(0)],
-        3,
-    )
-    .unwrap();
+    let sim = load(&little, &build_workload()[..1], SimParams::default());
     let slow = sim.run(&mut CfsScheduler::new(&little)).unwrap();
     let ratio = slow.makespan.as_secs_f64() / secs;
     let mem_speedup = mem_phase().true_speedup();
