@@ -1,10 +1,10 @@
 //! Hot-path benchmarks of the simulation engine's performance
-//! architecture: the two-tier event queue against the `BinaryHeap` it
-//! replaced, per-policy engine throughput, and the full-mix wall-clock.
+//! architecture: the sorted-`Vec` event queue against the `BinaryHeap`
+//! it replaced, per-policy engine throughput, and the full-mix wall-clock.
 //!
 //! These are the numbers `DESIGN.md`'s "Performance architecture"
 //! section quotes. Run with `cargo bench --bench hotpath`; CI runs them
-//! under `CRITERION_QUICK=1` as a smoke test.
+//! as a smoke test with `cargo bench --bench hotpath -- --quick`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -37,12 +37,12 @@ const CHURN_OPS: usize = 4096;
 
 /// Steady-state churn — the engine's dominant queue pattern: pop the
 /// next event, push its successor a pseudo-random delta ahead. The
-/// two-tier queue keeps the working set in a short sorted `Vec` (pop is
+/// queue keeps the working set in a short sorted `Vec` (pop is
 /// `Vec::pop`); the `BinaryHeap` baseline pays `sift_down` on every pop.
 fn bench_equeue_churn(c: &mut Criterion) {
     let mut group = c.benchmark_group("equeue_churn");
 
-    group.bench_function("two_tier", |b| {
+    group.bench_function("sorted_vec", |b| {
         b.iter(|| {
             let mut rng = XorShift(42);
             let mut q: EventQueue<u32> = EventQueue::new();
@@ -93,7 +93,7 @@ fn bench_equeue_churn(c: &mut Criterion) {
         }
     };
 
-    group.bench_function("two_tier_engine_deltas", |b| {
+    group.bench_function("sorted_vec_engine_deltas", |b| {
         b.iter(|| {
             let mut rng = XorShift(42);
             let mut q: EventQueue<u32> = EventQueue::new();
@@ -135,12 +135,12 @@ fn bench_equeue_churn(c: &mut Criterion) {
 
 /// Timer re-arm churn — every push is later invalidated and replaced,
 /// the way a core's completion event is re-armed on preemption. The
-/// two-tier queue cancels eagerly; the heap baseline models the old
+/// sorted-`Vec` queue cancels eagerly; the heap baseline models the old
 /// engine's approach of popping and discarding stale entries.
 fn bench_equeue_rearm(c: &mut Criterion) {
     let mut group = c.benchmark_group("equeue_rearm");
 
-    group.bench_function("two_tier_cancel", |b| {
+    group.bench_function("sorted_vec_cancel", |b| {
         b.iter(|| {
             let mut rng = XorShift(7);
             let mut q: EventQueue<u32> = EventQueue::new();

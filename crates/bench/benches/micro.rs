@@ -1,36 +1,17 @@
-//! Microbenchmarks of the substrates: the CFS red-black timeline, the
-//! futex wait/wake path (the paper's instrumentation point), PMU counter
-//! synthesis, and raw simulator throughput per scheduler.
+//! Microbenchmarks of the substrates: the futex wait/wake path (the
+//! paper's instrumentation point), PMU counter synthesis, and raw
+//! simulator throughput per scheduler.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId as CriterionId, Criterion};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use amp_futex::{FutexKey, FutexTable};
 use amp_perf::{ExecutionProfile, SpeedupModel};
-use amp_rbtree::RbTree;
 use amp_sched::{CfsScheduler, ColabScheduler, GtsScheduler, WashScheduler};
 use amp_sim::Simulation;
 use amp_types::{CoreKind, CoreOrder, MachineConfig, SimTime, ThreadId};
 use amp_workloads::{BenchmarkId, Scale, WorkloadSpec};
-
-fn bench_rbtree(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(1);
-    let keys: Vec<(u64, u32)> = (0..1024u32).map(|i| (rng.gen::<u64>() >> 16, i)).collect();
-    c.bench_function("rbtree_insert_pop_1024", |b| {
-        b.iter(|| {
-            let mut tree: RbTree<(u64, u32), ()> = RbTree::new();
-            for &k in &keys {
-                tree.insert(k, ());
-            }
-            let mut n = 0;
-            while tree.pop_min().is_some() {
-                n += 1;
-            }
-            n
-        })
-    });
-}
 
 fn bench_futex(c: &mut Criterion) {
     c.bench_function("futex_wait_wake_cycle", |b| {
@@ -87,6 +68,6 @@ fn bench_sim_throughput(c: &mut Criterion) {
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(20);
-    targets = bench_rbtree, bench_futex, bench_counter_synthesis, bench_sim_throughput
+    targets = bench_futex, bench_counter_synthesis, bench_sim_throughput
 }
 criterion_main!(micro);

@@ -1,13 +1,21 @@
 //! Diagnostic: detailed per-scheduler stats for one paper workload.
 //!
 //! ```text
-//! diag [--jobs N] <WorkloadName> <big> <little> [scale]
+//! diag [--jobs N] [workload] [big] [little] [scale]
+//!   workload: a Table 4 name (Sync-2, Rand-7, …; default: Sync-2)
+//!   big:      big-core count (default: 2)
+//!   little:   little-core count (default: 2)
+//!   scale:    workload scale factor (default: 1)
 //! ```
 //!
 //! `--jobs N` runs the per-scheduler simulations on N worker threads
 //! (default: available parallelism). Each scheduler's block is rendered
 //! to a buffer and printed in the fixed policy order, so output is
 //! byte-identical for every N.
+//!
+//! An unknown flag or workload name, a core count that is not a
+//! non-negative integer, a machine with no cores, a scale that is not a
+//! positive number, or a fifth positional argument exits with status 1.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -15,41 +23,85 @@ use std::process::ExitCode;
 use amp_perf::SpeedupModel;
 use amp_sim::Simulation;
 use amp_types::{CoreOrder, MachineConfig};
-use amp_workloads::{PaperWorkload, Scale, WorkloadClass};
+use amp_workloads::{PaperWorkload, Scale, WorkloadSpec};
 use colab::sweep::parallel_map;
 use colab::SchedulerKind;
 
-fn main() -> ExitCode {
+/// A validated command line.
+struct Options {
+    jobs: usize,
+    workload: PaperWorkload,
+    big: usize,
+    little: usize,
+    scale: f64,
+}
+
+fn parse_args() -> Result<Options, String> {
     let mut jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut positional: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         if arg == "--jobs" {
-            jobs = match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => n,
-                None => {
-                    eprintln!("error: --jobs needs a count");
-                    return ExitCode::FAILURE;
-                }
-            };
+            jobs = args
+                .next()
+                .and_then(|v| v.parse().ok())
+                .ok_or("--jobs needs a count")?;
+        } else if arg.starts_with("--") {
+            return Err(format!("unknown flag {arg}"));
         } else {
             positional.push(arg);
         }
     }
-    let name = positional.first().map(String::as_str).unwrap_or("Sync-2");
-    let big: usize = positional.get(1).and_then(|s| s.parse().ok()).unwrap_or(2);
-    let little: usize = positional.get(2).and_then(|s| s.parse().ok()).unwrap_or(2);
-    let scale: f64 = positional.get(3).and_then(|s| s.parse().ok()).unwrap_or(1.0);
+    if let Some(extra) = positional.get(4) {
+        return Err(format!("unexpected argument {extra}"));
+    }
+    let arg = |i: usize, default: &'static str| positional.get(i).map_or(default, String::as_str);
 
+    let name = arg(0, "Sync-2");
     let workload = PaperWorkload::all()
         .into_iter()
         .find(|w| w.name() == name)
-        .unwrap_or_else(|| PaperWorkload::new(WorkloadClass::Sync, 2));
-    let spec = workload.spec();
-    println!("workload {} on {}B{}S scale {}", workload.name(), big, little, scale);
+        .ok_or_else(|| format!("unknown workload {name}; use a Table 4 name"))?;
+    let cores = |value: &str| {
+        value
+            .parse::<usize>()
+            .map_err(|_| format!("bad core count {value}; use a non-negative integer"))
+    };
+    let (big, little) = (cores(arg(1, "2"))?, cores(arg(2, "2"))?);
+    if big + little == 0 {
+        return Err("a machine needs at least one core".into());
+    }
+    let scale_arg = arg(3, "1.0");
+    let scale = match scale_arg.parse::<f64>() {
+        Ok(scale) if scale.is_finite() && scale > 0.0 => scale,
+        _ => return Err(format!("bad scale {scale_arg}; use a positive number")),
+    };
+    Ok(Options {
+        jobs,
+        workload,
+        big,
+        little,
+        scale,
+    })
+}
+
+fn main() -> ExitCode {
+    let opts = match parse_args() {
+        Ok(opts) => opts,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let (big, little, scale) = (opts.big, opts.little, opts.scale);
+    let spec = opts.workload.spec();
+    println!(
+        "workload {} on {big}B{little}S scale {scale}",
+        opts.workload.name()
+    );
 
     let model = SpeedupModel::heuristic();
-    let blocks = parallel_map(jobs, &SchedulerKind::ALL, |&kind| {
+    let blocks = parallel_map(opts.jobs, &SchedulerKind::ALL, |&kind| {
         render_scheduler(kind, &spec, &model, big, little, scale)
     });
     for block in blocks {
@@ -67,7 +119,7 @@ fn main() -> ExitCode {
 /// Runs one scheduler on the workload and renders its diagnostic block.
 fn render_scheduler(
     kind: SchedulerKind,
-    spec: &amp_workloads::WorkloadSpec,
+    spec: &WorkloadSpec,
     model: &SpeedupModel,
     big: usize,
     little: usize,

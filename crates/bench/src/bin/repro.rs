@@ -10,7 +10,7 @@
 //!
 //! With no selection flags, `--all` is assumed. Any other flag is an
 //! error (exit status 1). `--reps N` runs every cell N times with
-//! derived seeds and averages them (default 1, the paper's protocol). `--scale` shrinks the
+//! derived seeds and averages them (N ≥ 1; default 1, the paper's protocol). `--scale` shrinks the
 //! workloads (default 1.0, the calibrated full size); the shapes are
 //! stable down to about 0.25. `--heuristic-model` skips the offline
 //! training run and uses the analytic speedup model.
@@ -91,8 +91,10 @@ fn parse_args() -> Result<Options, String> {
                 let value = args.next().ok_or("--reps needs a count")?;
                 replications = value
                     .parse::<u32>()
-                    .map_err(|e| format!("bad --reps {value}: {e}"))?
-                    .max(1);
+                    .map_err(|e| format!("bad --reps {value}: {e}"))?;
+                if replications == 0 {
+                    return Err("--reps must be at least 1".into());
+                }
             }
             "--csv" => {
                 let dir = args.next().ok_or("--csv needs a directory")?;

@@ -27,6 +27,17 @@ fn repro_rejects_an_unknown_flag() {
 }
 
 #[test]
+fn repro_rejects_zero_reps() {
+    let out = run(
+        env!("CARGO_BIN_EXE_repro"),
+        &["--heuristic-model", "--reps", "0", "--table3"],
+    );
+    assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr(&out));
+    assert!(stderr(&out).contains("--reps"), "stderr: {}", stderr(&out));
+    assert!(out.stdout.is_empty(), "nothing may run");
+}
+
+#[test]
 fn repro_accepts_selection_flags() {
     let out = run(
         env!("CARGO_BIN_EXE_repro"),
@@ -97,4 +108,48 @@ fn timeline_runs_a_named_scheduler() {
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.starts_with("ferret under wash"), "stdout: {stdout}");
+}
+
+#[test]
+fn diag_rejects_bad_input() {
+    for (args, mention) in [
+        (&["NoSuchWorkload", "2", "2", "0.1"][..], "NoSuchWorkload"),
+        (&["Sync-2", "two", "2"][..], "two"),
+        (&["Sync-2", "2", "-1", "0.1"][..], "-1"),
+        (&["Sync-2", "0", "0", "0.1"][..], "core"),
+        (&["Sync-2", "2", "2", "-1"][..], "-1"),
+        (&["Sync-2", "2", "2", "0"][..], "scale"),
+        (&["Sync-2", "2", "2", "0.1", "extra"][..], "extra"),
+        (&["--jbos", "1"][..], "--jbos"),
+        (&["--jobs", "many"][..], "--jobs"),
+    ] {
+        let out = run(env!("CARGO_BIN_EXE_diag"), args);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "diag {args:?}: {}",
+            stderr(&out)
+        );
+        assert!(
+            stderr(&out).contains(mention),
+            "diag {args:?} stderr: {}",
+            stderr(&out)
+        );
+        assert!(out.stdout.is_empty(), "diag {args:?} may not run");
+    }
+}
+
+#[test]
+fn diag_runs_a_named_workload() {
+    let out = run(
+        env!("CARGO_BIN_EXE_diag"),
+        &["--jobs", "1", "Sync-2", "1", "1", "0.05"],
+    );
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.starts_with("workload Sync-2 on 1B1S scale 0.05"),
+        "stdout: {stdout}"
+    );
+    assert!(stdout.contains("== colab"), "stdout: {stdout}");
 }

@@ -1,6 +1,7 @@
 //! The Linux CFS baseline (and the mechanism layer WASH reuses).
 
-use amp_rbtree::RbTree;
+use std::collections::BTreeSet;
+
 use amp_sim::{EnqueueReason, Pick, SchedCtx, Scheduler, StopReason};
 use amp_types::{CoreId, MachineConfig, SimDuration, ThreadId};
 
@@ -27,11 +28,11 @@ impl Default for CfsTunables {
     }
 }
 
-/// One per-core runqueue: the red-black timeline keyed by
-/// `(vruntime, tid)`, plus the monotone `min_vruntime` reference.
+/// One per-core runqueue: the timeline ordered by `(vruntime, tid)`,
+/// plus the monotone `min_vruntime` reference.
 #[derive(Debug, Default, Clone)]
 struct CfsRq {
-    tree: RbTree<(u64, u32), ()>,
+    tree: BTreeSet<(u64, u32)>,
     min_vruntime: u64,
 }
 
@@ -92,7 +93,7 @@ impl CfsEngine {
         let rq = &mut self.rqs[core.index()];
         let vrt = self.vruntime[thread.index()].max(rq.min_vruntime);
         self.vruntime[thread.index()] = vrt;
-        rq.tree.insert((vrt, thread.0), ());
+        rq.tree.insert((vrt, thread.0));
         self.queued_on[thread.index()] = Some(core);
     }
 
@@ -102,7 +103,7 @@ impl CfsEngine {
             return false;
         };
         let key = (self.vruntime[thread.index()], thread.0);
-        let removed = self.rqs[core.index()].tree.remove(&key).is_some();
+        let removed = self.rqs[core.index()].tree.remove(&key);
         debug_assert!(removed, "queued thread must be in its tree");
         removed
     }
@@ -110,7 +111,7 @@ impl CfsEngine {
     /// Pops the leftmost (minimum-vruntime) thread of a core's queue.
     pub fn pop_local(&mut self, core: CoreId) -> Option<ThreadId> {
         let rq = &mut self.rqs[core.index()];
-        let ((vrt, tid), ()) = rq.tree.pop_min()?;
+        let (vrt, tid) = rq.tree.pop_first()?;
         rq.min_vruntime = rq.min_vruntime.max(vrt);
         let thread = ThreadId::new(tid);
         self.queued_on[thread.index()] = None;
@@ -141,10 +142,10 @@ impl CfsEngine {
                 continue;
             }
             // Leftmost stealable entry of this queue.
-            if let Some((&(vrt, tid), ())) = rq
+            if let Some(&(vrt, tid)) = rq
                 .tree
                 .iter()
-                .find(|(&(_, tid), ())| allowed(ThreadId::new(tid), core))
+                .find(|&&(_, tid)| allowed(ThreadId::new(tid), core))
             {
                 let load = rq.tree.len();
                 if best.as_ref().is_none_or(|&(l, ..)| load > l) {
@@ -212,9 +213,9 @@ impl CfsEngine {
             let candidate = self.rqs[busiest.index()]
                 .tree
                 .iter()
-                .filter(|(&(_, tid), ())| allowed(ThreadId::new(tid), idlest))
-                .last()
-                .map(|(&(_, tid), ())| ThreadId::new(tid));
+                .rev()
+                .find(|&&(_, tid)| allowed(ThreadId::new(tid), idlest))
+                .map(|&(_, tid)| ThreadId::new(tid));
             let Some(thread) = candidate else { return };
             self.dequeue(thread);
             let old_min = self.rqs[busiest.index()].min_vruntime;
@@ -424,6 +425,129 @@ mod tests {
         e.enqueue(ThreadId::new(1), CoreId::new(0));
         // Thread 1 has lower vruntime; it goes first.
         assert_eq!(e.pop_local(CoreId::new(0)), Some(ThreadId::new(1)));
+    }
+
+    #[test]
+    fn equal_vruntimes_pop_lowest_tid_first() {
+        let mut e = CfsEngine::new(1);
+        e.reset(3);
+        for tid in [2, 0, 1] {
+            e.enqueue(ThreadId::new(tid), CoreId::new(0));
+        }
+        let order: Vec<ThreadId> = std::iter::from_fn(|| e.pop_local(CoreId::new(0))).collect();
+        assert_eq!(order, [0, 1, 2].map(ThreadId::new));
+    }
+
+    #[test]
+    fn steal_takes_leftmost_allowed_of_busiest_queue_in_dest_frame() {
+        let ms = |n: u64| SimDuration::from_millis(n);
+        let (dest, busy, busiest) = (CoreId::new(0), CoreId::new(1), CoreId::new(2));
+        let mut e = CfsEngine::new(3);
+        e.reset(7);
+        // Advance the destination's min_vruntime to 4 ms and the
+        // busiest queue's to 10 ms.
+        for (tid, core, ran) in [(5, dest, 4), (6, busiest, 10)] {
+            e.charge(ThreadId::new(tid), ms(ran));
+            e.enqueue(ThreadId::new(tid), core);
+            e.pop_local(core);
+        }
+        // Busiest queue, ordered: t1 (10 ms), t2 (11 ms), t0 (12 ms).
+        for (tid, ran) in [(0, 12), (1, 0), (2, 11)] {
+            e.charge(ThreadId::new(tid), ms(ran));
+            e.enqueue(ThreadId::new(tid), busiest);
+        }
+        e.enqueue(ThreadId::new(3), busy);
+        e.enqueue(ThreadId::new(4), busy);
+
+        let stolen = e.steal_for(dest, |t, _| t != ThreadId::new(1));
+        assert_eq!(stolen, Some(ThreadId::new(2)));
+        assert_eq!(e.nr_queued(busiest), 2);
+        assert_eq!(e.nr_queued(busy), 2);
+        // 11 ms in a 10 ms frame becomes 1 ms past the 4 ms minimum.
+        assert_eq!(e.vruntime(ThreadId::new(2)), 5_000_000);
+    }
+
+    /// Runs `check` on the first context of a real simulation on
+    /// `machine` (nothing running, every core online); plain CFS then
+    /// schedules the run to completion.
+    fn with_initial_ctx(machine: &MachineConfig, check: fn(&SchedCtx<'_>)) {
+        struct Probe {
+            inner: CfsScheduler,
+            check: fn(&SchedCtx<'_>),
+        }
+        impl Scheduler for Probe {
+            fn name(&self) -> &'static str {
+                "probe"
+            }
+            fn init(&mut self, ctx: &SchedCtx<'_>) {
+                (self.check)(ctx);
+                self.inner.init(ctx);
+            }
+            fn enqueue(&mut self, ctx: &SchedCtx<'_>, t: ThreadId, r: EnqueueReason) -> CoreId {
+                self.inner.enqueue(ctx, t, r)
+            }
+            fn pick_next(&mut self, ctx: &SchedCtx<'_>, core: CoreId) -> Pick {
+                self.inner.pick_next(ctx, core)
+            }
+            fn time_slice(&self, ctx: &SchedCtx<'_>, t: ThreadId, core: CoreId) -> SimDuration {
+                self.inner.time_slice(ctx, t, core)
+            }
+            fn should_preempt(
+                &self,
+                ctx: &SchedCtx<'_>,
+                incoming: ThreadId,
+                core: CoreId,
+                running: ThreadId,
+            ) -> bool {
+                self.inner.should_preempt(ctx, incoming, core, running)
+            }
+            fn on_tick(&mut self, ctx: &SchedCtx<'_>) {
+                self.inner.on_tick(ctx);
+            }
+            fn on_stop(
+                &mut self,
+                ctx: &SchedCtx<'_>,
+                t: ThreadId,
+                core: CoreId,
+                ran: SimDuration,
+                reason: StopReason,
+            ) {
+                self.inner.on_stop(ctx, t, core, ran, reason);
+            }
+        }
+        let mut probe = Probe {
+            inner: CfsScheduler::new(machine),
+            check,
+        };
+        Simulation::build_scaled(
+            machine,
+            &WorkloadSpec::single(BenchmarkId::Blackscholes, 2),
+            5,
+            Scale::quick(),
+        )
+        .unwrap()
+        .run(&mut probe)
+        .unwrap();
+    }
+
+    #[test]
+    fn balance_moves_largest_allowed_vruntime_to_idlest_core() {
+        with_initial_ctx(&MachineConfig::all_big(2), |ctx| {
+            let (busiest, idlest) = (CoreId::new(0), CoreId::new(1));
+            let mut e = CfsEngine::new(2);
+            e.reset(3);
+            // Busiest queue, ordered: t0 (1 ms), t2 (2 ms), t1 (3 ms).
+            for (tid, ran) in [(0, 1), (1, 3), (2, 2)] {
+                e.charge(ThreadId::new(tid), SimDuration::from_millis(ran));
+                e.enqueue(ThreadId::new(tid), busiest);
+            }
+            // t1 is the largest but may not move; t2 is the largest that may.
+            e.balance(ctx, |t, _| t != ThreadId::new(1));
+            assert_eq!(e.nr_queued(busiest), 2, "3 vs 0 moves one; 2 vs 1 stops");
+            assert_eq!(e.pop_local(idlest), Some(ThreadId::new(2)));
+            assert_eq!(e.pop_local(busiest), Some(ThreadId::new(0)));
+            assert_eq!(e.pop_local(busiest), Some(ThreadId::new(1)));
+        });
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! The three scheduling policies of the paper's evaluation.
 //!
 //! * [`CfsScheduler`] — a reimplementation of the relevant subset of the
-//!   Linux Completely Fair Scheduler: per-core red-black-tree runqueues
-//!   ordered by virtual runtime, minimum-vruntime placement on wakeup,
-//!   wakeup preemption with a granularity threshold, idle stealing, and
+//!   Linux Completely Fair Scheduler: per-core runqueues ordered by
+//!   `(vruntime, tid)` (a `BTreeSet` standing in for the kernel's
+//!   red-black timeline), minimum-vruntime placement on wakeup, wakeup
+//!   preemption with a granularity threshold, idle stealing, and
 //!   periodic load balancing. It is AMP-*agnostic*: a big-core millisecond
 //!   and a little-core millisecond count the same. This is the paper's
 //!   `LINUX` baseline.

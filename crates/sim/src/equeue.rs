@@ -1,5 +1,5 @@
-//! The engine's indexed event queue: a two-tier calendar queue keyed by
-//! `(time, seq)` with O(1) pop and cheap keyed cancellation.
+//! The engine's indexed event queue: one `Vec` sorted by `(time, seq)`
+//! with O(1) pop and cheap keyed cancellation.
 //!
 //! The discrete-event loop is the hottest code in the repository: every
 //! sweep cell pushes and pops millions of events. A `BinaryHeap` of
@@ -11,30 +11,25 @@
 //!
 //! The replacement exploits the engine's actual event population. With
 //! eager cancellation (see [`cancel`](EventQueue::cancel)) the queue
-//! holds at most one in-flight `CoreDone` per core, one `Tick`, and the
-//! not-yet-arrived application `Arrival`s — a dozen entries, not
-//! thousands. The structure is a calendar with a single open "day":
+//! holds at most one in-flight `CoreDone` per core, one `Tick`, the
+//! pending fault events and the not-yet-arrived application `Arrival`s:
+//! at most 5, 18 and 39 events on the three benchmark workloads, not
+//! thousands. So the queue is a single `Vec`:
 //!
-//! * the **near tier** holds every event inside the current horizon
-//!   window, sorted by `(time, seq)` **descending**, so the minimum is
-//!   the last element: [`pop`](EventQueue::pop) is a `Vec::pop` — O(1),
-//!   no scan, no rebalancing. Pushes insertion-sort from the back; the
-//!   tier is a few cache lines, so the shift is a short in-L1 `memmove`
-//!   (measurably cheaper than a heap sift at these sizes);
-//! * the **far tier** holds events beyond the horizon as an unsorted
-//!   vec with O(1) append — insurance for workloads that schedule many
-//!   distant events (e.g. hundreds of staggered arrivals), keeping the
-//!   near tier's shift cost bounded regardless. When the near tier
-//!   drains, the horizon jumps forward and due far events migrate once
-//!   (one linear partition + one sort of the migrated handful);
+//! * it is sorted by `(time, seq)` **descending**, so the minimum is the
+//!   last element: [`pop`](EventQueue::pop) is a `Vec::pop` — O(1), no
+//!   scan, no rebalancing;
+//! * [`push`](EventQueue::push) insertion-sorts from the back. The
+//!   engine schedules at `now + delta`, so most pushes land at or near
+//!   the end, and the shift is a short in-L1 `memmove` of a few cache
+//!   lines (measurably cheaper than a heap sift at these sizes);
 //! * [`cancel`](EventQueue::cancel) locates an event by its
-//!   [`EventKey`] — a backward scan of the near tier (cancelled events
-//!   are recently pushed `CoreDone`s, which sit near the insertion end
-//!   of the descending order) or a far-tier sweep. Both tiers are tiny;
-//!   the scan is a handful of comparisons against contiguous memory.
+//!   [`EventKey`] with a backward scan (cancelled events are recently
+//!   pushed `CoreDone`s, which sit near the insertion end of the
+//!   descending order) and removes it in place.
 //!
-//! Both tiers are plain `Vec`s that retain capacity, so a steady-state
-//! simulation performs **zero allocation per event**.
+//! The `Vec` retains its capacity, so a steady-state simulation performs
+//! **zero allocation per event**.
 //!
 //! # Ordering contract
 //!
@@ -45,11 +40,6 @@
 //! byte-identical across the swap (`tests/golden_sweep.rs` enforces
 //! it); the differential test below proves the equivalence over random
 //! interleavings of pushes, pops, and cancels.
-
-/// Width of the near-tier horizon window in nanoseconds (16.8 ms —
-/// beyond the 10 ms scheduler tick, so the steady-state event population
-/// never touches the far tier).
-const WINDOW_NS: u64 = 1 << 24;
 
 /// Handle to a queued event, for [`EventQueue::cancel`].
 ///
@@ -111,14 +101,9 @@ pub struct Popped<T> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<T> {
-    /// Events inside the horizon, sorted by `(time, seq)` descending —
-    /// the global minimum is `near.last()`.
-    near: Vec<Entry<T>>,
-    /// Events at or beyond `horizon`, unsorted.
-    far: Vec<Entry<T>>,
-    /// Exclusive upper time bound of the near tier. Fixed between
-    /// refills so the near/far split of queued events is stable.
-    horizon: u64,
+    /// Queued events sorted by `(time, seq)` descending — the minimum is
+    /// `entries.last()`.
+    entries: Vec<Entry<T>>,
     /// Monotone push counter; the FIFO tie-break at equal times.
     seq: u64,
 }
@@ -130,52 +115,42 @@ impl<T> Default for EventQueue<T> {
 }
 
 impl<T> EventQueue<T> {
-    /// Creates an empty queue with the horizon one window from time zero.
+    /// Creates an empty queue.
     pub fn new() -> EventQueue<T> {
         EventQueue {
-            near: Vec::new(),
-            far: Vec::new(),
-            horizon: WINDOW_NS,
+            entries: Vec::new(),
             seq: 0,
         }
     }
 
     /// Total queued events.
     pub fn len(&self) -> usize {
-        self.near.len() + self.far.len()
+        self.entries.len()
     }
 
     /// Whether no events are queued.
     pub fn is_empty(&self) -> bool {
-        self.near.is_empty() && self.far.is_empty()
+        self.entries.is_empty()
     }
 
     /// Schedules `item` at `time` (nanoseconds) and returns its handle.
     pub fn push(&mut self, time: u64, item: T) -> EventKey {
         self.seq += 1;
         let seq = self.seq;
-        let entry = Entry { time, seq, item };
-        if time < self.horizon {
-            // Insertion-sort from the back of the descending near tier.
-            // The engine schedules at `now + delta`, so the common case
-            // lands at or near the end: zero or a few slot shifts.
-            let mut at = self.near.len();
-            while at > 0 && self.near[at - 1].key() < (time, seq) {
-                at -= 1;
-            }
-            self.near.insert(at, entry);
-        } else {
-            self.far.push(entry);
+        // Insertion-sort from the back of the descending order. The
+        // engine schedules at `now + delta`, so the common case lands at
+        // or near the end: zero or a few slot shifts.
+        let mut at = self.entries.len();
+        while at > 0 && self.entries[at - 1].key() < (time, seq) {
+            at -= 1;
         }
+        self.entries.insert(at, Entry { time, seq, item });
         EventKey { time, seq }
     }
 
     /// Removes and returns the minimum-`(time, seq)` event.
     pub fn pop(&mut self) -> Option<Popped<T>> {
-        if self.near.is_empty() && !self.refill() {
-            return None;
-        }
-        let entry = self.near.pop().expect("refill guarantees a near event");
+        let entry = self.entries.pop()?;
         Some(Popped {
             time: entry.time,
             seq: entry.seq,
@@ -186,48 +161,8 @@ impl<T> EventQueue<T> {
     /// Removes the event identified by `key`, returning its payload if it
     /// was still queued.
     pub fn cancel(&mut self, key: EventKey) -> Option<T> {
-        if key.time < self.horizon {
-            let at = self.near.iter().rposition(|e| e.seq == key.seq)?;
-            Some(self.near.remove(at).item)
-        } else {
-            let at = self.far.iter().position(|e| e.seq == key.seq)?;
-            Some(self.far.swap_remove(at).item)
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // internals
-
-    /// Advances the horizon over the far tier once the near tier is
-    /// empty. Returns whether any event entered the near tier.
-    ///
-    /// Each event migrates at most once: the new horizon opens one full
-    /// window past the earliest far event, and events still beyond it
-    /// stay put until a later refill.
-    fn refill(&mut self) -> bool {
-        if self.far.is_empty() {
-            return false;
-        }
-        let min_time = self
-            .far
-            .iter()
-            .map(|e| e.time)
-            .min()
-            .expect("far tier is non-empty");
-        self.horizon = min_time.saturating_add(WINDOW_NS).max(self.horizon);
-        let mut i = 0;
-        while i < self.far.len() {
-            if self.far[i].time < self.horizon {
-                let entry = self.far.swap_remove(i);
-                self.near.push(entry);
-            } else {
-                i += 1;
-            }
-        }
-        // One sort of the migrated handful re-establishes the descending
-        // near order; `(time, seq)` keys are unique so unstable is fine.
-        self.near.sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
-        true
+        let at = self.entries.iter().rposition(|e| e.seq == key.seq)?;
+        Some(self.entries.remove(at).item)
     }
 }
 
@@ -267,7 +202,7 @@ mod tests {
     #[test]
     fn far_future_events_cross_the_window() {
         let mut q = EventQueue::new();
-        // Window is ~16.8 ms; schedule across several windows.
+        // Schedule out of order across more than a second.
         let times = [5u64, 10_000_000, 50_000_000, 500_000_000, 20_000];
         for (i, &t) in times.iter().enumerate() {
             q.push(t, i);
@@ -285,11 +220,11 @@ mod tests {
         let mut q = EventQueue::new();
         let a = q.push(100, "a");
         let b = q.push(100, "b");
-        let far = q.push(1 << 40, "far");
+        let late = q.push(1 << 40, "late");
         assert_eq!(q.cancel(a), Some("a"));
         assert_eq!(q.cancel(a), None, "double cancel is a no-op");
         assert_eq!(q.pop().unwrap().item, "b");
-        assert_eq!(q.cancel(far), Some("far"));
+        assert_eq!(q.cancel(late), Some("late"));
         assert_eq!(q.cancel(b), None, "popped events cannot be cancelled");
         assert!(q.is_empty());
     }
@@ -318,7 +253,7 @@ mod tests {
 
     /// The determinism contract: the queue must reproduce the pop order
     /// of `BinaryHeap<Reverse<(time, seq, item)>>` exactly, for pushes
-    /// spanning the horizon, the far tier, and equal times — including
+    /// spanning nanoseconds to ~100 ms and equal times — including
     /// interleaved cancels.
     #[test]
     fn differential_against_binary_heap() {
@@ -398,8 +333,8 @@ mod tests {
     #[test]
     fn steady_state_allocates_nothing() {
         let mut q = EventQueue::new();
-        // Spin many horizon windows with an engine-like event chain; both
-        // tiers must stay at their small steady-state capacity (no
+        // Spin an engine-like event chain over ~90 s of simulated time;
+        // the queue must stay at its small steady-state capacity (no
         // per-event allocation).
         let mut t = 0u64;
         for i in 0..10_000u64 {
@@ -408,7 +343,10 @@ mod tests {
             t = p.time;
         }
         assert!(q.is_empty());
-        assert!(q.near.capacity() <= 16, "near grew: {}", q.near.capacity());
-        assert!(q.far.capacity() <= 16, "far grew: {}", q.far.capacity());
+        assert!(
+            q.entries.capacity() <= 16,
+            "queue grew: {}",
+            q.entries.capacity()
+        );
     }
 }

@@ -33,7 +33,6 @@
 pub use amp_futex as futex;
 pub use amp_metrics as metrics;
 pub use amp_perf as perf;
-pub use amp_rbtree as rbtree;
 pub use amp_sched as sched;
 pub use amp_sim as sim;
 pub use amp_types as types;
