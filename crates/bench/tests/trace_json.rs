@@ -1,9 +1,12 @@
 //! The Chrome trace exporter emits well-formed, non-trivial JSON for
-//! every scheduler.
+//! every scheduler, and its bytes are pinned.
 
-use amp_workloads::{BenchmarkId, WorkloadSpec};
+use amp_perf::SpeedupModel;
+use amp_sim::{FaultPlan, SimParams, Simulation};
+use amp_types::{CoreOrder, MachineConfig, SimDuration};
+use amp_workloads::{BenchmarkId, CompiledWorkload, Scale, WorkloadSpec};
 use colab::SchedulerKind;
-use colab_bench::chrome_trace_json;
+use colab_bench::{chrome_trace_json, render_chrome_trace};
 
 /// Minimal structural validator: balanced brackets outside strings,
 /// terminated strings — enough to prove well-formedness without a JSON
@@ -61,4 +64,65 @@ fn every_scheduler_exports_cleanly() {
             kind.name()
         );
     }
+}
+
+/// FNV-1a, 64-bit.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A 2B2S multiprogrammed run under a seeded random fault plan, with
+/// both event recorders on, rendered as a Chrome trace.
+fn faulted_mix_json() -> String {
+    let machine = MachineConfig::paper_2b2s(CoreOrder::BigFirst);
+    let spec = WorkloadSpec::named(
+        "chaos-mix",
+        vec![(BenchmarkId::Ferret, 4), (BenchmarkId::Blackscholes, 3)],
+    );
+    let params = SimParams {
+        trace_capacity: 1 << 18,
+        event_capacity: 1 << 16,
+        ..SimParams::default()
+    };
+    let compiled = CompiledWorkload::compile(&spec, 42, Scale::new(0.1)).expect("workload builds");
+    let plan = FaultPlan::random(&machine, 3, 2.0, SimDuration::from_millis(200));
+    let sim = Simulation::from_compiled_with_params(&machine, compiled.apps().to_vec(), 42, params)
+        .expect("workload loads")
+        .with_fault_plan(plan)
+        .expect("plan fits the machine");
+    let mut sched = SchedulerKind::Colab.create(&machine, &SpeedupModel::heuristic());
+    let outcome = sim.run(sched.as_mut()).expect("faulted run completes");
+    render_chrome_trace(&machine, &outcome)
+}
+
+/// Byte length and FNV-1a 64 of the exporter's output: ferret with six
+/// threads at scale 0.1 under each extended policy (the
+/// `repro --trace-json` path), then one faulted multiprogrammed run.
+const PINNED: [(&str, usize, u64); 5] = [
+    ("ferret/linux", 7314, 0x29aa_939e_115b_d24c),
+    ("ferret/gts", 7682, 0x3078_08ed_11b0_6c02),
+    ("ferret/wash", 7403, 0xbe95_ad4f_34d4_cfec),
+    ("ferret/colab", 12384, 0x2f74_2fb5_c3b8_6d62),
+    ("chaos-mix/colab+faults", 44268, 0xd3da_784c_c40f_fd08),
+];
+
+#[test]
+fn exporter_bytes_are_pinned() {
+    let spec = WorkloadSpec::single(BenchmarkId::Ferret, 6);
+    let mut rendered: Vec<(String, String)> = SchedulerKind::EXTENDED
+        .iter()
+        .map(|&kind| (format!("ferret/{}", kind.name()), chrome_trace_json(&spec, kind, 0.1)))
+        .collect();
+    let faulted = faulted_mix_json();
+    for marker in ["core_offline", "core_online", "throttle"] {
+        assert!(faulted.contains(marker), "faulted run renders `{marker}` instants");
+    }
+    rendered.push(("chaos-mix/colab+faults".into(), faulted));
+    let got: Vec<(&str, usize, u64)> = rendered
+        .iter()
+        .map(|(case, json)| (case.as_str(), json.len(), fnv1a(json.as_bytes())))
+        .collect();
+    assert_eq!(got, PINNED);
 }
