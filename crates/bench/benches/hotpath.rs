@@ -1,6 +1,7 @@
 //! Hot-path benchmarks of the simulation engine's performance
 //! architecture: the sorted-`Vec` event queue against the `BinaryHeap`
-//! it replaced, per-policy engine throughput, and the full-mix wall-clock.
+//! it replaced, per-policy engine throughput, the full-mix wall-clock,
+//! and Chrome trace rendering of a recorded run.
 //!
 //! These are the numbers `DESIGN.md`'s "Performance architecture"
 //! section quotes. Run with `cargo bench --bench hotpath`; CI runs them
@@ -350,10 +351,38 @@ fn bench_fine_grained_run(c: &mut Criterion) {
     group.finish();
 }
 
+/// Chrome trace export of one recorded multi-program run: the rendering
+/// layer `repro --trace-json` and perfbench's `recorded` workload pay
+/// per run. The run is simulated once; each iteration renders it.
+fn bench_render_chrome_trace(c: &mut Criterion) {
+    let machine = MachineConfig::paper_2b2s(CoreOrder::BigFirst);
+    let spec = WorkloadSpec::named(
+        "render-mix",
+        vec![(BenchmarkId::Ferret, 4), (BenchmarkId::Blackscholes, 3)],
+    );
+    let params = SimParams {
+        trace_capacity: 1 << 18,
+        event_capacity: 1 << 16,
+        ..SimParams::default()
+    };
+    let compiled =
+        CompiledWorkload::compile(&spec, 42, Scale::new(0.25)).expect("workload builds");
+    let sim = Simulation::from_compiled_with_params(&machine, compiled.apps().to_vec(), 42, params)
+        .expect("workload loads");
+    let mut sched = colab::SchedulerKind::Colab.create(&machine, &SpeedupModel::heuristic());
+    let outcome = sim.run(sched.as_mut()).expect("simulation completes");
+
+    let mut group = c.benchmark_group("render_2b2s");
+    group.bench_function("render_chrome_trace", |b| {
+        b.iter(|| black_box(colab_bench::render_chrome_trace(&machine, &outcome).len()))
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = hotpath;
     config = Criterion::default().sample_size(50);
     targets = bench_equeue_churn, bench_equeue_rearm, bench_engine_events, bench_full_mix,
-        bench_compile, bench_stream_fetch, bench_fine_grained_run
+        bench_compile, bench_stream_fetch, bench_fine_grained_run, bench_render_chrome_trace
 }
 criterion_main!(hotpath);

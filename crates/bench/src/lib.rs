@@ -2,11 +2,13 @@
 
 #![warn(missing_docs)]
 
+use std::borrow::Cow;
+
 use amp_perf::SpeedupModel;
-use amp_sim::telemetry::chrome::ChromeTrace;
+use amp_sim::telemetry::chrome::{Arg, ChromeTrace};
 use amp_sim::telemetry::SchedEvent;
 use amp_sim::{SimParams, Simulation, SimulationOutcome, TraceEvent};
-use amp_types::{CoreOrder, MachineConfig, SimTime, ThreadId};
+use amp_types::{CoreId, CoreOrder, MachineConfig, SimTime, ThreadId};
 use amp_workloads::{CompiledWorkload, Scale, WorkloadSpec};
 use colab::{ExperimentConfig, Harness, SchedulerKind};
 
@@ -154,17 +156,29 @@ pub fn chrome_trace_json(spec: &WorkloadSpec, kind: SchedulerKind, scale: f64) -
 /// events are omitted — every slice already is one.
 pub fn render_chrome_trace(machine: &MachineConfig, outcome: &SimulationOutcome) -> String {
     const PID: u64 = 1;
-    let mut trace = ChromeTrace::new();
+    // Measured over the paper workloads: ~48 bytes per trace event (a
+    // slice pairs two of them, wakes render nothing) and ~96 per ring
+    // event (about half are unrendered picks).
+    let bytes = 48 * outcome.trace.events().len() + 96 * outcome.telemetry_events.len();
+    let mut trace = ChromeTrace::with_capacity(bytes + 64 * (machine.num_cores() + 1));
     trace.process_name(PID, &format!("{} on {machine}", outcome.scheduler));
     for (id, spec) in machine.iter() {
         trace.thread_name(PID, id.index() as u64, &format!("{} core {}", spec.kind, id.index()));
     }
-    let us = |t: SimTime| t.as_nanos() as f64 / 1e3;
-    let thread_name = |t: ThreadId| {
-        outcome
-            .threads
-            .get(t.index())
-            .map_or_else(|| format!("t{}", t.index()), |s| s.name.clone())
+    let thread_name = |t: ThreadId| match outcome.threads.get(t.index()) {
+        Some(stats) => Cow::Borrowed(stats.name.as_str()),
+        None => Cow::Owned(format!("t{}", t.index())),
+    };
+    let mut slice = |core: usize, from: SimTime, to: SimTime, t: ThreadId, stop: &str| {
+        trace.complete(
+            &thread_name(t),
+            "exec",
+            PID,
+            core as u64,
+            from.as_nanos(),
+            to.saturating_since(from).as_nanos(),
+            &[("thread", Arg::Uint(t.index() as u64)), ("stop", Arg::Str(stop))],
+        );
     };
 
     let mut open: Vec<Option<(SimTime, ThreadId)>> = vec![None; machine.num_cores()];
@@ -175,18 +189,7 @@ pub fn render_chrome_trace(machine: &MachineConfig, outcome: &SimulationOutcome)
             }
             TraceEvent::Stop { at, core, thread: _, reason } => {
                 if let Some((from, t)) = open[core.index()].take() {
-                    trace.complete(
-                        &thread_name(t),
-                        "exec",
-                        PID,
-                        core.index() as u64,
-                        us(from),
-                        us(at) - us(from),
-                        &[
-                            ("thread", t.index().to_string()),
-                            ("stop", format!("{reason:?}")),
-                        ],
-                    );
+                    slice(core.index(), from, at, t, reason.label());
                 }
             }
             _ => {}
@@ -194,85 +197,54 @@ pub fn render_chrome_trace(machine: &MachineConfig, outcome: &SimulationOutcome)
     }
     for (ci, entry) in open.iter().enumerate() {
         if let Some((from, t)) = *entry {
-            trace.complete(
-                &thread_name(t),
-                "exec",
-                PID,
-                ci as u64,
-                us(from),
-                us(outcome.makespan) - us(from),
-                &[("thread", t.index().to_string()), ("stop", "horizon".into())],
-            );
+            slice(ci, from, outcome.makespan, t, "horizon");
         }
     }
 
     for stamped in &outcome.telemetry_events {
-        let (name, args): (&str, Vec<(&str, String)>) = match stamped.event {
-            SchedEvent::Pick { .. } => continue,
-            SchedEvent::Migrate { thread, from, to, direction } => (
-                "migrate",
-                vec![
-                    ("thread", thread_name(thread)),
-                    ("from", from.index().to_string()),
-                    ("to", to.index().to_string()),
-                    ("dir", direction.label().into()),
-                ],
-            ),
-            SchedEvent::Preempt { victim, cause } => (
-                "preempt",
-                vec![
-                    ("victim", thread_name(victim)),
-                    ("cause", cause.label().into()),
-                ],
-            ),
-            SchedEvent::Relabel { thread, from, to } => (
-                "relabel",
-                vec![
-                    ("thread", thread_name(thread)),
-                    ("from", from.label().into()),
-                    ("to", to.label().into()),
-                ],
-            ),
-            SchedEvent::SlicePredict { thread, predicted_speedup, slice } => (
-                "slice_predict",
-                vec![
-                    ("thread", thread_name(thread)),
-                    ("speedup", format!("{predicted_speedup:.2}")),
-                    ("slice", slice.to_string()),
-                ],
-            ),
-            SchedEvent::FutexWake { waker, woken, blocked } => (
-                "futex_wake",
-                vec![
-                    ("waker", thread_name(waker)),
-                    ("woken", thread_name(woken)),
-                    ("blocked", blocked.to_string()),
-                ],
-            ),
-            SchedEvent::IdleSteal { thread, from } => (
-                "idle_steal",
-                vec![
-                    ("thread", thread_name(thread)),
-                    ("from_core", from.index().to_string()),
-                ],
-            ),
-            SchedEvent::CoreOffline { core } => (
-                "core_offline",
-                vec![("core", core.index().to_string())],
-            ),
-            SchedEvent::CoreOnline { core } => (
-                "core_online",
-                vec![("core", core.index().to_string())],
-            ),
-            SchedEvent::Throttle { core, factor } => (
-                "throttle",
-                vec![
-                    ("core", core.index().to_string()),
-                    ("factor", format!("{factor:.2}")),
-                ],
-            ),
-        };
-        trace.instant(name, "sched", PID, stamped.core.index() as u64, us(stamped.at), &args);
+        let (name, tid, ts) =
+            (stamped.event.kind(), stamped.core.index() as u64, stamped.at.as_nanos());
+        let mut instant =
+            |args: &[(&str, Arg<'_>)]| trace.instant(name, "sched", PID, tid, ts, args);
+        let core = |c: CoreId| Arg::Uint(c.index() as u64);
+        match stamped.event {
+            SchedEvent::Pick { .. } => {}
+            SchedEvent::Migrate { thread, from, to, direction } => instant(&[
+                ("thread", Arg::Str(&thread_name(thread))),
+                ("from", core(from)),
+                ("to", core(to)),
+                ("dir", Arg::Str(direction.label())),
+            ]),
+            SchedEvent::Preempt { victim, cause } => instant(&[
+                ("victim", Arg::Str(&thread_name(victim))),
+                ("cause", Arg::Str(cause.label())),
+            ]),
+            SchedEvent::Relabel { thread, from, to } => instant(&[
+                ("thread", Arg::Str(&thread_name(thread))),
+                ("from", Arg::Str(from.label())),
+                ("to", Arg::Str(to.label())),
+            ]),
+            SchedEvent::SlicePredict { thread, predicted_speedup, slice } => instant(&[
+                ("thread", Arg::Str(&thread_name(thread))),
+                ("speedup", Arg::Fixed2(predicted_speedup)),
+                ("slice", Arg::Duration(slice)),
+            ]),
+            SchedEvent::FutexWake { waker, woken, blocked } => instant(&[
+                ("waker", Arg::Str(&thread_name(waker))),
+                ("woken", Arg::Str(&thread_name(woken))),
+                ("blocked", Arg::Duration(blocked)),
+            ]),
+            SchedEvent::IdleSteal { thread, from } => instant(&[
+                ("thread", Arg::Str(&thread_name(thread))),
+                ("from_core", core(from)),
+            ]),
+            SchedEvent::CoreOffline { core: c } | SchedEvent::CoreOnline { core: c } => {
+                instant(&[("core", core(c))])
+            }
+            SchedEvent::Throttle { core: c, factor } => {
+                instant(&[("core", core(c)), ("factor", Arg::Fixed2(factor))])
+            }
+        }
     }
-    trace.to_json()
+    trace.finish()
 }

@@ -2,7 +2,7 @@
 //! every scheduler, and its bytes are pinned.
 
 use amp_perf::SpeedupModel;
-use amp_sim::{FaultPlan, SimParams, Simulation};
+use amp_sim::{FaultPlan, SimParams, Simulation, SimulationOutcome, TraceEvent};
 use amp_types::{CoreOrder, MachineConfig, SimDuration};
 use amp_workloads::{BenchmarkId, CompiledWorkload, Scale, WorkloadSpec};
 use colab::SchedulerKind;
@@ -73,9 +73,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// A 2B2S multiprogrammed run under a seeded random fault plan, with
-/// both event recorders on, rendered as a Chrome trace.
-fn faulted_mix_json() -> String {
+/// A 2B2S multiprogrammed run under `kind` and `plan`, with both event
+/// recorders on.
+fn recorded_mix(kind: SchedulerKind, plan: FaultPlan) -> (MachineConfig, SimulationOutcome) {
     let machine = MachineConfig::paper_2b2s(CoreOrder::BigFirst);
     let spec = WorkloadSpec::named(
         "chaos-mix",
@@ -87,13 +87,24 @@ fn faulted_mix_json() -> String {
         ..SimParams::default()
     };
     let compiled = CompiledWorkload::compile(&spec, 42, Scale::new(0.1)).expect("workload builds");
-    let plan = FaultPlan::random(&machine, 3, 2.0, SimDuration::from_millis(200));
     let sim = Simulation::from_compiled_with_params(&machine, compiled.apps().to_vec(), 42, params)
         .expect("workload loads")
         .with_fault_plan(plan)
         .expect("plan fits the machine");
-    let mut sched = SchedulerKind::Colab.create(&machine, &SpeedupModel::heuristic());
-    let outcome = sim.run(sched.as_mut()).expect("faulted run completes");
+    let mut sched = kind.create(&machine, &SpeedupModel::heuristic());
+    let outcome = sim.run(sched.as_mut()).expect("run completes");
+    (machine, outcome)
+}
+
+fn chaos_plan(machine: &MachineConfig) -> FaultPlan {
+    FaultPlan::random(machine, 3, 2.0, SimDuration::from_millis(200))
+}
+
+/// The chaos mix under COLAB and a seeded random fault plan, rendered as
+/// a Chrome trace.
+fn faulted_mix_json() -> String {
+    let plan = chaos_plan(&MachineConfig::paper_2b2s(CoreOrder::BigFirst));
+    let (machine, outcome) = recorded_mix(SchedulerKind::Colab, plan);
     render_chrome_trace(&machine, &outcome)
 }
 
@@ -113,11 +124,19 @@ fn exporter_bytes_are_pinned() {
     let spec = WorkloadSpec::single(BenchmarkId::Ferret, 6);
     let mut rendered: Vec<(String, String)> = SchedulerKind::EXTENDED
         .iter()
-        .map(|&kind| (format!("ferret/{}", kind.name()), chrome_trace_json(&spec, kind, 0.1)))
+        .map(|&kind| {
+            (
+                format!("ferret/{}", kind.name()),
+                chrome_trace_json(&spec, kind, 0.1),
+            )
+        })
         .collect();
     let faulted = faulted_mix_json();
     for marker in ["core_offline", "core_online", "throttle"] {
-        assert!(faulted.contains(marker), "faulted run renders `{marker}` instants");
+        assert!(
+            faulted.contains(marker),
+            "faulted run renders `{marker}` instants"
+        );
     }
     rendered.push(("chaos-mix/colab+faults".into(), faulted));
     let got: Vec<(&str, usize, u64)> = rendered
@@ -125,4 +144,73 @@ fn exporter_bytes_are_pinned() {
         .map(|(case, json)| (case.as_str(), json.len(), fnv1a(json.as_bytes())))
         .collect();
     assert_eq!(got, PINNED);
+}
+
+/// The text of `"key":value` in one rendered event line.
+fn field<'a>(line: &'a str, key: &str) -> &'a str {
+    let tag = format!("\"{key}\":");
+    let start = line
+        .find(&tag)
+        .unwrap_or_else(|| panic!("no `{key}` in {line}"))
+        + tag.len();
+    let rest = &line[start..];
+    &rest[..rest.find([',', '}']).unwrap_or(rest.len())]
+}
+
+/// A `ts`/`dur` value (microseconds, three decimals) as nanoseconds.
+fn nanos(text: &str) -> u64 {
+    let (whole, frac) = text
+        .split_once('.')
+        .unwrap_or_else(|| panic!("`{text}` has no decimals"));
+    assert_eq!(frac.len(), 3, "`{text}` has three decimals");
+    let parse = |digits: &str| {
+        digits
+            .parse::<u64>()
+            .unwrap_or_else(|_| panic!("bad number `{text}`"))
+    };
+    parse(whole) * 1000 + parse(frac)
+}
+
+#[test]
+fn slices_pair_every_dispatch_without_overlap() {
+    let machine = MachineConfig::paper_2b2s(CoreOrder::BigFirst);
+    for kind in SchedulerKind::EXTENDED {
+        for plan in [FaultPlan::empty(), chaos_plan(&machine)] {
+            let (machine, outcome) = recorded_mix(kind, plan);
+            let json = render_chrome_trace(&machine, &outcome);
+            let mut ends = vec![0u64; machine.num_cores()];
+            let mut slices = 0;
+            for line in json.lines().filter(|l| l.contains("\"ph\":\"X\"")) {
+                let dur = field(line, "dur");
+                assert!(
+                    dur.parse::<f64>().is_ok_and(|d| d >= 0.0),
+                    "{}: dur < 0: {line}",
+                    kind.name()
+                );
+                let tid: usize = field(line, "tid").parse().expect("tid is an integer");
+                let ts = nanos(field(line, "ts"));
+                assert!(
+                    ts >= ends[tid],
+                    "{}: slice on tid {tid} starts at {ts} ns, before the previous ended at {} ns",
+                    kind.name(),
+                    ends[tid]
+                );
+                ends[tid] = ts + nanos(dur);
+                slices += 1;
+            }
+            let dispatches = outcome
+                .trace
+                .events()
+                .iter()
+                .filter(|e| matches!(e, TraceEvent::Dispatch { .. }))
+                .count();
+            assert!(dispatches > 0, "{} dispatched nothing", kind.name());
+            assert_eq!(
+                slices,
+                dispatches,
+                "{}: one slice per dispatch",
+                kind.name()
+            );
+        }
+    }
 }

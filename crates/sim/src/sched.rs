@@ -34,6 +34,19 @@ pub enum StopReason {
     Stolen,
 }
 
+impl StopReason {
+    /// The variant's name, spelled as its `Debug` output.
+    pub fn label(self) -> &'static str {
+        match self {
+            StopReason::QuantumExpired => "QuantumExpired",
+            StopReason::Preempted => "Preempted",
+            StopReason::Blocked => "Blocked",
+            StopReason::Finished => "Finished",
+            StopReason::Stolen => "Stolen",
+        }
+    }
+}
+
 /// A core's scheduling decision, returned by [`Scheduler::pick_next`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pick {
@@ -264,5 +277,23 @@ pub trait Scheduler: Send {
     fn drain_core(&mut self, ctx: &SchedCtx<'_>, core: CoreId) -> Vec<ThreadId> {
         let _ = (ctx, core);
         Vec::new()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stop_reason_labels_match_debug() {
+        for reason in [
+            StopReason::QuantumExpired,
+            StopReason::Preempted,
+            StopReason::Blocked,
+            StopReason::Finished,
+            StopReason::Stolen,
+        ] {
+            assert_eq!(reason.label(), format!("{reason:?}"));
+        }
     }
 }

@@ -7,7 +7,7 @@
 //! where threads waited. [`Trace::gantt`] renders a per-core text
 //! timeline.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use amp_types::{CoreId, MachineConfig, SimTime, ThreadId};
 
@@ -77,7 +77,9 @@ impl Trace {
     /// A trace able to hold `capacity` events (0 disables recording).
     pub fn with_capacity(capacity: usize) -> Trace {
         Trace {
-            events: Vec::with_capacity(capacity.min(1 << 20)),
+            // Grown on demand, like the telemetry ring: reserving the
+            // whole capacity up front maps fresh pages on every traced run.
+            events: Vec::with_capacity(capacity.min(4096)),
             capacity,
             dropped: 0,
         }
@@ -117,7 +119,8 @@ impl Trace {
         assert!(width > 0, "gantt needs at least one column");
         assert!(horizon > SimTime::ZERO, "gantt needs a positive horizon");
         let cores = machine.num_cores();
-        let mut grid = vec![vec!['.'; width]; cores];
+        // One row of ASCII glyphs per core, back to back.
+        let mut grid = vec![b'.'; cores * width];
         let col_of = |t: SimTime| -> usize {
             ((t.as_nanos() as u128 * width as u128 / horizon.as_nanos().max(1) as u128)
                 as usize)
@@ -126,11 +129,9 @@ impl Trace {
         // Pair dispatches with the next stop of the same core.
         let mut open: Vec<Option<(SimTime, ThreadId)>> = vec![None; cores];
         let mut paint = |core: CoreId, from: SimTime, to: SimTime, thread: ThreadId| {
-            let glyph = (b'A' + (thread.index() % 26) as u8) as char;
-            let (a, b) = (col_of(from), col_of(to));
-            for cell in &mut grid[core.index()][a..=b] {
-                *cell = glyph;
-            }
+            let glyph = b'A' + (thread.index() % 26) as u8;
+            let row = core.index() * width;
+            grid[row + col_of(from)..=row + col_of(to)].fill(glyph);
         };
         for event in &self.events {
             match *event {
@@ -153,10 +154,12 @@ impl Trace {
             }
         }
 
-        let mut out = String::new();
+        let mut out = String::with_capacity(cores * (width + 24));
         for (id, spec) in machine.iter() {
-            let row: String = grid[id.index()].iter().collect();
-            out.push_str(&format!("{id} [{:>6}] {row}\n", spec.kind.to_string()));
+            let row = &grid[id.index() * width..][..width];
+            let _ = write!(out, "{id} [{:>6}] ", spec.kind.to_string());
+            out.push_str(std::str::from_utf8(row).expect("glyphs are ASCII"));
+            out.push('\n');
         }
         out
     }
