@@ -1,10 +1,10 @@
 //! The Chrome trace exporter emits well-formed, non-trivial JSON for
 //! every scheduler, and its bytes are pinned.
 
-use amp_perf::SpeedupModel;
+use amp_perf::{ExecutionProfile, SpeedupModel};
 use amp_sim::{FaultPlan, SimParams, Simulation, SimulationOutcome, TraceEvent};
 use amp_types::{CoreOrder, MachineConfig, SimDuration};
-use amp_workloads::{BenchmarkId, CompiledWorkload, Scale, WorkloadSpec};
+use amp_workloads::{AppBuilder, BenchmarkId, CompiledApp, CompiledWorkload, Scale, WorkloadSpec};
 use colab::SchedulerKind;
 use colab_bench::{chrome_trace_json, render_chrome_trace};
 
@@ -144,6 +144,88 @@ fn exporter_bytes_are_pinned() {
         .map(|(case, json)| (case.as_str(), json.len(), fnv1a(json.as_bytes())))
         .collect();
     assert_eq!(got, PINNED);
+}
+
+/// Thread names holding every kind of text JSON must escape, plus
+/// non-ASCII that it must pass through.
+const HOSTILE_NAMES: [&str; 6] = [
+    "say \"hi\"",
+    "back\\slash",
+    "line\nbreak",
+    "tab\tstop",
+    "ctl\u{1}\u{1f}",
+    "λ-é",
+];
+
+/// A hand-built app of [`HOSTILE_NAMES`] threads contending for one lock
+/// and meeting at a barrier, run under COLAB on 2B2S with both recorders
+/// on and rendered as a Chrome trace.
+fn hostile_names_json() -> String {
+    let machine = MachineConfig::paper_2b2s(CoreOrder::BigFirst);
+    let mut app = AppBuilder::new("hostile");
+    let lock = app.lock();
+    let done = app.barrier(HOSTILE_NAMES.len() as u32);
+    let profiles = [
+        ExecutionProfile::compute_bound(),
+        ExecutionProfile::memory_bound(),
+    ];
+    for (i, name) in HOSTILE_NAMES.iter().enumerate() {
+        app.thread(*name, profiles[i % 2])
+            .repeat(20, |body| {
+                body.compute(SimDuration::from_micros(400 + 150 * i as u64))
+                    .lock(lock)
+                    .compute(SimDuration::from_micros(60))
+                    .unlock(lock);
+            })
+            .barrier(done);
+    }
+    let compiled =
+        CompiledApp::compile_all(&[app.build().expect("app is valid")]).expect("app compiles");
+    let params = SimParams {
+        trace_capacity: 1 << 18,
+        event_capacity: 1 << 16,
+        ..SimParams::default()
+    };
+    let sim =
+        Simulation::from_compiled_with_params(&machine, compiled, 42, params).expect("app loads");
+    let mut sched = SchedulerKind::Colab.create(&machine, &SpeedupModel::heuristic());
+    let outcome = sim.run(sched.as_mut()).expect("run completes");
+    render_chrome_trace(&machine, &outcome)
+}
+
+/// Thread names are escaped wherever they are written: as slice names
+/// and as the thread arguments of decision markers. Byte length and
+/// FNV-1a 64 of [`hostile_names_json`].
+#[test]
+fn hostile_thread_names_are_pinned() {
+    let json = hostile_names_json();
+    check_json_object(&json);
+    for escaped in [
+        "say \\\"hi\\\"",
+        "back\\\\slash",
+        "line\\nbreak",
+        "tab\\tstop",
+        "ctl\\u0001\\u001f",
+        "λ-é",
+    ] {
+        assert!(
+            json.contains(&format!("\"name\":\"{escaped}\"")),
+            "a slice is named `{escaped}`"
+        );
+        assert!(
+            json.contains(&format!(":\"{escaped}\","))
+                || json.contains(&format!(":\"{escaped}\"}}")),
+            "a decision marker names `{escaped}`"
+        );
+    }
+    assert!(
+        !json.bytes().any(|b| b < 0x20 && b != b'\n'),
+        "raw control byte"
+    );
+    assert_eq!(
+        (json.len(), fnv1a(json.as_bytes())),
+        (59_289, 0x8151_aad6_f057_672c)
+    );
 }
 
 /// The text of `"key":value` in one rendered event line.
