@@ -37,11 +37,13 @@
 //! speedup-model error, and latency percentiles), pooled over every
 //! cell the invocation evaluated. `--csv DIR` includes a per-cell
 //! `telemetry.csv`; `--trace-json DIR` writes one Chrome trace-event
-//! JSON per scheduler (open in Perfetto or `chrome://tracing`).
+//! JSON per scheduler (open in Perfetto or `chrome://tracing`), run under
+//! the same speedup model as everything else the invocation reports.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
+use amp_perf::SpeedupModel;
 use amp_workloads::{BenchmarkId, WorkloadSpec};
 use colab::experiments;
 use colab::SchedulerKind;
@@ -176,13 +178,18 @@ fn build_plan(options: &Options, wants: impl Fn(&str) -> bool) -> colab::SweepPl
 }
 
 /// Writes one Chrome trace per scheduler for a representative
-/// sync-heavy workload (pipeline-parallel ferret on 2B+2S).
-fn export_chrome_traces(dir: &std::path::Path, scale: f64) -> Result<Vec<String>, String> {
+/// sync-heavy workload (pipeline-parallel ferret on 2B+2S), predicting
+/// speedups with `model`.
+fn export_chrome_traces(
+    dir: &std::path::Path,
+    scale: f64,
+    model: &SpeedupModel,
+) -> Result<Vec<String>, String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
     let spec = WorkloadSpec::single(BenchmarkId::Ferret, 6);
     let mut written = Vec::new();
     for kind in SchedulerKind::EXTENDED {
-        let json = colab_bench::chrome_trace_json(&spec, kind, scale);
+        let json = colab_bench::chrome_trace_json(&spec, kind, scale, model);
         let name = format!("{}-{}.json", spec.name(), kind.name());
         std::fs::write(dir.join(&name), json)
             .map_err(|e| format!("writing {name}: {e}"))?;
@@ -206,21 +213,6 @@ fn main() -> ExitCode {
             .any(|t| t == name || t == "all")
     };
 
-    if let Some(dir) = &options.trace_dir {
-        match export_chrome_traces(dir, options.scale) {
-            Ok(files) => {
-                eprintln!("wrote {} Chrome traces to {}", files.len(), dir.display());
-            }
-            Err(e) => {
-                eprintln!("error writing Chrome traces: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        if options.targets.is_empty() && options.csv_dir.is_none() {
-            return ExitCode::SUCCESS;
-        }
-    }
-
     let start = Instant::now();
     eprintln!(
         "building harness (scale {}, {} model)...",
@@ -229,6 +221,18 @@ fn main() -> ExitCode {
     );
     let mut harness = colab_bench::harness_with(options.scale, options.train, options.replications);
     eprintln!("harness ready in {:.1?}", start.elapsed());
+
+    if let Some(dir) = &options.trace_dir {
+        match export_chrome_traces(dir, options.scale, harness.model()) {
+            Ok(files) => {
+                eprintln!("wrote {} Chrome traces to {}", files.len(), dir.display());
+            }
+            Err(e) => {
+                eprintln!("error writing Chrome traces: {e}");
+                return ExitCode::FAILURE;
+            }
+        }
+    }
 
     // Run even an empty plan: it also sets the studies' worker count.
     let plan = build_plan(&options, wants);

@@ -2,10 +2,8 @@
 
 #![warn(missing_docs)]
 
-use std::borrow::Cow;
-
 use amp_perf::SpeedupModel;
-use amp_sim::telemetry::chrome::{Arg, ChromeTrace};
+use amp_sim::telemetry::chrome::{Arg, ChromeTrace, Kind, Template};
 use amp_sim::telemetry::SchedEvent;
 use amp_sim::{SimParams, Simulation, SimulationOutcome, TraceEvent};
 use amp_types::{CoreId, CoreOrder, MachineConfig, SimTime, ThreadId};
@@ -126,16 +124,22 @@ pub fn bench_run_json(harness: &Harness, wall_secs: f64, cells: usize) -> String
     )
 }
 
-/// Runs `spec` under `kind` on the paper's 2B+2S machine with both the
-/// execution trace and the telemetry event ring enabled, then renders
-/// the run as Chrome trace-event JSON (loadable in Perfetto or
-/// `chrome://tracing`). Used by `repro --trace-json`.
+/// Runs `spec` under `kind`, predicting speedups with `model`, on the
+/// paper's 2B+2S machine with both the execution trace and the telemetry
+/// event ring enabled, then renders the run as Chrome trace-event JSON
+/// (loadable in Perfetto or `chrome://tracing`). Used by
+/// `repro --trace-json` with the model of the run it reports.
 ///
 /// # Panics
 ///
 /// Panics if the workload fails to build or the simulation fails — both
 /// mean a broken benchmark model and should fail loudly.
-pub fn chrome_trace_json(spec: &WorkloadSpec, kind: SchedulerKind, scale: f64) -> String {
+pub fn chrome_trace_json(
+    spec: &WorkloadSpec,
+    kind: SchedulerKind,
+    scale: f64,
+    model: &SpeedupModel,
+) -> String {
     let machine = MachineConfig::paper_2b2s(CoreOrder::BigFirst);
     let params = SimParams {
         trace_capacity: 1 << 18,
@@ -145,9 +149,46 @@ pub fn chrome_trace_json(spec: &WorkloadSpec, kind: SchedulerKind, scale: f64) -
     let compiled = CompiledWorkload::compile(spec, 42, Scale::new(scale)).expect("workload builds");
     let sim = Simulation::from_compiled_with_params(&machine, compiled.apps().to_vec(), 42, params)
         .expect("workload loads");
-    let mut sched = kind.create(&machine, &SpeedupModel::heuristic());
+    let mut sched = kind.create(&machine, model);
     let outcome = sim.run(sched.as_mut()).expect("simulation completes");
     render_chrome_trace(&machine, &outcome)
+}
+
+/// Process id of every rendered row.
+const PID: u64 = 1;
+
+/// The decision markers [`render_chrome_trace`] writes: each
+/// [`SchedEvent::kind`] but `pick`, with its argument keys.
+const MARKERS: [(&str, &[&str]); 9] = [
+    ("migrate", &["thread", "from", "to", "dir"]),
+    ("preempt", &["victim", "cause"]),
+    ("relabel", &["thread", "from", "to"]),
+    ("slice_predict", &["thread", "speedup", "slice"]),
+    ("futex_wake", &["waker", "woken", "blocked"]),
+    ("idle_steal", &["thread", "from_core"]),
+    ("core_offline", &["core"]),
+    ("core_online", &["core"]),
+    ("throttle", &["core", "factor"]),
+];
+
+/// Category of the execution slices.
+const SLICE_CATEGORY: &str = "exec";
+
+/// Category of the decision markers.
+const MARKER_CATEGORY: &str = "sched";
+
+/// The stop label of a slice still open when the run ended.
+const HORIZON: &str = "horizon";
+
+/// The template of thread `t`'s slices: named after the thread, with its
+/// index and, per slice, the reason it stopped.
+fn slice_template(trace: &mut ChromeTrace, t: usize) -> Template {
+    trace.template(
+        Kind::Complete(Arg::Thread(t)),
+        SLICE_CATEGORY,
+        PID,
+        &[("thread", Some(Arg::Uint(t as u64))), ("stop", None)],
+    )
 }
 
 /// Renders a finished run (with tracing enabled) as Chrome trace-event
@@ -155,30 +196,33 @@ pub fn chrome_trace_json(spec: &WorkloadSpec, kind: SchedulerKind, scale: f64) -
 /// instant markers for the recorded scheduler decision events. `Pick`
 /// events are omitted — every slice already is one.
 pub fn render_chrome_trace(machine: &MachineConfig, outcome: &SimulationOutcome) -> String {
-    const PID: u64 = 1;
     // Measured over the paper workloads: ~48 bytes per trace event (a
     // slice pairs two of them, wakes render nothing) and ~96 per ring
     // event (about half are unrendered picks).
     let bytes = 48 * outcome.trace.events().len() + 96 * outcome.telemetry_events.len();
-    let mut trace = ChromeTrace::with_capacity(bytes + 64 * (machine.num_cores() + 1));
+    let mut trace = ChromeTrace::new(
+        outcome.threads.iter().map(|t| t.name.as_str()),
+        bytes + 64 * (machine.num_cores() + 1),
+    );
+    // The templates are built before the first event allocates the
+    // document, so that they do not sit after it on the heap.
+    let slices: Vec<Template> =
+        (0..outcome.threads.len()).map(|t| slice_template(&mut trace, t)).collect();
+    let markers = MARKERS.map(|(name, keys)| {
+        let args: Vec<_> = keys.iter().map(|&key| (key, None)).collect();
+        trace.template(Kind::Instant(name), MARKER_CATEGORY, PID, &args)
+    });
     trace.process_name(PID, &format!("{} on {machine}", outcome.scheduler));
     for (id, spec) in machine.iter() {
         trace.thread_name(PID, id.index() as u64, &format!("{} core {}", spec.kind, id.index()));
     }
-    let thread_name = |t: ThreadId| match outcome.threads.get(t.index()) {
-        Some(stats) => Cow::Borrowed(stats.name.as_str()),
-        None => Cow::Owned(format!("t{}", t.index())),
-    };
-    let mut slice = |core: usize, from: SimTime, to: SimTime, t: ThreadId, stop: &str| {
-        trace.complete(
-            &thread_name(t),
-            "exec",
-            PID,
-            core as u64,
-            from.as_nanos(),
-            to.saturating_since(from).as_nanos(),
-            &[("thread", Arg::Uint(t.index() as u64)), ("stop", Arg::Str(stop))],
-        );
+    let mut slice = |core: usize, from: SimTime, to: SimTime, t: ThreadId, stop: &'static str| {
+        let kind = slices
+            .get(t.index())
+            .copied()
+            .unwrap_or_else(|| slice_template(&mut trace, t.index()));
+        let (ts, dur) = (from.as_nanos(), to.saturating_since(from).as_nanos());
+        trace.complete(&kind, core as u64, ts, dur, &[Arg::Label(stop)]);
     };
 
     let mut open: Vec<Option<(SimTime, ThreadId)>> = vec![None; machine.num_cores()];
@@ -197,54 +241,130 @@ pub fn render_chrome_trace(machine: &MachineConfig, outcome: &SimulationOutcome)
     }
     for (ci, entry) in open.iter().enumerate() {
         if let Some((from, t)) = *entry {
-            slice(ci, from, outcome.makespan, t, "horizon");
+            slice(ci, from, outcome.makespan, t, HORIZON);
         }
     }
 
+    let [
+        migrate,
+        preempt,
+        relabel,
+        slice_predict,
+        futex_wake,
+        idle_steal,
+        core_offline,
+        core_online,
+        throttle,
+    ] = &markers;
+    let thread = |t: ThreadId| Arg::Thread(t.index());
+    let core = |c: CoreId| Arg::Uint(c.index() as u64);
     for stamped in &outcome.telemetry_events {
-        let (name, tid, ts) =
-            (stamped.event.kind(), stamped.core.index() as u64, stamped.at.as_nanos());
-        let mut instant =
-            |args: &[(&str, Arg<'_>)]| trace.instant(name, "sched", PID, tid, ts, args);
-        let core = |c: CoreId| Arg::Uint(c.index() as u64);
+        let (tid, ts) = (stamped.core.index() as u64, stamped.at.as_nanos());
+        let mut instant = |kind: &Template, args: &[Arg]| trace.instant(kind, tid, ts, args);
         match stamped.event {
             SchedEvent::Pick { .. } => {}
-            SchedEvent::Migrate { thread, from, to, direction } => instant(&[
-                ("thread", Arg::Str(&thread_name(thread))),
-                ("from", core(from)),
-                ("to", core(to)),
-                ("dir", Arg::Str(direction.label())),
-            ]),
-            SchedEvent::Preempt { victim, cause } => instant(&[
-                ("victim", Arg::Str(&thread_name(victim))),
-                ("cause", Arg::Str(cause.label())),
-            ]),
-            SchedEvent::Relabel { thread, from, to } => instant(&[
-                ("thread", Arg::Str(&thread_name(thread))),
-                ("from", Arg::Str(from.label())),
-                ("to", Arg::Str(to.label())),
-            ]),
-            SchedEvent::SlicePredict { thread, predicted_speedup, slice } => instant(&[
-                ("thread", Arg::Str(&thread_name(thread))),
-                ("speedup", Arg::Fixed2(predicted_speedup)),
-                ("slice", Arg::Duration(slice)),
-            ]),
-            SchedEvent::FutexWake { waker, woken, blocked } => instant(&[
-                ("waker", Arg::Str(&thread_name(waker))),
-                ("woken", Arg::Str(&thread_name(woken))),
-                ("blocked", Arg::Duration(blocked)),
-            ]),
-            SchedEvent::IdleSteal { thread, from } => instant(&[
-                ("thread", Arg::Str(&thread_name(thread))),
-                ("from_core", core(from)),
-            ]),
-            SchedEvent::CoreOffline { core: c } | SchedEvent::CoreOnline { core: c } => {
-                instant(&[("core", core(c))])
+            SchedEvent::Migrate { thread: t, from, to, direction } => instant(
+                migrate,
+                &[thread(t), core(from), core(to), Arg::Label(direction.label())],
+            ),
+            SchedEvent::Preempt { victim, cause } => {
+                instant(preempt, &[thread(victim), Arg::Label(cause.label())])
             }
+            SchedEvent::Relabel { thread: t, from, to } => instant(
+                relabel,
+                &[thread(t), Arg::Label(from.label()), Arg::Label(to.label())],
+            ),
+            SchedEvent::SlicePredict { thread: t, predicted_speedup, slice } => instant(
+                slice_predict,
+                &[thread(t), Arg::Fixed2(predicted_speedup), Arg::Duration(slice)],
+            ),
+            SchedEvent::FutexWake { waker, woken, blocked } => instant(
+                futex_wake,
+                &[thread(waker), thread(woken), Arg::Duration(blocked)],
+            ),
+            SchedEvent::IdleSteal { thread: t, from } => {
+                instant(idle_steal, &[thread(t), core(from)])
+            }
+            SchedEvent::CoreOffline { core: c } => instant(core_offline, &[core(c)]),
+            SchedEvent::CoreOnline { core: c } => instant(core_online, &[core(c)]),
             SchedEvent::Throttle { core: c, factor } => {
-                instant(&[("core", core(c)), ("factor", Arg::Fixed2(factor))])
+                instant(throttle, &[core(c), Arg::Fixed2(factor)])
             }
         }
     }
     trace.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use amp_sim::telemetry::chrome::needs_escape;
+    use amp_sim::telemetry::{ClusterDirection, LabelClass, PreemptCause};
+    use amp_sim::StopReason;
+    use amp_types::SimDuration;
+
+    /// Every text the renderer hands the writer as an [`Arg::Label`] is
+    /// copied without escaping, and the marker names, categories and
+    /// argument keys are constants: none may hold a byte JSON escapes.
+    #[test]
+    fn constant_text_needs_no_escape() {
+        let (t, c) = (ThreadId::new(0), CoreId::new(0));
+        let events = [
+            SchedEvent::Pick { thread: t },
+            SchedEvent::Migrate {
+                thread: t,
+                from: c,
+                to: c,
+                direction: ClusterDirection::BigToBig,
+            },
+            SchedEvent::Preempt {
+                victim: t,
+                cause: PreemptCause::Tick,
+            },
+            SchedEvent::Relabel {
+                thread: t,
+                from: LabelClass::Flexible,
+                to: LabelClass::Flexible,
+            },
+            SchedEvent::SlicePredict {
+                thread: t,
+                predicted_speedup: 1.0,
+                slice: SimDuration::ZERO,
+            },
+            SchedEvent::FutexWake {
+                waker: t,
+                woken: t,
+                blocked: SimDuration::ZERO,
+            },
+            SchedEvent::IdleSteal { thread: t, from: c },
+            SchedEvent::CoreOffline { core: c },
+            SchedEvent::CoreOnline { core: c },
+            SchedEvent::Throttle { core: c, factor: 1.0 },
+        ];
+        let mut texts: Vec<&str> = events.iter().map(SchedEvent::kind).collect();
+        texts.extend(
+            [
+                StopReason::QuantumExpired,
+                StopReason::Preempted,
+                StopReason::Blocked,
+                StopReason::Finished,
+                StopReason::Stolen,
+            ]
+            .map(StopReason::label),
+        );
+        texts.extend(ClusterDirection::ALL.map(ClusterDirection::label));
+        texts.extend(PreemptCause::ALL.map(PreemptCause::label));
+        texts.extend(LabelClass::ALL.map(LabelClass::label));
+        texts.extend([SLICE_CATEGORY, MARKER_CATEGORY, HORIZON, "thread", "stop"]);
+        for (name, keys) in MARKERS {
+            assert!(
+                texts.contains(&name),
+                "marker `{name}` is a `SchedEvent::kind`"
+            );
+            texts.extend(keys);
+        }
+        for text in texts {
+            assert!(!needs_escape(text), "{text:?} needs escaping");
+        }
+    }
 }

@@ -3,6 +3,10 @@
 
 use std::process::{Command, Output};
 
+use amp_workloads::{BenchmarkId, WorkloadSpec};
+use colab::SchedulerKind;
+use colab_bench::chrome_trace_json;
+
 fn run(bin: &str, args: &[&str]) -> Output {
     Command::new(bin).args(args).output().expect("binary runs")
 }
@@ -84,6 +88,39 @@ fn repro_usage_lists_the_real_flags() {
         "--all",
     ] {
         assert!(usage.contains(flag), "usage does not list {flag}");
+    }
+}
+
+/// `repro --trace-json` renders its traces under the speedup model of the
+/// run it reports: the trained one by default, the analytic heuristic
+/// with `--heuristic-model`.
+#[test]
+fn repro_traces_use_the_runs_speedup_model() {
+    const SCALE: f64 = 0.1;
+    let spec = WorkloadSpec::single(BenchmarkId::Ferret, 6);
+    for train in [true, false] {
+        let dir =
+            std::env::temp_dir().join(format!("repro-trace-json-{}-{train}", std::process::id()));
+        let mut args = vec![
+            "--trace-json",
+            dir.to_str().expect("UTF-8 path"),
+            "--scale",
+            "0.1",
+        ];
+        if !train {
+            args.push("--heuristic-model");
+        }
+        let out = run(env!("CARGO_BIN_EXE_repro"), &args);
+        assert!(out.status.success(), "stderr: {}", stderr(&out));
+        let written = std::fs::read_to_string(dir.join("ferret-colab.json"))
+            .expect("repro writes the COLAB trace");
+        std::fs::remove_dir_all(&dir).expect("trace directory is removable");
+        let harness = colab_bench::harness_at(SCALE, train);
+        let expected = chrome_trace_json(&spec, SchedulerKind::Colab, SCALE, harness.model());
+        assert!(
+            written == expected,
+            "--trace-json (trained: {train}) differs from chrome_trace_json under its model"
+        );
     }
 }
 

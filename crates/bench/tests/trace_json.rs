@@ -43,7 +43,7 @@ fn check_json_object(text: &str) {
 #[test]
 fn exported_trace_is_valid_and_nontrivial() {
     let spec = WorkloadSpec::single(BenchmarkId::Ferret, 4);
-    let json = chrome_trace_json(&spec, SchedulerKind::Colab, 0.1);
+    let json = chrome_trace_json(&spec, SchedulerKind::Colab, 0.1, &SpeedupModel::heuristic());
     check_json_object(&json);
     assert!(json.contains("\"traceEvents\""));
     assert!(json.contains("\"ph\":\"X\""), "has execution slices");
@@ -56,7 +56,7 @@ fn exported_trace_is_valid_and_nontrivial() {
 fn every_scheduler_exports_cleanly() {
     let spec = WorkloadSpec::single(BenchmarkId::Blackscholes, 4);
     for kind in SchedulerKind::EXTENDED {
-        let json = chrome_trace_json(&spec, kind, 0.1);
+        let json = chrome_trace_json(&spec, kind, 0.1, &SpeedupModel::heuristic());
         check_json_object(&json);
         assert!(
             json.contains("\"ph\":\"X\""),
@@ -127,7 +127,7 @@ fn exporter_bytes_are_pinned() {
         .map(|&kind| {
             (
                 format!("ferret/{}", kind.name()),
-                chrome_trace_json(&spec, kind, 0.1),
+                chrome_trace_json(&spec, kind, 0.1, &SpeedupModel::heuristic()),
             )
         })
         .collect();
