@@ -73,20 +73,20 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// A 2B2S multiprogrammed run under `kind` and `plan`, with both event
-/// recorders on.
-fn recorded_mix(kind: SchedulerKind, plan: FaultPlan) -> (MachineConfig, SimulationOutcome) {
+/// `spec` at scale 0.1 on 2B2S under `kind` and `plan`, with both event
+/// recorders on at the capacities `chrome_trace_json` uses.
+fn recorded(
+    spec: &WorkloadSpec,
+    kind: SchedulerKind,
+    plan: FaultPlan,
+) -> (MachineConfig, SimulationOutcome) {
     let machine = MachineConfig::paper_2b2s(CoreOrder::BigFirst);
-    let spec = WorkloadSpec::named(
-        "chaos-mix",
-        vec![(BenchmarkId::Ferret, 4), (BenchmarkId::Blackscholes, 3)],
-    );
     let params = SimParams {
         trace_capacity: 1 << 18,
         event_capacity: 1 << 16,
         ..SimParams::default()
     };
-    let compiled = CompiledWorkload::compile(&spec, 42, Scale::new(0.1)).expect("workload builds");
+    let compiled = CompiledWorkload::compile(spec, 42, Scale::new(0.1)).expect("workload builds");
     let sim = Simulation::from_compiled_with_params(&machine, compiled.apps().to_vec(), 42, params)
         .expect("workload loads")
         .with_fault_plan(plan)
@@ -94,6 +94,15 @@ fn recorded_mix(kind: SchedulerKind, plan: FaultPlan) -> (MachineConfig, Simulat
     let mut sched = kind.create(&machine, &SpeedupModel::heuristic());
     let outcome = sim.run(sched.as_mut()).expect("run completes");
     (machine, outcome)
+}
+
+/// The multiprogrammed mix under `kind` and `plan`, recorded.
+fn recorded_mix(kind: SchedulerKind, plan: FaultPlan) -> (MachineConfig, SimulationOutcome) {
+    let spec = WorkloadSpec::named(
+        "chaos-mix",
+        vec![(BenchmarkId::Ferret, 4), (BenchmarkId::Blackscholes, 3)],
+    );
+    recorded(&spec, kind, plan)
 }
 
 fn chaos_plan(machine: &MachineConfig) -> FaultPlan {
@@ -144,6 +153,45 @@ fn exporter_bytes_are_pinned() {
         .map(|(case, json)| (case.as_str(), json.len(), fnv1a(json.as_bytes())))
         .collect();
     assert_eq!(got, PINNED);
+}
+
+/// Byte length and FNV-1a 64 of the Gantt chart (width 120 over the
+/// makespan) of each run [`PINNED`] covers, in the same order.
+const GANTT_PINNED: [(&str, usize, u64); 5] = [
+    ("ferret/linux", 532, 0x1ba8_23ba_37e8_5b31),
+    ("ferret/gts", 532, 0x7535_cccd_c7f0_eccf),
+    ("ferret/wash", 532, 0xbb44_2995_cc0f_967e),
+    ("ferret/colab", 532, 0xca9f_0712_5f4b_f2ca),
+    ("chaos-mix/colab+faults", 532, 0xfda5_5b0e_8daa_9e8c),
+];
+
+#[test]
+fn gantt_bytes_are_pinned() {
+    let spec = WorkloadSpec::single(BenchmarkId::Ferret, 6);
+    let mut runs: Vec<(String, MachineConfig, SimulationOutcome)> = SchedulerKind::EXTENDED
+        .iter()
+        .map(|&kind| {
+            let (machine, outcome) = recorded(&spec, kind, FaultPlan::empty());
+            assert_eq!(
+                render_chrome_trace(&machine, &outcome),
+                chrome_trace_json(&spec, kind, 0.1, &SpeedupModel::heuristic()),
+                "{} is the run `chrome_trace_json` renders",
+                kind.name()
+            );
+            (format!("ferret/{}", kind.name()), machine, outcome)
+        })
+        .collect();
+    let plan = chaos_plan(&MachineConfig::paper_2b2s(CoreOrder::BigFirst));
+    let (machine, outcome) = recorded_mix(SchedulerKind::Colab, plan);
+    runs.push(("chaos-mix/colab+faults".into(), machine, outcome));
+    let got: Vec<(&str, usize, u64)> = runs
+        .iter()
+        .map(|(case, machine, outcome)| {
+            let gantt = outcome.trace.gantt(machine, outcome.makespan, 120);
+            (case.as_str(), gantt.len(), fnv1a(gantt.as_bytes()))
+        })
+        .collect();
+    assert_eq!(got, GANTT_PINNED);
 }
 
 /// Thread names holding every kind of text JSON must escape, plus
