@@ -15,11 +15,13 @@
 //! thread 0); `.` is idle time. The legend maps letters to thread roles
 //! and criticality, and a decision-telemetry block summarizes the run.
 //!
-//! The execution trace is bounded ([`SimParams::trace_capacity`]):
-//! recording stops once the buffer fills and later events are *dropped*
-//! (drop-newest), so the Gantt chart only covers the traced prefix.
-//! The telemetry event ring is bounded too but keeps the most *recent*
-//! events (drop-oldest). Both report how much was dropped.
+//! The chart draws the execution trace: one slice per stint of a thread
+//! on a core, recorded when the stint ends. The trace is bounded
+//! ([`SimParams::trace_capacity`]): recording stops once the buffer
+//! fills and later slices are *dropped* (drop-newest), so the chart
+//! covers only the stints that ended before then. The telemetry event
+//! ring is bounded too but keeps the most *recent* events (drop-oldest).
+//! Both report how much was dropped.
 
 use amp_perf::SpeedupModel;
 use amp_sim::{SimParams, Simulation};
@@ -117,7 +119,7 @@ fn main() {
     }
     if outcome.trace.dropped() > 0 {
         println!(
-            "(trace full: {} later events dropped — the chart covers only \
+            "(trace full: {} later slices dropped — the chart covers only \
              the traced prefix; raise trace_capacity for longer runs)",
             outcome.trace.dropped()
         );

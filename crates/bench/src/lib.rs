@@ -5,8 +5,8 @@
 use amp_perf::SpeedupModel;
 use amp_sim::telemetry::chrome::{Arg, ChromeTrace, Kind, Template};
 use amp_sim::telemetry::SchedEvent;
-use amp_sim::{SimParams, Simulation, SimulationOutcome, TraceEvent};
-use amp_types::{CoreId, CoreOrder, MachineConfig, SimTime, ThreadId};
+use amp_sim::{SimParams, Simulation, SimulationOutcome};
+use amp_types::{CoreId, CoreOrder, MachineConfig, ThreadId};
 use amp_workloads::{CompiledWorkload, Scale, WorkloadSpec};
 use colab::{ExperimentConfig, Harness, SchedulerKind};
 
@@ -158,7 +158,7 @@ pub fn chrome_trace_json(
 const PID: u64 = 1;
 
 /// The decision markers [`render_chrome_trace`] writes: each
-/// [`SchedEvent::kind`] but `pick`, with its argument keys.
+/// [`SchedEvent::kind`], with its argument keys.
 const MARKERS: [(&str, &[&str]); 9] = [
     ("migrate", &["thread", "from", "to", "dir"]),
     ("preempt", &["victim", "cause"]),
@@ -177,9 +177,6 @@ const SLICE_CATEGORY: &str = "exec";
 /// Category of the decision markers.
 const MARKER_CATEGORY: &str = "sched";
 
-/// The stop label of a slice still open when the run ended.
-const HORIZON: &str = "horizon";
-
 /// The template of thread `t`'s slices: named after the thread, with its
 /// index and, per slice, the reason it stopped.
 fn slice_template(trace: &mut ChromeTrace, t: usize) -> Template {
@@ -192,14 +189,14 @@ fn slice_template(trace: &mut ChromeTrace, t: usize) -> Template {
 }
 
 /// Renders a finished run (with tracing enabled) as Chrome trace-event
-/// JSON: one viewer row per core, a slice per dispatch→stop span, and
-/// instant markers for the recorded scheduler decision events. `Pick`
-/// events are omitted — every slice already is one.
+/// JSON: one viewer row per core, a complete event per recorded
+/// execution slice, and an instant marker per recorded scheduler
+/// decision event.
 pub fn render_chrome_trace(machine: &MachineConfig, outcome: &SimulationOutcome) -> String {
-    // Measured over the paper workloads: ~48 bytes per trace event (a
-    // slice pairs two of them, wakes render nothing) and ~96 per ring
-    // event (about half are unrendered picks).
-    let bytes = 48 * outcome.trace.events().len() + 96 * outcome.telemetry_events.len();
+    // An upper bound on every one of perfbench's 208 `recorded` renders,
+    // at seeds 42 and 13 alike (4 % over in total): 150 bytes per slice
+    // and 160 per ring event, so the document is allocated once.
+    let bytes = 150 * outcome.trace.events().len() + 160 * outcome.telemetry_events.len();
     let mut trace = ChromeTrace::new(
         outcome.threads.iter().map(|t| t.name.as_str()),
         bytes + 64 * (machine.num_cores() + 1),
@@ -216,33 +213,13 @@ pub fn render_chrome_trace(machine: &MachineConfig, outcome: &SimulationOutcome)
     for (id, spec) in machine.iter() {
         trace.thread_name(PID, id.index() as u64, &format!("{} core {}", spec.kind, id.index()));
     }
-    let mut slice = |core: usize, from: SimTime, to: SimTime, t: ThreadId, stop: &'static str| {
-        let kind = slices
-            .get(t.index())
-            .copied()
-            .unwrap_or_else(|| slice_template(&mut trace, t.index()));
-        let (ts, dur) = (from.as_nanos(), to.saturating_since(from).as_nanos());
-        trace.complete(&kind, core as u64, ts, dur, &[Arg::Label(stop)]);
-    };
-
-    let mut open: Vec<Option<(SimTime, ThreadId)>> = vec![None; machine.num_cores()];
-    for event in outcome.trace.events() {
-        match *event {
-            TraceEvent::Dispatch { at, core, thread } => {
-                open[core.index()] = Some((at, thread));
-            }
-            TraceEvent::Stop { at, core, thread: _, reason } => {
-                if let Some((from, t)) = open[core.index()].take() {
-                    slice(core.index(), from, at, t, reason.label());
-                }
-            }
-            _ => {}
-        }
-    }
-    for (ci, entry) in open.iter().enumerate() {
-        if let Some((from, t)) = *entry {
-            slice(ci, from, outcome.makespan, t, HORIZON);
-        }
+    for slice in outcome.trace.events() {
+        let t = slice.thread.index();
+        let kind = slices.get(t).copied().unwrap_or_else(|| slice_template(&mut trace, t));
+        let ts = slice.from.as_nanos();
+        let dur = slice.to.saturating_since(slice.from).as_nanos();
+        let stop = [Arg::Label(slice.reason.label())];
+        trace.complete(&kind, slice.core.index() as u64, ts, dur, &stop);
     }
 
     let [
@@ -262,7 +239,6 @@ pub fn render_chrome_trace(machine: &MachineConfig, outcome: &SimulationOutcome)
         let (tid, ts) = (stamped.core.index() as u64, stamped.at.as_nanos());
         let mut instant = |kind: &Template, args: &[Arg]| trace.instant(kind, tid, ts, args);
         match stamped.event {
-            SchedEvent::Pick { .. } => {}
             SchedEvent::Migrate { thread: t, from, to, direction } => instant(
                 migrate,
                 &[thread(t), core(from), core(to), Arg::Label(direction.label())],
@@ -310,7 +286,6 @@ mod tests {
     fn constant_text_needs_no_escape() {
         let (t, c) = (ThreadId::new(0), CoreId::new(0));
         let events = [
-            SchedEvent::Pick { thread: t },
             SchedEvent::Migrate {
                 thread: t,
                 from: c,
@@ -355,7 +330,7 @@ mod tests {
         texts.extend(ClusterDirection::ALL.map(ClusterDirection::label));
         texts.extend(PreemptCause::ALL.map(PreemptCause::label));
         texts.extend(LabelClass::ALL.map(LabelClass::label));
-        texts.extend([SLICE_CATEGORY, MARKER_CATEGORY, HORIZON, "thread", "stop"]);
+        texts.extend([SLICE_CATEGORY, MARKER_CATEGORY, "thread", "stop"]);
         for (name, keys) in MARKERS {
             assert!(
                 texts.contains(&name),

@@ -2,7 +2,7 @@
 //! every scheduler, and its bytes are pinned.
 
 use amp_perf::{ExecutionProfile, SpeedupModel};
-use amp_sim::{FaultPlan, SimParams, Simulation, SimulationOutcome, TraceEvent};
+use amp_sim::{FaultPlan, SimParams, Simulation, SimulationOutcome};
 use amp_types::{CoreOrder, MachineConfig, SimDuration};
 use amp_workloads::{AppBuilder, BenchmarkId, CompiledApp, CompiledWorkload, Scale, WorkloadSpec};
 use colab::SchedulerKind;
@@ -73,16 +73,21 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
+/// The trace capacity `chrome_trace_json` records with.
+const FULL: usize = 1 << 18;
+
 /// `spec` at scale 0.1 on 2B2S under `kind` and `plan`, with both event
-/// recorders on at the capacities `chrome_trace_json` uses.
+/// recorders on: the trace at `trace_capacity`, the ring at the capacity
+/// `chrome_trace_json` uses.
 fn recorded(
     spec: &WorkloadSpec,
     kind: SchedulerKind,
     plan: FaultPlan,
+    trace_capacity: usize,
 ) -> (MachineConfig, SimulationOutcome) {
     let machine = MachineConfig::paper_2b2s(CoreOrder::BigFirst);
     let params = SimParams {
-        trace_capacity: 1 << 18,
+        trace_capacity,
         event_capacity: 1 << 16,
         ..SimParams::default()
     };
@@ -96,13 +101,17 @@ fn recorded(
     (machine, outcome)
 }
 
-/// The multiprogrammed mix under `kind` and `plan`, recorded.
-fn recorded_mix(kind: SchedulerKind, plan: FaultPlan) -> (MachineConfig, SimulationOutcome) {
-    let spec = WorkloadSpec::named(
+/// The multiprogrammed mix.
+fn chaos_mix() -> WorkloadSpec {
+    WorkloadSpec::named(
         "chaos-mix",
         vec![(BenchmarkId::Ferret, 4), (BenchmarkId::Blackscholes, 3)],
-    );
-    recorded(&spec, kind, plan)
+    )
+}
+
+/// The multiprogrammed mix under `kind` and `plan`, recorded in full.
+fn recorded_mix(kind: SchedulerKind, plan: FaultPlan) -> (MachineConfig, SimulationOutcome) {
+    recorded(&chaos_mix(), kind, plan, FULL)
 }
 
 fn chaos_plan(machine: &MachineConfig) -> FaultPlan {
@@ -171,7 +180,7 @@ fn gantt_bytes_are_pinned() {
     let mut runs: Vec<(String, MachineConfig, SimulationOutcome)> = SchedulerKind::EXTENDED
         .iter()
         .map(|&kind| {
-            let (machine, outcome) = recorded(&spec, kind, FaultPlan::empty());
+            let (machine, outcome) = recorded(&spec, kind, FaultPlan::empty(), FULL);
             assert_eq!(
                 render_chrome_trace(&machine, &outcome),
                 chrome_trace_json(&spec, kind, 0.1, &SpeedupModel::heuristic()),
@@ -301,45 +310,86 @@ fn nanos(text: &str) -> u64 {
     parse(whole) * 1000 + parse(frac)
 }
 
+/// Checks the slices of a rendered Chrome trace: each has a non-negative
+/// duration and starts no earlier than the previous slice on its core
+/// ended. Returns the number of slices.
+fn check_slices(case: &str, machine: &MachineConfig, json: &str) -> usize {
+    let mut ends = vec![0u64; machine.num_cores()];
+    let mut slices = 0;
+    for line in json.lines().filter(|l| l.contains("\"ph\":\"X\"")) {
+        let dur = field(line, "dur");
+        assert!(
+            dur.parse::<f64>().is_ok_and(|d| d >= 0.0),
+            "{case}: dur < 0: {line}"
+        );
+        let tid: usize = field(line, "tid").parse().expect("tid is an integer");
+        let ts = nanos(field(line, "ts"));
+        assert!(
+            ts >= ends[tid],
+            "{case}: slice on tid {tid} starts at {ts} ns, before the previous ended at {} ns",
+            ends[tid]
+        );
+        ends[tid] = ts + nanos(dur);
+        slices += 1;
+    }
+    slices
+}
+
+/// The trace holds one slice per stint: a pick from a runqueue or a
+/// steal of a running thread starts one, and every stint of a finished
+/// run has ended. Slices on one core never overlap.
 #[test]
 fn slices_pair_every_dispatch_without_overlap() {
     let machine = MachineConfig::paper_2b2s(CoreOrder::BigFirst);
     for kind in SchedulerKind::EXTENDED {
         for plan in [FaultPlan::empty(), chaos_plan(&machine)] {
+            let case = format!("{}/{} faults", kind.name(), plan.events().len());
             let (machine, outcome) = recorded_mix(kind, plan);
-            let json = render_chrome_trace(&machine, &outcome);
-            let mut ends = vec![0u64; machine.num_cores()];
-            let mut slices = 0;
-            for line in json.lines().filter(|l| l.contains("\"ph\":\"X\"")) {
-                let dur = field(line, "dur");
-                assert!(
-                    dur.parse::<f64>().is_ok_and(|d| d >= 0.0),
-                    "{}: dur < 0: {line}",
-                    kind.name()
-                );
-                let tid: usize = field(line, "tid").parse().expect("tid is an integer");
-                let ts = nanos(field(line, "ts"));
-                assert!(
-                    ts >= ends[tid],
-                    "{}: slice on tid {tid} starts at {ts} ns, before the previous ended at {} ns",
-                    kind.name(),
-                    ends[tid]
-                );
-                ends[tid] = ts + nanos(dur);
-                slices += 1;
-            }
-            let dispatches = outcome
-                .trace
-                .events()
-                .iter()
-                .filter(|e| matches!(e, TraceEvent::Dispatch { .. }))
-                .count();
-            assert!(dispatches > 0, "{} dispatched nothing", kind.name());
+            let slices = outcome.trace.events();
+            assert!(!slices.is_empty(), "{case}: dispatched nothing");
+            assert_eq!(outcome.trace.dropped(), 0, "{case}");
+            let counters = &outcome.telemetry.counters;
             assert_eq!(
-                slices,
-                dispatches,
-                "{}: one slice per dispatch",
-                kind.name()
+                slices.len() as u64,
+                counters.picks + counters.idle_steals,
+                "{case}: one slice per pick or steal"
+            );
+            let json = render_chrome_trace(&machine, &outcome);
+            assert_eq!(
+                check_slices(&case, &machine, &json),
+                slices.len(),
+                "{case}: one Chrome slice per recorded slice"
+            );
+        }
+    }
+}
+
+/// A trace that fills up draws only the slices it recorded: nothing is
+/// invented for the stints whose end it missed.
+#[test]
+fn truncated_trace_draws_only_recorded_slices() {
+    let machine = MachineConfig::paper_2b2s(CoreOrder::BigFirst);
+    for kind in SchedulerKind::EXTENDED {
+        let (machine, outcome) = recorded(&chaos_mix(), kind, chaos_plan(&machine), 16);
+        let case = kind.name();
+        assert_eq!(outcome.trace.events().len(), 16, "{case}");
+        assert!(outcome.trace.dropped() > 0, "{case}: the trace filled up");
+        let json = render_chrome_trace(&machine, &outcome);
+        assert!(!json.contains("\"stop\":\"horizon\""), "{case}: slice to the horizon");
+        assert_eq!(check_slices(case, &machine, &json), 16, "{case}");
+
+        let width = 120;
+        let last_end = outcome.trace.events().iter().map(|s| s.to).max().expect("16 slices");
+        let last_col = (last_end.as_nanos() as u128 * width as u128
+            / outcome.makespan.as_nanos() as u128) as usize;
+        assert!(last_col + 1 < width, "{case}: the recorded prefix is short");
+        let gantt = outcome.trace.gantt(&machine, outcome.makespan, width);
+        for row in gantt.lines() {
+            let (_, glyphs) = row.split_once("] ").expect("a core label");
+            assert_eq!(glyphs.len(), width, "{case}");
+            assert!(
+                glyphs[last_col + 1..].bytes().all(|b| b == b'.'),
+                "{case}: glyph past the last recorded slice: {row}"
             );
         }
     }

@@ -4,7 +4,7 @@
 
 use amp_perf::{ExecutionProfile, SpeedupModel};
 use amp_sched::{ColabScheduler, GtsScheduler, WashScheduler};
-use amp_sim::{SimParams, Simulation, ThreadStats, TraceEvent};
+use amp_sim::{SimParams, Simulation, ThreadStats};
 use amp_types::{CoreOrder, MachineConfig, SimDuration, ThreadId};
 use amp_workloads::{AppBuilder, BenchmarkId, CompiledApp, CompiledWorkload, Scale, WorkloadSpec};
 
@@ -33,16 +33,15 @@ fn wash_big_only_threads_never_run_on_little_after_binding() {
     let after = amp_types::SimTime::from_millis(30); // 3 ticks of settling
     let mut late_little_dispatches = 0;
     let mut late_big_dispatches = 0;
-    for event in outcome.trace.events() {
-        if let TraceEvent::Dispatch { at, core, thread } = *event {
-            if thread.index() == 0 || at < after {
-                continue;
-            }
-            if machine.core(core).kind.is_big() {
-                late_big_dispatches += 1;
-            } else {
-                late_little_dispatches += 1;
-            }
+    // One slice per dispatch, starting at the dispatch.
+    for slice in outcome.trace.events() {
+        if slice.thread.index() == 0 || slice.from < after {
+            continue;
+        }
+        if machine.core(slice.core).kind.is_big() {
+            late_big_dispatches += 1;
+        } else {
+            late_little_dispatches += 1;
         }
     }
     assert!(
@@ -57,8 +56,8 @@ fn colab_big_cores_never_idle_with_ready_threads() {
     // Oversubscribed compute workload: scan the trace and verify that
     // whenever a big core stops a thread with runnable work left in the
     // system, it is re-dispatched at the same instant (no idle gaps while
-    // the little cluster queues work). We check gaps between a Stop and
-    // the next Dispatch on the same big core.
+    // the little cluster queues work). We check gaps between the end of
+    // one slice and the start of the next on the same big core.
     let machine = MachineConfig::paper_2b2s(CoreOrder::BigFirst);
     let spec = WorkloadSpec::single(BenchmarkId::Blackscholes, 10);
     let apps = CompiledWorkload::compile(&spec, 4, Scale::new(0.4)).unwrap().apps().to_vec();
@@ -71,19 +70,16 @@ fn colab_big_cores_never_idle_with_ready_threads() {
     let cutoff = amp_types::SimTime::from_nanos(outcome.makespan.as_nanos() * 7 / 10);
     let mut last_stop: Vec<Option<amp_types::SimTime>> = vec![None; 4];
     let mut worst_gap = SimDuration::ZERO;
-    for event in outcome.trace.events() {
-        match *event {
-            TraceEvent::Stop { at, core, .. } if machine.core(core).kind.is_big() => {
-                last_stop[core.index()] = Some(at);
+    // A core's slices are recorded in order: each ends before the next
+    // one there starts.
+    for slice in outcome.trace.events() {
+        if !machine.core(slice.core).kind.is_big() {
+            continue;
+        }
+        if let Some(stop) = last_stop[slice.core.index()].replace(slice.to) {
+            if slice.from < cutoff {
+                worst_gap = worst_gap.max(slice.from.saturating_since(stop));
             }
-            TraceEvent::Dispatch { at, core, .. } if machine.core(core).kind.is_big() => {
-                if let Some(stop) = last_stop[core.index()].take() {
-                    if at < cutoff {
-                        worst_gap = worst_gap.max(at.saturating_since(stop));
-                    }
-                }
-            }
-            _ => {}
         }
     }
     assert!(

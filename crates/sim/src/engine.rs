@@ -76,10 +76,7 @@ struct ThreadState {
     /// wakeup-to-run latency sample for telemetry.
     woken_at: Option<SimTime>,
     finish: SimTime,
-    little_time: SimDuration,
     work_done: SimDuration,
-    blocked_time: SimDuration,
-    ready_time: SimDuration,
     migrations: u64,
     preemptions: u64,
     /// Window accumulators for PMU synthesis.
@@ -112,6 +109,9 @@ struct CoreState {
     /// calibrated execution-rate model and runs proportionally faster.
     freq_ratio: f64,
     token: u64,
+    /// When the running thread was dispatched: the start of its stint
+    /// and of the execution slice the trace records when the stint ends.
+    dispatched_at: SimTime,
     /// Last accounting point for the current dispatch (starts at dispatch
     /// time; overhead is charged as it elapses, so preempting a thread
     /// mid-overhead never double-counts).
@@ -124,9 +124,6 @@ struct CoreState {
     /// in [`Simulation::clear_core`] so superseded events never sit in
     /// the queue (the `token` check remains as a backstop).
     pending_done: Option<EventKey>,
-    /// CPU time consumed by the running thread since it was dispatched
-    /// (passed to [`Scheduler::on_stop`]).
-    stint: SimDuration,
     last_thread: Option<ThreadId>,
     need_resched: bool,
     busy: SimDuration,
@@ -168,9 +165,6 @@ pub struct Simulation {
     fault_rng: StdRng,
     /// Per-core availability; hot-unplugged cores are never dispatched.
     online: Vec<bool>,
-    /// Per-core current clock in GHz (tracks throttle faults; mirrors
-    /// `CoreState::freq_ghz` for the read-only scheduler view).
-    speeds: Vec<f64>,
     /// When each offline core went down (None while online).
     offline_since: Vec<Option<SimTime>>,
     /// Current multiplier on migration overheads (1.0 = nominal).
@@ -287,10 +281,7 @@ impl Simulation {
                     blocked_since: SimTime::ZERO,
                     woken_at: None,
                     finish: SimTime::ZERO,
-                    little_time: SimDuration::ZERO,
                     work_done: SimDuration::ZERO,
-                    blocked_time: SimDuration::ZERO,
-                    ready_time: SimDuration::ZERO,
                     migrations: 0,
                     preemptions: 0,
                     win_cycles: 0.0,
@@ -328,11 +319,11 @@ impl Simulation {
                         CoreKind::Little => 1.2,
                     },
                 token: 0,
+                dispatched_at: SimTime::ZERO,
                 acct_from: SimTime::ZERO,
                 overhead_end: SimTime::ZERO,
                 quantum_end: SimTime::ZERO,
                 pending_done: None,
-                stint: SimDuration::ZERO,
                 last_thread: None,
                 need_resched: false,
                 busy: SimDuration::ZERO,
@@ -358,7 +349,6 @@ impl Simulation {
             fault_plan: FaultPlan::empty(),
             fault_rng: StdRng::seed_from_u64(seed ^ 0xFA_07),
             online: vec![true; num_cores],
-            speeds: machine.iter().map(|(_, spec)| spec.freq_ghz).collect(),
             offline_since: vec![None; num_cores],
             migration_cost_factor: 1.0,
             counter_dropout: 0.0,
@@ -510,7 +500,6 @@ impl Simulation {
                     if self.finished == self.threads.len() {
                         continue;
                     }
-                    self.trace.record(TraceEvent::Tick { at: self.now });
                     // Deadlock check: nothing runnable, nothing running,
                     // nothing in flight.
                     let stuck = self.views.iter().all(|v| {
@@ -557,7 +546,6 @@ impl Simulation {
             threads: &self.views,
             running: &self.running,
             online: &self.online,
-            speeds: &self.speeds,
             telemetry: &self.telemetry,
         }
     }
@@ -678,7 +666,6 @@ impl Simulation {
                 CoreKind::Big => 2.0,
                 CoreKind::Little => 1.2,
             };
-        self.speeds[i] = new_freq;
         self.telemetry
             .borrow_mut()
             .record(self.now, core, SchedEvent::Throttle { core, factor });
@@ -719,7 +706,6 @@ impl Simulation {
             SimDuration::ZERO
         };
         c.busy += elapsed;
-        c.stint += elapsed;
         let kind = c.kind;
         let freq = c.freq_ghz;
         let freq_ratio = c.freq_ratio;
@@ -729,9 +715,6 @@ impl Simulation {
             view.big_time += elapsed;
         }
         let state = &mut self.threads[tid.index()];
-        if !kind.is_big() {
-            state.little_time += elapsed;
-        }
         let scaled = work_time.mul_f64(freq_ratio);
         let mut work = match kind {
             CoreKind::Big => scaled,
@@ -760,7 +743,7 @@ impl Simulation {
                 };
                 match action {
                     None => {
-                        self.finish_thread(core, tid, sched);
+                        self.deschedule(core, tid, StopReason::Finished, sched);
                         return;
                     }
                     Some(Action::Compute(d)) => {
@@ -785,7 +768,7 @@ impl Simulation {
                                 }
                             }
                             OpResult::Block => {
-                                self.block_thread(core, tid, sched);
+                                self.deschedule(core, tid, StopReason::Blocked, sched);
                                 return;
                             }
                         }
@@ -857,17 +840,11 @@ impl Simulation {
         debug_assert_eq!(self.views[tid.index()].phase, ThreadPhase::Blocked);
         let since = self.threads[tid.index()].blocked_since;
         let blocked = self.now.saturating_since(since);
-        self.threads[tid.index()].blocked_time += blocked;
         self.views[tid.index()].phase = ThreadPhase::Ready;
         self.threads[tid.index()].ready_since = self.now;
         self.threads[tid.index()].woken_at = Some(self.now);
         self.telemetry.borrow_mut().observe_futex_block(blocked);
         if let Some(waker) = self.running[waker_core.index()] {
-            self.trace.record(TraceEvent::Wake {
-                at: self.now,
-                waker,
-                woken: tid,
-            });
             self.telemetry.borrow_mut().record(
                 self.now,
                 waker_core,
@@ -904,8 +881,9 @@ impl Simulation {
         self.deschedule(core, tid, StopReason::Preempted, sched);
     }
 
-    /// Common tail for quantum expiry and preemption: stop, requeue,
-    /// re-dispatch the core.
+    /// Stops the thread running on `core` for any reason but a steal:
+    /// ends its stint, requeues it if it is still runnable, and
+    /// re-dispatches the core.
     fn deschedule(
         &mut self,
         core: CoreId,
@@ -913,64 +891,65 @@ impl Simulation {
         reason: StopReason,
         sched: &mut dyn Scheduler,
     ) {
-        let stint = self.cores[core.index()].stint;
-        self.clear_core(core, tid);
-        self.trace.record(TraceEvent::Stop {
-            at: self.now,
-            core,
-            thread: tid,
-            reason,
-        });
-        if reason == StopReason::Preempted {
-            // Both preemption paths (immediate `preempt_core` and the
-            // deferred `need_resched` at the waker's next boundary) are
-            // wakeup-driven today; tick-driven displacement would land
-            // here with the `Tick` cause.
-            let cause = if self.in_tick { PreemptCause::Tick } else { PreemptCause::Wakeup };
-            self.telemetry.borrow_mut().record(
-                self.now,
-                core,
-                SchedEvent::Preempt { victim: tid, cause },
-            );
+        self.end_stint(core, tid, reason, sched);
+        let runnable = matches!(reason, StopReason::QuantumExpired | StopReason::Preempted);
+        if runnable {
+            let target = sched.enqueue(&self.ctx(), tid, EnqueueReason::Requeue);
+            self.note_enqueue_target(target);
         }
-        self.views[tid.index()].phase = ThreadPhase::Ready;
-        self.threads[tid.index()].ready_since = self.now;
-        sched.on_stop(&self.ctx(), tid, core, stint, reason);
-        let target = sched.enqueue(&self.ctx(), tid, EnqueueReason::Requeue);
-        self.note_enqueue_target(target);
         self.dispatch(core, sched);
-        self.kick_idle_cores(sched);
+        if runnable {
+            self.kick_idle_cores(sched);
+        }
     }
 
-    fn block_thread(&mut self, core: CoreId, tid: ThreadId, sched: &mut dyn Scheduler) {
-        let stint = self.cores[core.index()].stint;
+    /// The one stop path: detaches `tid` from `core`, records the closed
+    /// execution slice, moves the thread to the phase `reason` implies,
+    /// and reports the stint to the policy. The caller has accounted the
+    /// stint up to now.
+    fn end_stint(
+        &mut self,
+        core: CoreId,
+        tid: ThreadId,
+        reason: StopReason,
+        sched: &mut dyn Scheduler,
+    ) {
+        let (now, ti) = (self.now, tid.index());
+        let from = self.cores[core.index()].dispatched_at;
+        debug_assert_eq!(self.cores[core.index()].acct_from, now, "stint not accounted");
         self.clear_core(core, tid);
-        self.trace.record(TraceEvent::Stop {
-            at: self.now,
-            core,
-            thread: tid,
-            reason: StopReason::Blocked,
-        });
-        self.views[tid.index()].phase = ThreadPhase::Blocked;
-        self.threads[tid.index()].blocked_since = self.now;
-        sched.on_stop(&self.ctx(), tid, core, stint, StopReason::Blocked);
-        self.dispatch(core, sched);
-    }
-
-    fn finish_thread(&mut self, core: CoreId, tid: ThreadId, sched: &mut dyn Scheduler) {
-        let stint = self.cores[core.index()].stint;
-        self.clear_core(core, tid);
-        self.trace.record(TraceEvent::Stop {
-            at: self.now,
-            core,
-            thread: tid,
-            reason: StopReason::Finished,
-        });
-        self.views[tid.index()].phase = ThreadPhase::Finished;
-        self.threads[tid.index()].finish = self.now;
-        self.finished += 1;
-        sched.on_stop(&self.ctx(), tid, core, stint, StopReason::Finished);
-        self.dispatch(core, sched);
+        self.trace.record(TraceEvent { core, thread: tid, from, to: now, reason });
+        match reason {
+            StopReason::QuantumExpired | StopReason::Preempted => {
+                if reason == StopReason::Preempted {
+                    // Both preemption paths (immediate `preempt_core` and
+                    // the deferred `need_resched` at the waker's next
+                    // boundary) are wakeup-driven today; tick-driven
+                    // displacement would land here with the `Tick` cause.
+                    let cause = if self.in_tick { PreemptCause::Tick } else { PreemptCause::Wakeup };
+                    self.telemetry.borrow_mut().record(
+                        now,
+                        core,
+                        SchedEvent::Preempt { victim: tid, cause },
+                    );
+                }
+                self.views[ti].phase = ThreadPhase::Ready;
+                self.threads[ti].ready_since = now;
+            }
+            StopReason::Blocked => {
+                self.views[ti].phase = ThreadPhase::Blocked;
+                self.threads[ti].blocked_since = now;
+            }
+            StopReason::Finished => {
+                self.views[ti].phase = ThreadPhase::Finished;
+                self.threads[ti].finish = now;
+                self.finished += 1;
+            }
+            // The stolen thread keeps its Running phase through the
+            // handoff: no Ready transition, no queueing delay.
+            StopReason::Stolen => {}
+        }
+        sched.on_stop(&self.ctx(), tid, core, now - from, reason);
     }
 
     /// Detaches the thread from the core and invalidates in-flight events.
@@ -979,7 +958,6 @@ impl Simulation {
         let c = &mut self.cores[core.index()];
         c.token += 1;
         c.need_resched = false;
-        c.stint = SimDuration::ZERO;
         c.last_thread = Some(tid);
         let pending = c.pending_done.take();
         self.running[core.index()] = None;
@@ -1015,11 +993,10 @@ impl Simulation {
                 // Leaving the ready state: account queueing delay.
                 let since = self.threads[tid.index()].ready_since;
                 let queued = self.now.saturating_since(since);
-                self.threads[tid.index()].ready_time += queued;
                 self.views[tid.index()].ready_time += queued;
                 {
                     let mut tel = self.telemetry.borrow_mut();
-                    tel.record(self.now, core, SchedEvent::Pick { thread: tid });
+                    tel.counters.picks += 1;
                     tel.observe_runqueue_wait(queued);
                     if let Some(woken) = self.threads[tid.index()].woken_at.take() {
                         tel.observe_wakeup_latency(self.now.saturating_since(woken));
@@ -1038,23 +1015,13 @@ impl Simulation {
                     return; // policy raced with reality; stay idle
                 };
                 self.account_run(victim, vt);
-                let stint = self.cores[victim.index()].stint;
-                self.clear_core(victim, vt);
-                self.trace.record(TraceEvent::Stop {
-                    at: self.now,
-                    core: victim,
-                    thread: vt,
-                    reason: StopReason::Stolen,
-                });
-                sched.on_stop(&self.ctx(), vt, victim, stint, StopReason::Stolen);
+                self.end_stint(victim, vt, StopReason::Stolen, sched);
                 self.threads[vt.index()].preemptions += 1;
                 self.telemetry.borrow_mut().record(
                     self.now,
                     core,
                     SchedEvent::IdleSteal { thread: vt, from: victim },
                 );
-                // The stolen thread keeps its Running phase through the
-                // handoff: no Ready transition, no queueing delay.
                 self.start_thread(core, vt, sched);
                 self.dispatch(victim, sched);
             }
@@ -1103,11 +1070,6 @@ impl Simulation {
         }
 
         let slice = sched.time_slice(&self.ctx(), tid, core);
-        self.trace.record(TraceEvent::Dispatch {
-            at: self.now,
-            core,
-            thread: tid,
-        });
         let view = &mut self.views[tid.index()];
         view.phase = ThreadPhase::Running(core);
         view.last_core = Some(core);
@@ -1116,8 +1078,8 @@ impl Simulation {
         // Overhead is charged by `account_run` as it elapses, so a thread
         // preempted mid-overhead is never double-billed.
         let c = &mut self.cores[core.index()];
-        c.stint = SimDuration::ZERO;
         c.need_resched = false;
+        c.dispatched_at = self.now;
         c.acct_from = self.now;
         c.overhead_end = self.now + overhead;
         c.quantum_end = self.now + overhead + slice;
@@ -1237,10 +1199,10 @@ impl Simulation {
                     finish: s.finish,
                     run_time: v.run_time,
                     big_time: v.big_time,
-                    little_time: s.little_time,
+                    little_time: v.run_time - v.big_time,
                     work_done: s.work_done,
-                    blocked_time: s.blocked_time,
-                    ready_time: s.ready_time,
+                    blocked_time: futex.waited(tid),
+                    ready_time: v.ready_time,
                     caused_wait: futex.caused_wait(tid),
                     wait_count: futex.wait_count(tid),
                     migrations: s.migrations,

@@ -23,7 +23,7 @@ pub struct ThreadStats {
     pub little_time: SimDuration,
     /// Big-core-equivalent work retired (the program's compute demand).
     pub work_done: SimDuration,
-    /// Time spent blocked on futexes.
+    /// Time spent blocked on futexes: the futex ledger's completed waits.
     pub blocked_time: SimDuration,
     /// Time spent runnable but queued.
     pub ready_time: SimDuration,
@@ -165,7 +165,7 @@ pub struct SimulationOutcome {
     pub core_busy: Vec<SimDuration>,
     /// Energy accounting under the configured power model.
     pub energy: EnergyReport,
-    /// Scheduling trace (empty unless
+    /// Execution trace, one slice per stint (empty unless
     /// [`SimParams::trace_capacity`](crate::SimParams) was set).
     pub trace: crate::Trace,
     /// Scheduler decision telemetry: counters, latency histograms, and

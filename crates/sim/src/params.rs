@@ -62,7 +62,7 @@ pub struct SimParams {
     pub horizon: amp_types::SimTime,
     /// Per-core-kind power draw for the energy report.
     pub power: PowerModel,
-    /// Maximum scheduling-trace events to record (0 = tracing off).
+    /// Maximum execution slices the trace records (0 = tracing off).
     pub trace_capacity: usize,
     /// Maximum telemetry events the flight-recorder ring retains
     /// (0 = event recording off; decision counters and latency

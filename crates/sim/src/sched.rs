@@ -85,8 +85,9 @@ pub struct ThreadView {
     pub app: AppId,
     /// Lifecycle phase.
     pub phase: ThreadPhase,
-    /// PMU counters of the last completed 10 ms sampling window (falls
-    /// back to the running accumulation before the first window closes).
+    /// PMU counters of the last 10 ms sampling window in which the thread
+    /// retired instructions. All zero until the first such window closes
+    /// at a tick; a window with no instructions leaves the previous one.
     pub pmu_window: PmuCounters,
     /// Time this thread caused others to wait during the last window —
     /// the paper's bottleneck/criticality signal.
@@ -115,7 +116,6 @@ pub struct SchedCtx<'a> {
     pub(crate) threads: &'a [ThreadView],
     pub(crate) running: &'a [Option<ThreadId>],
     pub(crate) online: &'a [bool],
-    pub(crate) speeds: &'a [f64],
     pub(crate) telemetry: &'a RefCell<Telemetry>,
 }
 
@@ -163,28 +163,6 @@ impl<'a> SchedCtx<'a> {
             .enumerate()
             .filter(|(_, &up)| up)
             .map(|(i, _)| CoreId::new(i as u32))
-    }
-
-    /// Number of cores currently online (always at least one).
-    pub fn num_online(&self) -> usize {
-        self.online.iter().filter(|&&up| up).count()
-    }
-
-    /// Current clock of `core` in GHz — its configured speed unless a
-    /// throttle fault has rescaled it.
-    pub fn core_speed_ghz(&self, core: CoreId) -> f64 {
-        self.speeds[core.index()]
-    }
-
-    /// Current clock of `core` relative to its configured nominal speed:
-    /// 1.0 unthrottled, below 1.0 under thermal throttling.
-    pub fn core_speed_factor(&self, core: CoreId) -> f64 {
-        let nominal = self.machine.core(core).freq_ghz;
-        if nominal > 0.0 {
-            self.speeds[core.index()] / nominal
-        } else {
-            1.0
-        }
     }
 
     /// Records a policy-side telemetry event (relabels, slice

@@ -1,71 +1,36 @@
 //! Execution tracing.
 //!
 //! When enabled ([`SimParams::trace_capacity`](crate::SimParams) > 0) the
-//! engine records scheduling events — dispatches, stops, wakeups, ticks —
-//! into a bounded [`Trace`]. The trace explains *why* an outcome looks the
-//! way it does: which core ran which thread when, who preempted whom, and
-//! where threads waited. [`Trace::gantt`] renders a per-core text
+//! engine records one [`TraceEvent`] per stint — a thread's run on a core
+//! from dispatch to stop — into a bounded [`Trace`], written once when
+//! the stint ends. The slices show which core ran which thread when, and
+//! why each run stopped; [`Trace::gantt`] renders them as a per-core text
 //! timeline.
 
-use std::fmt::{self, Write as _};
+use std::fmt::Write as _;
 
 use amp_types::{CoreId, MachineConfig, SimTime, ThreadId};
 
 use crate::sched::StopReason;
 
-/// One recorded scheduling event.
+/// One closed execution slice: `thread` ran on `core` from `from` (its
+/// dispatch) to `to`, then stopped for `reason`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// `thread` started running on `core` (after switch overhead).
-    Dispatch {
-        /// Event time.
-        at: SimTime,
-        /// The core.
-        core: CoreId,
-        /// The thread.
-        thread: ThreadId,
-    },
-    /// `thread` stopped running on `core`.
-    Stop {
-        /// Event time.
-        at: SimTime,
-        /// The core.
-        core: CoreId,
-        /// The thread.
-        thread: ThreadId,
-        /// Why it stopped.
-        reason: StopReason,
-    },
-    /// `waker` released `woken` from a futex wait.
-    Wake {
-        /// Event time.
-        at: SimTime,
-        /// The thread that performed the wake.
-        waker: ThreadId,
-        /// The released thread.
-        woken: ThreadId,
-    },
-    /// A periodic scheduler tick fired.
-    Tick {
-        /// Event time.
-        at: SimTime,
-    },
+pub struct TraceEvent {
+    /// The core.
+    pub core: CoreId,
+    /// The thread.
+    pub thread: ThreadId,
+    /// When the thread was dispatched (switch overhead included).
+    pub from: SimTime,
+    /// When it stopped.
+    pub to: SimTime,
+    /// Why it stopped.
+    pub reason: StopReason,
 }
 
-impl TraceEvent {
-    /// The event's timestamp.
-    pub fn at(&self) -> SimTime {
-        match *self {
-            TraceEvent::Dispatch { at, .. }
-            | TraceEvent::Stop { at, .. }
-            | TraceEvent::Wake { at, .. }
-            | TraceEvent::Tick { at } => at,
-        }
-    }
-}
-
-/// A bounded scheduling trace. Recording stops (and `dropped` counts)
-/// once `capacity` events have been stored, so long runs stay cheap.
+/// A bounded execution trace. Recording stops (and `dropped` counts)
+/// once `capacity` slices have been stored, so long runs stay cheap.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     events: Vec<TraceEvent>,
@@ -74,7 +39,7 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// A trace able to hold `capacity` events (0 disables recording).
+    /// A trace able to hold `capacity` slices (0 disables recording).
     pub fn with_capacity(capacity: usize) -> Trace {
         Trace {
             // Grown on demand, like the telemetry ring: reserving the
@@ -85,11 +50,6 @@ impl Trace {
         }
     }
 
-    /// Whether recording is enabled at all.
-    pub fn is_enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
     pub(crate) fn record(&mut self, event: TraceEvent) {
         if self.events.len() < self.capacity {
             self.events.push(event);
@@ -98,19 +58,20 @@ impl Trace {
         }
     }
 
-    /// The recorded events, in order.
+    /// The recorded slices, in the order their stints ended.
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
     }
 
-    /// Events that did not fit in the capacity.
+    /// Slices that did not fit in the capacity.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
 
     /// Renders a per-core text timeline: `width` character columns over
-    /// `[0, horizon]`, one row per core, one letter per running thread
-    /// (`A` = thread 0, wrapping after `Z`), `.` for idle.
+    /// `[0, horizon]`, one row per core, one letter per recorded slice's
+    /// thread (`A` = thread 0, wrapping after `Z`), `.` for idle. Later
+    /// slices paint over earlier ones that share a column.
     ///
     /// # Panics
     ///
@@ -126,32 +87,10 @@ impl Trace {
                 as usize)
                 .min(width - 1)
         };
-        // Pair dispatches with the next stop of the same core.
-        let mut open: Vec<Option<(SimTime, ThreadId)>> = vec![None; cores];
-        let mut paint = |core: CoreId, from: SimTime, to: SimTime, thread: ThreadId| {
-            let glyph = b'A' + (thread.index() % 26) as u8;
-            let row = core.index() * width;
-            grid[row + col_of(from)..=row + col_of(to)].fill(glyph);
-        };
-        for event in &self.events {
-            match *event {
-                TraceEvent::Dispatch { at, core, thread } => {
-                    open[core.index()] = Some((at, thread));
-                }
-                TraceEvent::Stop { at, core, thread, .. } => {
-                    if let Some((from, t)) = open[core.index()].take() {
-                        debug_assert_eq!(t, thread, "stop must match open dispatch");
-                        paint(core, from, at, thread);
-                    }
-                }
-                _ => {}
-            }
-        }
-        // Threads still running at the horizon.
-        for (ci, entry) in open.iter().enumerate() {
-            if let Some((from, thread)) = *entry {
-                paint(CoreId::new(ci as u32), from, horizon, thread);
-            }
+        for slice in &self.events {
+            let glyph = b'A' + (slice.thread.index() % 26) as u8;
+            let row = slice.core.index() * width;
+            grid[row + col_of(slice.from)..=row + col_of(slice.to)].fill(glyph);
         }
 
         let mut out = String::with_capacity(cores * (width + 24));
@@ -165,17 +104,6 @@ impl Trace {
     }
 }
 
-impl fmt::Display for Trace {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "trace: {} events ({} dropped)",
-            self.events.len(),
-            self.dropped
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,11 +112,21 @@ mod tests {
         SimTime::from_millis(v)
     }
 
+    fn slice(core: u32, thread: u32, from: u64, to: u64) -> TraceEvent {
+        TraceEvent {
+            core: CoreId::new(core),
+            thread: ThreadId::new(thread),
+            from: ms(from),
+            to: ms(to),
+            reason: StopReason::Finished,
+        }
+    }
+
     #[test]
     fn capacity_bounds_recording() {
         let mut trace = Trace::with_capacity(2);
         for i in 0..5 {
-            trace.record(TraceEvent::Tick { at: ms(i) });
+            trace.record(slice(0, 0, i, i + 1));
         }
         assert_eq!(trace.events().len(), 2);
         assert_eq!(trace.dropped(), 3);
@@ -197,47 +135,21 @@ mod tests {
     #[test]
     fn zero_capacity_disables() {
         let mut trace = Trace::with_capacity(0);
-        trace.record(TraceEvent::Tick { at: ms(1) });
-        assert!(!trace.is_enabled());
+        trace.record(slice(0, 0, 0, 1));
         assert!(trace.events().is_empty());
         assert_eq!(trace.dropped(), 0, "disabled traces do not count drops");
     }
 
     #[test]
-    fn gantt_paints_dispatch_stop_pairs() {
+    fn gantt_paints_each_slice() {
         let machine = MachineConfig::asymmetric(1, 1, amp_types::CoreOrder::BigFirst);
         let mut trace = Trace::with_capacity(16);
-        trace.record(TraceEvent::Dispatch {
-            at: ms(0),
-            core: CoreId::new(0),
-            thread: ThreadId::new(0),
-        });
-        trace.record(TraceEvent::Stop {
-            at: ms(5),
-            core: CoreId::new(0),
-            thread: ThreadId::new(0),
-            reason: StopReason::Finished,
-        });
-        trace.record(TraceEvent::Dispatch {
-            at: ms(5),
-            core: CoreId::new(1),
-            thread: ThreadId::new(1),
-        });
+        trace.record(slice(0, 0, 0, 5));
+        trace.record(slice(1, 1, 5, 8));
         let art = trace.gantt(&machine, ms(10), 10);
         let lines: Vec<&str> = art.lines().collect();
         assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains("AAAA"), "core 0 ran thread A: {}", lines[0]);
-        assert!(lines[1].contains("BBBB"), "open dispatch painted: {}", lines[1]);
-        assert!(lines[1].contains('.'), "idle prefix painted: {}", lines[1]);
-    }
-
-    #[test]
-    fn event_times_accessible() {
-        let e = TraceEvent::Wake {
-            at: ms(3),
-            waker: ThreadId::new(0),
-            woken: ThreadId::new(1),
-        };
-        assert_eq!(e.at(), ms(3));
+        assert!(lines[0].ends_with("AAAAAA...."), "core 0 ran thread A: {}", lines[0]);
+        assert!(lines[1].ends_with(".....BBBB."), "core 1 ran thread B: {}", lines[1]);
     }
 }

@@ -164,7 +164,10 @@ impl PredictionError {
 /// set of runs). Updated by [`Counters::apply`] on every recorded event.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Counters {
-    /// Picks issued by the policy.
+    /// Threads a policy picked from its runqueues to run, counted by the
+    /// engine at dispatch (steals of running threads count in
+    /// [`idle_steals`](Self::idle_steals)). No ring event records them:
+    /// every pick is the start of an execution slice.
     pub picks: u64,
     /// Migrations by cluster direction, indexed by [`ClusterDirection`].
     pub migrations: [u64; 4],
@@ -193,7 +196,6 @@ impl Counters {
     /// Updates the registry for one event.
     pub fn apply(&mut self, event: &SchedEvent) {
         match *event {
-            SchedEvent::Pick { .. } => self.picks += 1,
             SchedEvent::Migrate { direction, .. } => {
                 self.migrations[direction as usize] += 1;
             }
@@ -285,7 +287,6 @@ mod tests {
     fn apply_routes_every_event_kind() {
         let mut c = Counters::default();
         let t = ThreadId(0);
-        c.apply(&SchedEvent::Pick { thread: t });
         c.apply(&SchedEvent::Migrate {
             thread: t,
             from: CoreId(0),
@@ -309,7 +310,6 @@ mod tests {
         c.apply(&SchedEvent::CoreOnline { core: CoreId(1) });
         c.apply(&SchedEvent::Throttle { core: CoreId(0), factor: 0.5 });
 
-        assert_eq!(c.picks, 1);
         assert_eq!(c.total_migrations(), 1);
         assert_eq!(c.total_preemptions(), 1);
         assert_eq!(c.total_relabels(), 1);

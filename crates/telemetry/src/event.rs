@@ -8,11 +8,6 @@ use crate::counters::{ClusterDirection, LabelClass, PreemptCause};
 /// run unfolded the way it did.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SchedEvent {
-    /// A policy picked `thread` to run on the recording core.
-    Pick {
-        /// The chosen thread.
-        thread: ThreadId,
-    },
     /// `thread` started running on a different core than it last ran on.
     Migrate {
         /// The migrating thread.
@@ -88,7 +83,6 @@ impl SchedEvent {
     /// Short lowercase tag for CSV / trace export.
     pub fn kind(&self) -> &'static str {
         match self {
-            SchedEvent::Pick { .. } => "pick",
             SchedEvent::Migrate { .. } => "migrate",
             SchedEvent::Preempt { .. } => "preempt",
             SchedEvent::Relabel { .. } => "relabel",
@@ -205,7 +199,7 @@ mod tests {
     use amp_types::ThreadId;
 
     fn ev(t: u32) -> SchedEvent {
-        SchedEvent::Pick { thread: ThreadId(t) }
+        SchedEvent::IdleSteal { thread: ThreadId(t), from: CoreId(0) }
     }
 
     #[test]
@@ -220,7 +214,7 @@ mod tests {
         let threads: Vec<u32> = ring
             .iter()
             .map(|s| match s.event {
-                SchedEvent::Pick { thread } => thread.0,
+                SchedEvent::IdleSteal { thread, .. } => thread.0,
                 _ => unreachable!(),
             })
             .collect();

@@ -171,9 +171,9 @@ mod tests {
         tel.record(
             SimTime::ZERO,
             CoreId(0),
-            SchedEvent::Pick { thread: ThreadId(3) },
+            SchedEvent::IdleSteal { thread: ThreadId(3), from: CoreId(1) },
         );
-        assert_eq!(tel.counters.picks, 1);
+        assert_eq!(tel.counters.idle_steals, 1);
         assert_eq!(tel.events().count(), 0);
         assert!(!tel.events_enabled());
     }

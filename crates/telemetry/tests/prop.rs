@@ -9,29 +9,28 @@ use amp_types::{CoreId, SimDuration, SimTime, ThreadId};
 use proptest::prelude::*;
 
 fn event_strategy() -> impl Strategy<Value = SchedEvent> {
-    (0u8..7, 0u32..8, 0u32..8, 0u32..6).prop_map(|(kind, a, b, c)| match kind {
-        0 => SchedEvent::Pick { thread: ThreadId(a) },
-        1 => SchedEvent::Migrate {
+    (0u8..6, 0u32..8, 0u32..8, 0u32..6).prop_map(|(kind, a, b, c)| match kind {
+        0 => SchedEvent::Migrate {
             thread: ThreadId(a),
             from: CoreId(b % 4),
             to: CoreId(c % 4),
             direction: ClusterDirection::ALL[((b + c) % 4) as usize],
         },
-        2 => SchedEvent::Preempt {
+        1 => SchedEvent::Preempt {
             victim: ThreadId(a),
             cause: PreemptCause::ALL[(b % 2) as usize],
         },
-        3 => SchedEvent::Relabel {
+        2 => SchedEvent::Relabel {
             thread: ThreadId(a),
             from: LabelClass::ALL[(b % 3) as usize],
             to: LabelClass::ALL[(c % 3) as usize],
         },
-        4 => SchedEvent::SlicePredict {
+        3 => SchedEvent::SlicePredict {
             thread: ThreadId(a),
             predicted_speedup: 1.0 + f64::from(c) * 0.3,
             slice: SimDuration::from_micros(u64::from(b) * 100 + 50),
         },
-        5 => SchedEvent::FutexWake {
+        4 => SchedEvent::FutexWake {
             waker: ThreadId(a),
             woken: ThreadId(b),
             blocked: SimDuration::from_micros(u64::from(c)),
@@ -88,8 +87,7 @@ proptest! {
         prop_assert_eq!(c.total_relabels(), relabels_out.iter().sum::<u64>());
         // Every event lands in exactly one counter: the totals partition
         // the event stream.
-        let applied = c.picks
-            + c.total_migrations()
+        let applied = c.total_migrations()
             + c.total_preemptions()
             + c.total_relabels()
             + c.slice_predictions

@@ -73,18 +73,17 @@ fn colab_relabels_after_a_phase_change() {
     let midpoint = SimTime::from_nanos(outcome.makespan.as_nanos() / 2);
     let mut early = (0u32, 0u32); // (big, little) dispatch counts
     let mut late = (0u32, 0u32);
-    for event in outcome.trace.events() {
-        if let colab_suite::sim::TraceEvent::Dispatch { at, core, thread } = *event {
-            if thread != chameleon {
-                continue;
-            }
-            let is_big = machine.core(core).kind.is_big();
-            let bucket = if at < midpoint { &mut early } else { &mut late };
-            if is_big {
-                bucket.0 += 1;
-            } else {
-                bucket.1 += 1;
-            }
+    // One slice per dispatch, starting at the dispatch.
+    for slice in outcome.trace.events() {
+        if slice.thread != chameleon {
+            continue;
+        }
+        let is_big = machine.core(slice.core).kind.is_big();
+        let bucket = if slice.from < midpoint { &mut early } else { &mut late };
+        if is_big {
+            bucket.0 += 1;
+        } else {
+            bucket.1 += 1;
         }
     }
     let share = |(big, little): (u32, u32)| big as f64 / (big + little).max(1) as f64;
