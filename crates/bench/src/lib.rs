@@ -48,6 +48,11 @@ pub fn harness_with(scale: f64, train: bool, replications: u32) -> Harness {
 /// scheduler decision, the end-to-end cost of one pick including the
 /// dispatch machinery around it.
 ///
+/// `telemetry_buckets` is the memoized telemetry footprint: the latency
+/// histogram buckets the harness holds, summed over every cell's three
+/// histograms. It depends only on the code and the flags, like the
+/// event counts.
+///
 /// `wall_secs` is the whole invocation's wall time and `cells` the
 /// number of experiment cells evaluated. Policies with no recorded runs
 /// are omitted.
@@ -92,10 +97,19 @@ pub fn bench_run_json(harness: &Harness, wall_secs: f64, cells: usize) -> String
     }
 
     let interning = harness.intern_stats();
+    let telemetry_buckets: usize = harness
+        .telemetry_cells()
+        .into_iter()
+        .map(|(_, _, _, report)| {
+            report.wakeup_to_run.bucket_counts().len()
+                + report.runqueue_wait.bucket_counts().len()
+                + report.futex_block.bucket_counts().len()
+        })
+        .sum();
     format!(
         concat!(
             "{{\n",
-            "  \"schema\": \"colab-bench-run/2\",\n",
+            "  \"schema\": \"colab-bench-run/3\",\n",
             "  \"wall_secs\": {:.3},\n",
             "  \"cells\": {},\n",
             "  \"cells_per_sec\": {:.2},\n",
@@ -104,6 +118,7 @@ pub fn bench_run_json(harness: &Harness, wall_secs: f64, cells: usize) -> String
             "\"compute_leaves\": {}, \"segments\": {}, ",
             "\"segments_per_sec\": {:.0}}},\n",
             "  \"interning\": {{\"hits\": {}, \"misses\": {}}},\n",
+            "  \"telemetry_buckets\": {},\n",
             "  \"policies\": [{}\n  ]\n",
             "}}\n"
         ),
@@ -120,6 +135,7 @@ pub fn bench_run_json(harness: &Harness, wall_secs: f64, cells: usize) -> String
         cost.segments_per_sec(),
         interning.hits,
         interning.misses,
+        telemetry_buckets,
         policies,
     )
 }

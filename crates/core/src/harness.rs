@@ -318,13 +318,11 @@ pub struct Harness {
     pub(crate) model: SpeedupModel,
     /// `(workload, total cores) → per-app T_SB`.
     pub(crate) baselines: HashMap<(WorkloadSpec, usize), Vec<SimDuration>>,
-    /// Memoized `(workload, config, scheduler) → summary`.
-    pub(crate) cells: HashMap<CellKey, MixSummary>,
-    /// Decision telemetry per cell, absorbed over the core-order pair and
-    /// all replications (so `runs` is `2 × replications`).
-    pub(crate) telemetry: HashMap<CellKey, TelemetryReport>,
-    /// Energy per cell, averaged like the turnarounds.
-    pub(crate) energy: HashMap<CellKey, CellEnergy>,
+    /// Memoized `(workload, config, scheduler) → outcome`: the summary,
+    /// the decision telemetry absorbed over the core-order pair and all
+    /// replications (so `runs` is `2 × replications`), and the energy
+    /// averaged like the turnarounds.
+    pub(crate) cells: HashMap<CellKey, CellOutcome>,
     /// Interned compiled workloads, shared by the serial path and every
     /// `run_plan` worker: each distinct `(workload, seed, scale)` is
     /// instantiated and compiled once, however many cells replay it.
@@ -353,8 +351,6 @@ impl Harness {
             model,
             baselines: HashMap::new(),
             cells: HashMap::new(),
-            telemetry: HashMap::new(),
-            energy: HashMap::new(),
             programs: ProgramStore::new(),
             jobs: 1,
             studies: Studies::default(),
@@ -415,7 +411,7 @@ impl Harness {
     ) -> Result<MixSummary> {
         let key = cell_key(workload, big, little, kind);
         if let Some(cell) = self.cells.get(&key) {
-            return Ok(cell.clone());
+            return Ok(cell.summary.clone());
         }
 
         let total_cores = big + little;
@@ -431,10 +427,8 @@ impl Harness {
     /// Stores an evaluated cell's results under `key`, returning its
     /// summary.
     pub(crate) fn memoize(&mut self, key: CellKey, outcome: CellOutcome) -> &MixSummary {
-        self.telemetry.insert(key.clone(), outcome.telemetry);
-        self.energy.insert(key.clone(), outcome.energy);
-        self.cells.insert(key.clone(), outcome.summary);
-        &self.cells[&key]
+        let cell = self.cells.entry(key).insert_entry(outcome).into_mut();
+        &cell.summary
     }
 
     /// The energy of a cell, evaluating the cell through
@@ -447,7 +441,7 @@ impl Harness {
         kind: SchedulerKind,
     ) -> Result<CellEnergy> {
         self.mix(workload, big, little, kind)?;
-        Ok(self.energy[&cell_key(workload, big, little, kind)])
+        Ok(self.cells[&cell_key(workload, big, little, kind)].energy)
     }
 
     /// Single-program H_NTT (Figure 4): the benchmark alone on the
@@ -479,13 +473,13 @@ impl Harness {
     /// `(workload, config, scheduler, report)` rows sorted for
     /// deterministic output.
     pub fn telemetry_cells(&self) -> Vec<(&str, &str, &str, &TelemetryReport)> {
-        let mut cells: Vec<_> = self.telemetry.iter().collect();
+        let mut cells: Vec<_> = self.cells.iter().collect();
         cells.sort_unstable_by(|((wa, ca, sa), _), ((wb, cb, sb), _)| {
             (wa.name(), ca, sa, wa.entries()).cmp(&(wb.name(), cb, sb, wb.entries()))
         });
         cells
             .into_iter()
-            .map(|((w, c, s), report)| (w.name(), c.as_str(), *s, report))
+            .map(|((w, c, s), cell)| (w.name(), c.as_str(), *s, &cell.telemetry))
             .collect()
     }
 
@@ -502,9 +496,9 @@ impl Harness {
         let mut out = Vec::new();
         for kind in order {
             let mut pooled = TelemetryReport::new();
-            for ((_, _, sched), report) in &self.telemetry {
+            for ((_, _, sched), cell) in &self.cells {
                 if *sched == kind.name() {
-                    pooled.absorb(report);
+                    pooled.absorb(&cell.telemetry);
                 }
             }
             if pooled.runs > 0 {

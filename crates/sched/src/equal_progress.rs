@@ -113,7 +113,7 @@ impl Scheduler for EqualProgressScheduler {
     }
 
     fn on_tick(&mut self, ctx: &SchedCtx<'_>) {
-        for t in ctx.live_threads().collect::<Vec<_>>() {
+        for t in ctx.live_threads() {
             self.speedup[t.index()] = self.model.predict(&ctx.thread(t).pmu_window);
         }
         self.engine.balance(ctx, |_, _| true);

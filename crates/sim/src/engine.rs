@@ -1268,8 +1268,7 @@ impl Simulation {
             per_core_joules.push(active + idle);
         }
 
-        let telemetry = self.telemetry.borrow().report();
-        let telemetry_events = self.telemetry.borrow().events().copied().collect();
+        let (telemetry, telemetry_events) = self.telemetry.into_inner().finish();
         SimulationOutcome {
             scheduler: scheduler.to_string(),
             makespan,

@@ -57,6 +57,22 @@ fn event_ring_honours_capacity_and_counts_drops() {
     for pair in outcome.telemetry_events.windows(2) {
         assert!(pair[0].at <= pair[1].at, "ring drains oldest-first");
     }
+    // The wrapped ring's buffer is rotated, not reordered: each core's
+    // sequence numbers run strictly upward through the moved events.
+    let mut last_seq: Vec<Option<u64>> = Vec::new();
+    for event in &outcome.telemetry_events {
+        let core = event.core.index();
+        if core >= last_seq.len() {
+            last_seq.resize(core + 1, None);
+        }
+        assert!(
+            last_seq[core].is_none_or(|prev| event.seq > prev),
+            "core {core} seq {} after {:?}",
+            event.seq,
+            last_seq[core]
+        );
+        last_seq[core] = Some(event.seq);
+    }
 }
 
 #[test]

@@ -191,6 +191,15 @@ impl EventRing {
         let (wrapped, linear) = self.buf.split_at(self.head);
         linear.iter().chain(wrapped.iter())
     }
+
+    /// Consumes the ring into its retained events, oldest first: the same
+    /// sequence as [`iter`](EventRing::iter), in the ring's own buffer
+    /// (rotated in place if it has wrapped) rather than a copy.
+    pub fn into_events(self) -> Vec<StampedEvent> {
+        let mut buf = self.buf;
+        buf.rotate_left(self.head);
+        buf
+    }
 }
 
 #[cfg(test)]

@@ -2,8 +2,11 @@
 //!
 //! Values (nanoseconds) land in buckets that are exact below 16 ns and
 //! thereafter subdivide each power of two into 16 linear sub-buckets,
-//! bounding the relative quantile error at ~6.25% while keeping the
-//! whole histogram a fixed ~1k-slot array that merges by addition.
+//! bounding the relative quantile error at ~6.25%. A histogram stores
+//! buckets only up to its highest non-empty one: the bucket vector grows
+//! on demand, geometrically, so recording never allocates per sample, and
+//! histograms merge by addition, extending the shorter side. An empty
+//! histogram holds no buckets and a full one at most 976.
 
 use std::fmt;
 
@@ -13,10 +16,15 @@ use amp_types::SimDuration;
 const SUB_BITS: u32 = 4;
 const SUB: usize = 1 << SUB_BITS;
 /// Values below SUB get exact unit buckets; octaves 4..=63 each get SUB
-/// sub-buckets.
+/// sub-buckets. The most buckets a histogram can hold.
+#[cfg(test)]
 const BUCKETS: usize = SUB + (64 - SUB_BITS as usize) * SUB;
 
 /// A latency histogram over `u64` nanosecond values.
+///
+/// `counts` always ends at the highest non-empty bucket (it is empty when
+/// no sample is recorded), so two histograms of the same samples are
+/// equal bucket for bucket and a clone holds exactly what was recorded.
 #[derive(Clone, PartialEq)]
 pub struct LatencyHistogram {
     counts: Vec<u64>,
@@ -36,7 +44,7 @@ impl LatencyHistogram {
     /// An empty histogram.
     pub fn new() -> Self {
         LatencyHistogram {
-            counts: vec![0; BUCKETS],
+            counts: Vec::new(),
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -72,7 +80,13 @@ impl LatencyHistogram {
     /// Records one duration sample.
     pub fn record(&mut self, value: SimDuration) {
         let v = value.as_nanos();
-        self.counts[Self::bucket_index(v)] += 1;
+        let index = Self::bucket_index(v);
+        if index >= self.counts.len() {
+            // `resize` reserves geometrically: amortised, a run allocates
+            // a handful of times, not once per new highest bucket.
+            self.counts.resize(index + 1, 0);
+        }
+        self.counts[index] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(v);
         self.min = self.min.min(v);
@@ -131,16 +145,30 @@ impl LatencyHistogram {
         SimDuration::from_nanos(self.max)
     }
 
-    /// Per-bucket counts, for conservation checks and export.
+    /// Per-bucket counts, for conservation checks and export. The slice
+    /// ends at the highest non-empty bucket, so its length varies with the
+    /// samples (0 when empty, at most 976); bucket `i` of two
+    /// histograms covers the same values whatever their lengths.
     pub fn bucket_counts(&self) -> &[u64] {
         &self.counts
     }
 
-    /// Folds another histogram into this one (bucketwise addition).
+    /// Releases the spare capacity left by geometric growth, so a stored
+    /// histogram owns exactly its buckets.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.counts.shrink_to_fit();
+    }
+
+    /// Folds another histogram into this one (bucketwise addition),
+    /// extending this one to the other's length if it is shorter.
     pub fn absorb(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
+        let shared = self.counts.len().min(other.counts.len());
+        let (common, tail) = other.counts.split_at(shared);
+        for (a, b) in self.counts.iter_mut().zip(common) {
             *a += b;
         }
+        self.counts.reserve_exact(tail.len());
+        self.counts.extend_from_slice(tail);
         self.count += other.count;
         self.sum = self.sum.saturating_add(other.sum);
         self.min = self.min.min(other.min);

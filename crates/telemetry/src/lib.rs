@@ -32,8 +32,6 @@ pub use event::{EventRing, SchedEvent, StampedEvent};
 pub use histogram::{HistogramSummary, LatencyHistogram};
 pub use report::TelemetryReport;
 
-use std::collections::HashMap;
-
 use amp_types::{CoreId, SimDuration, SimTime, ThreadId};
 
 /// Live per-run collector: counters, histograms, and the event ring.
@@ -52,9 +50,10 @@ pub struct Telemetry {
     /// Time threads spent blocked on a futex word.
     pub futex_block: LatencyHistogram,
     ring: EventRing,
-    /// Latest speedup prediction per thread, matched against measured
-    /// speedups as the engine observes them.
-    pending_predictions: HashMap<ThreadId, f64>,
+    /// Latest speedup prediction per thread, indexed by thread id and
+    /// grown on demand, matched against measured speedups as the engine
+    /// observes them. `None` until the policy predicts for that thread.
+    pending_predictions: Vec<Option<f64>>,
 }
 
 impl Telemetry {
@@ -68,7 +67,7 @@ impl Telemetry {
             runqueue_wait: LatencyHistogram::new(),
             futex_block: LatencyHistogram::new(),
             ring: EventRing::new(event_capacity),
-            pending_predictions: HashMap::new(),
+            pending_predictions: Vec::new(),
         }
     }
 
@@ -77,7 +76,11 @@ impl Telemetry {
     pub fn record(&mut self, at: SimTime, core: CoreId, event: SchedEvent) {
         self.counters.apply(&event);
         if let SchedEvent::SlicePredict { thread, predicted_speedup, .. } = event {
-            self.pending_predictions.insert(thread, predicted_speedup);
+            let slot = thread.index();
+            if slot >= self.pending_predictions.len() {
+                self.pending_predictions.resize(slot + 1, None);
+            }
+            self.pending_predictions[slot] = Some(predicted_speedup);
         }
         self.ring.push(at, core, event);
     }
@@ -87,7 +90,7 @@ impl Telemetry {
     /// The prediction stays armed: each subsequent observation scores the
     /// latest prediction until the policy issues a new one.
     pub fn observe_actual_speedup(&mut self, thread: ThreadId, actual: f64) {
-        if let Some(&predicted) = self.pending_predictions.get(&thread) {
+        if let Some(&Some(predicted)) = self.pending_predictions.get(thread.index()) {
             self.counters.prediction.observe(predicted, actual);
         }
     }
@@ -112,18 +115,28 @@ impl Telemetry {
         self.ring.dropped()
     }
 
-    /// Snapshots the aggregatable state into a report (the ring's raw
-    /// events stay behind; only their totals travel).
-    pub fn report(&self) -> TelemetryReport {
-        TelemetryReport {
+    /// Ends the run: moves the aggregatable state into a report (each
+    /// histogram trimmed to exactly its buckets) and the ring's buffer
+    /// into the returned events, oldest first. The ring's totals travel
+    /// in the report.
+    pub fn finish(self) -> (TelemetryReport, Vec<StampedEvent>) {
+        let mut report = TelemetryReport {
             runs: 1,
-            counters: self.counters.clone(),
-            wakeup_to_run: self.wakeup_to_run.clone(),
-            runqueue_wait: self.runqueue_wait.clone(),
-            futex_block: self.futex_block.clone(),
+            counters: self.counters,
+            wakeup_to_run: self.wakeup_to_run,
+            runqueue_wait: self.runqueue_wait,
+            futex_block: self.futex_block,
             events_seen: self.ring.seen(),
             events_dropped: self.ring.dropped(),
+        };
+        for histogram in [
+            &mut report.wakeup_to_run,
+            &mut report.runqueue_wait,
+            &mut report.futex_block,
+        ] {
+            histogram.shrink_to_fit();
         }
+        (report, self.ring.into_events())
     }
 
     /// Convenience: records a wakeup-to-run latency sample.
@@ -195,5 +208,26 @@ mod tests {
         tel.observe_actual_speedup(t, 2.5);
         assert_eq!(tel.counters.prediction.samples, 2);
         assert!((tel.counters.prediction.mean_abs_error() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn unpredicted_threads_are_not_scored() {
+        let mut tel = Telemetry::new(0);
+        tel.record(
+            SimTime::ZERO,
+            CoreId(0),
+            SchedEvent::SlicePredict {
+                thread: ThreadId(2),
+                predicted_speedup: 2.0,
+                slice: SimDuration::from_micros(500),
+            },
+        );
+        // Below the predicted thread's slot, and past every slot seen so far.
+        tel.observe_actual_speedup(ThreadId(0), 1.5);
+        tel.observe_actual_speedup(ThreadId(3), 1.5);
+        tel.observe_actual_speedup(ThreadId(u32::MAX), 1.5);
+        assert_eq!(tel.counters.prediction.samples, 0);
+        tel.observe_actual_speedup(ThreadId(2), 1.5);
+        assert_eq!(tel.counters.prediction.samples, 1);
     }
 }

@@ -1,9 +1,11 @@
 //! Property tests for the telemetry invariants the rest of the suite
-//! leans on: histogram quantile ordering, counter conservation, and the
-//! flight-recorder ring's capacity bound under arbitrary event storms.
+//! leans on: histogram quantile ordering, compact bucket storage and
+//! exact merging, counter conservation, and the flight-recorder ring's
+//! capacity bound and oldest-first drain under arbitrary event storms.
 
 use amp_telemetry::{
     ClusterDirection, EventRing, LabelClass, LatencyHistogram, PreemptCause, SchedEvent, Telemetry,
+    TelemetryReport,
 };
 use amp_types::{CoreId, SimDuration, SimTime, ThreadId};
 use proptest::prelude::*;
@@ -37,6 +39,38 @@ fn event_strategy() -> impl Strategy<Value = SchedEvent> {
         },
         _ => SchedEvent::IdleSteal { thread: ThreadId(a), from: CoreId(b % 4) },
     })
+}
+
+fn histogram_of(samples: &[u64]) -> LatencyHistogram {
+    let mut h = LatencyHistogram::new();
+    for &s in samples {
+        h.record(SimDuration::from_nanos(s));
+    }
+    h
+}
+
+/// Whether the stored buckets end at the highest non-empty one (an
+/// empty histogram stores none).
+fn ends_at_highest_sample(h: &LatencyHistogram) -> bool {
+    h.bucket_counts().last().is_none_or(|&n| n > 0) && h.bucket_counts().is_empty() == h.is_empty()
+}
+
+#[test]
+fn empty_histograms_and_reports_own_no_buckets() {
+    assert!(LatencyHistogram::new().bucket_counts().is_empty());
+    let report = TelemetryReport::default();
+    for h in [
+        &report.wakeup_to_run,
+        &report.runqueue_wait,
+        &report.futex_block,
+    ] {
+        assert!(h.bucket_counts().is_empty());
+    }
+    // A run that recorded nothing stores nothing either.
+    let (report, events) = Telemetry::new(8).finish();
+    assert_eq!(report.runs, 1);
+    assert!(report.wakeup_to_run.bucket_counts().is_empty());
+    assert!(events.is_empty());
 }
 
 proptest! {
@@ -141,5 +175,58 @@ proptest! {
         prop_assert_eq!(ha.max(), pooled.max());
         prop_assert_eq!(ha.bucket_counts(), pooled.bucket_counts());
         prop_assert_eq!(ha.quantile(0.5), pooled.quantile(0.5));
+    }
+
+    #[test]
+    fn absorb_extends_the_shorter_side_in_either_order(
+        a in proptest::collection::vec(any::<u64>(), 0..60),
+        a_shift in 0u32..64,
+        b in proptest::collection::vec(any::<u64>(), 0..60),
+        b_shift in 0u32..64,
+    ) {
+        // Shifting each side by its own amount gives the two histograms
+        // different highest buckets.
+        let a: Vec<u64> = a.iter().map(|s| s >> a_shift).collect();
+        let b: Vec<u64> = b.iter().map(|s| s >> b_shift).collect();
+        let pooled = histogram_of(&[a.as_slice(), b.as_slice()].concat());
+        let mut ab = histogram_of(&a);
+        ab.absorb(&histogram_of(&b));
+        let mut ba = histogram_of(&b);
+        ba.absorb(&histogram_of(&a));
+        prop_assert_eq!(ab.bucket_counts(), pooled.bucket_counts());
+        prop_assert_eq!(ba.bucket_counts(), pooled.bucket_counts());
+        prop_assert_eq!(&ab, &pooled);
+        prop_assert_eq!(&ba, &pooled);
+        prop_assert!(ends_at_highest_sample(&ab));
+    }
+
+    #[test]
+    fn stored_buckets_end_at_the_highest_non_empty_one(
+        samples in proptest::collection::vec(0u64..10_000_000_000, 0..200),
+    ) {
+        let h = histogram_of(&samples);
+        prop_assert!(ends_at_highest_sample(&h), "{:?}", h.bucket_counts().last());
+        // The same holds for the histograms a finished run hands over.
+        let mut tel = Telemetry::new(0);
+        for &s in &samples {
+            tel.observe_runqueue_wait(SimDuration::from_nanos(s));
+        }
+        let (report, _) = tel.finish();
+        prop_assert_eq!(report.runqueue_wait.bucket_counts(), h.bucket_counts());
+        prop_assert!(report.wakeup_to_run.bucket_counts().is_empty());
+    }
+
+    #[test]
+    fn consumed_ring_equals_its_oldest_first_iteration(
+        events in proptest::collection::vec(event_strategy(), 0..200),
+        cap in 0usize..64,
+    ) {
+        // Covers empty, partly filled and wrapped rings alike.
+        let mut ring = EventRing::new(cap);
+        for (i, e) in events.iter().enumerate() {
+            ring.push(SimTime::from_nanos(i as u64), CoreId((i % 3) as u32), *e);
+        }
+        let iterated: Vec<_> = ring.iter().copied().collect();
+        prop_assert_eq!(ring.into_events(), iterated);
     }
 }
