@@ -17,11 +17,11 @@
 //!
 //! `--jobs N` runs the whole evaluation on N worker threads (default: the
 //! host's available parallelism; `--jobs 1` is the exact serial path):
-//! the experiment-cell sweep, then the runs of each extension study. The
-//! sweep is planned up front and reduced in canonical cell order, and
-//! each study folds its runs in enumeration order, so output is
-//! byte-identical for every N — only the `cells/sec` diagnostic on
-//! stderr changes.
+//! the experiment-cell sweep, then each extension study's own plan of
+//! cells, all through one executor. Every plan is enumerated up front
+//! and reduced in canonical cell order, so output is byte-identical for
+//! every N — only the `cells/sec` diagnostic on stderr changes, and the
+//! closing "cells evaluated" count there includes the studies' cells.
 //!
 //! `--check` exits 1 when a claim fails, after the CSVs and the bench
 //! report requested alongside it have been written.
@@ -142,14 +142,13 @@ fn parse_args() -> Result<Options, String> {
     })
 }
 
-/// Plans every memoizable experiment cell the selected targets will
-/// consume, so the sweep executor can prewarm the harness caches in
-/// parallel: energy reads 2B4S cells of the paper grid and Table 1, and
-/// ablation reads the paper grid's Sync-workload Linux and COLAB cells.
-/// The studies' own runs (the ablation variants, sensitivity, freqsweep,
-/// staggered, faults) are not cells; they run later on as many workers
-/// as this sweep. The plan is identical for every `--jobs` value, which
-/// is what keeps output byte-identical across job counts.
+/// Plans the memoized paper-protocol cells the selected figures, tables
+/// and CSVs read, so the sweep executor can prewarm the harness memo in
+/// parallel. The extension studies plan their own cells when they run
+/// (on as many workers as this sweep); the cells they share with this
+/// plan, like the energy study's, are then memo hits. The plan is
+/// identical for every `--jobs` value, which is what keeps output
+/// byte-identical across job counts.
 fn build_plan(options: &Options, wants: impl Fn(&str) -> bool) -> colab::SweepPlan {
     let mut plan = colab::SweepPlan::new();
     let csv = options.csv_dir.is_some();
@@ -167,12 +166,6 @@ fn build_plan(options: &Options, wants: impl Fn(&str) -> bool) -> colab::SweepPl
     }
     if csv || wants("table1") || wants("check") {
         plan.add_table1();
-    }
-    if wants("energy") {
-        plan.add_energy();
-    }
-    if wants("ablation") {
-        plan.add_ablation();
     }
     plan
 }

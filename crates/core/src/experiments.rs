@@ -6,86 +6,62 @@
 //! that shape, and each `figure*` function supplies the paper's grouping.
 //! All figures share the same memoized 312-cell sweep inside [`Harness`].
 //!
-//! The extension studies either read the memoized cells (energy, fairness,
-//! the quantified Table 1, the full-COLAB ablation row) or enumerate their
-//! own independent runs and evaluate them with [`sweep::parallel_map`] on
-//! the harness's worker count, folding the results in enumeration order
-//! so the output does not depend on it. Each study runs once per harness.
+//! Every extension study is a grid of [`SweepCell`]s too: it builds a
+//! plan, runs it through [`Harness::run_plan`] on the harness's worker
+//! count (cells already memoized, like the energy study's, cost a
+//! lookup), and reduces the memoized run records in its own enumeration
+//! order, so the output does not depend on the worker count.
 
 use std::fmt;
 
 use amp_metrics::geomean;
-use amp_sim::{SimParams, Simulation, SimulationOutcome};
-use amp_types::{MachineConfig, Result};
+use amp_sched::ColabConfig;
+use amp_sim::SimParams;
+use amp_types::{Result, SimDuration, SimTime};
 use amp_workloads::{BenchmarkId, PaperWorkload, WorkloadClass, WorkloadSpec};
 
-use crate::harness::{Harness, SchedulerKind};
-use crate::sweep;
+use crate::harness::{CellOutcome, Harness, RunRecord, SchedulerKind};
+use crate::sweep::{Protocol, RandomFaults, SweepCell, SweepPlan};
 
 /// The four hardware configurations of the evaluation, `(big, little)`.
 pub const CONFIGS: [(usize, usize); 4] = [(2, 2), (2, 4), (4, 2), (4, 4)];
 
-/// The extension studies a [`Harness`] has computed, one slot each.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Studies {
-    energy: Option<EnergyStudy>,
-    ablation: Option<Ablation>,
-    sensitivity: Option<Sensitivity>,
-    frequency_sweep: Option<FrequencySweep>,
-    staggered: Option<Staggered>,
-    faults: Option<FaultsStudy>,
+/// Runs a study's `cells` as one plan on the harness's workers and
+/// returns their memoized outcomes in the order given.
+fn run_cells<'h>(h: &'h mut Harness, cells: &[SweepCell]) -> Result<Vec<&'h CellOutcome>> {
+    let plan: SweepPlan = cells.iter().cloned().collect();
+    h.run_plan(&plan, h.jobs())?;
+    let h: &'h Harness = h;
+    Ok(cells.iter().map(|cell| &h.cells[&cell.key()]).collect())
 }
 
-/// Returns the study in `slot`, computing it with `run` the first time.
-fn memoized<T: Clone>(
-    h: &mut Harness,
-    slot: fn(&mut Studies) -> &mut Option<T>,
-    run: fn(&mut Harness) -> Result<T>,
-) -> Result<T> {
-    if let Some(done) = slot(&mut h.studies) {
-        return Ok(done.clone());
-    }
-    let study = run(h)?;
-    *slot(&mut h.studies) = Some(study.clone());
-    Ok(study)
-}
-
-/// Each app's turnaround in a run, in seconds.
-fn turnaround_secs(outcome: &SimulationOutcome) -> Vec<f64> {
-    outcome
-        .apps
-        .iter()
-        .map(|app| app.turnaround.as_secs_f64())
-        .collect()
-}
-
-/// One study run: `spec` at `seed`, loaded from the harness's program
-/// store onto `machine` with `params`, staged by `stage` (arrivals or a
-/// fault plan; `Ok` for neither), and run under `kind`.
-fn run_study(
-    h: &Harness,
-    machine: &MachineConfig,
-    (spec, seed): (&WorkloadSpec, u64),
-    params: SimParams,
+/// A cell of one run set at `seed` under `protocol`'s other fields.
+fn study_cell(
+    spec: &WorkloadSpec,
+    (big, little): (usize, usize),
     kind: SchedulerKind,
-    stage: impl FnOnce(Simulation) -> Result<Simulation>,
-) -> Result<SimulationOutcome> {
-    let compiled = h.programs.get_or_compile(spec, seed, h.config().scale)?;
-    let sim =
-        Simulation::from_compiled_with_params(machine, compiled.apps().to_vec(), seed, params)?;
-    let mut sched = kind.create(machine, h.model());
-    stage(sim)?.run(sched.as_mut())
+    seed: u64,
+    protocol: Protocol,
+) -> SweepCell {
+    SweepCell {
+        protocol: Protocol {
+            seed: Some(seed),
+            ..protocol
+        },
+        ..SweepCell::new(spec.clone(), big, little, kind)
+    }
 }
 
-/// Evaluates `f` over a study's independent `runs` on the harness's
-/// sweep workers; results come back in input order, and the first error
-/// in that order wins.
-fn run_all<I: Sync, O: Send>(
-    h: &Harness,
-    runs: &[I],
-    f: impl Fn(&I) -> Result<O> + Sync,
-) -> Result<Vec<O>> {
-    sweep::parallel_map(h.jobs(), runs, f).into_iter().collect()
+/// Each app's turnaround in seconds, summed over a cell's runs in run
+/// order.
+fn turnaround_secs(cell: &CellOutcome) -> Vec<f64> {
+    let mut sums = vec![0.0; cell.runs[0].turnarounds.len()];
+    for run in &cell.runs {
+        for (sum, t) in sums.iter_mut().zip(&run.turnarounds) {
+            *sum += t.as_secs_f64();
+        }
+    }
+    sums
 }
 
 // ---------------------------------------------------------------------
@@ -285,7 +261,7 @@ impl fmt::Display for GroupFigure {
 }
 
 /// The Table 4 workloads of one class.
-pub(crate) fn class_specs(class: WorkloadClass) -> Vec<WorkloadSpec> {
+fn class_specs(class: WorkloadClass) -> Vec<WorkloadSpec> {
     PaperWorkload::all()
         .into_iter()
         .filter(|w| w.class() == class)
@@ -491,32 +467,31 @@ pub struct EnergyStudy {
 }
 
 /// The energy study's machine, `(big, little)`.
-pub(crate) const ENERGY_CONFIG: (usize, usize) = (2, 4);
+const ENERGY_CONFIG: (usize, usize) = (2, 4);
 
 /// Runs the energy study on the 2-big 4-little machine. Its cells are
-/// the paper grid's and the quantified Table 1's 2B4S cells, so it reads
-/// their memoized energy (evaluating any that are missing).
+/// the paper grid's and the quantified Table 1's 2B4S cells, so after
+/// those it reads their memoized energy.
 ///
 /// # Errors
 ///
 /// Propagates simulation failures.
 pub fn energy(h: &mut Harness) -> Result<EnergyStudy> {
-    memoized(h, |s| &mut s.energy, run_energy)
-}
-
-fn run_energy(h: &mut Harness) -> Result<EnergyStudy> {
-    let specs: Vec<WorkloadSpec> = PaperWorkload::all().iter().map(|w| w.spec()).collect();
     let kinds = SchedulerKind::EXTENDED;
+    let (big, little) = ENERGY_CONFIG;
+    let cells: Vec<SweepCell> = PaperWorkload::all()
+        .iter()
+        .flat_map(|w| kinds.map(|kind| SweepCell::new(w.spec(), big, little, kind)))
+        .collect();
+    let outcomes = run_cells(h, &cells)?;
 
     // energy[k][w], edp[k][w]
     let mut energies = vec![Vec::new(); kinds.len()];
     let mut edps = vec![Vec::new(); kinds.len()];
-    let (big, little) = ENERGY_CONFIG;
-    for spec in &specs {
-        for (ki, &kind) in kinds.iter().enumerate() {
-            let cell = h.cell_energy(spec, big, little, kind)?;
-            energies[ki].push(cell.joules);
-            edps[ki].push(cell.edp);
+    for per_spec in outcomes.chunks(kinds.len()) {
+        for (ki, cell) in per_spec.iter().enumerate() {
+            energies[ki].push(cell.energy.joules);
+            edps[ki].push(cell.energy.edp);
         }
     }
 
@@ -639,62 +614,33 @@ pub struct Staggered {
     pub rows: Vec<StaggeredRow>,
 }
 
-/// Runs the staggered-arrival study on 2B4S.
+/// Runs the staggered-arrival study on 2B4S, at the harness's seed
+/// whatever its replications.
 ///
 /// # Errors
 ///
 /// Propagates simulation failures.
 pub fn staggered(h: &mut Harness) -> Result<Staggered> {
-    memoized(h, |s| &mut s.staggered, |h| run_staggered(h))
-}
-
-fn run_staggered(h: &Harness) -> Result<Staggered> {
-    use amp_types::{CoreOrder, SimTime};
-
-    let workloads: Vec<WorkloadSpec> = PaperWorkload::all()
+    let kinds = SchedulerKind::EXTENDED;
+    let protocol = Protocol {
+        arrival_gap: SimDuration::from_millis(40),
+        ..Protocol::default()
+    };
+    let seed = h.config().seed;
+    let cells: Vec<SweepCell> = PaperWorkload::all()
         .into_iter()
         .filter(|w| w.num_programs() == 4)
-        .map(|w| w.spec())
+        .flat_map(|w| {
+            let spec = w.spec();
+            kinds.map(|kind| study_cell(&spec, (2, 4), kind, seed, protocol))
+        })
         .collect();
-    let kinds = SchedulerKind::EXTENDED;
-    let gap = SimTime::from_millis(40);
-
-    let mut runs = Vec::new();
-    for spec in &workloads {
-        for &kind in &kinds {
-            for order in CoreOrder::BOTH {
-                runs.push((spec, kind, order));
-            }
-        }
-    }
-    // Per run, each app's arrival-to-finish turnaround in seconds.
-    let per_run = run_all(h, &runs, |&(spec, kind, order)| {
-        let machine = MachineConfig::asymmetric(2, 4, order);
-        let arrivals = (0..spec.num_apps() as u64)
-            .map(|i| SimTime::from_nanos(gap.as_nanos() * i))
-            .collect();
-        let config = h.config();
-        let outcome = run_study(
-            h,
-            &machine,
-            (spec, config.seed),
-            config.sim_params,
-            kind,
-            |sim| sim.with_arrivals(arrivals),
-        )?;
-        Ok(turnaround_secs(&outcome))
-    })?;
+    let outcomes = run_cells(h, &cells)?;
 
     // turnarounds[k][flattened app], summed over the core-order pair.
     let mut turnarounds = vec![Vec::new(); kinds.len()];
-    for (i, orders) in per_run.chunks(CoreOrder::BOTH.len()).enumerate() {
-        let mut per_app_sums = vec![0.0; orders[0].len()];
-        for times in orders {
-            for (sum, t) in per_app_sums.iter_mut().zip(times) {
-                *sum += t;
-            }
-        }
-        turnarounds[i % kinds.len()].extend(per_app_sums);
+    for (i, cell) in outcomes.iter().enumerate() {
+        turnarounds[i % kinds.len()].extend(turnaround_secs(cell));
     }
 
     let rows = kinds
@@ -755,62 +701,41 @@ pub struct FrequencySweep {
     pub points: Vec<FrequencyPoint>,
 }
 
-/// Runs the asymmetry sweep on a 2-big + 4-little machine shape.
+/// Runs the asymmetry sweep on a 2-big + 4-little machine shape, big
+/// cores first, at the harness's seed whatever its replications.
 ///
 /// # Errors
 ///
 /// Propagates simulation failures.
 pub fn frequency_sweep(h: &mut Harness) -> Result<FrequencySweep> {
-    memoized(h, |s| &mut s.frequency_sweep, |h| run_frequency_sweep(h))
-}
-
-fn run_frequency_sweep(h: &Harness) -> Result<FrequencySweep> {
-    use amp_types::{CoreKind, CoreSpec};
-
     const LITTLE_GHZ: [f64; 5] = [0.6, 0.9, 1.2, 1.6, 2.0];
     let kinds = [SchedulerKind::Linux, SchedulerKind::Colab];
     let specs = class_specs(WorkloadClass::Sync);
-    let machines: Vec<MachineConfig> = LITTLE_GHZ
-        .iter()
-        .map(|&little_ghz| {
-            MachineConfig::from_cores(
-                std::iter::repeat_n(CoreSpec::big(), 2)
-                    .chain(std::iter::repeat_n(
-                        CoreSpec {
-                            kind: CoreKind::Little,
-                            freq_ghz: little_ghz,
-                        },
-                        4,
-                    ))
-                    .collect(),
-            )
-        })
-        .collect();
-
-    let mut runs = Vec::new();
-    for machine in &machines {
+    let seed = h.config().seed;
+    let mut cells = Vec::new();
+    for little_ghz in LITTLE_GHZ {
+        let protocol = Protocol {
+            little_ghz,
+            big_first_only: true,
+            ..Protocol::default()
+        };
         for spec in &specs {
             for kind in kinds {
-                runs.push((machine, spec, kind));
+                cells.push(study_cell(spec, (2, 4), kind, seed, protocol));
             }
         }
     }
-    // Per run, each app's turnaround in seconds.
-    let per_run = run_all(h, &runs, |&(machine, spec, kind)| {
-        let config = h.config();
-        let outcome = run_study(h, machine, (spec, config.seed), config.sim_params, kind, Ok)?;
-        Ok(turnaround_secs(&outcome))
-    })?;
+    let outcomes = run_cells(h, &cells)?;
 
     let per_point = specs.len() * kinds.len();
     let points = LITTLE_GHZ
         .iter()
-        .zip(per_run.chunks(per_point))
+        .zip(outcomes.chunks(per_point))
         .map(|(&little_ghz, point)| {
             let mut ratios = Vec::new();
             for pair in point.chunks(kinds.len()) {
-                let (linux, colab) = (&pair[0], &pair[1]);
-                ratios.extend(colab.iter().zip(linux).map(|(c, l)| c / l));
+                let (linux, colab) = (turnaround_secs(pair[0]), turnaround_secs(pair[1]));
+                ratios.extend(colab.iter().zip(&linux).map(|(c, l)| c / l));
             }
             FrequencyPoint {
                 little_ghz,
@@ -1095,18 +1020,13 @@ pub struct Sensitivity {
     pub rows: Vec<SensitivityRow>,
 }
 
-/// Runs the sensitivity sweep.
+/// Runs the sensitivity sweep at the harness's seed, whatever its
+/// replications.
 ///
 /// # Errors
 ///
 /// Propagates simulation failures.
 pub fn sensitivity(h: &mut Harness) -> Result<Sensitivity> {
-    memoized(h, |s| &mut s.sensitivity, |h| run_sensitivity(h))
-}
-
-fn run_sensitivity(h: &Harness) -> Result<Sensitivity> {
-    use amp_types::{CoreOrder, SimDuration};
-
     let base = h.config().sim_params;
     let variants: Vec<(String, SimParams)> = vec![
         ("defaults".into(), base),
@@ -1145,45 +1065,32 @@ fn run_sensitivity(h: &Harness) -> Result<Sensitivity> {
 
     let specs = class_specs(WorkloadClass::Sync);
     let kinds = [SchedulerKind::Linux, SchedulerKind::Colab];
-    let mut runs = Vec::new();
+    let seed = h.config().seed;
+    let mut cells = Vec::new();
     for (_, params) in &variants {
+        let protocol = Protocol {
+            params: Some(*params),
+            ..Protocol::default()
+        };
         for spec in &specs {
-            for order in CoreOrder::BOTH {
-                for kind in kinds {
-                    runs.push((*params, spec, order, kind));
-                }
+            for kind in kinds {
+                cells.push(study_cell(spec, (2, 4), kind, seed, protocol));
             }
         }
     }
-    // Per run, each app's turnaround in seconds.
-    let per_run = run_all(h, &runs, |&(params, spec, order, kind)| {
-        let machine = MachineConfig::asymmetric(2, 4, order);
-        let outcome = run_study(h, &machine, (spec, h.config().seed), params, kind, Ok)?;
-        Ok(turnaround_secs(&outcome))
-    })?;
+    let outcomes = run_cells(h, &cells)?;
 
-    let per_spec = CoreOrder::BOTH.len() * kinds.len();
-    let per_variant = specs.len() * per_spec;
+    let per_variant = specs.len() * kinds.len();
     let rows = variants
         .into_iter()
-        .zip(per_run.chunks(per_variant))
-        .map(|((label, _), variant_runs)| {
+        .zip(outcomes.chunks(per_variant))
+        .map(|((label, _), variant_cells)| {
             let mut ratios = Vec::new();
-            for (spec, spec_runs) in specs.iter().zip(variant_runs.chunks(per_spec)) {
-                // Average each app's turnaround over both core orders, per
-                // scheduler, then take per-app ratios.
-                let mut linux_t = vec![0.0f64; spec.num_apps()];
-                let mut colab_t = vec![0.0f64; spec.num_apps()];
-                for pair in spec_runs.chunks(kinds.len()) {
-                    for (acc, times) in [&mut linux_t, &mut colab_t].into_iter().zip(pair) {
-                        for (a, t) in acc.iter_mut().zip(times) {
-                            *a += t;
-                        }
-                    }
-                }
-                for (c, l) in colab_t.iter().zip(&linux_t) {
-                    ratios.push(c / l);
-                }
+            for pair in variant_cells.chunks(kinds.len()) {
+                // Each app's turnaround summed over both core orders, per
+                // scheduler, then per-app ratios.
+                let (linux, colab) = (turnaround_secs(pair[0]), turnaround_secs(pair[1]));
+                ratios.extend(colab.iter().zip(&linux).map(|(c, l)| c / l));
             }
             SensitivityRow {
                 variant: label,
@@ -1231,23 +1138,16 @@ pub struct Ablation {
     pub rows: Vec<AblationRow>,
 }
 
-/// Runs the ablation study. The full-COLAB row is the memoized COLAB
-/// cells against the memoized Linux cells; each reduced variant runs
-/// every cell's protocol (both core orders, every replication, the
-/// configured simulator parameters) against the Linux cells' baselines.
+/// Runs the ablation study. The full-COLAB row is the paper's COLAB
+/// cells against its Linux cells; each reduced variant is a COLAB cell
+/// of the same protocol (both core orders, every replication, the
+/// configured simulator parameters) with one mechanism switched off,
+/// read against the same Linux cells.
 ///
 /// # Errors
 ///
 /// Propagates simulation failures.
 pub fn ablation(h: &mut Harness) -> Result<Ablation> {
-    memoized(h, |s| &mut s.ablation, run_ablation)
-}
-
-fn run_ablation(h: &mut Harness) -> Result<Ablation> {
-    use amp_sched::{ColabConfig, ColabScheduler, Scheduler};
-
-    use crate::harness::{run_cell, EvalCtx};
-
     let reduced: [(&str, ColabConfig); 3] = [
         (
             "− hierarchical allocation",
@@ -1261,49 +1161,51 @@ fn run_ablation(h: &mut Harness) -> Result<Ablation> {
     ];
 
     let specs = class_specs(WorkloadClass::Sync);
-    let mut linux_cells = Vec::new();
-    let mut full = Vec::new();
-    for spec in &specs {
-        for (big, little) in CONFIGS {
-            let linux = h.mix(spec, big, little, SchedulerKind::Linux)?;
-            let colab = h.mix(spec, big, little, SchedulerKind::Colab)?;
-            full.push(colab.h_antt / linux.h_antt);
-            linux_cells.push((spec, (big, little), linux));
+    let shapes: Vec<(&WorkloadSpec, usize, usize)> = specs
+        .iter()
+        .flat_map(|spec| CONFIGS.map(|(big, little)| (spec, big, little)))
+        .collect();
+    let mut cells = Vec::new();
+    for &(spec, big, little) in &shapes {
+        for kind in [SchedulerKind::Linux, SchedulerKind::Colab] {
+            cells.push(SweepCell::new(spec.clone(), big, little, kind));
         }
     }
+    for (_, colab) in &reduced {
+        for &(spec, big, little) in &shapes {
+            cells.push(SweepCell {
+                colab: *colab,
+                ..SweepCell::new(spec.clone(), big, little, SchedulerKind::Colab)
+            });
+        }
+    }
+    let outcomes = run_cells(h, &cells)?;
+    let h_antt = |cell: &CellOutcome| {
+        cell.summary
+            .as_ref()
+            .expect("ablation cells have baselines")
+            .h_antt
+    };
+
+    let (paper, variants) = outcomes.split_at(2 * shapes.len());
+    let linux: Vec<f64> = paper.iter().step_by(2).map(|cell| h_antt(cell)).collect();
+    let full: Vec<f64> = paper
+        .chunks(2)
+        .map(|pair| h_antt(pair[1]) / h_antt(pair[0]))
+        .collect();
     let mut rows = vec![AblationRow {
         variant: "full COLAB".to_string(),
         antt_vs_linux: geomean(&full),
     }];
-
-    let mut runs = Vec::new();
-    for (_, config) in &reduced {
-        for cell in &linux_cells {
-            runs.push((*config, cell));
-        }
-    }
-    // The variants only read the harness from here on.
-    let h: &Harness = h;
-    let ctx = EvalCtx {
-        config: h.config(),
-        store: &h.programs,
-    };
-    let ratios = run_all(h, &runs, |&(config, (spec, shape, linux))| {
-        let t_sb: Vec<_> = linux.apps.iter().map(|&(_, _, sb)| sb).collect();
-        let create = |machine: &MachineConfig| -> Box<dyn Scheduler> {
-            Box::new(ColabScheduler::with_config(
-                machine,
-                h.model().clone(),
-                config,
-            ))
-        };
-        let variant = run_cell(&ctx, &t_sb, spec, *shape, "colab", &create, None)?;
-        Ok(variant.summary.h_antt / linux.h_antt)
-    })?;
-    for ((label, _), ratios) in reduced.iter().zip(ratios.chunks(linux_cells.len())) {
+    for ((label, _), variant) in reduced.iter().zip(variants.chunks(shapes.len())) {
+        let ratios: Vec<f64> = variant
+            .iter()
+            .zip(&linux)
+            .map(|(cell, linux)| h_antt(cell) / linux)
+            .collect();
         rows.push(AblationRow {
             variant: label.to_string(),
-            antt_vs_linux: geomean(ratios),
+            antt_vs_linux: geomean(&ratios),
         });
     }
     Ok(Ablation { rows })
@@ -1356,103 +1258,117 @@ pub struct FaultsStudy {
     pub rows: Vec<FaultsRow>,
 }
 
-/// Runs the fault study on 2B2S: for each seed, a clean baseline run per
-/// scheduler plus one faulted run per intensity. The plan window is taken
-/// from the clean Linux makespan, and plans depend only on
-/// `(machine, seed, intensity, window)`, so every scheduler replays the
-/// *same* disturbance sequence — the comparison isolates policy response.
+/// Throughput retained by `faulted` relative to the fault-free run
+/// `clean`: `clean.makespan / faulted.makespan`, 1.0 when unharmed,
+/// smaller as faults stretch the run.
+fn throughput_retained(clean: &RunRecord, faulted: &RunRecord) -> f64 {
+    if faulted.makespan == SimTime::ZERO {
+        return 1.0;
+    }
+    clean.makespan.as_secs_f64() / faulted.makespan.as_secs_f64()
+}
+
+/// Mean-turnaround retained by `faulted` relative to `clean`: the ratio
+/// of average per-app turnarounds (clean / faulted), the ANTT-shaped
+/// degradation signal of the fault study.
+fn antt_retained(clean: &RunRecord, faulted: &RunRecord) -> f64 {
+    let mean = |run: &RunRecord| {
+        if run.turnarounds.is_empty() {
+            return 0.0;
+        }
+        run.turnarounds.iter().map(|t| t.as_secs_f64()).sum::<f64>() / run.turnarounds.len() as f64
+    };
+    let (c, f) = (mean(clean), mean(faulted));
+    if f <= 0.0 {
+        1.0
+    } else {
+        c / f
+    }
+}
+
+/// Runs the fault study on 2B2S, big cores first: for each seed, a
+/// clean baseline run per scheduler plus one faulted run per intensity.
+/// The plan window is taken from the clean Linux makespan, and plans
+/// depend only on `(machine, seed, intensity, window)`, so every
+/// scheduler replays the *same* disturbance sequence — the comparison
+/// isolates policy response. Two plans: the clean runs, whose Linux
+/// makespans set the windows, then the faulted runs.
 ///
 /// # Errors
 ///
 /// Propagates simulation failures and invalid fault plans.
 pub fn faults(h: &mut Harness) -> Result<FaultsStudy> {
-    memoized(h, |s| &mut s.faults, |h| run_faults(h))
-}
-
-fn run_faults(h: &Harness) -> Result<FaultsStudy> {
-    use amp_sim::{DegradationReport, FaultPlan};
-    use amp_types::{CoreOrder, SimDuration};
-
     const INTENSITIES: [f64; 3] = [0.5, 1.0, 2.0];
     const SEEDS: [u64; 3] = [11, 12, 13];
 
-    let machine = MachineConfig::asymmetric(2, 2, CoreOrder::BigFirst);
     let spec = PaperWorkload::all()
         .into_iter()
         .find(|w| w.num_programs() == 4)
         .map(|w| w.spec())
         .unwrap_or_else(|| WorkloadSpec::single(BenchmarkId::Ferret, 6));
     let workload = spec.name().to_string();
-
-    let run = |kind: SchedulerKind, seed: u64, plan: FaultPlan| {
-        run_study(
-            h,
-            &machine,
-            (&spec, seed),
-            h.config().sim_params,
-            kind,
-            |sim| sim.with_fault_plan(plan),
-        )
+    let kinds = SchedulerKind::ALL;
+    let cell = |kind: SchedulerKind, seed: u64, faults: Option<RandomFaults>| {
+        let protocol = Protocol {
+            big_first_only: true,
+            faults,
+            ..Protocol::default()
+        };
+        study_cell(&spec, (2, 2), kind, seed, protocol)
     };
 
-    // Clean baselines, one per (seed, scheduler); the Linux makespan also
-    // bounds the fault window so plans cover the whole run.
-    let kinds = SchedulerKind::ALL;
-    let mut clean_runs = Vec::new();
-    for &seed in &SEEDS {
-        for (ki, &kind) in kinds.iter().enumerate() {
-            clean_runs.push((ki, kind, seed));
-        }
-    }
-    let clean_outcomes = run_all(h, &clean_runs, |&(_, kind, seed)| {
-        run(kind, seed, FaultPlan::empty())
-    })?;
-    let mut clean = vec![Vec::new(); kinds.len()];
-    let mut windows = Vec::new();
-    for (&(ki, _, _), outcome) in clean_runs.iter().zip(clean_outcomes) {
-        if ki == 0 {
-            windows.push(SimDuration::from_nanos(outcome.makespan.as_nanos()));
-        }
-        clean[ki].push(outcome);
-    }
+    // Clean runs, one per (seed, scheduler); the Linux makespan bounds
+    // the fault window so plans cover the whole run.
+    let clean_cells: Vec<SweepCell> = SEEDS
+        .iter()
+        .flat_map(|&seed| kinds.map(|kind| cell(kind, seed, None)))
+        .collect();
+    let windows: Vec<SimDuration> = run_cells(h, &clean_cells)?
+        .chunks(kinds.len())
+        .map(|per_kind| SimDuration::from_nanos(per_kind[0].runs[0].makespan.as_nanos()))
+        .collect();
 
-    // Faulted runs: every scheduler replays each seed's plan.
-    let mut faulted_runs = Vec::new();
+    // Faulted runs: every scheduler replays each seed's plan. The clean
+    // cells lead the second plan as memo hits, for the ratios.
+    let mut cells = clean_cells;
     for &intensity in &INTENSITIES {
-        for (ki, &kind) in kinds.iter().enumerate() {
-            for (si, &seed) in SEEDS.iter().enumerate() {
-                faulted_runs.push((intensity, ki, kind, si, seed));
+        for kind in kinds {
+            for (&seed, &window) in SEEDS.iter().zip(&windows) {
+                let faults = RandomFaults {
+                    seed,
+                    intensity,
+                    window,
+                };
+                cells.push(cell(kind, seed, Some(faults)));
             }
         }
     }
-    let faulted = run_all(h, &faulted_runs, |&(intensity, ki, kind, si, seed)| {
-        let plan = FaultPlan::random(&machine, seed, intensity, windows[si]);
-        let outcome = run(kind, seed, plan)?;
-        let clean = &clean[ki][si];
-        let stp = DegradationReport::throughput_retained(clean, &outcome);
-        let antt = DegradationReport::antt_retained(clean, &outcome);
-        Ok((outcome.degradation, stp, antt))
-    })?;
+    let outcomes = run_cells(h, &cells)?;
+    let (clean, faulted) = outcomes.split_at(SEEDS.len() * kinds.len());
 
-    let rows = faulted_runs
-        .chunks(SEEDS.len())
-        .zip(faulted.chunks(SEEDS.len()))
-        .map(|(cell, per_seed)| {
-            let (intensity, _, kind, _, _) = cell[0];
+    let mut rows = Vec::new();
+    let mut per_seed = faulted.chunks(SEEDS.len());
+    for &intensity in &INTENSITIES {
+        for (ki, kind) in kinds.into_iter().enumerate() {
+            let runs = per_seed
+                .next()
+                .expect("one chunk per (intensity, scheduler)");
             let mut faults_injected = 0.0;
             let mut forced = 0.0;
             let mut offline_s = 0.0;
             let mut stp = Vec::new();
             let mut antt = Vec::new();
-            for (d, stp_retained, antt_retained) in per_seed {
+            for (si, outcome) in runs.iter().enumerate() {
+                let (clean, run) = (&clean[si * kinds.len() + ki].runs[0], &outcome.runs[0]);
+                let d = &run.degradation;
                 faults_injected += d.faults_injected as f64;
                 forced += d.forced_migrations as f64;
                 offline_s += d.offline_core_time.as_secs_f64();
-                stp.push(*stp_retained);
-                antt.push(*antt_retained);
+                stp.push(throughput_retained(clean, run));
+                antt.push(antt_retained(clean, run));
             }
             let n = SEEDS.len() as f64;
-            FaultsRow {
+            rows.push(FaultsRow {
                 scheduler: kind.name(),
                 intensity,
                 faults_injected: faults_injected / n,
@@ -1460,9 +1376,9 @@ fn run_faults(h: &Harness) -> Result<FaultsStudy> {
                 offline_core_seconds: offline_s / n,
                 throughput_retained: geomean(&stp),
                 antt_retained: geomean(&antt),
-            }
-        })
-        .collect();
+            });
+        }
+    }
     Ok(FaultsStudy { workload, rows })
 }
 
@@ -1569,13 +1485,25 @@ mod tests {
     }
 
     #[test]
-    fn each_study_runs_once_per_harness() {
+    fn a_second_study_call_evaluates_no_cell() {
+        type Study = fn(&mut Harness) -> Result<String>;
+        let studies: [(&str, Study); 6] = [
+            ("energy", |h| Ok(energy(h)?.to_string())),
+            ("ablation", |h| Ok(ablation(h)?.to_string())),
+            ("sensitivity", |h| Ok(sensitivity(h)?.to_string())),
+            ("freqsweep", |h| Ok(frequency_sweep(h)?.to_string())),
+            ("staggered", |h| Ok(staggered(h)?.to_string())),
+            ("faults", |h| Ok(faults(h)?.to_string())),
+        ];
         let mut h = Harness::new(ExperimentConfig::quick()).unwrap();
-        faults(&mut h).unwrap();
-        // Mark the memoized result: the second call must return it
-        // instead of running the study again.
-        h.studies.faults.as_mut().unwrap().workload = "memoized".into();
-        assert_eq!(faults(&mut h).unwrap().workload, "memoized");
+        for (name, study) in studies {
+            let before = h.cells_evaluated();
+            let first = study(&mut h).unwrap();
+            let evaluated = h.cells_evaluated();
+            assert!(evaluated > before, "{name} evaluated no cell of its own");
+            assert_eq!(study(&mut h).unwrap(), first, "{name} output changed");
+            assert_eq!(h.cells_evaluated(), evaluated, "{name} re-evaluated cells");
+        }
     }
 
     #[test]

@@ -10,12 +10,12 @@ use amp_sched::{
     CfsScheduler, ColabScheduler, EqualProgressScheduler, GtsScheduler, Scheduler, WashScheduler,
 };
 use amp_sim::telemetry::TelemetryReport;
-use amp_sim::{SimParams, Simulation};
-use amp_types::{AppId, CoreOrder, MachineConfig, Result, SimDuration};
+use amp_sim::{DegradationReport, FaultPlan, SimParams, Simulation};
+use amp_types::{AppId, CoreOrder, MachineConfig, Result, SimDuration, SimTime};
 use amp_workloads::{BenchmarkId, Scale, WorkloadSpec};
 
-use crate::experiments::Studies;
 use crate::intern::ProgramStore;
+use crate::sweep::{SweepCell, SweepPlan};
 use crate::training;
 
 /// The evaluated scheduling policies: the paper's three, plus ARM GTS
@@ -120,12 +120,14 @@ impl ExperimentConfig {
 }
 
 /// Key of a memoized experiment cell: `(workload, config label,
-/// scheduler)`. The whole spec, not just its name, so two workloads that
-/// share a name but not their entries (`single(b, 4)` and `single(b, 2)`)
-/// never share a cell.
-pub(crate) type CellKey = (WorkloadSpec, String, &'static str);
+/// scheduler, variant)`, the variant being empty for a paper-protocol
+/// cell (see [`SweepCell::key`]). The whole spec, not just its name, so
+/// two workloads that share a name but not their entries
+/// (`single(b, 4)` and `single(b, 2)`) never share a cell.
+pub(crate) type CellKey = (WorkloadSpec, String, &'static str, String);
 
-/// The memo key of `workload` on a `big`×`little` machine under `kind`.
+/// The memo key of the paper-protocol cell of `workload` on a
+/// `big`×`little` machine under `kind`.
 pub(crate) fn cell_key(
     workload: &WorkloadSpec,
     big: usize,
@@ -136,22 +138,41 @@ pub(crate) fn cell_key(
         workload.clone(),
         MachineConfig::asymmetric(big, little, CoreOrder::BigFirst).label(),
         kind.name(),
+        String::new(),
     )
 }
 
 /// Energy of one cell: total joules and energy-delay product, averaged
-/// over the core-order pair and all replications like the turnarounds.
+/// over its runs like the turnarounds.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CellEnergy {
     pub(crate) joules: f64,
     pub(crate) edp: f64,
 }
 
+/// What the extension studies without a baseline read of one
+/// simulation run.
+pub(crate) struct RunRecord {
+    /// Each application's turnaround (arrival to finish).
+    pub(crate) turnarounds: Vec<SimDuration>,
+    /// Completion time of the whole workload.
+    pub(crate) makespan: SimTime,
+    /// Faults injected and their effects (all zero on a clean machine).
+    pub(crate) degradation: DegradationReport,
+}
+
 /// Everything one evaluated cell yields.
 pub(crate) struct CellOutcome {
-    pub(crate) summary: MixSummary,
+    /// The cell's H_ANTT/H_STP summary; `None` for a cell without an
+    /// isolated baseline ([`SweepCell::needs_baseline`]).
+    pub(crate) summary: Option<MixSummary>,
+    /// Decision telemetry absorbed over the runs of a paper cell; empty
+    /// (and allocation-free) for every other cell.
     pub(crate) telemetry: TelemetryReport,
     pub(crate) energy: CellEnergy,
+    /// One record per run, seed-major then core order, for a cell
+    /// without a summary; empty for a cell with one.
+    pub(crate) runs: Vec<RunRecord>,
 }
 
 /// Seed for replication `rep` of a sweep with master seed `master`
@@ -174,10 +195,8 @@ pub(crate) struct EvalCtx<'a> {
 /// Computes the isolated big-only baselines `T_SB` for every app of
 /// `workload` on an all-big machine with `total_cores` cores.
 ///
-/// This is the single implementation behind both the serial memoized
-/// path ([`Harness::baselines`]) and the parallel sweep executor
-/// (`Harness::run_plan`): each baseline depends only on its inputs, so
-/// running it on any thread yields bit-identical results.
+/// Each baseline depends only on its inputs, so running it on any
+/// `Harness::run_plan` worker yields bit-identical results.
 pub(crate) fn compute_baseline(
     ctx: &EvalCtx<'_>,
     workload: &WorkloadSpec,
@@ -207,131 +226,137 @@ pub(crate) fn compute_baseline(
     Ok(t_sb)
 }
 
-/// Evaluates one experiment cell — `workload` on a `big`×`little`
-/// machine under `kind`, run once per core-enumeration order per
-/// replication and averaged (§5.1) — against precomputed baselines
-/// `t_sb`. A fresh [`Simulation`] and scheduler are constructed for
-/// every run, so no mutable state is shared with any other cell and the
-/// result is a pure function of the arguments: the sweep executor can
-/// evaluate cells on any thread in any order and reproduce the serial
-/// path bit-for-bit.
+/// The cell protocol: evaluates `cell` — its workload on its machine
+/// under its policy, once per core-enumeration order per seed, every
+/// field of its [`Protocol`](crate::sweep::Protocol) applied — and
+/// averages the runs (§5.1). `t_sb` is the cell's isolated baseline,
+/// given exactly when [`SweepCell::needs_baseline`]. A fresh
+/// [`Simulation`] and scheduler are constructed for every run, so no
+/// mutable state is shared with any other cell and the result is a pure
+/// function of the arguments: the sweep executor can evaluate cells on
+/// any thread in any order and reproduce the serial path bit-for-bit.
+///
+/// Only paper cells ([`SweepCell::is_paper`]) keep their telemetry and
+/// are recorded in [`crate::simcost`].
 pub(crate) fn compute_cell(
     ctx: &EvalCtx<'_>,
     model: &SpeedupModel,
-    t_sb: &[SimDuration],
-    workload: &WorkloadSpec,
-    big: usize,
-    little: usize,
-    kind: SchedulerKind,
-) -> Result<CellOutcome> {
-    run_cell(
-        ctx,
-        t_sb,
-        workload,
-        (big, little),
-        kind.name(),
-        &|machine| kind.create(machine, model),
-        Some(kind),
-    )
-}
-
-/// The protocol behind [`compute_cell`], for any policy `create` builds
-/// (the ablation study passes COLAB variants). `name` labels the
-/// summary; runs are recorded in [`crate::simcost`] under `cost_kind`
-/// when one is given, so only the evaluated policies are counted.
-pub(crate) fn run_cell(
-    ctx: &EvalCtx<'_>,
-    t_sb: &[SimDuration],
-    workload: &WorkloadSpec,
-    (big, little): (usize, usize),
-    name: &'static str,
-    create: &dyn Fn(&MachineConfig) -> Box<dyn Scheduler>,
-    cost_kind: Option<SchedulerKind>,
+    t_sb: Option<&[SimDuration]>,
+    cell: &SweepCell,
 ) -> Result<CellOutcome> {
     let EvalCtx { config, store } = *ctx;
-    let config_label = MachineConfig::asymmetric(big, little, CoreOrder::BigFirst).label();
-    let reps = config.replications.max(1);
-    let mut sums: Vec<SimDuration> = vec![SimDuration::ZERO; workload.num_apps()];
+    let protocol = &cell.protocol;
+    let params = protocol.params.unwrap_or(config.sim_params);
+    let paper = cell.is_paper();
     let mut names: Vec<String> = Vec::new();
     let mut telemetry = TelemetryReport::new();
     let mut energy = CellEnergy {
         joules: 0.0,
         edp: 0.0,
     };
-    for rep in 0..reps {
-        let seed = rep_seed(config.seed, rep);
-        let compiled = store.get_or_compile(workload, seed, config.scale)?;
-        for order in CoreOrder::BOTH {
-            let machine = MachineConfig::asymmetric(big, little, order);
+    let mut runs = Vec::new();
+    for seed in cell.seeds(config.seed, config.replications) {
+        let compiled = store.get_or_compile(&cell.workload, seed, config.scale)?;
+        for &order in cell.orders() {
+            let machine = cell.machine(order);
             let t0 = std::time::Instant::now();
-            let sim = Simulation::from_compiled_with_params(
+            let mut sim = Simulation::from_compiled_with_params(
                 &machine,
                 compiled.apps().to_vec(),
                 seed,
-                config.sim_params,
+                params,
             )?;
+            if protocol.arrival_gap > SimDuration::ZERO {
+                let gap = protocol.arrival_gap.as_nanos();
+                let arrivals = (0..cell.workload.num_apps() as u64)
+                    .map(|i| SimTime::from_nanos(gap * i))
+                    .collect();
+                sim = sim.with_arrivals(arrivals)?;
+            }
+            if let Some(f) = protocol.faults {
+                let plan = FaultPlan::random(&machine, f.seed, f.intensity, f.window);
+                sim = sim.with_fault_plan(plan)?;
+            }
             let t1 = std::time::Instant::now();
-            let mut sched = create(&machine);
+            let mut sched: Box<dyn Scheduler> = match cell.kind {
+                SchedulerKind::Colab => Box::new(ColabScheduler::with_config(
+                    &machine,
+                    model.clone(),
+                    cell.colab,
+                )),
+                kind => kind.create(&machine, model),
+            };
             let outcome = sim.run(sched.as_mut())?;
             let t2 = std::time::Instant::now();
-            if let Some(kind) = cost_kind {
+            if paper {
                 crate::simcost::record(
-                    kind,
+                    cell.kind,
                     (t1 - t0).as_nanos() as u64,
                     (t2 - t1).as_nanos() as u64,
                     outcome.events_processed,
                     outcome.compute_leaves,
                     outcome.compute_events,
                 );
+                telemetry.absorb(&outcome.telemetry);
             }
             names = outcome.apps.iter().map(|a| a.name.clone()).collect();
-            for (sum, app) in sums.iter_mut().zip(&outcome.apps) {
-                *sum += app.turnaround;
-            }
-            telemetry.absorb(&outcome.telemetry);
             energy.joules += outcome.energy.total_joules();
             energy.edp += outcome.edp();
+            runs.push(RunRecord {
+                turnarounds: outcome.apps.iter().map(|app| app.turnaround).collect(),
+                makespan: outcome.makespan,
+                degradation: outcome.degradation,
+            });
         }
     }
-    let divisor = 2 * u64::from(reps);
-    let apps: Vec<(String, SimDuration, SimDuration)> = names
-        .into_iter()
-        .zip(sums)
-        .zip(t_sb)
-        .map(|((name, sum), &sb)| (name, sum / divisor, sb))
-        .collect();
-    let summary = MixSummary::new(workload.name(), config_label, name, apps);
+    let divisor = runs.len() as u64;
+    let summary = t_sb.map(|t_sb| {
+        let apps: Vec<(String, SimDuration, SimDuration)> = names
+            .into_iter()
+            .zip(t_sb)
+            .enumerate()
+            .map(|(app, (name, &sb))| {
+                let sum = runs
+                    .iter()
+                    .fold(SimDuration::ZERO, |sum, run| sum + run.turnarounds[app]);
+                (name, sum / divisor, sb)
+            })
+            .collect();
+        let label = MachineConfig::asymmetric(cell.big, cell.little, CoreOrder::BigFirst).label();
+        MixSummary::new(cell.workload.name(), label, cell.kind.name(), apps)
+    });
     energy.joules /= divisor as f64;
     energy.edp /= divisor as f64;
+    // A cell with a summary is read through it: keep no run records.
+    let runs = if summary.is_some() { Vec::new() } else { runs };
     Ok(CellOutcome {
         summary,
         telemetry,
         energy,
+        runs,
     })
 }
 
 /// The evaluation harness: owns the trained model and memoizes isolated
-/// baselines and experiment cells so the figures can share the same
-/// 312-run sweep.
+/// baselines and experiment cells so the figures and studies can share
+/// the same sweep.
 pub struct Harness {
     pub(crate) config: ExperimentConfig,
     pub(crate) model: SpeedupModel,
     /// `(workload, total cores) → per-app T_SB`.
     pub(crate) baselines: HashMap<(WorkloadSpec, usize), Vec<SimDuration>>,
-    /// Memoized `(workload, config, scheduler) → outcome`: the summary,
-    /// the decision telemetry absorbed over the core-order pair and all
-    /// replications (so `runs` is `2 × replications`), and the energy
-    /// averaged like the turnarounds.
+    /// Memoized `cell key → outcome`: the summary, the decision
+    /// telemetry absorbed over a paper cell's runs (so `runs` is
+    /// `2 × replications`), the energy averaged like the turnarounds,
+    /// and, for a cell without a summary, each run's record.
     pub(crate) cells: HashMap<CellKey, CellOutcome>,
     /// Interned compiled workloads, shared by the serial path and every
     /// `run_plan` worker: each distinct `(workload, seed, scale)` is
     /// instantiated and compiled once, however many cells replay it.
     pub(crate) programs: ProgramStore,
     /// Worker threads of the latest [`run_plan`](Harness::run_plan)
-    /// (1 before any): the extension studies run on as many.
+    /// (1 before any): the extension studies' plans run on as many.
     pub(crate) jobs: usize,
-    /// The extension studies' results, each computed once per harness.
-    pub(crate) studies: Studies,
 }
 
 impl Harness {
@@ -353,7 +378,6 @@ impl Harness {
             cells: HashMap::new(),
             programs: ProgramStore::new(),
             jobs: 1,
-            studies: Studies::default(),
         })
     }
 
@@ -373,26 +397,11 @@ impl Harness {
         &self.config
     }
 
-    /// Worker threads the extension studies run on: the `jobs` of the
-    /// latest [`run_plan`](Harness::run_plan), or 1 if there was none.
+    /// Worker threads the extension studies' plans run on: the `jobs`
+    /// of the latest [`run_plan`](Harness::run_plan), or 1 if there was
+    /// none.
     pub fn jobs(&self) -> usize {
         self.jobs
-    }
-
-    /// Isolated big-only baselines `T_SB` for every app of a workload, on
-    /// an all-big machine with `total_cores` cores. Memoized.
-    fn baselines(&mut self, workload: &WorkloadSpec, total_cores: usize) -> Result<Vec<SimDuration>> {
-        let key = (workload.clone(), total_cores);
-        if let Some(b) = self.baselines.get(&key) {
-            return Ok(b.clone());
-        }
-        let ctx = EvalCtx {
-            config: &self.config,
-            store: &self.programs,
-        };
-        let t_sb = compute_baseline(&ctx, workload, total_cores)?;
-        self.baselines.insert(key, t_sb.clone());
-        Ok(t_sb)
     }
 
     /// Evaluates one experiment cell: `workload` on a `big`×`little`
@@ -411,37 +420,12 @@ impl Harness {
     ) -> Result<MixSummary> {
         let key = cell_key(workload, big, little, kind);
         if let Some(cell) = self.cells.get(&key) {
-            return Ok(cell.summary.clone());
+            return Ok(cell.summary.clone().expect("a paper cell has a baseline"));
         }
-
-        let total_cores = big + little;
-        let t_sb = self.baselines(workload, total_cores)?;
-        let ctx = EvalCtx {
-            config: &self.config,
-            store: &self.programs,
-        };
-        let outcome = compute_cell(&ctx, &self.model, &t_sb, workload, big, little, kind)?;
-        Ok(self.memoize(key, outcome).clone())
-    }
-
-    /// Stores an evaluated cell's results under `key`, returning its
-    /// summary.
-    pub(crate) fn memoize(&mut self, key: CellKey, outcome: CellOutcome) -> &MixSummary {
-        let cell = self.cells.entry(key).insert_entry(outcome).into_mut();
-        &cell.summary
-    }
-
-    /// The energy of a cell, evaluating the cell through
-    /// [`mix`](Harness::mix) if it is not memoized yet.
-    pub(crate) fn cell_energy(
-        &mut self,
-        workload: &WorkloadSpec,
-        big: usize,
-        little: usize,
-        kind: SchedulerKind,
-    ) -> Result<CellEnergy> {
-        self.mix(workload, big, little, kind)?;
-        Ok(self.cells[&cell_key(workload, big, little, kind)].energy)
+        let plan = SweepPlan::from_iter([SweepCell::new(workload.clone(), big, little, kind)]);
+        self.run_plan(&plan, self.jobs)?;
+        // A memo hit now.
+        self.mix(workload, big, little, kind)
     }
 
     /// Single-program H_NTT (Figure 4): the benchmark alone on the
@@ -464,26 +448,35 @@ impl Harness {
         Ok(amp_metrics::h_ntt(*t_m, *t_sb))
     }
 
-    /// Number of simulation cells evaluated so far (diagnostics).
+    /// Number of cells evaluated so far, the extension studies' cells
+    /// included (diagnostics).
     pub fn cells_evaluated(&self) -> usize {
         self.cells.len()
     }
 
-    /// Decision telemetry of every evaluated cell, as
+    /// Decision telemetry of every evaluated paper-protocol cell, as
     /// `(workload, config, scheduler, report)` rows sorted for
     /// deterministic output.
     pub fn telemetry_cells(&self) -> Vec<(&str, &str, &str, &TelemetryReport)> {
-        let mut cells: Vec<_> = self.cells.iter().collect();
-        cells.sort_unstable_by(|((wa, ca, sa), _), ((wb, cb, sb), _)| {
+        let mut cells: Vec<_> = self.paper_cells().collect();
+        cells.sort_unstable_by(|((wa, ca, sa, _), _), ((wb, cb, sb, _), _)| {
             (wa.name(), ca, sa, wa.entries()).cmp(&(wb.name(), cb, sb, wb.entries()))
         });
         cells
             .into_iter()
-            .map(|((w, c, s), cell)| (w.name(), c.as_str(), *s, &cell.telemetry))
+            .map(|((w, c, s, _), cell)| (w.name(), c.as_str(), *s, &cell.telemetry))
             .collect()
     }
 
-    /// Telemetry pooled per scheduler over every evaluated cell, in
+    /// The memoized paper-protocol cells, the only ones whose telemetry
+    /// is reported.
+    fn paper_cells(&self) -> impl Iterator<Item = (&CellKey, &CellOutcome)> {
+        self.cells
+            .iter()
+            .filter(|((_, _, _, variant), _)| variant.is_empty())
+    }
+
+    /// Telemetry pooled per scheduler over every evaluated paper cell, in
     /// [`SchedulerKind`] display order — the `repro --summary` block.
     pub fn telemetry_by_scheduler(&self) -> Vec<(&'static str, TelemetryReport)> {
         let order = [
@@ -496,7 +489,7 @@ impl Harness {
         let mut out = Vec::new();
         for kind in order {
             let mut pooled = TelemetryReport::new();
-            for ((_, _, sched), cell) in &self.cells {
+            for ((_, _, sched, _), cell) in self.paper_cells() {
                 if *sched == kind.name() {
                     pooled.absorb(&cell.telemetry);
                 }

@@ -1,17 +1,17 @@
 //! Process-wide wall-clock cost accounting for experiment-cell runs.
 //!
-//! Every experiment cell (`compute_cell`) records, for each individual
-//! `Simulation::run`, the wall time spent building the simulation, the
-//! wall time inside the event loop, and the number of events the loop
-//! processed — keyed by scheduler policy. The counters are lock-free
-//! atomics, so the parallel sweep executor's workers record
-//! concurrently without coordination; `repro --bench-json` snapshots
+//! Every paper-protocol cell (`SweepCell::is_paper`) records, for each
+//! individual `Simulation::run`, the wall time spent building the
+//! simulation, the wall time inside the event loop, and the number of
+//! events the loop processed — keyed by scheduler policy. The counters
+//! are lock-free atomics, so the parallel sweep executor's workers
+//! record concurrently without coordination; `repro --bench-json` snapshots
 //! them at exit to derive events/sec and per-policy decision costs.
 //!
-//! Only experiment cells are counted. Isolated-baseline and
+//! Only paper-protocol cells are counted. Isolated-baseline and
 //! model-training runs use the CFS scheduler as measurement machinery,
 //! not as a policy under evaluation, and would skew the per-policy
-//! numbers.
+//! numbers; the extension studies' cells are not counted yet.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -2,21 +2,23 @@
 //!
 //! The paper's evaluation is a grid of independent experiment cells
 //! (26 workloads × 4 machine configurations × schedulers, each cell
-//! averaging two core-enumeration orders — §5.1). [`SweepPlan`]
-//! enumerates every cell up front in a canonical order; the executor
-//! ([`Harness::run_plan`]) runs the cells on a bounded pool of
-//! `std::thread` workers that pull jobs from a shared queue, one fresh
-//! [`Simulation`](amp_sim::Simulation) per run so no mutable state ever
-//! crosses a cell boundary; and the reducer ([`reduce`]) merges results
-//! back in plan order, so the harness caches — and therefore every
-//! figure, table, and CSV derived from them — are byte-identical
-//! regardless of worker count or completion order.
+//! averaging two core-enumeration orders — §5.1), and every extension
+//! study is a grid of cells too, each departing from that protocol in
+//! the fields of its [`Protocol`]. [`SweepPlan`] enumerates every cell
+//! up front in a canonical order; the executor ([`Harness::run_plan`])
+//! runs the cells on a bounded pool of `std::thread` workers that pull
+//! jobs from a shared queue, one fresh [`Simulation`](amp_sim::Simulation)
+//! per run so no mutable state ever crosses a cell boundary; and the
+//! reducer ([`reduce`]) merges results back in plan order, so the
+//! harness memo — and therefore every figure, table, study and CSV
+//! derived from it — is byte-identical regardless of worker count or
+//! completion order.
 //!
 //! The determinism contract, concretely:
 //!
 //! 1. every cell is a pure function of `(ExperimentConfig, SpeedupModel,
-//!    baselines, cell key)` — [`compute_cell`](crate::harness) constructs
-//!    a fresh simulation and scheduler per run; the only state shared
+//!    baselines, cell)` — the harness's one cell protocol constructs a
+//!    fresh simulation and scheduler per run; the only state shared
 //!    across cells is the [`ProgramStore`](crate::ProgramStore) of
 //!    *immutable* compiled workloads, a pure memo of a deterministic
 //!    compilation (per-thread progress lives in the simulation, never in
@@ -34,21 +36,72 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use amp_types::{Result, SimDuration};
-use amp_workloads::{BenchmarkId, PaperWorkload, WorkloadClass, WorkloadSpec};
+use amp_sched::ColabConfig;
+use amp_sim::SimParams;
+use amp_types::{CoreKind, CoreOrder, CoreSpec, MachineConfig, Result, SimDuration};
+use amp_workloads::{BenchmarkId, PaperWorkload, WorkloadSpec};
 
-use crate::experiments::{class_specs, CONFIGS, ENERGY_CONFIG};
+use crate::experiments::CONFIGS;
 use crate::harness::{
-    cell_key, compute_baseline, compute_cell, CellKey, CellOutcome, EvalCtx, Harness, SchedulerKind,
+    cell_key, compute_baseline, compute_cell, rep_seed, CellKey, CellOutcome, EvalCtx, Harness,
+    SchedulerKind,
 };
 
 // ---------------------------------------------------------------------
 // Plan
 
-/// One independent experiment cell of a sweep: a workload on a
-/// `big`×`little` machine under one scheduling policy. The two
-/// core-enumeration orders (and any configured replications) run
-/// *inside* the cell, mirroring `Harness::mix`.
+/// How a cell's runs are set up. The default is the paper's protocol
+/// (§5.1): the calibrated little-cluster clock, every replication of the
+/// harness's master seed, both core-enumeration orders, the harness's
+/// simulator parameters, every application launched at once, and a
+/// fault-free machine.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Protocol {
+    /// Little-cluster clock in GHz (the big cluster keeps its own).
+    pub little_ghz: f64,
+    /// `None`: one run set per replication of the harness's seed, as
+    /// `--reps` asks. `Some(seed)`: one run set at `seed`, whatever
+    /// `--reps` says.
+    pub seed: Option<u64>,
+    /// Run the big-cores-first order only instead of both orders.
+    pub big_first_only: bool,
+    /// Simulator parameters; `None` uses the harness's.
+    pub params: Option<SimParams>,
+    /// Application `i` arrives at `i × arrival_gap` (zero: all at once).
+    pub arrival_gap: SimDuration,
+    /// A seeded random fault plan, or `None` for a fault-free machine.
+    pub faults: Option<RandomFaults>,
+}
+
+impl Default for Protocol {
+    fn default() -> Self {
+        Protocol {
+            little_ghz: CoreSpec::little().freq_ghz,
+            seed: None,
+            big_first_only: false,
+            params: None,
+            arrival_gap: SimDuration::ZERO,
+            faults: None,
+        }
+    }
+}
+
+/// The arguments of [`FaultPlan::random`](amp_sim::FaultPlan::random),
+/// drawn for each run's machine.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RandomFaults {
+    /// Plan seed.
+    pub seed: u64,
+    /// Expected faults per core.
+    pub intensity: f64,
+    /// Span of simulated time the faults fall in.
+    pub window: SimDuration,
+}
+
+/// One independent experiment cell: a workload on a `big`×`little`
+/// machine under one scheduling policy, run as its [`Protocol`] says.
+/// The runs (each core-enumeration order of each seed) happen *inside*
+/// the cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepCell {
     /// The multiprogrammed workload (single-program for Figure 4 cells).
@@ -59,36 +112,112 @@ pub struct SweepCell {
     pub little: usize,
     /// The policy under test.
     pub kind: SchedulerKind,
+    /// COLAB's tunables when `kind` is COLAB (the ablation variants
+    /// switch mechanisms off); other policies ignore them.
+    pub colab: ColabConfig,
+    /// How the runs are set up.
+    pub protocol: Protocol,
 }
 
 impl SweepCell {
-    /// The memo-cache key this cell produces:
-    /// `(workload, config label, scheduler)`.
+    /// A cell of the paper's protocol with COLAB's default tunables.
+    pub fn new(
+        workload: WorkloadSpec,
+        big: usize,
+        little: usize,
+        kind: SchedulerKind,
+    ) -> SweepCell {
+        SweepCell {
+            workload,
+            big,
+            little,
+            kind,
+            colab: ColabConfig::default(),
+            protocol: Protocol::default(),
+        }
+    }
+
+    /// Whether this cell is a paper-protocol cell with COLAB's default
+    /// tunables: the cells whose telemetry and costs the harness reports.
+    pub fn is_paper(&self) -> bool {
+        self.protocol == Protocol::default() && self.colab == ColabConfig::default()
+    }
+
+    /// Whether the cell's H_ANTT is defined: only the paper's protocol
+    /// has an isolated all-big baseline (whatever the policy's tunables).
+    pub(crate) fn needs_baseline(&self) -> bool {
+        self.protocol == Protocol::default()
+    }
+
+    /// The memo-cache key this cell produces: `(workload, config label,
+    /// scheduler, variant)`. The variant is empty for a paper cell and
+    /// otherwise the `Debug` text of the tunables and the protocol,
+    /// which spells out every field (floats exactly, as they round-trip).
     pub fn key(&self) -> CellKey {
-        cell_key(&self.workload, self.big, self.little, self.kind)
+        let (workload, config, scheduler, _) =
+            cell_key(&self.workload, self.big, self.little, self.kind);
+        let variant = if self.is_paper() {
+            String::new()
+        } else {
+            format!("{:?} {:?}", self.colab, self.protocol)
+        };
+        (workload, config, scheduler, variant)
     }
 
     /// A stable 64-bit hash of the cell's labels (FNV-1a over
-    /// `workload name\0config\0scheduler`). Independent of process,
-    /// platform and `HashMap` seeding, so it can name cells in fixtures
-    /// and logs.
+    /// `workload name\0config\0scheduler`, then `\0variant` unless the
+    /// variant is empty). Independent of process, platform and `HashMap`
+    /// seeding, so it can name cells in fixtures and logs.
     pub fn stable_hash(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01B3;
-        let (w, c, s) = self.key();
-        let mut h = OFFSET;
-        for chunk in [
-            w.name().as_bytes(),
-            b"\0",
-            c.as_bytes(),
-            b"\0",
-            s.as_bytes(),
-        ] {
-            for &byte in chunk {
-                h = (h ^ u64::from(byte)).wrapping_mul(PRIME);
-            }
+        let (workload, config, scheduler, variant) = self.key();
+        let mut labels = format!("{}\0{config}\0{scheduler}", workload.name());
+        if !variant.is_empty() {
+            labels.push('\0');
+            labels.push_str(&variant);
         }
-        h
+        labels
+            .bytes()
+            .fold(OFFSET, |h, byte| (h ^ u64::from(byte)).wrapping_mul(PRIME))
+    }
+
+    /// The seeds of the cell's run sets, given the harness's master seed
+    /// and replication count.
+    pub(crate) fn seeds(&self, master: u64, replications: u32) -> Vec<u64> {
+        match self.protocol.seed {
+            Some(seed) => vec![seed],
+            None => (0..replications.max(1))
+                .map(|rep| rep_seed(master, rep))
+                .collect(),
+        }
+    }
+
+    /// The core-enumeration orders each seed runs in.
+    pub(crate) fn orders(&self) -> &'static [CoreOrder] {
+        if self.protocol.big_first_only {
+            &[CoreOrder::BigFirst]
+        } else {
+            &CoreOrder::BOTH
+        }
+    }
+
+    /// The machine of the run in `order`.
+    pub(crate) fn machine(&self, order: CoreOrder) -> MachineConfig {
+        let machine = MachineConfig::asymmetric(self.big, self.little, order);
+        let little_ghz = self.protocol.little_ghz;
+        MachineConfig::from_cores(
+            machine
+                .iter()
+                .map(|(_, core)| match core.kind {
+                    CoreKind::Little => CoreSpec {
+                        freq_ghz: little_ghz,
+                        ..core
+                    },
+                    CoreKind::Big => core,
+                })
+                .collect(),
+        )
     }
 }
 
@@ -141,12 +270,7 @@ impl SweepPlan {
         for spec in specs {
             for &(big, little) in configs {
                 for &kind in kinds {
-                    self.push(SweepCell {
-                        workload: spec.clone(),
-                        big,
-                        little,
-                        kind,
-                    });
+                    self.push(SweepCell::new(spec.clone(), big, little, kind));
                 }
             }
         }
@@ -188,25 +312,6 @@ impl SweepPlan {
         );
     }
 
-    /// Adds the cells the energy study reads: the 26 Table 4 workloads on
-    /// its machine (2B4S) under the four [`SchedulerKind::EXTENDED`]
-    /// policies — a subset of the paper grid and the Table 1 cells.
-    pub fn add_energy(&mut self) {
-        let specs: Vec<WorkloadSpec> = PaperWorkload::all().iter().map(|w| w.spec()).collect();
-        self.add_grid(&specs, &[ENERGY_CONFIG], &SchedulerKind::EXTENDED);
-    }
-
-    /// Adds the cells the ablation study reads: the Sync workloads on
-    /// every configuration under Linux and full COLAB — a subset of the
-    /// paper grid.
-    pub fn add_ablation(&mut self) {
-        self.add_grid(
-            &class_specs(WorkloadClass::Sync),
-            &CONFIGS,
-            &[SchedulerKind::Linux, SchedulerKind::Colab],
-        );
-    }
-
     /// The paper's evaluation grid alone (312 cells).
     pub fn paper_grid() -> SweepPlan {
         let mut plan = SweepPlan::new();
@@ -226,17 +331,29 @@ impl SweepPlan {
     }
 
     /// The unique `(workload, total cores)` baseline runs the planned
-    /// cells require, in first-use order. Baselines are keyed by total
-    /// core count (the all-big twin), so e.g. 2B4S and 4B2S share one.
+    /// cells require, in first-use order: one per cell of the paper's
+    /// protocol, the only cells whose H_ANTT is read. Baselines are keyed
+    /// by total core count (the all-big twin), so e.g. 2B4S and 4B2S
+    /// share one.
     pub fn baseline_jobs(&self) -> Vec<(WorkloadSpec, usize)> {
         let mut jobs: Vec<(WorkloadSpec, usize)> = Vec::new();
-        for cell in &self.cells {
+        for cell in self.cells.iter().filter(|cell| cell.needs_baseline()) {
             let total = cell.big + cell.little;
             if !jobs.iter().any(|(w, t)| *t == total && *w == cell.workload) {
                 jobs.push((cell.workload.clone(), total));
             }
         }
         jobs
+    }
+}
+
+impl FromIterator<SweepCell> for SweepPlan {
+    fn from_iter<T: IntoIterator<Item = SweepCell>>(cells: T) -> SweepPlan {
+        let mut plan = SweepPlan::new();
+        for cell in cells {
+            plan.push(cell);
+        }
+        plan
     }
 }
 
@@ -368,15 +485,16 @@ impl std::fmt::Display for SweepReport {
 
 impl Harness {
     /// Executes a [`SweepPlan`] across `jobs` worker threads and merges
-    /// the results into the harness memo caches, so subsequent
-    /// figure/table regeneration is pure cache hits.
+    /// the results into the harness memo, so subsequent figure, table
+    /// and study reads are pure cache hits.
     ///
     /// Two phases, each a [`parallel_map`]: first the unique isolated
     /// baselines the plan needs, then every not-yet-memoized cell (each
     /// against the now-complete baseline map). Results are reduced in
     /// plan order; `jobs == 1` runs the identical code serially on the
     /// calling thread. Output is bit-identical for any `jobs`. The
-    /// harness keeps `jobs` for the extension studies it runs later.
+    /// harness keeps `jobs` for the plans the extension studies run
+    /// later.
     ///
     /// # Errors
     ///
@@ -406,31 +524,27 @@ impl Harness {
         }
 
         // Phase 2: cells not yet memoized.
-        let todo: Vec<&SweepCell> = plan
+        let todo: Vec<(CellKey, &SweepCell)> = plan
             .cells()
             .iter()
-            .filter(|cell| !self.cells.contains_key(&cell.key()))
+            .map(|cell| (cell.key(), cell))
+            .filter(|(key, _)| !self.cells.contains_key(key))
             .collect();
         let cached = plan.len() - todo.len();
         let model = self.model.clone();
         let baselines = &self.baselines;
-        let cell_results: Vec<Result<CellOutcome>> = parallel_map(jobs, &todo, |cell| {
-            let t_sb = baselines
-                .get(&(cell.workload.clone(), cell.big + cell.little))
-                .expect("phase 1 computed every baseline the plan needs");
-            compute_cell(
-                &ctx,
-                &model,
-                t_sb,
-                &cell.workload,
-                cell.big,
-                cell.little,
-                cell.kind,
-            )
+        let cell_results: Vec<Result<CellOutcome>> = parallel_map(jobs, &todo, |(_, cell)| {
+            let t_sb = cell.needs_baseline().then(|| {
+                baselines
+                    .get(&(cell.workload.clone(), cell.big + cell.little))
+                    .expect("phase 1 computed every baseline the plan needs")
+                    .as_slice()
+            });
+            compute_cell(&ctx, &model, t_sb, cell)
         });
         let executed = todo.len();
-        for (cell, result) in todo.into_iter().zip(cell_results) {
-            self.memoize(cell.key(), result?);
+        for ((key, _), result) in todo.into_iter().zip(cell_results) {
+            self.cells.insert(key, result?);
         }
 
         Ok(SweepReport {
@@ -458,12 +572,12 @@ mod tests {
     #[test]
     fn push_dedupes_by_key() {
         let mut plan = SweepPlan::new();
-        let cell = SweepCell {
-            workload: WorkloadSpec::single(BenchmarkId::Blackscholes, 4),
-            big: 2,
-            little: 2,
-            kind: SchedulerKind::Colab,
-        };
+        let cell = SweepCell::new(
+            WorkloadSpec::single(BenchmarkId::Blackscholes, 4),
+            2,
+            2,
+            SchedulerKind::Colab,
+        );
         plan.push(cell.clone());
         plan.push(cell);
         assert_eq!(plan.len(), 1);

@@ -3,16 +3,120 @@
 //! The paper grid must always enumerate exactly 312 unique cells
 //! (26 workloads × 4 configurations × 3 schedulers), every cell key
 //! must hash stably (the hash is a pure function of the key, not of
-//! process state), and the reducer must restore canonical plan order
-//! from *any* completion order — the property that makes the parallel
-//! executor's output independent of worker scheduling.
+//! process state) and cover every field of an extension study's cell,
+//! and the reducer must restore canonical plan order from *any*
+//! completion order — the property that makes the parallel executor's
+//! output independent of worker scheduling.
 
-use colab::sweep::reduce;
-use colab::{SweepCell, SweepPlan};
+use amp_sched::ColabConfig;
+use amp_sim::SimParams;
+use amp_types::SimDuration;
+use amp_workloads::{BenchmarkId, WorkloadSpec};
+use colab::sweep::{reduce, Protocol, RandomFaults};
+use colab::{SchedulerKind, SweepCell, SweepPlan};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
+
+/// A paper cell the study cells below depart from.
+fn paper_cell() -> SweepCell {
+    SweepCell::new(
+        WorkloadSpec::single(BenchmarkId::Ferret, 4),
+        2,
+        4,
+        SchedulerKind::Colab,
+    )
+}
+
+/// `paper_cell()` with one field set from `value`: `field` picks the
+/// little-cluster clock, the seed, the simulator parameters, the arrival
+/// gap, the fault plan's seed, intensity or window, or a COLAB tunable.
+/// Distinct values give distinct fields.
+fn study_cell(field: usize, value: u64) -> SweepCell {
+    let base = paper_cell();
+    let v = value as f64;
+    let faults = RandomFaults {
+        seed: 11,
+        intensity: 1.0,
+        window: SimDuration::from_millis(100),
+    };
+    let protocol = match field {
+        0 => Protocol {
+            little_ghz: 0.6 + 0.1 * v,
+            ..Protocol::default()
+        },
+        1 => Protocol {
+            seed: Some(value),
+            ..Protocol::default()
+        },
+        2 => Protocol {
+            params: Some(SimParams {
+                tick: SimDuration::from_millis(5 + value),
+                ..SimParams::default()
+            }),
+            ..Protocol::default()
+        },
+        3 => Protocol {
+            arrival_gap: SimDuration::from_millis(1 + value),
+            ..Protocol::default()
+        },
+        4 => Protocol {
+            faults: Some(RandomFaults {
+                seed: value,
+                ..faults
+            }),
+            ..Protocol::default()
+        },
+        5 => Protocol {
+            faults: Some(RandomFaults {
+                intensity: 0.5 + v,
+                ..faults
+            }),
+            ..Protocol::default()
+        },
+        6 => Protocol {
+            faults: Some(RandomFaults {
+                window: SimDuration::from_millis(1 + value),
+                ..faults
+            }),
+            ..Protocol::default()
+        },
+        _ => {
+            return SweepCell {
+                colab: ColabConfig {
+                    speedup_sigma: 0.5 + v,
+                    ..ColabConfig::default()
+                },
+                ..base
+            }
+        }
+    };
+    SweepCell { protocol, ..base }
+}
+
+/// One study cell per field, plus the core-order and mechanism switches.
+fn study_cells() -> Vec<SweepCell> {
+    let mut cells: Vec<SweepCell> = (0..8).map(|field| study_cell(field, 3)).collect();
+    cells.push(SweepCell {
+        protocol: Protocol {
+            big_first_only: true,
+            ..Protocol::default()
+        },
+        ..paper_cell()
+    });
+    for colab in [
+        ColabConfig::default().without_allocation(),
+        ColabConfig::default().without_blocking_selection(),
+        ColabConfig::default().without_scale_slice(),
+    ] {
+        cells.push(SweepCell {
+            colab,
+            ..paper_cell()
+        });
+    }
+    cells
+}
 
 #[test]
 fn paper_grid_enumerates_exactly_312_unique_cells() {
@@ -42,7 +146,15 @@ fn full_plan_is_a_superset_of_the_paper_grid_with_no_duplicates() {
 
 #[test]
 fn cell_hashes_are_stable_and_collision_free_over_the_full_plan() {
-    let plan = SweepPlan::full();
+    let mut plan = SweepPlan::full();
+    plan.push(paper_cell());
+    for cell in study_cells() {
+        plan.push(cell);
+    }
+    assert_eq!(
+        plan.len(),
+        SweepPlan::full().len() + 1 + study_cells().len()
+    );
     let mut seen = HashSet::new();
     for cell in plan.cells() {
         // Stable: hashing twice (and hashing a clone) agrees.
@@ -54,11 +166,19 @@ fn cell_hashes_are_stable_and_collision_free_over_the_full_plan() {
             cell.key()
         );
     }
-    // Pin one hash value: any change to the key encoding is a breaking
-    // change to fixture naming and must be deliberate.
-    let first = &plan.cells()[0];
-    let (workload, config, scheduler) = first.key();
-    assert_eq!(first.stable_hash(), fnv(&format!("{}\0{config}\0{scheduler}", workload.name())));
+    // Pin the paper cells' hash: any change to the key encoding is a
+    // breaking change to fixture naming and must be deliberate. Study
+    // cells extend it with their variant.
+    for cell in plan.cells() {
+        let (workload, config, scheduler, variant) = cell.key();
+        let labels = format!("{}\0{config}\0{scheduler}", workload.name());
+        if cell.is_paper() {
+            assert!(variant.is_empty());
+            assert_eq!(cell.stable_hash(), fnv(&labels));
+        } else {
+            assert_eq!(cell.stable_hash(), fnv(&format!("{labels}\0{variant}")));
+        }
+    }
 }
 
 fn fnv(s: &str) -> u64 {
@@ -86,6 +206,18 @@ proptest! {
         prop_assert_eq!(reduced, (0..len).map(|i| i * 7 + 1).collect::<Vec<_>>());
     }
 
+    /// Every field of a study cell reaches its key and its hash: two
+    /// cells that differ in one field's value never share either, and
+    /// neither shares the paper cell's.
+    #[test]
+    fn every_study_field_reaches_the_key_and_hash(field in 0usize..8, a in 0u64..6, b in 0u64..6) {
+        let (x, y) = (study_cell(field, a), study_cell(field, b));
+        prop_assert_eq!(x.key() == y.key(), a == b);
+        prop_assert_eq!(x.stable_hash() == y.stable_hash(), a == b);
+        prop_assert!(!x.is_paper());
+        prop_assert!(x.key() != paper_cell().key());
+        prop_assert!(x.stable_hash() != paper_cell().stable_hash());
+    }
 }
 
 /// Stable hashes depend only on the key fields, never on insertion

@@ -47,7 +47,7 @@ impl Label {
 }
 
 /// COLAB tunables.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ColabConfig {
     /// Base time slice (applies unscaled to little cores).
     pub base_slice: SimDuration,

@@ -106,34 +106,6 @@ impl DegradationReport {
     pub fn is_clean(&self) -> bool {
         *self == DegradationReport::default()
     }
-
-    /// Throughput retained by `faulted` relative to the fault-free run
-    /// `clean`: `clean.makespan / faulted.makespan`, 1.0 when unharmed,
-    /// smaller as faults stretch the run.
-    pub fn throughput_retained(clean: &SimulationOutcome, faulted: &SimulationOutcome) -> f64 {
-        if faulted.makespan == SimTime::ZERO {
-            return 1.0;
-        }
-        clean.makespan.as_secs_f64() / faulted.makespan.as_secs_f64()
-    }
-
-    /// Mean-turnaround retained by `faulted` relative to `clean`:
-    /// the ratio of average per-app turnarounds (clean / faulted), the
-    /// ANTT-shaped degradation signal of the fault study.
-    pub fn antt_retained(clean: &SimulationOutcome, faulted: &SimulationOutcome) -> f64 {
-        let mean = |o: &SimulationOutcome| {
-            if o.apps.is_empty() {
-                return 0.0;
-            }
-            o.apps.iter().map(|a| a.turnaround.as_secs_f64()).sum::<f64>() / o.apps.len() as f64
-        };
-        let (c, f) = (mean(clean), mean(faulted));
-        if f <= 0.0 {
-            1.0
-        } else {
-            c / f
-        }
-    }
 }
 
 /// Everything measured from one simulation run.

@@ -1,6 +1,6 @@
 //! Segment-compiled thread programs.
 //!
-//! [`Cursor`] re-interprets the op tree on every action: each `next` call
+//! [`Cursor`](crate::Cursor) re-interprets the op tree on every action: each `next` call
 //! re-resolves the loop chain (`list_at`) to yield one leaf. This module
 //! lowers a [`Program`] once, at load time, into a flat immutable segment
 //! stream:
@@ -12,7 +12,7 @@
 //!   action count; single-pass loops emit only their body, and loops
 //!   that yield nothing emit nothing.
 //!
-//! [`SegPos`] is the compiled-stream analogue of [`Cursor`]: a resumable
+//! [`SegPos`] is the compiled-stream analogue of [`Cursor`](crate::Cursor): a resumable
 //! position the simulator stores per thread. [`CompiledProgram::next`]
 //! yields exactly the same [`Action`] sequence `Cursor::next` would — a
 //! property pinned by the unit tests here and the randomized differential
@@ -42,7 +42,7 @@ pub enum Segment {
 }
 
 /// A resumable position in a compiled stream — the compiled analogue of
-/// [`Cursor`]. Holds no reference to the program; pass the *same*
+/// [`Cursor`](crate::Cursor). Holds no reference to the program; pass the *same*
 /// [`CompiledProgram`] to every call.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SegPos {
@@ -101,7 +101,7 @@ impl CompiledProgram {
     }
 
     /// Yields the next flat action, or `None` at the end. Produces exactly
-    /// the sequence [`Cursor::next`] yields for the source program.
+    /// the sequence [`Cursor::next`](crate::Cursor::next) yields for the source program.
     pub fn next(&self, pos: &mut SegPos) -> Option<Action> {
         loop {
             match self.segments.get(pos.seg as usize)? {

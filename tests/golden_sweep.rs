@@ -13,7 +13,8 @@
 //!    themselves;
 //! 2. the parallel sweep executor must reproduce the same bytes
 //!    bit-identically at `--jobs 1`, `2`, and `8`, with `write_all`
-//!    afterwards served entirely from the prewarmed cell cache.
+//!    afterwards reading every paper-protocol cell from the prewarmed
+//!    cache and evaluating only the extension studies' own cells.
 //!
 //! Regenerate after an intentional behaviour change with:
 //!
@@ -23,6 +24,7 @@
 
 use std::path::PathBuf;
 
+use amp_workloads::{PaperWorkload, WorkloadClass};
 use colab::{report, ExperimentConfig, Harness, SweepPlan};
 
 /// Every file `report::write_all` writes, in its order; each is pinned
@@ -109,6 +111,32 @@ fn serial_path_matches_golden_fixtures() {
     assert_matches_golden(&rendered, "serial mix path");
 }
 
+/// The cells the extension studies plan beyond `SweepPlan::full()`:
+/// the ablation's three reduced COLAB variants on every Sync workload ×
+/// configuration; sensitivity's five parameter sets and the asymmetry
+/// sweep's five little-cluster clocks, each on every Sync workload under
+/// Linux and COLAB; staggered arrivals on every 4-program workload under
+/// the four extended policies; and the fault study's 3 seeds × 3 paper
+/// schedulers, clean and at 3 intensities. The energy study's cells and
+/// the ablation's Linux and full-COLAB cells are paper cells of the
+/// full plan.
+fn study_cells() -> usize {
+    let sync = PaperWorkload::all()
+        .into_iter()
+        .filter(|w| w.class() == WorkloadClass::Sync)
+        .count();
+    let four_program = PaperWorkload::all()
+        .into_iter()
+        .filter(|w| w.num_programs() == 4)
+        .count();
+    let ablation = 3 * sync * 4;
+    let sensitivity = 5 * sync * 2;
+    let freqsweep = 5 * sync * 2;
+    let staggered = four_program * 4;
+    let faults = 3 * 3 + 3 * 3 * 3;
+    ablation + sensitivity + freqsweep + staggered + faults
+}
+
 #[test]
 fn parallel_executor_reproduces_golden_at_jobs_1_2_8() {
     let plan = SweepPlan::full();
@@ -118,10 +146,18 @@ fn parallel_executor_reproduces_golden_at_jobs_1_2_8() {
         assert_eq!(report.executed, plan.len(), "jobs={jobs}: fresh harness executes all");
         let prewarmed = h.cells_evaluated();
         let rendered = write_csvs(&mut h, &format!("jobs{jobs}"));
+        // The figures read only the prewarmed cache: no paper-protocol
+        // cell (the only ones with telemetry) was added, and the cells
+        // that were are exactly the studies' own.
         assert_eq!(
-            h.cells_evaluated(),
+            h.telemetry_cells().len(),
             prewarmed,
-            "jobs={jobs}: the CSV report must read cells from the prewarmed cache"
+            "jobs={jobs}: the CSV report must read paper cells from the prewarmed cache"
+        );
+        assert_eq!(
+            h.cells_evaluated() - prewarmed,
+            study_cells(),
+            "jobs={jobs}: the CSV report must add exactly the studies' cells"
         );
         assert_matches_golden(&rendered, &format!("parallel executor, jobs={jobs}"));
     }
