@@ -316,10 +316,12 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &options.bench_json {
+        // The paper-protocol cells alone: the event counts cover only
+        // their runs.
         let json = colab_bench::bench_run_json(
             &harness,
             start.elapsed().as_secs_f64(),
-            harness.cells_evaluated(),
+            harness.telemetry_cells().len(),
         );
         if let Err(e) = std::fs::write(path, json) {
             eprintln!("error writing {}: {e}", path.display());

@@ -54,8 +54,8 @@ pub fn harness_with(scale: f64, train: bool, replications: u32) -> Harness {
 /// event counts.
 ///
 /// `wall_secs` is the whole invocation's wall time and `cells` the
-/// number of experiment cells evaluated. Policies with no recorded runs
-/// are omitted.
+/// number of paper-protocol cells evaluated, the cells whose runs the
+/// event counts cover. Policies with no recorded runs are omitted.
 pub fn bench_run_json(harness: &Harness, wall_secs: f64, cells: usize) -> String {
     let cost = colab::simcost::snapshot();
     let picks_by_name: Vec<(&str, u64)> = harness

@@ -52,11 +52,48 @@ fn study_cell(
     }
 }
 
+/// The Linux and COLAB cells of every Sync workload on 2B4S at `seed`,
+/// under each of `protocols` in turn.
+fn sync_pairs(seed: u64, protocols: impl IntoIterator<Item = Protocol>) -> Vec<SweepCell> {
+    let specs = class_specs(WorkloadClass::Sync);
+    let mut cells = Vec::new();
+    for protocol in protocols {
+        for spec in &specs {
+            for kind in [SchedulerKind::Linux, SchedulerKind::Colab] {
+                cells.push(study_cell(spec, (2, 4), kind, seed, protocol));
+            }
+        }
+    }
+    cells
+}
+
+/// Geomean per-app COLAB/Linux turnaround over Linux/COLAB cell pairs,
+/// each app's turnaround summed over its cell's runs.
+fn colab_vs_linux(pairs: &[&CellOutcome]) -> f64 {
+    let mut ratios = Vec::new();
+    for pair in pairs.chunks(2) {
+        let (linux, colab) = (turnaround_secs(pair[0]), turnaround_secs(pair[1]));
+        ratios.extend(colab.iter().zip(&linux).map(|(c, l)| c / l));
+    }
+    geomean(&ratios)
+}
+
+/// Geomean of `per_kind[k]` over `per_kind[0]`, element by element.
+fn geomean_vs_first(per_kind: &[Vec<f64>], k: usize) -> f64 {
+    let ratios: Vec<f64> = per_kind[k]
+        .iter()
+        .zip(&per_kind[0])
+        .map(|(x, base)| x / base)
+        .collect();
+    geomean(&ratios)
+}
+
 /// Each app's turnaround in seconds, summed over a cell's runs in run
 /// order.
 fn turnaround_secs(cell: &CellOutcome) -> Vec<f64> {
-    let mut sums = vec![0.0; cell.runs[0].turnarounds.len()];
-    for run in &cell.runs {
+    let runs = cell.records();
+    let mut sums = vec![0.0; runs[0].turnarounds.len()];
+    for run in runs {
         for (sum, t) in sums.iter_mut().zip(&run.turnarounds) {
             *sum += t.as_secs_f64();
         }
@@ -498,22 +535,10 @@ pub fn energy(h: &mut Harness) -> Result<EnergyStudy> {
     let rows = kinds
         .iter()
         .enumerate()
-        .map(|(ki, kind)| {
-            let ratios_e: Vec<f64> = energies[ki]
-                .iter()
-                .zip(&energies[0])
-                .map(|(e, base)| e / base)
-                .collect();
-            let ratios_d: Vec<f64> = edps[ki]
-                .iter()
-                .zip(&edps[0])
-                .map(|(d, base)| d / base)
-                .collect();
-            EnergyRow {
-                scheduler: kind.name(),
-                energy_vs_linux: geomean(&ratios_e),
-                edp_vs_linux: geomean(&ratios_d),
-            }
+        .map(|(ki, kind)| EnergyRow {
+            scheduler: kind.name(),
+            energy_vs_linux: geomean_vs_first(&energies, ki),
+            edp_vs_linux: geomean_vs_first(&edps, ki),
         })
         .collect();
     Ok(EnergyStudy { rows })
@@ -646,16 +671,9 @@ pub fn staggered(h: &mut Harness) -> Result<Staggered> {
     let rows = kinds
         .iter()
         .enumerate()
-        .map(|(ki, kind)| {
-            let ratios: Vec<f64> = turnarounds[ki]
-                .iter()
-                .zip(&turnarounds[0])
-                .map(|(t, base)| t / base)
-                .collect();
-            StaggeredRow {
-                scheduler: kind.name(),
-                turnaround_vs_linux: geomean(&ratios),
-            }
+        .map(|(ki, kind)| StaggeredRow {
+            scheduler: kind.name(),
+            turnaround_vs_linux: geomean_vs_first(&turnarounds, ki),
         })
         .collect();
     Ok(Staggered { rows })
@@ -709,38 +727,20 @@ pub struct FrequencySweep {
 /// Propagates simulation failures.
 pub fn frequency_sweep(h: &mut Harness) -> Result<FrequencySweep> {
     const LITTLE_GHZ: [f64; 5] = [0.6, 0.9, 1.2, 1.6, 2.0];
-    let kinds = [SchedulerKind::Linux, SchedulerKind::Colab];
-    let specs = class_specs(WorkloadClass::Sync);
-    let seed = h.config().seed;
-    let mut cells = Vec::new();
-    for little_ghz in LITTLE_GHZ {
-        let protocol = Protocol {
-            little_ghz,
-            big_first_only: true,
-            ..Protocol::default()
-        };
-        for spec in &specs {
-            for kind in kinds {
-                cells.push(study_cell(spec, (2, 4), kind, seed, protocol));
-            }
-        }
-    }
+    let protocols = LITTLE_GHZ.map(|little_ghz| Protocol {
+        little_ghz,
+        big_first_only: true,
+        ..Protocol::default()
+    });
+    let cells = sync_pairs(h.config().seed, protocols);
     let outcomes = run_cells(h, &cells)?;
 
-    let per_point = specs.len() * kinds.len();
     let points = LITTLE_GHZ
         .iter()
-        .zip(outcomes.chunks(per_point))
-        .map(|(&little_ghz, point)| {
-            let mut ratios = Vec::new();
-            for pair in point.chunks(kinds.len()) {
-                let (linux, colab) = (turnaround_secs(pair[0]), turnaround_secs(pair[1]));
-                ratios.extend(colab.iter().zip(&linux).map(|(c, l)| c / l));
-            }
-            FrequencyPoint {
-                little_ghz,
-                colab_vs_linux: geomean(&ratios),
-            }
+        .zip(outcomes.chunks(cells.len() / LITTLE_GHZ.len()))
+        .map(|(&little_ghz, point)| FrequencyPoint {
+            little_ghz,
+            colab_vs_linux: colab_vs_linux(point),
         })
         .collect();
     Ok(FrequencySweep { points })
@@ -1063,39 +1063,20 @@ pub fn sensitivity(h: &mut Harness) -> Result<Sensitivity> {
         ),
     ];
 
-    let specs = class_specs(WorkloadClass::Sync);
-    let kinds = [SchedulerKind::Linux, SchedulerKind::Colab];
-    let seed = h.config().seed;
-    let mut cells = Vec::new();
-    for (_, params) in &variants {
-        let protocol = Protocol {
-            params: Some(*params),
-            ..Protocol::default()
-        };
-        for spec in &specs {
-            for kind in kinds {
-                cells.push(study_cell(spec, (2, 4), kind, seed, protocol));
-            }
-        }
-    }
+    let protocols = variants.iter().map(|&(_, params)| Protocol {
+        params: Some(params),
+        ..Protocol::default()
+    });
+    let cells = sync_pairs(h.config().seed, protocols);
     let outcomes = run_cells(h, &cells)?;
 
-    let per_variant = specs.len() * kinds.len();
+    let per_variant = cells.len() / variants.len();
     let rows = variants
         .into_iter()
         .zip(outcomes.chunks(per_variant))
-        .map(|((label, _), variant_cells)| {
-            let mut ratios = Vec::new();
-            for pair in variant_cells.chunks(kinds.len()) {
-                // Each app's turnaround summed over both core orders, per
-                // scheduler, then per-app ratios.
-                let (linux, colab) = (turnaround_secs(pair[0]), turnaround_secs(pair[1]));
-                ratios.extend(colab.iter().zip(&linux).map(|(c, l)| c / l));
-            }
-            SensitivityRow {
-                variant: label,
-                colab_vs_linux: geomean(&ratios),
-            }
+        .map(|((variant, _), pairs)| SensitivityRow {
+            variant,
+            colab_vs_linux: colab_vs_linux(pairs),
         })
         .collect();
     Ok(Sensitivity { rows })
@@ -1180,12 +1161,7 @@ pub fn ablation(h: &mut Harness) -> Result<Ablation> {
         }
     }
     let outcomes = run_cells(h, &cells)?;
-    let h_antt = |cell: &CellOutcome| {
-        cell.summary
-            .as_ref()
-            .expect("ablation cells have baselines")
-            .h_antt
-    };
+    let h_antt = |cell: &CellOutcome| cell.summary().h_antt;
 
     let (paper, variants) = outcomes.split_at(2 * shapes.len());
     let linux: Vec<f64> = paper.iter().step_by(2).map(|cell| h_antt(cell)).collect();
@@ -1325,7 +1301,7 @@ pub fn faults(h: &mut Harness) -> Result<FaultsStudy> {
         .collect();
     let windows: Vec<SimDuration> = run_cells(h, &clean_cells)?
         .chunks(kinds.len())
-        .map(|per_kind| SimDuration::from_nanos(per_kind[0].runs[0].makespan.as_nanos()))
+        .map(|per_kind| SimDuration::from_nanos(per_kind[0].records()[0].makespan.as_nanos()))
         .collect();
 
     // Faulted runs: every scheduler replays each seed's plan. The clean
@@ -1334,11 +1310,7 @@ pub fn faults(h: &mut Harness) -> Result<FaultsStudy> {
     for &intensity in &INTENSITIES {
         for kind in kinds {
             for (&seed, &window) in SEEDS.iter().zip(&windows) {
-                let faults = RandomFaults {
-                    seed,
-                    intensity,
-                    window,
-                };
+                let faults = RandomFaults { intensity, window };
                 cells.push(cell(kind, seed, Some(faults)));
             }
         }
@@ -1359,7 +1331,8 @@ pub fn faults(h: &mut Harness) -> Result<FaultsStudy> {
             let mut stp = Vec::new();
             let mut antt = Vec::new();
             for (si, outcome) in runs.iter().enumerate() {
-                let (clean, run) = (&clean[si * kinds.len() + ki].runs[0], &outcome.runs[0]);
+                let clean = &clean[si * kinds.len() + ki].records()[0];
+                let run = &outcome.records()[0];
                 let d = &run.degradation;
                 faults_injected += d.faults_injected as f64;
                 forced += d.forced_migrations as f64;

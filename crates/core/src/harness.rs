@@ -7,7 +7,8 @@ use std::sync::Arc;
 use amp_metrics::MixSummary;
 use amp_perf::SpeedupModel;
 use amp_sched::{
-    CfsScheduler, ColabScheduler, EqualProgressScheduler, GtsScheduler, Scheduler, WashScheduler,
+    CfsScheduler, ColabConfig, ColabScheduler, EqualProgressScheduler, GtsScheduler, Scheduler,
+    WashScheduler,
 };
 use amp_sim::telemetry::TelemetryReport;
 use amp_sim::{DegradationReport, FaultPlan, SimParams, Simulation};
@@ -61,12 +62,26 @@ impl SchedulerKind {
         }
     }
 
-    /// Instantiates the policy for a machine.
+    /// Instantiates the policy for a machine, COLAB with its default
+    /// tunables.
     pub fn create(self, machine: &MachineConfig, model: &SpeedupModel) -> Box<dyn Scheduler> {
+        self.create_with(machine, model, ColabConfig::default())
+    }
+
+    /// Instantiates the policy for a machine, COLAB with the tunables
+    /// `colab` (other policies ignore them).
+    pub fn create_with(
+        self,
+        machine: &MachineConfig,
+        model: &SpeedupModel,
+        colab: ColabConfig,
+    ) -> Box<dyn Scheduler> {
         match self {
             SchedulerKind::Linux => Box::new(CfsScheduler::new(machine)),
             SchedulerKind::Wash => Box::new(WashScheduler::new(machine, model.clone())),
-            SchedulerKind::Colab => Box::new(ColabScheduler::new(machine, model.clone())),
+            SchedulerKind::Colab => {
+                Box::new(ColabScheduler::with_config(machine, model.clone(), colab))
+            }
             SchedulerKind::Gts => Box::new(GtsScheduler::new(machine)),
             SchedulerKind::EqualProgress => {
                 Box::new(EqualProgressScheduler::new(machine, model.clone()))
@@ -161,18 +176,43 @@ pub(crate) struct RunRecord {
     pub(crate) degradation: DegradationReport,
 }
 
+/// How a cell's turnarounds are kept, chosen by
+/// [`SweepCell::needs_baseline`].
+pub(crate) enum CellRuns {
+    /// The H_ANTT/H_STP summary of a cell with an isolated baseline.
+    Summary(MixSummary),
+    /// One record per run, seed-major then core order, of a cell
+    /// without one.
+    Records(Vec<RunRecord>),
+}
+
 /// Everything one evaluated cell yields.
 pub(crate) struct CellOutcome {
-    /// The cell's H_ANTT/H_STP summary; `None` for a cell without an
-    /// isolated baseline ([`SweepCell::needs_baseline`]).
-    pub(crate) summary: Option<MixSummary>,
+    pub(crate) runs: CellRuns,
     /// Decision telemetry absorbed over the runs of a paper cell; empty
     /// (and allocation-free) for every other cell.
     pub(crate) telemetry: TelemetryReport,
     pub(crate) energy: CellEnergy,
-    /// One record per run, seed-major then core order, for a cell
-    /// without a summary; empty for a cell with one.
-    pub(crate) runs: Vec<RunRecord>,
+}
+
+impl CellOutcome {
+    /// The summary of a cell with an isolated baseline; panics for any
+    /// other.
+    pub(crate) fn summary(&self) -> &MixSummary {
+        match &self.runs {
+            CellRuns::Summary(summary) => summary,
+            CellRuns::Records(_) => panic!("a cell without a baseline has no summary"),
+        }
+    }
+
+    /// The run records of a cell without an isolated baseline; panics
+    /// for any other.
+    pub(crate) fn records(&self) -> &[RunRecord] {
+        match &self.runs {
+            CellRuns::Records(records) => records,
+            CellRuns::Summary(_) => panic!("a cell with a baseline keeps no run records"),
+        }
+    }
 }
 
 /// Seed for replication `rep` of a sweep with master seed `master`
@@ -274,18 +314,11 @@ pub(crate) fn compute_cell(
                 sim = sim.with_arrivals(arrivals)?;
             }
             if let Some(f) = protocol.faults {
-                let plan = FaultPlan::random(&machine, f.seed, f.intensity, f.window);
+                let plan = FaultPlan::random(&machine, seed, f.intensity, f.window);
                 sim = sim.with_fault_plan(plan)?;
             }
             let t1 = std::time::Instant::now();
-            let mut sched: Box<dyn Scheduler> = match cell.kind {
-                SchedulerKind::Colab => Box::new(ColabScheduler::with_config(
-                    &machine,
-                    model.clone(),
-                    cell.colab,
-                )),
-                kind => kind.create(&machine, model),
-            };
+            let mut sched = cell.kind.create_with(&machine, model, cell.colab);
             let outcome = sim.run(sched.as_mut())?;
             let t2 = std::time::Instant::now();
             if paper {
@@ -310,30 +343,33 @@ pub(crate) fn compute_cell(
         }
     }
     let divisor = runs.len() as u64;
-    let summary = t_sb.map(|t_sb| {
-        let apps: Vec<(String, SimDuration, SimDuration)> = names
-            .into_iter()
-            .zip(t_sb)
-            .enumerate()
-            .map(|(app, (name, &sb))| {
-                let sum = runs
-                    .iter()
-                    .fold(SimDuration::ZERO, |sum, run| sum + run.turnarounds[app]);
-                (name, sum / divisor, sb)
-            })
-            .collect();
-        let label = MachineConfig::asymmetric(cell.big, cell.little, CoreOrder::BigFirst).label();
-        MixSummary::new(cell.workload.name(), label, cell.kind.name(), apps)
-    });
     energy.joules /= divisor as f64;
     energy.edp /= divisor as f64;
     // A cell with a summary is read through it: keep no run records.
-    let runs = if summary.is_some() { Vec::new() } else { runs };
+    let runs = match t_sb {
+        None => CellRuns::Records(runs),
+        Some(t_sb) => {
+            let apps: Vec<(String, SimDuration, SimDuration)> = names
+                .into_iter()
+                .zip(t_sb)
+                .enumerate()
+                .map(|(app, (name, &sb))| {
+                    let sum = runs
+                        .iter()
+                        .fold(SimDuration::ZERO, |sum, run| sum + run.turnarounds[app]);
+                    (name, sum / divisor, sb)
+                })
+                .collect();
+            let label =
+                MachineConfig::asymmetric(cell.big, cell.little, CoreOrder::BigFirst).label();
+            let summary = MixSummary::new(cell.workload.name(), label, cell.kind.name(), apps);
+            CellRuns::Summary(summary)
+        }
+    };
     Ok(CellOutcome {
-        summary,
+        runs,
         telemetry,
         energy,
-        runs,
     })
 }
 
@@ -345,10 +381,11 @@ pub struct Harness {
     pub(crate) model: SpeedupModel,
     /// `(workload, total cores) → per-app T_SB`.
     pub(crate) baselines: HashMap<(WorkloadSpec, usize), Vec<SimDuration>>,
-    /// Memoized `cell key → outcome`: the summary, the decision
-    /// telemetry absorbed over a paper cell's runs (so `runs` is
-    /// `2 × replications`), the energy averaged like the turnarounds,
-    /// and, for a cell without a summary, each run's record.
+    /// Memoized `cell key → outcome`: the summary (or, for a cell
+    /// without a baseline, each run's record), the decision telemetry
+    /// absorbed over a paper cell's runs (so its `runs` is
+    /// `2 × replications`), and the energy averaged like the
+    /// turnarounds.
     pub(crate) cells: HashMap<CellKey, CellOutcome>,
     /// Interned compiled workloads, shared by the serial path and every
     /// `run_plan` worker: each distinct `(workload, seed, scale)` is
@@ -420,7 +457,7 @@ impl Harness {
     ) -> Result<MixSummary> {
         let key = cell_key(workload, big, little, kind);
         if let Some(cell) = self.cells.get(&key) {
-            return Ok(cell.summary.clone().expect("a paper cell has a baseline"));
+            return Ok(cell.summary().clone());
         }
         let plan = SweepPlan::from_iter([SweepCell::new(workload.clone(), big, little, kind)]);
         self.run_plan(&plan, self.jobs)?;

@@ -69,7 +69,8 @@ pub struct Protocol {
     pub params: Option<SimParams>,
     /// Application `i` arrives at `i × arrival_gap` (zero: all at once).
     pub arrival_gap: SimDuration,
-    /// A seeded random fault plan, or `None` for a fault-free machine.
+    /// A random fault plan drawn for each run's machine at the run's
+    /// seed, or `None` for a fault-free machine.
     pub faults: Option<RandomFaults>,
 }
 
@@ -86,12 +87,10 @@ impl Default for Protocol {
     }
 }
 
-/// The arguments of [`FaultPlan::random`](amp_sim::FaultPlan::random),
-/// drawn for each run's machine.
+/// The arguments of [`FaultPlan::random`](amp_sim::FaultPlan::random)
+/// besides the machine and the seed, which are each run's own.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RandomFaults {
-    /// Plan seed.
-    pub seed: u64,
     /// Expected faults per core.
     pub intensity: f64,
     /// Span of simulated time the faults fall in.
@@ -204,20 +203,15 @@ impl SweepCell {
 
     /// The machine of the run in `order`.
     pub(crate) fn machine(&self, order: CoreOrder) -> MachineConfig {
-        let machine = MachineConfig::asymmetric(self.big, self.little, order);
-        let little_ghz = self.protocol.little_ghz;
-        MachineConfig::from_cores(
-            machine
-                .iter()
-                .map(|(_, core)| match core.kind {
-                    CoreKind::Little => CoreSpec {
-                        freq_ghz: little_ghz,
-                        ..core
-                    },
-                    CoreKind::Big => core,
-                })
-                .collect(),
-        )
+        let little = CoreSpec {
+            freq_ghz: self.protocol.little_ghz,
+            ..CoreSpec::little()
+        };
+        let cores = MachineConfig::asymmetric(self.big, self.little, order)
+            .iter()
+            .map(|(_, core)| if core.kind == CoreKind::Little { little } else { core })
+            .collect();
+        MachineConfig::from_cores(cores)
     }
 }
 
