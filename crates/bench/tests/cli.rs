@@ -91,6 +91,34 @@ fn repro_usage_lists_the_real_flags() {
     }
 }
 
+/// `--bench-json` counts the paper-protocol cells, whose runs its event
+/// counts cover, while "cells evaluated" counts the study's own cells
+/// too: the ablation plans 32 paper cells and 48 reduced-COLAB cells.
+#[test]
+fn repro_bench_json_counts_paper_cells_only() {
+    let path = std::env::temp_dir().join(format!("repro-bench-{}.json", std::process::id()));
+    let out = run(
+        env!("CARGO_BIN_EXE_repro"),
+        &[
+            "--heuristic-model",
+            "--scale",
+            "0.05",
+            "--ablation",
+            "--bench-json",
+            path.to_str().expect("UTF-8 path"),
+        ],
+    );
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let json = std::fs::read_to_string(&path).expect("repro writes the bench report");
+    std::fs::remove_file(&path).expect("bench report is removable");
+    assert!(json.contains("\"cells\": 32,"), "{json}");
+    assert!(
+        stderr(&out).contains(", 80 cells evaluated"),
+        "stderr: {}",
+        stderr(&out)
+    );
+}
+
 /// `repro --trace-json` renders its traces under the speedup model of the
 /// run it reports: the trained one by default, the analytic heuristic
 /// with `--heuristic-model`.
