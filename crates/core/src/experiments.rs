@@ -8,7 +8,7 @@
 //!
 //! Every extension study is a grid of [`SweepCell`]s too: it builds a
 //! plan, runs it through [`Harness::run_plan`] on the harness's worker
-//! count (cells already memoized, like the energy study's, cost a
+//! count (run sets already memoized, like the energy study's, cost a
 //! lookup), and reduces the memoized run records in its own enumeration
 //! order, so the output does not depend on the worker count.
 
@@ -20,19 +20,24 @@ use amp_sim::SimParams;
 use amp_types::{Result, SimDuration, SimTime};
 use amp_workloads::{BenchmarkId, PaperWorkload, WorkloadClass, WorkloadSpec};
 
-use crate::harness::{CellOutcome, Harness, RunRecord, SchedulerKind};
+use crate::harness::{Harness, RunRecord, SchedulerKind};
 use crate::sweep::{Protocol, RandomFaults, SweepCell, SweepPlan};
 
 /// The four hardware configurations of the evaluation, `(big, little)`.
 pub const CONFIGS: [(usize, usize); 4] = [(2, 2), (2, 4), (4, 2), (4, 4)];
 
 /// Runs a study's `cells` as one plan on the harness's workers and
-/// returns their memoized outcomes in the order given.
-fn run_cells<'h>(h: &'h mut Harness, cells: &[SweepCell]) -> Result<Vec<&'h CellOutcome>> {
+/// returns each cell's memoized runs (seed-major, then core order), in
+/// the order given.
+fn run_cells<'h>(h: &'h mut Harness, cells: &[SweepCell]) -> Result<Vec<Vec<&'h RunRecord>>> {
     let plan: SweepPlan = cells.iter().cloned().collect();
     h.run_plan(&plan, h.jobs())?;
     let h: &'h Harness = h;
-    Ok(cells.iter().map(|cell| &h.cells[&cell.key()]).collect())
+    let runs = |cell: &SweepCell| {
+        let sets = cell.run_sets(h.config());
+        sets.iter().flat_map(|s| &h.cells[&s.key].runs).collect()
+    };
+    Ok(cells.iter().map(runs).collect())
 }
 
 /// A cell of one run set at `seed` under `protocol`'s other fields.
@@ -69,10 +74,10 @@ fn sync_pairs(seed: u64, protocols: impl IntoIterator<Item = Protocol>) -> Vec<S
 
 /// Geomean per-app COLAB/Linux turnaround over Linux/COLAB cell pairs,
 /// each app's turnaround summed over its cell's runs.
-fn colab_vs_linux(pairs: &[&CellOutcome]) -> f64 {
+fn colab_vs_linux(pairs: &[Vec<&RunRecord>]) -> f64 {
     let mut ratios = Vec::new();
     for pair in pairs.chunks(2) {
-        let (linux, colab) = (turnaround_secs(pair[0]), turnaround_secs(pair[1]));
+        let (linux, colab) = (turnaround_secs(&pair[0]), turnaround_secs(&pair[1]));
         ratios.extend(colab.iter().zip(&linux).map(|(c, l)| c / l));
     }
     geomean(&ratios)
@@ -90,8 +95,7 @@ fn geomean_vs_first(per_kind: &[Vec<f64>], k: usize) -> f64 {
 
 /// Each app's turnaround in seconds, summed over a cell's runs in run
 /// order.
-fn turnaround_secs(cell: &CellOutcome) -> Vec<f64> {
-    let runs = cell.records();
+fn turnaround_secs(runs: &[&RunRecord]) -> Vec<f64> {
     let mut sums = vec![0.0; runs[0].turnarounds.len()];
     for run in runs {
         for (sum, t) in sums.iter_mut().zip(&run.turnarounds) {
@@ -508,7 +512,8 @@ const ENERGY_CONFIG: (usize, usize) = (2, 4);
 
 /// Runs the energy study on the 2-big 4-little machine. Its cells are
 /// the paper grid's and the quantified Table 1's 2B4S cells, so after
-/// those it reads their memoized energy.
+/// those it reads their memoized runs. Each cell's energy and EDP are
+/// averaged over its runs, summed in run order.
 ///
 /// # Errors
 ///
@@ -526,9 +531,12 @@ pub fn energy(h: &mut Harness) -> Result<EnergyStudy> {
     let mut energies = vec![Vec::new(); kinds.len()];
     let mut edps = vec![Vec::new(); kinds.len()];
     for per_spec in outcomes.chunks(kinds.len()) {
-        for (ki, cell) in per_spec.iter().enumerate() {
-            energies[ki].push(cell.energy.joules);
-            edps[ki].push(cell.energy.edp);
+        for (ki, runs) in per_spec.iter().enumerate() {
+            let mean = |of: fn(&RunRecord) -> f64| {
+                runs.iter().fold(0.0, |sum, run| sum + of(run)) / runs.len() as f64
+            };
+            energies[ki].push(mean(|run| run.joules));
+            edps[ki].push(mean(|run| run.edp));
         }
     }
 
@@ -664,8 +672,8 @@ pub fn staggered(h: &mut Harness) -> Result<Staggered> {
 
     // turnarounds[k][flattened app], summed over the core-order pair.
     let mut turnarounds = vec![Vec::new(); kinds.len()];
-    for (i, cell) in outcomes.iter().enumerate() {
-        turnarounds[i % kinds.len()].extend(turnaround_secs(cell));
+    for (i, runs) in outcomes.iter().enumerate() {
+        turnarounds[i % kinds.len()].extend(turnaround_secs(runs));
     }
 
     let rows = kinds
@@ -1160,15 +1168,15 @@ pub fn ablation(h: &mut Harness) -> Result<Ablation> {
             });
         }
     }
-    let outcomes = run_cells(h, &cells)?;
-    let h_antt = |cell: &CellOutcome| cell.summary().h_antt;
-
-    let (paper, variants) = outcomes.split_at(2 * shapes.len());
-    let linux: Vec<f64> = paper.iter().step_by(2).map(|cell| h_antt(cell)).collect();
-    let full: Vec<f64> = paper
-        .chunks(2)
-        .map(|pair| h_antt(pair[1]) / h_antt(pair[0]))
+    run_cells(h, &cells)?;
+    let h_antt: Vec<f64> = cells
+        .iter()
+        .map(|cell| h.summary(cell).expect("run_plan memoized the cell").h_antt)
         .collect();
+
+    let (paper, variants) = h_antt.split_at(2 * shapes.len());
+    let linux: Vec<f64> = paper.iter().step_by(2).copied().collect();
+    let full: Vec<f64> = paper.chunks(2).map(|pair| pair[1] / pair[0]).collect();
     let mut rows = vec![AblationRow {
         variant: "full COLAB".to_string(),
         antt_vs_linux: geomean(&full),
@@ -1177,7 +1185,7 @@ pub fn ablation(h: &mut Harness) -> Result<Ablation> {
         let ratios: Vec<f64> = variant
             .iter()
             .zip(&linux)
-            .map(|(cell, linux)| h_antt(cell) / linux)
+            .map(|(colab, linux)| colab / linux)
             .collect();
         rows.push(AblationRow {
             variant: label.to_string(),
@@ -1301,7 +1309,7 @@ pub fn faults(h: &mut Harness) -> Result<FaultsStudy> {
         .collect();
     let windows: Vec<SimDuration> = run_cells(h, &clean_cells)?
         .chunks(kinds.len())
-        .map(|per_kind| SimDuration::from_nanos(per_kind[0].records()[0].makespan.as_nanos()))
+        .map(|per_kind| SimDuration::from_nanos(per_kind[0][0].makespan.as_nanos()))
         .collect();
 
     // Faulted runs: every scheduler replays each seed's plan. The clean
@@ -1331,8 +1339,8 @@ pub fn faults(h: &mut Harness) -> Result<FaultsStudy> {
             let mut stp = Vec::new();
             let mut antt = Vec::new();
             for (si, outcome) in runs.iter().enumerate() {
-                let clean = &clean[si * kinds.len() + ki].records()[0];
-                let run = &outcome.records()[0];
+                let clean = clean[si * kinds.len() + ki][0];
+                let run = outcome[0];
                 let d = &run.degradation;
                 faults_injected += d.faults_injected as f64;
                 forced += d.forced_migrations as f64;

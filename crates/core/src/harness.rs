@@ -1,6 +1,7 @@
 //! The experiment harness: scheduler factory, baseline cache, and the
 //! per-cell evaluation protocol of §5.1.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -102,8 +103,9 @@ pub struct ExperimentConfig {
     /// for tests).
     pub train_model: bool,
     /// Independent replications per cell: each replication uses a derived
-    /// seed (different workload jitter and PMU noise) and itself averages
-    /// the two core orders. 1 reproduces the paper's protocol exactly.
+    /// seed (different workload jitter and PMU noise) and is memoized as
+    /// its own run set of both core orders; a cell's summary averages
+    /// them when read. 1 reproduces the paper's protocol exactly.
     pub replications: u32,
     /// Simulator cost parameters.
     pub sim_params: SimParams,
@@ -134,39 +136,17 @@ impl ExperimentConfig {
     }
 }
 
-/// Key of a memoized experiment cell: `(workload, config label,
-/// scheduler, variant)`, the variant being empty for a paper-protocol
-/// cell (see [`SweepCell::key`]). The whole spec, not just its name, so
-/// two workloads that share a name but not their entries
-/// (`single(b, 4)` and `single(b, 2)`) never share a cell.
+/// Key of a planned experiment cell: `(workload, config label,
+/// scheduler, variant)` (see [`SweepCell::key`]). The whole spec, not
+/// just its name, so two workloads that share a name but not their
+/// entries (`single(b, 4)` and `single(b, 2)`) never share a cell.
 pub(crate) type CellKey = (WorkloadSpec, String, &'static str, String);
 
-/// The memo key of the paper-protocol cell of `workload` on a
-/// `big`×`little` machine under `kind`.
-pub(crate) fn cell_key(
-    workload: &WorkloadSpec,
-    big: usize,
-    little: usize,
-    kind: SchedulerKind,
-) -> CellKey {
-    (
-        workload.clone(),
-        MachineConfig::asymmetric(big, little, CoreOrder::BigFirst).label(),
-        kind.name(),
-        String::new(),
-    )
-}
+/// Key of a memoized run set: its cell's key and its seed.
+pub(crate) type RunKey = (CellKey, u64);
 
-/// Energy of one cell: total joules and energy-delay product, averaged
-/// over its runs like the turnarounds.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CellEnergy {
-    pub(crate) joules: f64,
-    pub(crate) edp: f64,
-}
-
-/// What the extension studies without a baseline read of one
-/// simulation run.
+/// What one simulation run leaves in the memo; summaries, energy and
+/// replication averages are computed from these when read.
 pub(crate) struct RunRecord {
     /// Each application's turnaround (arrival to finish).
     pub(crate) turnarounds: Vec<SimDuration>,
@@ -174,45 +154,19 @@ pub(crate) struct RunRecord {
     pub(crate) makespan: SimTime,
     /// Faults injected and their effects (all zero on a clean machine).
     pub(crate) degradation: DegradationReport,
+    /// Total energy of the run in joules.
+    pub(crate) joules: f64,
+    /// The run's energy-delay product.
+    pub(crate) edp: f64,
 }
 
-/// How a cell's turnarounds are kept, chosen by
-/// [`SweepCell::needs_baseline`].
-pub(crate) enum CellRuns {
-    /// The H_ANTT/H_STP summary of a cell with an isolated baseline.
-    Summary(MixSummary),
-    /// One record per run, seed-major then core order, of a cell
-    /// without one.
-    Records(Vec<RunRecord>),
-}
-
-/// Everything one evaluated cell yields.
+/// Everything one evaluated run set yields.
 pub(crate) struct CellOutcome {
-    pub(crate) runs: CellRuns,
-    /// Decision telemetry absorbed over the runs of a paper cell; empty
-    /// (and allocation-free) for every other cell.
+    /// One record per core order, in the order the protocol runs them.
+    pub(crate) runs: Vec<RunRecord>,
+    /// Decision telemetry absorbed over the runs of a paper run set;
+    /// empty (and allocation-free) for every other.
     pub(crate) telemetry: TelemetryReport,
-    pub(crate) energy: CellEnergy,
-}
-
-impl CellOutcome {
-    /// The summary of a cell with an isolated baseline; panics for any
-    /// other.
-    pub(crate) fn summary(&self) -> &MixSummary {
-        match &self.runs {
-            CellRuns::Summary(summary) => summary,
-            CellRuns::Records(_) => panic!("a cell without a baseline has no summary"),
-        }
-    }
-
-    /// The run records of a cell without an isolated baseline; panics
-    /// for any other.
-    pub(crate) fn records(&self) -> &[RunRecord] {
-        match &self.runs {
-            CellRuns::Records(records) => records,
-            CellRuns::Summary(_) => panic!("a cell with a baseline keeps no run records"),
-        }
-    }
 }
 
 /// Seed for replication `rep` of a sweep with master seed `master`
@@ -222,171 +176,38 @@ pub(crate) fn rep_seed(master: u64, rep: u32) -> u64 {
     master.wrapping_add(u64::from(rep).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// Shared read-only inputs for baseline and cell evaluation: the
-/// experiment configuration plus the plan-level compiled-program store.
-/// Bundled so the sweep executor hands workers a single borrow instead
-/// of threading each field through every call.
-#[derive(Clone, Copy)]
-pub(crate) struct EvalCtx<'a> {
-    pub(crate) config: &'a ExperimentConfig,
-    pub(crate) store: &'a ProgramStore,
+impl ExperimentConfig {
+    /// The replication seeds, in replication order.
+    pub(crate) fn rep_seeds(&self) -> impl Iterator<Item = u64> + '_ {
+        (0..self.replications.max(1)).map(|rep| rep_seed(self.seed, rep))
+    }
 }
 
-/// Computes the isolated big-only baselines `T_SB` for every app of
-/// `workload` on an all-big machine with `total_cores` cores.
-///
-/// Each baseline depends only on its inputs, so running it on any
-/// `Harness::run_plan` worker yields bit-identical results.
-pub(crate) fn compute_baseline(
-    ctx: &EvalCtx<'_>,
-    workload: &WorkloadSpec,
-    total_cores: usize,
-) -> Result<Vec<SimDuration>> {
-    let EvalCtx { config, store } = *ctx;
-    let machine = MachineConfig::all_big(total_cores);
-    let reps = config.replications.max(1);
-    let mut t_sb = vec![SimDuration::ZERO; workload.num_apps()];
-    for rep in 0..reps {
-        let seed = rep_seed(config.seed, rep);
-        let compiled = store.get_or_compile(workload, seed, config.scale)?;
-        for (slot, app) in t_sb.iter_mut().zip(compiled.apps()) {
-            let sim = Simulation::from_compiled_with_params(
-                &machine,
-                vec![Arc::clone(app)],
-                seed,
-                config.sim_params,
-            )?;
-            let outcome = sim.run(&mut CfsScheduler::new(&machine))?;
-            *slot += outcome.turnaround(AppId::new(0));
-        }
-    }
-    for slot in &mut t_sb {
-        *slot = *slot / u64::from(reps);
-    }
-    Ok(t_sb)
-}
-
-/// The cell protocol: evaluates `cell` — its workload on its machine
-/// under its policy, once per core-enumeration order per seed, every
-/// field of its [`Protocol`](crate::sweep::Protocol) applied — and
-/// averages the runs (§5.1). `t_sb` is the cell's isolated baseline,
-/// given exactly when [`SweepCell::needs_baseline`]. A fresh
-/// [`Simulation`] and scheduler are constructed for every run, so no
-/// mutable state is shared with any other cell and the result is a pure
-/// function of the arguments: the sweep executor can evaluate cells on
-/// any thread in any order and reproduce the serial path bit-for-bit.
-///
-/// Only paper cells ([`SweepCell::is_paper`]) keep their telemetry and
-/// are recorded in [`crate::simcost`].
-pub(crate) fn compute_cell(
-    ctx: &EvalCtx<'_>,
-    model: &SpeedupModel,
-    t_sb: Option<&[SimDuration]>,
-    cell: &SweepCell,
-) -> Result<CellOutcome> {
-    let EvalCtx { config, store } = *ctx;
-    let protocol = &cell.protocol;
-    let params = protocol.params.unwrap_or(config.sim_params);
-    let paper = cell.is_paper();
-    let mut names: Vec<String> = Vec::new();
-    let mut telemetry = TelemetryReport::new();
-    let mut energy = CellEnergy {
-        joules: 0.0,
-        edp: 0.0,
-    };
-    let mut runs = Vec::new();
-    for seed in cell.seeds(config.seed, config.replications) {
-        let compiled = store.get_or_compile(&cell.workload, seed, config.scale)?;
-        for &order in cell.orders() {
-            let machine = cell.machine(order);
-            let t0 = std::time::Instant::now();
-            let mut sim = Simulation::from_compiled_with_params(
-                &machine,
-                compiled.apps().to_vec(),
-                seed,
-                params,
-            )?;
-            if protocol.arrival_gap > SimDuration::ZERO {
-                let gap = protocol.arrival_gap.as_nanos();
-                let arrivals = (0..cell.workload.num_apps() as u64)
-                    .map(|i| SimTime::from_nanos(gap * i))
-                    .collect();
-                sim = sim.with_arrivals(arrivals)?;
-            }
-            if let Some(f) = protocol.faults {
-                let plan = FaultPlan::random(&machine, seed, f.intensity, f.window);
-                sim = sim.with_fault_plan(plan)?;
-            }
-            let t1 = std::time::Instant::now();
-            let mut sched = cell.kind.create_with(&machine, model, cell.colab);
-            let outcome = sim.run(sched.as_mut())?;
-            let t2 = std::time::Instant::now();
-            if paper {
-                crate::simcost::record(
-                    cell.kind,
-                    (t1 - t0).as_nanos() as u64,
-                    (t2 - t1).as_nanos() as u64,
-                    outcome.events_processed,
-                    outcome.compute_leaves,
-                    outcome.compute_events,
-                );
-                telemetry.absorb(&outcome.telemetry);
-            }
-            names = outcome.apps.iter().map(|a| a.name.clone()).collect();
-            energy.joules += outcome.energy.total_joules();
-            energy.edp += outcome.edp();
-            runs.push(RunRecord {
-                turnarounds: outcome.apps.iter().map(|app| app.turnaround).collect(),
-                makespan: outcome.makespan,
-                degradation: outcome.degradation,
-            });
-        }
-    }
-    let divisor = runs.len() as u64;
-    energy.joules /= divisor as f64;
-    energy.edp /= divisor as f64;
-    // A cell with a summary is read through it: keep no run records.
-    let runs = match t_sb {
-        None => CellRuns::Records(runs),
-        Some(t_sb) => {
-            let apps: Vec<(String, SimDuration, SimDuration)> = names
-                .into_iter()
-                .zip(t_sb)
-                .enumerate()
-                .map(|(app, (name, &sb))| {
-                    let sum = runs
-                        .iter()
-                        .fold(SimDuration::ZERO, |sum, run| sum + run.turnarounds[app]);
-                    (name, sum / divisor, sb)
-                })
-                .collect();
-            let label =
-                MachineConfig::asymmetric(cell.big, cell.little, CoreOrder::BigFirst).label();
-            let summary = MixSummary::new(cell.workload.name(), label, cell.kind.name(), apps);
-            CellRuns::Summary(summary)
-        }
-    };
-    Ok(CellOutcome {
-        runs,
-        telemetry,
-        energy,
-    })
+/// One seed's runs of a planned cell, resolved against the harness's
+/// configuration: the unit the memo keys and the executor evaluates.
+pub(crate) struct RunSet<'c> {
+    pub(crate) cell: &'c SweepCell,
+    pub(crate) seed: u64,
+    pub(crate) params: SimParams,
+    pub(crate) key: RunKey,
+    /// A replication seed, and every other field the paper's: only
+    /// these keep telemetry and are recorded in [`crate::simcost`].
+    pub(crate) paper: bool,
 }
 
 /// The evaluation harness: owns the trained model and memoizes isolated
-/// baselines and experiment cells so the figures and studies can share
-/// the same sweep.
+/// baselines and run sets so the figures and studies can share the same
+/// sweep.
 pub struct Harness {
     pub(crate) config: ExperimentConfig,
     pub(crate) model: SpeedupModel,
-    /// `(workload, total cores) → per-app T_SB`.
-    pub(crate) baselines: HashMap<(WorkloadSpec, usize), Vec<SimDuration>>,
-    /// Memoized `cell key → outcome`: the summary (or, for a cell
-    /// without a baseline, each run's record), the decision telemetry
-    /// absorbed over a paper cell's runs (so its `runs` is
-    /// `2 × replications`), and the energy averaged like the
-    /// turnarounds.
-    pub(crate) cells: HashMap<CellKey, CellOutcome>,
+    /// `(workload, total cores, seed) → per-app T_SB`.
+    pub(crate) baselines: HashMap<(WorkloadSpec, usize, u64), Vec<SimDuration>>,
+    /// Memoized `run set key → outcome`: one record per run of one
+    /// seed, plus the decision telemetry absorbed over a paper run set's
+    /// runs. Summaries, energy and replication averages are computed
+    /// from these when read.
+    pub(crate) cells: HashMap<RunKey, CellOutcome>,
     /// Interned compiled workloads, shared by the serial path and every
     /// `run_plan` worker: each distinct `(workload, seed, scale)` is
     /// instantiated and compiled once, however many cells replay it.
@@ -441,9 +262,104 @@ impl Harness {
         self.jobs
     }
 
+    /// Computes the isolated big-only baselines `T_SB` at `seed` for
+    /// every app of `workload` on an all-big machine with `total_cores`
+    /// cores. A pure function of its inputs, like
+    /// [`compute_cell`](Harness::compute_cell).
+    pub(crate) fn compute_baseline(
+        &self,
+        workload: &WorkloadSpec,
+        total_cores: usize,
+        seed: u64,
+    ) -> Result<Vec<SimDuration>> {
+        let machine = MachineConfig::all_big(total_cores);
+        let compiled = self
+            .programs
+            .get_or_compile(workload, seed, self.config.scale)?;
+        compiled
+            .apps()
+            .iter()
+            .map(|app| {
+                let sim = Simulation::from_compiled_with_params(
+                    &machine,
+                    vec![Arc::clone(app)],
+                    seed,
+                    self.config.sim_params,
+                )?;
+                let outcome = sim.run(&mut CfsScheduler::new(&machine))?;
+                Ok(outcome.turnaround(AppId::new(0)))
+            })
+            .collect()
+    }
+
+    /// The cell protocol for one seed: evaluates `set` — its cell's
+    /// workload on its machine under its policy, once per core-enumeration
+    /// order, every field of its [`Protocol`](crate::sweep::Protocol)
+    /// applied — and records each run (§5.1). A fresh [`Simulation`] and
+    /// scheduler are constructed for every run, and the only state shared
+    /// with other run sets is the store of immutable compiled programs,
+    /// so the result is a pure function of the configuration, the model
+    /// and `set`: the sweep executor can evaluate run sets on any thread
+    /// in any order and reproduce the serial path bit-for-bit.
+    pub(crate) fn compute_cell(&self, set: &RunSet<'_>) -> Result<CellOutcome> {
+        let RunSet {
+            cell, seed, params, ..
+        } = *set;
+        let protocol = &cell.protocol;
+        let compiled = self
+            .programs
+            .get_or_compile(&cell.workload, seed, self.config.scale)?;
+        let mut telemetry = TelemetryReport::new();
+        let mut runs = Vec::with_capacity(cell.orders().len());
+        for &order in cell.orders() {
+            let machine = cell.machine(order);
+            let t0 = std::time::Instant::now();
+            let mut sim = Simulation::from_compiled_with_params(
+                &machine,
+                compiled.apps().to_vec(),
+                seed,
+                params,
+            )?;
+            if protocol.arrival_gap > SimDuration::ZERO {
+                let gap = protocol.arrival_gap.as_nanos();
+                let arrivals = (0..cell.workload.num_apps() as u64)
+                    .map(|i| SimTime::from_nanos(gap * i))
+                    .collect();
+                sim = sim.with_arrivals(arrivals)?;
+            }
+            if let Some(f) = protocol.faults {
+                let plan = FaultPlan::random(&machine, seed, f.intensity, f.window);
+                sim = sim.with_fault_plan(plan)?;
+            }
+            let t1 = std::time::Instant::now();
+            let mut sched = cell.kind.create_with(&machine, &self.model, cell.colab);
+            let outcome = sim.run(sched.as_mut())?;
+            let t2 = std::time::Instant::now();
+            if set.paper {
+                crate::simcost::record(
+                    cell.kind,
+                    (t1 - t0).as_nanos() as u64,
+                    (t2 - t1).as_nanos() as u64,
+                    outcome.events_processed,
+                    outcome.compute_leaves,
+                    outcome.compute_events,
+                );
+                telemetry.absorb(&outcome.telemetry);
+            }
+            runs.push(RunRecord {
+                turnarounds: outcome.apps.iter().map(|app| app.turnaround).collect(),
+                makespan: outcome.makespan,
+                joules: outcome.energy.total_joules(),
+                edp: outcome.edp(),
+                degradation: outcome.degradation,
+            });
+        }
+        Ok(CellOutcome { runs, telemetry })
+    }
+
     /// Evaluates one experiment cell: `workload` on a `big`×`little`
     /// machine under `kind`, run once per core-enumeration order and
-    /// averaged (§5.1). Memoized across figures.
+    /// replication seed and averaged (§5.1). Memoized across figures.
     ///
     /// # Errors
     ///
@@ -455,14 +371,52 @@ impl Harness {
         little: usize,
         kind: SchedulerKind,
     ) -> Result<MixSummary> {
-        let key = cell_key(workload, big, little, kind);
-        if let Some(cell) = self.cells.get(&key) {
-            return Ok(cell.summary().clone());
+        let cell = SweepCell::new(workload.clone(), big, little, kind);
+        if let Some(summary) = self.summary(&cell) {
+            return Ok(summary);
         }
-        let plan = SweepPlan::from_iter([SweepCell::new(workload.clone(), big, little, kind)]);
-        self.run_plan(&plan, self.jobs)?;
-        // A memo hit now.
-        self.mix(workload, big, little, kind)
+        self.run_plan(&SweepPlan::from_iter([cell.clone()]), self.jobs)?;
+        Ok(self
+            .summary(&cell)
+            .expect("run_plan memoized the cell's run sets and baselines"))
+    }
+
+    /// The H_ANTT/H_STP summary of a cell planned with the paper's
+    /// protocol, or `None` unless its runs and baselines are memoized.
+    /// Each app's turnaround is summed over the runs (seed-major, then
+    /// core order) and divided by their count, its baseline summed over
+    /// the seeds and divided by theirs.
+    pub(crate) fn summary(&self, cell: &SweepCell) -> Option<MixSummary> {
+        let apps = cell.workload.num_apps();
+        let (mut t_m, mut t_sb) = (vec![SimDuration::ZERO; apps], vec![SimDuration::ZERO; apps]);
+        let (mut runs, mut seeds) = (0, 0);
+        let total = cell.big + cell.little;
+        for set in cell.run_sets(&self.config) {
+            for run in &self.cells.get(&set.key)?.runs {
+                for (sum, &t) in t_m.iter_mut().zip(&run.turnarounds) {
+                    *sum += t;
+                }
+                runs += 1;
+            }
+            let baseline = self
+                .baselines
+                .get(&(cell.workload.clone(), total, set.seed))?;
+            for (sum, &t) in t_sb.iter_mut().zip(baseline) {
+                *sum += t;
+            }
+            seeds += 1;
+        }
+        // Every app of a `WorkloadSpec` is named after its benchmark.
+        let apps = (cell.workload.entries().iter().zip(t_m).zip(t_sb))
+            .map(|((&(bench, _), m), sb)| (bench.name().to_string(), m / runs, sb / seeds))
+            .collect();
+        let label = MachineConfig::asymmetric(cell.big, cell.little, CoreOrder::BigFirst).label();
+        Some(MixSummary::new(
+            cell.workload.name(),
+            label,
+            cell.kind.name(),
+            apps,
+        ))
     }
 
     /// Single-program H_NTT (Figure 4): the benchmark alone on the
@@ -485,36 +439,46 @@ impl Harness {
         Ok(amp_metrics::h_ntt(*t_m, *t_sb))
     }
 
-    /// Number of cells evaluated so far, the extension studies' cells
-    /// included (diagnostics).
+    /// Number of run sets evaluated so far (one per cell and seed, the
+    /// extension studies' included; cells that resolve to the same runs
+    /// share one), for diagnostics.
     pub fn cells_evaluated(&self) -> usize {
         self.cells.len()
     }
 
     /// Decision telemetry of every evaluated paper-protocol cell, as
     /// `(workload, config, scheduler, report)` rows sorted for
-    /// deterministic output.
-    pub fn telemetry_cells(&self) -> Vec<(&str, &str, &str, &TelemetryReport)> {
-        let mut cells: Vec<_> = self.paper_cells().collect();
-        cells.sort_unstable_by(|((wa, ca, sa, _), _), ((wb, cb, sb, _), _)| {
-            (wa.name(), ca, sa, wa.entries()).cmp(&(wb.name(), cb, sb, wb.entries()))
-        });
-        cells
-            .into_iter()
-            .map(|((w, c, s, _), cell)| (w.name(), c.as_str(), *s, &cell.telemetry))
-            .collect()
-    }
-
-    /// The memoized paper-protocol cells, the only ones whose telemetry
-    /// is reported.
-    fn paper_cells(&self) -> impl Iterator<Item = (&CellKey, &CellOutcome)> {
-        self.cells
+    /// deterministic output. A cell's report merges its paper run sets
+    /// in seed order.
+    pub fn telemetry_cells(&self) -> Vec<(&str, &str, &str, Cow<'_, TelemetryReport>)> {
+        let mut sets: Vec<(&CellKey, usize, &TelemetryReport)> = self
+            .cells
             .iter()
-            .filter(|((_, _, _, variant), _)| variant.is_empty())
+            .filter(|((labels, _), _)| labels.3.is_empty())
+            .filter_map(|((labels, seed), outcome)| {
+                let rep = self.config.rep_seeds().position(|s| s == *seed)?;
+                Some((labels, rep, &outcome.telemetry))
+            })
+            .collect();
+        sets.sort_unstable_by(|((wa, ca, sa, _), ra, _), ((wb, cb, sb, _), rb, _)| {
+            (wa.name(), ca, sa, wa.entries(), ra).cmp(&(wb.name(), cb, sb, wb.entries(), rb))
+        });
+        sets.chunk_by(|(a, _, _), (b, _, _)| a == b)
+            .map(|cell| {
+                let ((workload, config, scheduler, _), _, first) = cell[0];
+                let mut report = Cow::Borrowed(first);
+                for (_, _, other) in &cell[1..] {
+                    report.to_mut().absorb(other);
+                }
+                (workload.name(), config.as_str(), *scheduler, report)
+            })
+            .collect()
     }
 
     /// Telemetry pooled per scheduler over every evaluated paper cell, in
     /// [`SchedulerKind`] display order — the `repro --summary` block.
+    /// Cells are pooled in [`telemetry_cells`](Harness::telemetry_cells)
+    /// order, so the floating-point sums do not depend on the process.
     pub fn telemetry_by_scheduler(&self) -> Vec<(&'static str, TelemetryReport)> {
         let order = [
             SchedulerKind::Linux,
@@ -523,19 +487,15 @@ impl Harness {
             SchedulerKind::Colab,
             SchedulerKind::EqualProgress,
         ];
-        let mut out = Vec::new();
-        for kind in order {
+        let cells = self.telemetry_cells();
+        let pool = |kind: SchedulerKind| {
             let mut pooled = TelemetryReport::new();
-            for ((_, _, sched, _), cell) in self.paper_cells() {
-                if *sched == kind.name() {
-                    pooled.absorb(&cell.telemetry);
-                }
+            for (_, _, _, report) in cells.iter().filter(|cell| cell.2 == kind.name()) {
+                pooled.absorb(report);
             }
-            if pooled.runs > 0 {
-                out.push((kind.name(), pooled));
-            }
-        }
-        out
+            (pooled.runs > 0).then(|| (kind.name(), pooled))
+        };
+        order.into_iter().filter_map(pool).collect()
     }
 }
 
@@ -596,15 +556,96 @@ mod tests {
         h.mix(&spec, 2, 2, SchedulerKind::Colab).unwrap();
         let cells = h.telemetry_cells();
         assert_eq!(cells.len(), 1);
-        let (workload, _, sched, report) = cells[0];
-        assert_eq!(workload, "swaptions");
-        assert_eq!(sched, "colab");
+        let (workload, _, sched, report) = &cells[0];
+        assert_eq!(*workload, "swaptions");
+        assert_eq!(*sched, "colab");
         assert_eq!(report.runs, 2, "one run per core order");
         assert!(report.counters.picks > 0);
         let pooled = h.telemetry_by_scheduler();
         assert_eq!(pooled.len(), 1);
         assert_eq!(pooled[0].0, "colab");
         assert_eq!(pooled[0].1.counters.picks, report.counters.picks);
+    }
+
+    #[test]
+    fn pooled_prediction_error_is_a_left_fold_over_the_sorted_cells() {
+        let mut h = Harness::new(ExperimentConfig::quick()).unwrap();
+        let mut plan = SweepPlan::new();
+        let specs = [
+            WorkloadSpec::single(BenchmarkId::Ferret, 4),
+            WorkloadSpec::single(BenchmarkId::Swaptions, 4),
+            WorkloadSpec::single(BenchmarkId::Bodytrack, 4),
+        ];
+        plan.add_grid(&specs, &[(2, 2), (2, 4), (4, 2)], &SchedulerKind::ALL);
+        h.run_plan(&plan, 2).unwrap();
+        let cells = h.telemetry_cells();
+        let pooled = h.telemetry_by_scheduler();
+        assert_eq!(pooled.len(), SchedulerKind::ALL.len());
+        for (name, report) in pooled {
+            let (abs, signed) = cells.iter().filter(|(_, _, sched, _)| *sched == name).fold(
+                (0.0, 0.0),
+                |(abs, signed), (_, _, _, cell)| {
+                    let p = &cell.counters.prediction;
+                    (abs + p.sum_abs_error, signed + p.sum_error)
+                },
+            );
+            let p = &report.counters.prediction;
+            assert_eq!(p.sum_abs_error.to_bits(), abs.to_bits(), "{name}");
+            assert_eq!(p.sum_error.to_bits(), signed.to_bits(), "{name}");
+        }
+    }
+
+    #[test]
+    fn replications_are_run_sets_averaged_on_read() {
+        let mut config = ExperimentConfig::quick();
+        config.replications = 2;
+        let mut h = Harness::new(config).unwrap();
+        let spec = WorkloadSpec::named(
+            "test-mix",
+            vec![(BenchmarkId::Ferret, 3), (BenchmarkId::Swaptions, 2)],
+        );
+        let cell = SweepCell::new(spec.clone(), 2, 2, SchedulerKind::Colab);
+        let summary = h.mix(&spec, 2, 2, SchedulerKind::Colab).unwrap();
+
+        let sets = cell.run_sets(h.config());
+        let seeds: Vec<u64> = sets.iter().map(|set| set.seed).collect();
+        assert_eq!(seeds, [rep_seed(42, 0), rep_seed(42, 1)]);
+        assert!(sets.iter().all(|set| set.paper));
+        assert_eq!(h.cells_evaluated(), 2, "one memo entry per seed");
+
+        // Rebuild the summary from the two seeds' records and baselines.
+        let mut t_m = [SimDuration::ZERO; 2];
+        let mut t_sb = [SimDuration::ZERO; 2];
+        for set in &sets {
+            let runs = &h.cells[&set.key].runs;
+            assert_eq!(runs.len(), 2, "one run per core order");
+            for run in runs {
+                t_m[0] += run.turnarounds[0];
+                t_m[1] += run.turnarounds[1];
+            }
+            let baseline = &h.baselines[&(spec.clone(), 4, set.seed)];
+            t_sb[0] += baseline[0];
+            t_sb[1] += baseline[1];
+        }
+        let first = &h.cells[&sets[0].key].runs[0];
+        let second = &h.cells[&sets[1].key].runs[0];
+        assert_ne!(first.turnarounds, second.turnarounds, "the seeds differ");
+        let apps = vec![
+            ("ferret".to_string(), t_m[0] / 4, t_sb[0] / 2),
+            ("swaptions".to_string(), t_m[1] / 4, t_sb[1] / 2),
+        ];
+        let expected = MixSummary::new("test-mix", "2B2S", "colab", apps);
+        assert_eq!(summary.apps, expected.apps);
+        assert_eq!(summary.h_antt.to_bits(), expected.h_antt.to_bits());
+        assert_eq!(summary.h_stp.to_bits(), expected.h_stp.to_bits());
+        assert_eq!(
+            (summary.workload, summary.config),
+            (expected.workload, expected.config)
+        );
+
+        let cells = h.telemetry_cells();
+        assert_eq!(cells.len(), 1);
+        assert_eq!(cells[0].3.runs, 4, "two seeds × two core orders");
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! study is a grid of cells too, each departing from that protocol in
 //! the fields of its [`Protocol`]. [`SweepPlan`] enumerates every cell
 //! up front in a canonical order; the executor ([`Harness::run_plan`])
-//! runs the cells on a bounded pool of `std::thread` workers that pull
-//! jobs from a shared queue, one fresh [`Simulation`](amp_sim::Simulation)
-//! per run so no mutable state ever crosses a cell boundary; and the
+//! runs each cell's run sets (one seed's runs each, shared by cells that
+//! run the same simulations) on a bounded pool of `std::thread` workers
+//! that pull jobs from a shared queue, one fresh
+//! [`Simulation`](amp_sim::Simulation) per run so no mutable state ever
+//! crosses a run-set boundary; and the
 //! reducer ([`reduce`]) merges results back in plan order, so the
 //! harness memo — and therefore every figure, table, study and CSV
 //! derived from it — is byte-identical regardless of worker count or
@@ -16,16 +18,16 @@
 //!
 //! The determinism contract, concretely:
 //!
-//! 1. every cell is a pure function of `(ExperimentConfig, SpeedupModel,
-//!    baselines, cell)` — the harness's one cell protocol constructs a
-//!    fresh simulation and scheduler per run; the only state shared
-//!    across cells is the [`ProgramStore`](crate::ProgramStore) of
+//! 1. every run set is a pure function of `(ExperimentConfig,
+//!    SpeedupModel, run set)` — the harness's one cell protocol
+//!    constructs a fresh simulation and scheduler per run; the only state
+//!    shared across run sets is the [`ProgramStore`](crate::ProgramStore) of
 //!    *immutable* compiled workloads, a pure memo of a deterministic
 //!    compilation (per-thread progress lives in the simulation, never in
 //!    the shared program);
 //! 2. `jobs == 1` executes the plan serially on the calling thread, in
 //!    plan order — exactly the pre-existing serial path;
-//! 3. `jobs >= 2` may complete cells in any order, but [`reduce`]
+//! 3. `jobs >= 2` may complete run sets in any order, but [`reduce`]
 //!    restores plan order before any result is observed.
 //!
 //! Golden-results tests (`tests/golden_sweep.rs` at the workspace root)
@@ -42,10 +44,7 @@ use amp_types::{CoreKind, CoreOrder, CoreSpec, MachineConfig, Result, SimDuratio
 use amp_workloads::{BenchmarkId, PaperWorkload, WorkloadSpec};
 
 use crate::experiments::CONFIGS;
-use crate::harness::{
-    cell_key, compute_baseline, compute_cell, rep_seed, CellKey, CellOutcome, EvalCtx, Harness,
-    SchedulerKind,
-};
+use crate::harness::{CellKey, CellOutcome, ExperimentConfig, Harness, RunSet, SchedulerKind};
 
 // ---------------------------------------------------------------------
 // Plan
@@ -99,8 +98,8 @@ pub struct RandomFaults {
 
 /// One independent experiment cell: a workload on a `big`×`little`
 /// machine under one scheduling policy, run as its [`Protocol`] says.
-/// The runs (each core-enumeration order of each seed) happen *inside*
-/// the cell.
+/// It resolves into one run set per seed (each core-enumeration order
+/// at that seed), which the harness memoizes and reads it from.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepCell {
     /// The multiprogrammed workload (single-program for Figure 4 cells).
@@ -137,30 +136,30 @@ impl SweepCell {
     }
 
     /// Whether this cell is a paper-protocol cell with COLAB's default
-    /// tunables: the cells whose telemetry and costs the harness reports.
+    /// tunables: its run sets' telemetry and costs are reported.
     pub fn is_paper(&self) -> bool {
         self.protocol == Protocol::default() && self.colab == ColabConfig::default()
     }
 
-    /// Whether the cell's H_ANTT is defined: only the paper's protocol
-    /// has an isolated all-big baseline (whatever the policy's tunables).
+    /// Whether the cell's H_ANTT is read, and so its isolated all-big
+    /// baselines run: only under the paper's protocol (whatever the
+    /// policy's tunables).
     pub(crate) fn needs_baseline(&self) -> bool {
         self.protocol == Protocol::default()
     }
 
-    /// The memo-cache key this cell produces: `(workload, config label,
+    /// The plan-level key of this cell: `(workload, config label,
     /// scheduler, variant)`. The variant is empty for a paper cell and
     /// otherwise the `Debug` text of the tunables and the protocol,
     /// which spells out every field (floats exactly, as they round-trip).
     pub fn key(&self) -> CellKey {
-        let (workload, config, scheduler, _) =
-            cell_key(&self.workload, self.big, self.little, self.kind);
+        let config = MachineConfig::asymmetric(self.big, self.little, CoreOrder::BigFirst).label();
         let variant = if self.is_paper() {
             String::new()
         } else {
             format!("{:?} {:?}", self.colab, self.protocol)
         };
-        (workload, config, scheduler, variant)
+        (self.workload.clone(), config, self.kind.name(), variant)
     }
 
     /// A stable 64-bit hash of the cell's labels (FNV-1a over
@@ -181,18 +180,40 @@ impl SweepCell {
             .fold(OFFSET, |h, byte| (h ^ u64::from(byte)).wrapping_mul(PRIME))
     }
 
-    /// The seeds of the cell's run sets, given the harness's master seed
-    /// and replication count.
-    pub(crate) fn seeds(&self, master: u64, replications: u32) -> Vec<u64> {
-        match self.protocol.seed {
+    /// The run sets this cell stands for under `config`, in seed order:
+    /// `Protocol::seed: None` becomes one per replication seed, and
+    /// `Protocol::params: None` the configured parameters. Each is keyed
+    /// by its seed and the key of this cell with no seed and the
+    /// parameters named only when not the configured ones, so cells that
+    /// run the same simulations share their run sets.
+    pub(crate) fn run_sets(&self, config: &ExperimentConfig) -> Vec<RunSet<'_>> {
+        let params = self.protocol.params.unwrap_or(config.sim_params);
+        let shape = SweepCell {
+            protocol: Protocol {
+                seed: None,
+                params: Some(params).filter(|&p| p != config.sim_params),
+                ..self.protocol
+            },
+            ..self.clone()
+        };
+        let (key, paper) = (shape.key(), shape.is_paper());
+        let seeds: Vec<u64> = match self.protocol.seed {
             Some(seed) => vec![seed],
-            None => (0..replications.max(1))
-                .map(|rep| rep_seed(master, rep))
-                .collect(),
-        }
+            None => config.rep_seeds().collect(),
+        };
+        seeds
+            .into_iter()
+            .map(|seed| RunSet {
+                cell: self,
+                seed,
+                params,
+                key: (key.clone(), seed),
+                paper: paper && config.rep_seeds().any(|s| s == seed),
+            })
+            .collect()
     }
 
-    /// The core-enumeration orders each seed runs in.
+    /// The core-enumeration orders each run set runs in.
     pub(crate) fn orders(&self) -> &'static [CoreOrder] {
         if self.protocol.big_first_only {
             &[CoreOrder::BigFirst]
@@ -436,11 +457,11 @@ pub fn reduce<O>(mut results: Vec<(usize, O)>, expected: usize) -> Vec<O> {
 pub struct SweepReport {
     /// Cells in the plan.
     pub planned: usize,
-    /// Cells actually simulated (not already memoized).
+    /// Run sets (one per cell and seed) actually simulated.
     pub executed: usize,
-    /// Cells served from the harness memo cache.
+    /// Run sets served from the harness memo cache.
     pub cached: usize,
-    /// Baseline (`T_SB`) runs simulated.
+    /// Baseline (`T_SB`) jobs simulated, one per seed.
     pub baselines: usize,
     /// Worker threads used.
     pub jobs: usize,
@@ -483,12 +504,12 @@ impl Harness {
     /// and study reads are pure cache hits.
     ///
     /// Two phases, each a [`parallel_map`]: first the unique isolated
-    /// baselines the plan needs, then every not-yet-memoized cell (each
-    /// against the now-complete baseline map). Results are reduced in
-    /// plan order; `jobs == 1` runs the identical code serially on the
-    /// calling thread. Output is bit-identical for any `jobs`. The
-    /// harness keeps `jobs` for the plans the extension studies run
-    /// later.
+    /// baselines the plan needs (one per replication seed), then every
+    /// not-yet-memoized run set the planned cells resolve to, each once.
+    /// Results are reduced in plan order; `jobs == 1` runs the identical
+    /// code serially on the calling thread. Output is bit-identical for
+    /// any `jobs`. The harness keeps `jobs` for the plans the extension
+    /// studies run later.
     ///
     /// # Errors
     ///
@@ -499,52 +520,46 @@ impl Harness {
         self.jobs = jobs;
 
         // Phase 1: baselines not yet memoized.
-        let baseline_jobs: Vec<(WorkloadSpec, usize)> = plan
+        let baseline_jobs: Vec<(WorkloadSpec, usize, u64)> = plan
             .baseline_jobs()
             .into_iter()
+            .flat_map(|(workload, total)| {
+                self.config
+                    .rep_seeds()
+                    .map(move |seed| (workload.clone(), total, seed))
+            })
             .filter(|job| !self.baselines.contains_key(job))
             .collect();
-        let config = self.config.clone();
-        let ctx = EvalCtx {
-            config: &config,
-            store: &self.programs,
-        };
         let baseline_results: Vec<Result<Vec<SimDuration>>> =
-            parallel_map(jobs, &baseline_jobs, |(workload, total)| {
-                compute_baseline(&ctx, workload, *total)
+            parallel_map(jobs, &baseline_jobs, |(workload, total, seed)| {
+                self.compute_baseline(workload, *total, *seed)
             });
         for (job, result) in baseline_jobs.iter().zip(baseline_results) {
             self.baselines.insert(job.clone(), result?);
         }
 
-        // Phase 2: cells not yet memoized.
-        let todo: Vec<(CellKey, &SweepCell)> = plan
+        // Phase 2: run sets not yet memoized, each once.
+        let sets: Vec<RunSet<'_>> = plan
             .cells()
             .iter()
-            .map(|cell| (cell.key(), cell))
-            .filter(|(key, _)| !self.cells.contains_key(key))
+            .flat_map(|cell| cell.run_sets(&self.config))
             .collect();
-        let cached = plan.len() - todo.len();
-        let model = self.model.clone();
-        let baselines = &self.baselines;
-        let cell_results: Vec<Result<CellOutcome>> = parallel_map(jobs, &todo, |(_, cell)| {
-            let t_sb = cell.needs_baseline().then(|| {
-                baselines
-                    .get(&(cell.workload.clone(), cell.big + cell.little))
-                    .expect("phase 1 computed every baseline the plan needs")
-                    .as_slice()
-            });
-            compute_cell(&ctx, &model, t_sb, cell)
-        });
+        let mut seen = std::collections::HashSet::new();
+        let (cached, todo): (Vec<&RunSet<'_>>, Vec<&RunSet<'_>>) = sets
+            .iter()
+            .filter(|set| seen.insert(&set.key))
+            .partition(|set| self.cells.contains_key(&set.key));
+        let results: Vec<Result<CellOutcome>> =
+            parallel_map(jobs, &todo, |set| self.compute_cell(set));
         let executed = todo.len();
-        for ((key, _), result) in todo.into_iter().zip(cell_results) {
-            self.cells.insert(key, result?);
+        for (set, result) in todo.into_iter().zip(results) {
+            self.cells.insert(set.key.clone(), result?);
         }
 
         Ok(SweepReport {
             planned: plan.len(),
             executed,
-            cached,
+            cached: cached.len(),
             baselines: baseline_jobs.len(),
             jobs,
             wall: start.elapsed(),

@@ -185,3 +185,21 @@ fn studies_load_the_grids_programs_from_the_store() {
     assert_eq!(after.misses, before.misses + 3, "the fault study's seeds");
     assert!(after.hits > before.hits);
 }
+
+#[test]
+fn sensitivity_defaults_share_the_paper_grids_runs() {
+    // The "defaults" row runs the harness's seed and parameters on 2B4S,
+    // the same simulations as the paper grid's 2B4S Sync cells: of its
+    // 5 parameter sets × Sync workloads × 2 policies, only the four
+    // varied sets add memo entries.
+    let mut h = quick_harness();
+    h.run_plan(&colab::SweepPlan::paper_grid(), 2).unwrap();
+    let before = h.cells_evaluated();
+    experiments::sensitivity(&mut h).unwrap();
+    let sync = PaperWorkload::all()
+        .into_iter()
+        .filter(|w| w.class() == WorkloadClass::Sync)
+        .count();
+    assert_eq!(sync * 2, 8);
+    assert_eq!(h.cells_evaluated() - before, 4 * sync * 2);
+}

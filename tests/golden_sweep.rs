@@ -111,15 +111,17 @@ fn serial_path_matches_golden_fixtures() {
     assert_matches_golden(&rendered, "serial mix path");
 }
 
-/// The cells the extension studies plan beyond `SweepPlan::full()`:
+/// The run sets the extension studies add beyond `SweepPlan::full()`:
 /// the ablation's three reduced COLAB variants on every Sync workload ×
-/// configuration; sensitivity's five parameter sets and the asymmetry
-/// sweep's five little-cluster clocks, each on every Sync workload under
-/// Linux and COLAB; staggered arrivals on every 4-program workload under
-/// the four extended policies; and the fault study's 3 seeds × 3 paper
-/// schedulers, clean and at 3 intensities. The energy study's cells and
-/// the ablation's Linux and full-COLAB cells are paper cells of the
-/// full plan.
+/// configuration; sensitivity's four varied parameter sets and the
+/// asymmetry sweep's five little-cluster clocks, each on every Sync
+/// workload under Linux and COLAB; staggered arrivals on every 4-program
+/// workload under the four extended policies; and the fault study's 3
+/// seeds × 3 paper schedulers, clean and at 3 intensities. The energy
+/// study's cells, the ablation's Linux and full-COLAB cells and
+/// sensitivity's "defaults" row (the harness's seed and parameters on
+/// 2B4S) run the same simulations as paper cells of the full plan, so
+/// they share those run sets.
 fn study_cells() -> usize {
     let sync = PaperWorkload::all()
         .into_iter()
@@ -130,7 +132,7 @@ fn study_cells() -> usize {
         .filter(|w| w.num_programs() == 4)
         .count();
     let ablation = 3 * sync * 4;
-    let sensitivity = 5 * sync * 2;
+    let sensitivity = 4 * sync * 2;
     let freqsweep = 5 * sync * 2;
     let staggered = four_program * 4;
     let faults = 3 * 3 + 3 * 3 * 3;
@@ -147,7 +149,7 @@ fn parallel_executor_reproduces_golden_at_jobs_1_2_8() {
         let prewarmed = h.cells_evaluated();
         let rendered = write_csvs(&mut h, &format!("jobs{jobs}"));
         // The figures read only the prewarmed cache: no paper-protocol
-        // cell (the only ones with telemetry) was added, and the cells
+        // cell (the only ones with telemetry) was added, and the run sets
         // that were are exactly the studies' own.
         assert_eq!(
             h.telemetry_cells().len(),
@@ -157,7 +159,7 @@ fn parallel_executor_reproduces_golden_at_jobs_1_2_8() {
         assert_eq!(
             h.cells_evaluated() - prewarmed,
             study_cells(),
-            "jobs={jobs}: the CSV report must add exactly the studies' cells"
+            "jobs={jobs}: the CSV report must add exactly the studies' run sets"
         );
         assert_matches_golden(&rendered, &format!("parallel executor, jobs={jobs}"));
     }
