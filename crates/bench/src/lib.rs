@@ -49,9 +49,12 @@ pub fn harness_with(scale: f64, train: bool, replications: u32) -> Harness {
 /// dispatch machinery around it.
 ///
 /// `telemetry_buckets` is the memoized telemetry footprint: the latency
-/// histogram buckets the harness holds, summed over every cell's three
-/// histograms. It depends only on the code and the flags, like the
-/// event counts.
+/// histogram buckets the harness stores (non-empty ones only), summed
+/// over the three histograms of every memoized paper run set. It depends
+/// only on the code and the flags, like the event counts.
+/// `peak_rss_mb` is the process's resident-memory high-water mark
+/// (`VmHWM`) when the report is written, or `null` where the platform
+/// does not report it; unlike the counters it varies from run to run.
 ///
 /// `wall_secs` is the whole invocation's wall time and `cells` the
 /// number of paper-protocol cells evaluated, the cells whose runs the
@@ -98,18 +101,18 @@ pub fn bench_run_json(harness: &Harness, wall_secs: f64, cells: usize) -> String
 
     let interning = harness.intern_stats();
     let telemetry_buckets: usize = harness
-        .telemetry_cells()
-        .into_iter()
-        .map(|(_, _, _, report)| {
-            report.wakeup_to_run.bucket_counts().len()
-                + report.runqueue_wait.bucket_counts().len()
-                + report.futex_block.bucket_counts().len()
+        .telemetry_run_sets()
+        .map(|report| {
+            report.wakeup_to_run.buckets().len()
+                + report.runqueue_wait.buckets().len()
+                + report.futex_block.buckets().len()
         })
         .sum();
+    let peak_rss_mb = peak_rss_mb().map_or_else(|| "null".to_string(), |mb| format!("{mb:.2}"));
     format!(
         concat!(
             "{{\n",
-            "  \"schema\": \"colab-bench-run/3\",\n",
+            "  \"schema\": \"colab-bench-run/4\",\n",
             "  \"wall_secs\": {:.3},\n",
             "  \"cells\": {},\n",
             "  \"cells_per_sec\": {:.2},\n",
@@ -119,6 +122,7 @@ pub fn bench_run_json(harness: &Harness, wall_secs: f64, cells: usize) -> String
             "\"segments_per_sec\": {:.0}}},\n",
             "  \"interning\": {{\"hits\": {}, \"misses\": {}}},\n",
             "  \"telemetry_buckets\": {},\n",
+            "  \"peak_rss_mb\": {},\n",
             "  \"policies\": [{}\n  ]\n",
             "}}\n"
         ),
@@ -136,8 +140,18 @@ pub fn bench_run_json(harness: &Harness, wall_secs: f64, cells: usize) -> String
         interning.hits,
         interning.misses,
         telemetry_buckets,
+        peak_rss_mb,
         policies,
     )
+}
+
+/// This process's resident-memory high-water mark in MiB, from the
+/// `VmHWM` line of `/proc/self/status`; `None` where that is unavailable.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|line| line.strip_prefix("VmHWM:"))?;
+    let kb: f64 = kb.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(kb / 1024.0)
 }
 
 /// Runs `spec` under `kind`, predicting speedups with `model`, on the

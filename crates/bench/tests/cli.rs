@@ -94,6 +94,7 @@ fn repro_usage_lists_the_real_flags() {
 /// `--bench-json` counts the paper-protocol cells, whose runs its event
 /// counts cover, while "cells evaluated" counts the study's own cells
 /// too: the ablation plans 32 paper cells and 48 reduced-COLAB cells.
+/// It also reports the process's peak resident memory.
 #[test]
 fn repro_bench_json_counts_paper_cells_only() {
     let path = std::env::temp_dir().join(format!("repro-bench-{}.json", std::process::id()));
@@ -112,6 +113,16 @@ fn repro_bench_json_counts_paper_cells_only() {
     let json = std::fs::read_to_string(&path).expect("repro writes the bench report");
     std::fs::remove_file(&path).expect("bench report is removable");
     assert!(json.contains("\"cells\": 32,"), "{json}");
+    // The memory high-water mark is a positive number, or null off Linux.
+    let peak = json
+        .lines()
+        .find_map(|line| line.trim().strip_prefix("\"peak_rss_mb\": "))
+        .and_then(|value| value.strip_suffix(','))
+        .expect("the report carries peak_rss_mb");
+    assert!(
+        peak == "null" || peak.parse::<f64>().is_ok_and(|mb| mb > 0.0),
+        "peak_rss_mb {peak}"
+    );
     assert!(
         stderr(&out).contains(", 80 cells evaluated"),
         "stderr: {}",

@@ -446,20 +446,32 @@ impl Harness {
         self.cells.len()
     }
 
-    /// Decision telemetry of every evaluated paper-protocol cell, as
-    /// `(workload, config, scheduler, report)` rows sorted for
-    /// deterministic output. A cell's report merges its paper run sets
-    /// in seed order.
-    pub fn telemetry_cells(&self) -> Vec<(&str, &str, &str, Cow<'_, TelemetryReport>)> {
-        let mut sets: Vec<(&CellKey, usize, &TelemetryReport)> = self
-            .cells
+    /// Each memoized paper run set's `(cell key, replication, telemetry)`,
+    /// in memo order.
+    fn paper_telemetry(&self) -> impl Iterator<Item = (&CellKey, usize, &TelemetryReport)> {
+        self.cells
             .iter()
             .filter(|((labels, _), _)| labels.3.is_empty())
             .filter_map(|((labels, seed), outcome)| {
                 let rep = self.config.rep_seeds().position(|s| s == *seed)?;
                 Some((labels, rep, &outcome.telemetry))
             })
-            .collect();
+    }
+
+    /// The telemetry report of every memoized paper run set (one per
+    /// paper cell and replication seed), as the memo stores it and in no
+    /// particular order: what the memo's telemetry footprint is made of.
+    /// [`telemetry_cells`](Harness::telemetry_cells) merges these per cell.
+    pub fn telemetry_run_sets(&self) -> impl Iterator<Item = &TelemetryReport> {
+        self.paper_telemetry().map(|(_, _, report)| report)
+    }
+
+    /// Decision telemetry of every evaluated paper-protocol cell, as
+    /// `(workload, config, scheduler, report)` rows sorted for
+    /// deterministic output. A cell's report merges its paper run sets
+    /// in seed order.
+    pub fn telemetry_cells(&self) -> Vec<(&str, &str, &str, Cow<'_, TelemetryReport>)> {
+        let mut sets: Vec<(&CellKey, usize, &TelemetryReport)> = self.paper_telemetry().collect();
         sets.sort_unstable_by(|((wa, ca, sa, _), ra, _), ((wb, cb, sb, _), rb, _)| {
             (wa.name(), ca, sa, wa.entries(), ra).cmp(&(wb.name(), cb, sb, wb.entries(), rb))
         });
@@ -502,6 +514,7 @@ impl Harness {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amp_sim::telemetry::LatencyHistogram;
 
     #[test]
     fn scheduler_kinds_construct() {
@@ -592,6 +605,47 @@ mod tests {
             let p = &report.counters.prediction;
             assert_eq!(p.sum_abs_error.to_bits(), abs.to_bits(), "{name}");
             assert_eq!(p.sum_error.to_bits(), signed.to_bits(), "{name}");
+        }
+    }
+
+    #[test]
+    fn memoized_histograms_store_no_empty_bucket_and_pool_in_any_order() {
+        let mut config = ExperimentConfig::quick();
+        config.replications = 2;
+        let mut h = Harness::new(config).unwrap();
+        let mut plan = SweepPlan::new();
+        let specs = [
+            WorkloadSpec::single(BenchmarkId::Ferret, 4),
+            WorkloadSpec::single(BenchmarkId::Bodytrack, 4),
+        ];
+        plan.add_grid(&specs, &[(2, 2), (4, 2)], &SchedulerKind::ALL);
+        h.run_plan(&plan, 2).unwrap();
+        fn histograms(r: &TelemetryReport) -> [&LatencyHistogram; 3] {
+            [&r.wakeup_to_run, &r.runqueue_wait, &r.futex_block]
+        }
+        let mut stored = 0;
+        for outcome in h.cells.values() {
+            for histogram in histograms(&outcome.telemetry) {
+                assert!(histogram.buckets().all(|(_, n)| n > 0), "{histogram:?}");
+                stored += histogram.buckets().len();
+            }
+        }
+        assert!(stored > 0, "paper run sets keep their histograms");
+        assert_eq!(h.telemetry_run_sets().count(), 2 * plan.len());
+
+        let cells = h.telemetry_cells();
+        for (name, pooled) in h.telemetry_by_scheduler() {
+            let of_kind: Vec<&TelemetryReport> = (cells.iter())
+                .filter(|(_, _, sched, _)| *sched == name)
+                .map(|(_, _, _, report)| report.as_ref())
+                .collect();
+            for order in [of_kind.clone(), of_kind.iter().rev().copied().collect()] {
+                let folded = order.iter().fold(TelemetryReport::new(), |acc, r| acc.merged(r));
+                for (a, b) in histograms(&pooled).into_iter().zip(histograms(&folded)) {
+                    assert!(a.buckets().eq(b.buckets()), "{name}: {a:?} vs {b:?}");
+                    assert_eq!(a, b, "{name}");
+                }
+            }
         }
     }
 

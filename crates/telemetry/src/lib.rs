@@ -14,7 +14,9 @@
 //!    always on (a handful of integer adds per decision).
 //! 3. **Latency histograms** ([`LatencyHistogram`]) — log-bucketed
 //!    HDR-style, for wakeup-to-run latency, runqueue wait, and futex
-//!    block duration, exported as p50/p95/p99.
+//!    block duration, exported as p50/p95/p99. A run records each into a
+//!    dense bucket vector and packs it, once, into a histogram that
+//!    stores only its non-empty buckets.
 //!
 //! [`Telemetry`] is the live collector owned by a simulation;
 //! [`TelemetryReport`] is the mergeable end-of-run snapshot that rides in
@@ -29,6 +31,7 @@ mod report;
 
 pub use counters::{ClusterDirection, Counters, LabelClass, PredictionError, PreemptCause};
 pub use event::{EventRing, SchedEvent, StampedEvent};
+use histogram::HistogramRecorder;
 pub use histogram::{HistogramSummary, LatencyHistogram};
 pub use report::TelemetryReport;
 
@@ -44,11 +47,11 @@ pub struct Telemetry {
     /// Decision counters (always on).
     pub counters: Counters,
     /// Wakeup-to-first-run latency per wakeup.
-    pub wakeup_to_run: LatencyHistogram,
+    wakeup_to_run: HistogramRecorder,
     /// Time runnable threads sat queued before dispatch.
-    pub runqueue_wait: LatencyHistogram,
+    runqueue_wait: HistogramRecorder,
     /// Time threads spent blocked on a futex word.
-    pub futex_block: LatencyHistogram,
+    futex_block: HistogramRecorder,
     ring: EventRing,
     /// Latest speedup prediction per thread, indexed by thread id and
     /// grown on demand, matched against measured speedups as the engine
@@ -63,9 +66,9 @@ impl Telemetry {
     pub fn new(event_capacity: usize) -> Self {
         Telemetry {
             counters: Counters::default(),
-            wakeup_to_run: LatencyHistogram::new(),
-            runqueue_wait: LatencyHistogram::new(),
-            futex_block: LatencyHistogram::new(),
+            wakeup_to_run: HistogramRecorder::new(),
+            runqueue_wait: HistogramRecorder::new(),
+            futex_block: HistogramRecorder::new(),
             ring: EventRing::new(event_capacity),
             pending_predictions: Vec::new(),
         }
@@ -115,27 +118,20 @@ impl Telemetry {
         self.ring.dropped()
     }
 
-    /// Ends the run: moves the aggregatable state into a report (each
-    /// histogram trimmed to exactly its buckets) and the ring's buffer
-    /// into the returned events, oldest first. The ring's totals travel
-    /// in the report.
+    /// Ends the run: moves the counters into a report, packs each
+    /// histogram into it (its non-empty buckets only, exactly sized) and
+    /// moves the ring's buffer into the returned events, oldest first.
+    /// The ring's totals travel in the report.
     pub fn finish(self) -> (TelemetryReport, Vec<StampedEvent>) {
-        let mut report = TelemetryReport {
+        let report = TelemetryReport {
             runs: 1,
             counters: self.counters,
-            wakeup_to_run: self.wakeup_to_run,
-            runqueue_wait: self.runqueue_wait,
-            futex_block: self.futex_block,
+            wakeup_to_run: self.wakeup_to_run.finish(),
+            runqueue_wait: self.runqueue_wait.finish(),
+            futex_block: self.futex_block.finish(),
             events_seen: self.ring.seen(),
             events_dropped: self.ring.dropped(),
         };
-        for histogram in [
-            &mut report.wakeup_to_run,
-            &mut report.runqueue_wait,
-            &mut report.futex_block,
-        ] {
-            histogram.shrink_to_fit();
-        }
         (report, self.ring.into_events())
     }
 

@@ -167,9 +167,12 @@ mod tests {
     fn absorb_accumulates_runs_and_pools_histograms() {
         let mut total = TelemetryReport::new();
         for i in 1..=3u64 {
-            let mut one = TelemetryReport { runs: 1, ..Default::default() };
+            let mut one = TelemetryReport {
+                runs: 1,
+                wakeup_to_run: [SimDuration::from_micros(i)].into_iter().collect(),
+                ..Default::default()
+            };
             one.counters.picks = 10 * i;
-            one.wakeup_to_run.record(SimDuration::from_micros(i));
             total.absorb(&one);
         }
         assert_eq!(total.runs, 3);
@@ -180,12 +183,15 @@ mod tests {
 
     #[test]
     fn display_renders_without_panicking() {
-        let mut report = TelemetryReport { runs: 1, ..Default::default() };
+        let mut report = TelemetryReport {
+            runs: 1,
+            wakeup_to_run: [SimDuration::from_micros(30)].into_iter().collect(),
+            ..Default::default()
+        };
         report.counters.picks = 5;
         report.counters.migrations[1] = 2;
         report.counters.label_matrix[0][2] = 1;
         report.counters.prediction.observe(2.0, 1.5);
-        report.wakeup_to_run.record(SimDuration::from_micros(30));
         let text = report.to_string();
         assert!(text.contains("migrations"));
         assert!(text.contains("wakeup->run"));

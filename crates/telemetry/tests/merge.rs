@@ -38,10 +38,10 @@ fn synthetic_report(seed: u64) -> TelemetryReport {
     }
     r.events_seen = rng.gen_range(0u64..5_000);
     r.events_dropped = rng.gen_range(0u64..r.events_seen.max(1));
-    for _ in 0..rng.gen_range(1usize..200) {
-        r.wakeup_to_run
-            .record(SimDuration::from_nanos(rng.gen_range(1u64..100_000_000)));
-    }
+    let samples = rng.gen_range(1usize..200);
+    r.wakeup_to_run = (0..samples)
+        .map(|_| SimDuration::from_nanos(rng.gen_range(1u64..100_000_000)))
+        .collect();
     r
 }
 
@@ -123,16 +123,17 @@ fn sample_quantile(sorted: &[u64], q: f64) -> u64 {
 #[test]
 fn merged_histogram_quantiles_track_pooled_samples_within_one_bucket() {
     let mut rng = StdRng::seed_from_u64(7);
-    let mut parts: Vec<LatencyHistogram> = (0..6).map(|_| LatencyHistogram::new()).collect();
+    let mut parts: Vec<LatencyHistogram> = Vec::new();
     let mut pooled_samples: Vec<u64> = Vec::new();
-    for part in &mut parts {
+    for _ in 0..6 {
+        let mut part = Vec::new();
         for _ in 0..rng.gen_range(50usize..400) {
             // Spread over several octaves, like real latency data.
             let magnitude = rng.gen_range(4u32..27);
-            let value = rng.gen_range(1u64 << magnitude..1u64 << (magnitude + 1));
-            part.record(SimDuration::from_nanos(value));
-            pooled_samples.push(value);
+            part.push(rng.gen_range(1u64 << magnitude..1u64 << (magnitude + 1)));
         }
+        parts.push(part.iter().map(|&v| SimDuration::from_nanos(v)).collect());
+        pooled_samples.extend(part);
     }
     let mut merged = LatencyHistogram::new();
     for part in &parts {
@@ -165,19 +166,14 @@ fn merging_many_parts_equals_recording_once() {
     // irrelevant: N partial histograms merge to exactly the histogram
     // of the pooled stream.
     let mut rng = StdRng::seed_from_u64(11);
-    let samples: Vec<u64> = (0..1_000).map(|_| rng.gen_range(1u64..1 << 30)).collect();
-    let mut whole = LatencyHistogram::new();
-    for &s in &samples {
-        whole.record(SimDuration::from_nanos(s));
-    }
+    let samples: Vec<SimDuration> = (0..1_000)
+        .map(|_| SimDuration::from_nanos(rng.gen_range(1u64..1 << 30)))
+        .collect();
+    let whole: LatencyHistogram = samples.iter().copied().collect();
     for split in [2usize, 3, 7] {
         let mut merged = LatencyHistogram::new();
         for chunk in samples.chunks(samples.len() / split) {
-            let mut part = LatencyHistogram::new();
-            for &s in chunk {
-                part.record(SimDuration::from_nanos(s));
-            }
-            merged.absorb(&part);
+            merged.absorb(&chunk.iter().copied().collect());
         }
         assert_eq!(merged, whole, "{split}-way split diverged");
     }

@@ -1,7 +1,10 @@
 //! Property tests for the telemetry invariants the rest of the suite
-//! leans on: histogram quantile ordering, compact bucket storage and
-//! exact merging, counter conservation, and the flight-recorder ring's
-//! capacity bound and oldest-first drain under arbitrary event storms.
+//! leans on: histogram quantile ordering, packed bucket storage that
+//! reads exactly like a dense one, exact merging in any order, counter
+//! conservation, and the flight-recorder ring's capacity bound and
+//! oldest-first drain under arbitrary event storms.
+
+use std::fmt;
 
 use amp_telemetry::{
     ClusterDirection, EventRing, LabelClass, LatencyHistogram, PreemptCause, SchedEvent, Telemetry,
@@ -41,35 +44,134 @@ fn event_strategy() -> impl Strategy<Value = SchedEvent> {
     })
 }
 
-fn histogram_of(samples: &[u64]) -> LatencyHistogram {
-    let mut h = LatencyHistogram::new();
-    for &s in samples {
-        h.record(SimDuration::from_nanos(s));
-    }
-    h
+/// Latency samples over the whole `u64` range, with the edges drawn
+/// often: 0, the exact buckets below 16, and `u64::MAX`.
+fn sample_strategy() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        Just(0u64),
+        0u64..16,
+        (any::<u64>(), 0u32..64).prop_map(|(v, shift)| v >> shift),
+        Just(u64::MAX),
+    ]
 }
 
-/// Whether the stored buckets end at the highest non-empty one (an
-/// empty histogram stores none).
-fn ends_at_highest_sample(h: &LatencyHistogram) -> bool {
-    h.bucket_counts().last().is_none_or(|&n| n > 0) && h.bucket_counts().is_empty() == h.is_empty()
+fn histogram_of(samples: &[u64]) -> LatencyHistogram {
+    samples.iter().map(|&s| SimDuration::from_nanos(s)).collect()
+}
+
+fn buckets(h: &LatencyHistogram) -> Vec<(usize, u64)> {
+    h.buckets().collect()
+}
+
+/// Whether the stored buckets are exactly non-empty ones, strictly
+/// ascending (an empty histogram stores none).
+fn stores_only_non_empty_buckets(h: &LatencyHistogram) -> bool {
+    let stored = buckets(h);
+    stored.windows(2).all(|w| w[0].0 < w[1].0)
+        && stored.iter().all(|&(_, n)| n > 0)
+        && stored.is_empty() == h.is_empty()
+}
+
+/// A test-only dense histogram: one counter for every one of the 976
+/// buckets, read by walking all of them.
+struct DenseReference {
+    counts: Vec<u64>,
+    count: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
+}
+
+impl DenseReference {
+    fn of(samples: &[u64]) -> Self {
+        let mut counts = vec![0; 976];
+        for &v in samples {
+            counts[Self::bucket(v)] += 1;
+        }
+        DenseReference {
+            counts,
+            count: samples.len() as u64,
+            sum: samples.iter().fold(0u64, |sum, &v| sum.saturating_add(v)),
+            min: samples.iter().copied().min().unwrap_or(0),
+            max: samples.iter().copied().max().unwrap_or(0),
+        }
+    }
+
+    /// Exact below 16, then 16 linear sub-buckets per power of two.
+    fn bucket(v: u64) -> usize {
+        if v < 16 {
+            v as usize
+        } else {
+            let msb = 63 - v.leading_zeros() as usize;
+            (msb - 3) * 16 + ((v >> (msb - 4)) & 15) as usize
+        }
+    }
+
+    /// Largest value that lands in `index`.
+    fn upper(index: usize) -> u64 {
+        if index < 16 {
+            index as u64
+        } else {
+            let shift = index / 16 - 1;
+            (((16 + index % 16 + 1) as u128) << shift).saturating_sub(1).min(u64::MAX.into()) as u64
+        }
+    }
+
+    fn quantile(&self, q: f64) -> SimDuration {
+        if self.count == 0 {
+            return SimDuration::ZERO;
+        }
+        let target = ((q * self.count as f64).ceil() as u64).max(1);
+        let mut cumulative = 0;
+        let index = (0..self.counts.len())
+            .find(|&i| {
+                cumulative += self.counts[i];
+                cumulative >= target
+            })
+            .expect("the counts add up to the sample count");
+        SimDuration::from_nanos(Self::upper(index).min(self.max))
+    }
+
+    fn mean(&self) -> SimDuration {
+        SimDuration::from_nanos(self.sum.checked_div(self.count).unwrap_or(0))
+    }
+
+    fn non_empty(&self) -> Vec<(usize, u64)> {
+        (self.counts.iter().enumerate())
+            .filter(|&(_, &n)| n > 0)
+            .map(|(i, &n)| (i, n))
+            .collect()
+    }
+}
+
+impl fmt::Debug for DenseReference {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("LatencyHistogram")
+            .field("count", &self.count)
+            .field("mean", &self.mean())
+            .field("p50", &self.quantile(0.50))
+            .field("p95", &self.quantile(0.95))
+            .field("p99", &self.quantile(0.99))
+            .field("max", &SimDuration::from_nanos(self.max))
+            .finish()
+    }
 }
 
 #[test]
 fn empty_histograms_and_reports_own_no_buckets() {
-    assert!(LatencyHistogram::new().bucket_counts().is_empty());
+    assert_eq!(LatencyHistogram::new().buckets().len(), 0);
     let report = TelemetryReport::default();
     for h in [
         &report.wakeup_to_run,
         &report.runqueue_wait,
         &report.futex_block,
     ] {
-        assert!(h.bucket_counts().is_empty());
+        assert_eq!(h.buckets().len(), 0);
     }
     // A run that recorded nothing stores nothing either.
     let (report, events) = Telemetry::new(8).finish();
     assert_eq!(report.runs, 1);
-    assert!(report.wakeup_to_run.bucket_counts().is_empty());
+    assert_eq!(report.wakeup_to_run.buckets().len(), 0);
     assert!(events.is_empty());
 }
 
@@ -134,10 +236,7 @@ proptest! {
     fn histogram_quantiles_are_ordered(
         samples in proptest::collection::vec(0u64..10_000_000_000, 1..300),
     ) {
-        let mut h = LatencyHistogram::new();
-        for &s in &samples {
-            h.record(SimDuration::from_nanos(s));
-        }
+        let h = histogram_of(&samples);
         let s = h.summary();
         prop_assert!(s.p50 <= s.p95, "p50 {} > p95 {}", s.p50, s.p95);
         prop_assert!(s.p95 <= s.p99, "p95 {} > p99 {}", s.p95, s.p99);
@@ -150,7 +249,7 @@ proptest! {
         for pair in qs.windows(2) {
             prop_assert!(h.quantile(pair[0]) <= h.quantile(pair[1]));
         }
-        prop_assert_eq!(h.bucket_counts().iter().sum::<u64>(), samples.len() as u64);
+        prop_assert_eq!(h.buckets().map(|(_, n)| n).sum::<u64>(), samples.len() as u64);
     }
 
     #[test]
@@ -158,22 +257,14 @@ proptest! {
         a in proptest::collection::vec(0u64..1_000_000_000, 1..100),
         b in proptest::collection::vec(0u64..1_000_000_000, 1..100),
     ) {
-        let mut ha = LatencyHistogram::new();
-        let mut hb = LatencyHistogram::new();
-        let mut pooled = LatencyHistogram::new();
-        for &s in &a {
-            ha.record(SimDuration::from_nanos(s));
-            pooled.record(SimDuration::from_nanos(s));
-        }
-        for &s in &b {
-            hb.record(SimDuration::from_nanos(s));
-            pooled.record(SimDuration::from_nanos(s));
-        }
+        let mut ha = histogram_of(&a);
+        let hb = histogram_of(&b);
+        let pooled = histogram_of(&[a.as_slice(), b.as_slice()].concat());
         ha.absorb(&hb);
         // Absorbing is exactly pooling the samples.
         prop_assert_eq!(ha.count(), pooled.count());
         prop_assert_eq!(ha.max(), pooled.max());
-        prop_assert_eq!(ha.bucket_counts(), pooled.bucket_counts());
+        prop_assert_eq!(buckets(&ha), buckets(&pooled));
         prop_assert_eq!(ha.quantile(0.5), pooled.quantile(0.5));
     }
 
@@ -193,27 +284,101 @@ proptest! {
         ab.absorb(&histogram_of(&b));
         let mut ba = histogram_of(&b);
         ba.absorb(&histogram_of(&a));
-        prop_assert_eq!(ab.bucket_counts(), pooled.bucket_counts());
-        prop_assert_eq!(ba.bucket_counts(), pooled.bucket_counts());
+        prop_assert_eq!(buckets(&ab), buckets(&pooled));
+        prop_assert_eq!(buckets(&ba), buckets(&pooled));
         prop_assert_eq!(&ab, &pooled);
         prop_assert_eq!(&ba, &pooled);
-        prop_assert!(ends_at_highest_sample(&ab));
+        prop_assert!(stores_only_non_empty_buckets(&ab));
     }
 
     #[test]
-    fn stored_buckets_end_at_the_highest_non_empty_one(
+    fn stored_buckets_are_exactly_the_non_empty_ones(
         samples in proptest::collection::vec(0u64..10_000_000_000, 0..200),
     ) {
         let h = histogram_of(&samples);
-        prop_assert!(ends_at_highest_sample(&h), "{:?}", h.bucket_counts().last());
+        prop_assert!(stores_only_non_empty_buckets(&h), "{:?}", buckets(&h));
         // The same holds for the histograms a finished run hands over.
         let mut tel = Telemetry::new(0);
         for &s in &samples {
             tel.observe_runqueue_wait(SimDuration::from_nanos(s));
         }
         let (report, _) = tel.finish();
-        prop_assert_eq!(report.runqueue_wait.bucket_counts(), h.bucket_counts());
-        prop_assert!(report.wakeup_to_run.bucket_counts().is_empty());
+        prop_assert_eq!(buckets(&report.runqueue_wait), buckets(&h));
+        prop_assert_eq!(&report.runqueue_wait, &h);
+        prop_assert_eq!(report.wakeup_to_run.buckets().len(), 0);
+    }
+
+    #[test]
+    fn packed_histogram_reads_like_a_dense_reference(
+        samples in proptest::collection::vec(sample_strategy(), 0..300),
+    ) {
+        let h = histogram_of(&samples);
+        let reference = DenseReference::of(&samples);
+        prop_assert_eq!(buckets(&h), reference.non_empty());
+        prop_assert!(stores_only_non_empty_buckets(&h), "{:?}", buckets(&h));
+        for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
+            prop_assert_eq!(h.quantile(q), reference.quantile(q), "q = {}", q);
+        }
+        let s = h.summary();
+        prop_assert_eq!(s.count, reference.count);
+        prop_assert_eq!(s.mean, reference.mean());
+        prop_assert_eq!(s.p50, reference.quantile(0.50));
+        prop_assert_eq!(s.p95, reference.quantile(0.95));
+        prop_assert_eq!(s.p99, reference.quantile(0.99));
+        prop_assert_eq!(s.max.as_nanos(), reference.max);
+        prop_assert_eq!(h.count(), reference.count);
+        prop_assert_eq!(h.mean(), reference.mean());
+        prop_assert_eq!(h.min().as_nanos(), reference.min);
+        prop_assert_eq!(h.max().as_nanos(), reference.max);
+        prop_assert_eq!(format!("{h:?}"), format!("{reference:?}"));
+    }
+
+    #[test]
+    fn absorb_in_any_order_and_grouping_equals_the_pooled_histogram(
+        samples in proptest::collection::vec(sample_strategy(), 0..200),
+        cuts in proptest::collection::vec(0usize..200, 0..6),
+        rotate in 0usize..7,
+    ) {
+        let pooled = histogram_of(&samples);
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(samples.len())).collect();
+        cuts.sort_unstable();
+        let mut parts = Vec::new();
+        let mut start = 0;
+        for end in cuts.into_iter().chain([samples.len()]) {
+            parts.push(histogram_of(&samples[start..end]));
+            start = end;
+        }
+        let fold = |parts: &mut dyn Iterator<Item = &LatencyHistogram>| {
+            let mut acc = LatencyHistogram::new();
+            for part in parts {
+                acc.absorb(part);
+            }
+            acc
+        };
+        let forward = fold(&mut parts.iter());
+        let reverse = fold(&mut parts.iter().rev());
+        let shift = rotate % parts.len();
+        let rotated = fold(&mut parts[shift..].iter().chain(&parts[..shift]));
+        // Pairwise, as a tree: ((p0 + p1) + (p2 + p3)) + ...
+        let mut level = parts.clone();
+        while level.len() > 1 {
+            level = level
+                .chunks(2)
+                .map(|pair| {
+                    let mut joined = pair[0].clone();
+                    if let Some(right) = pair.get(1) {
+                        joined.absorb(right);
+                    }
+                    joined
+                })
+                .collect();
+        }
+        let tree = level.pop().expect("at least one part");
+        for merged in [&forward, &reverse, &rotated, &tree] {
+            prop_assert_eq!(buckets(merged), buckets(&pooled));
+            prop_assert_eq!(merged, &pooled);
+            prop_assert!(stores_only_non_empty_buckets(merged), "{:?}", buckets(merged));
+        }
     }
 
     #[test]
