@@ -8,7 +8,7 @@ use rand::SeedableRng;
 
 use amp_futex::{FutexKey, FutexTable};
 use amp_perf::{ExecutionProfile, SpeedupModel};
-use amp_sched::{CfsScheduler, ColabScheduler, GtsScheduler, WashScheduler};
+use amp_sched::{CfsScheduler, ColabScheduler};
 use amp_sim::Simulation;
 use amp_types::{CoreKind, CoreOrder, MachineConfig, SimTime, ThreadId};
 use amp_workloads::{BenchmarkId, Scale, WorkloadSpec};
@@ -53,8 +53,8 @@ fn bench_sim_throughput(c: &mut Criterion) {
                     .expect("workload builds");
                 let outcome = match which {
                     "linux" => sim.run(&mut CfsScheduler::new(&machine)),
-                    "gts" => sim.run(&mut GtsScheduler::new(&machine)),
-                    "wash" => sim.run(&mut WashScheduler::new(&machine, model.clone())),
+                    "gts" => sim.run(&mut CfsScheduler::gts(&machine)),
+                    "wash" => sim.run(&mut CfsScheduler::wash(&machine, model.clone())),
                     _ => sim.run(&mut ColabScheduler::new(&machine, model.clone())),
                 }
                 .expect("simulation completes");

@@ -7,10 +7,7 @@ use std::sync::Arc;
 
 use amp_metrics::MixSummary;
 use amp_perf::SpeedupModel;
-use amp_sched::{
-    CfsScheduler, ColabConfig, ColabScheduler, EqualProgressScheduler, GtsScheduler, Scheduler,
-    WashScheduler,
-};
+use amp_sched::{CfsScheduler, ColabConfig, ColabScheduler, Scheduler};
 use amp_sim::telemetry::TelemetryReport;
 use amp_sim::{DegradationReport, FaultPlan, SimParams, Simulation};
 use amp_types::{AppId, CoreOrder, MachineConfig, Result, SimDuration, SimTime};
@@ -79,13 +76,13 @@ impl SchedulerKind {
     ) -> Box<dyn Scheduler> {
         match self {
             SchedulerKind::Linux => Box::new(CfsScheduler::new(machine)),
-            SchedulerKind::Wash => Box::new(WashScheduler::new(machine, model.clone())),
+            SchedulerKind::Wash => Box::new(CfsScheduler::wash(machine, model.clone())),
             SchedulerKind::Colab => {
                 Box::new(ColabScheduler::with_config(machine, model.clone(), colab))
             }
-            SchedulerKind::Gts => Box::new(GtsScheduler::new(machine)),
+            SchedulerKind::Gts => Box::new(CfsScheduler::gts(machine)),
             SchedulerKind::EqualProgress => {
-                Box::new(EqualProgressScheduler::new(machine, model.clone()))
+                Box::new(CfsScheduler::equal_progress(machine, model.clone()))
             }
         }
     }

@@ -1,32 +1,49 @@
-//! The Linux CFS baseline (and the mechanism layer WASH reuses).
+//! The CFS family: Linux CFS and the three policies that steer it only
+//! by where a thread may run or by how its time is charged.
+//!
+//! One [`CfsScheduler`] runs the kernel's mechanics (per-core `vruntime`
+//! timelines, least-loaded placement, wakeup preemption, idle stealing,
+//! periodic balancing) under one of four rules:
+//!
+//! * **Linux** — the paper's `LINUX` baseline, AMP-*agnostic*: a big-core
+//!   millisecond and a little-core millisecond count the same.
+//! * **WASH** (Jibaja et al., CGO 2016) — every 10 ms, rank live threads
+//!   by one mixed z-score of predicted speedup, blocking and big-core
+//!   deficit, and bind the top-scoring ones to big cores. Selection,
+//!   preemption and placement within the mask stay CFS, so bottleneck and
+//!   high-speedup threads queue behind each other on the big cores — the
+//!   limitation the paper's motivating example targets. As in the paper's
+//!   methodology (§5.1) it is driven by a speedup model fit to the
+//!   simulated system.
+//! * **GTS** (ARM Global Task Scheduling, Table 1) — bind threads by load
+//!   average: an EWMA of the fraction of each 10 ms window a thread was
+//!   runnable. Above the up-migration threshold it goes big, below the
+//!   down-migration threshold little; the band between keeps its binding.
+//! * **Equal-progress** (Van Craeynest et al., PACT 2013, §2) — charge
+//!   little-core time in big-core equivalents (divided by the predicted
+//!   speedup), so threads stuck on little cores look behind and win the
+//!   next pick on any core. Core sensitivity and bottlenecks are not
+//!   considered (per Table 1).
+//!
+//! A thread's binding is its [`Placement`]; [`Placement::fits`] is the
+//! one test of whether it may run on a core, used by enqueue, stealing
+//! and balancing alike.
 
 use std::collections::BTreeSet;
 
+use amp_perf::SpeedupModel;
+use amp_sim::telemetry::{LabelClass, SchedEvent};
 use amp_sim::{EnqueueReason, Pick, SchedCtx, Scheduler, StopReason};
-use amp_types::{CoreId, MachineConfig, SimDuration, ThreadId};
+use amp_types::{CoreId, CoreKind, MachineConfig, SimDuration, SimTime, ThreadId};
 
-/// Linux CFS tunables (defaults match the kernel's).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CfsTunables {
-    /// `sched_latency_ns`: the period over which every runnable thread
-    /// should run once.
-    pub sched_latency: u64,
-    /// `sched_min_granularity_ns`: slice floor.
-    pub min_granularity: u64,
-    /// `sched_wakeup_granularity_ns`: vruntime lead a waking thread needs
-    /// to preempt.
-    pub wakeup_granularity: u64,
-}
-
-impl Default for CfsTunables {
-    fn default() -> Self {
-        CfsTunables {
-            sched_latency: 6_000_000,
-            min_granularity: 750_000,
-            wakeup_granularity: 1_000_000,
-        }
-    }
-}
+/// `sched_latency_ns`: the period over which every runnable thread
+/// should run once (the kernel's default, as are the two below).
+const SCHED_LATENCY_NS: u64 = 6_000_000;
+/// `sched_min_granularity_ns`: slice floor.
+const MIN_GRANULARITY_NS: u64 = 750_000;
+/// `sched_wakeup_granularity_ns`: vruntime lead a waking thread needs to
+/// preempt. COLAB's wakeup check uses the same threshold.
+pub(crate) const WAKEUP_GRANULARITY_NS: u64 = 1_000_000;
 
 /// One per-core runqueue: the timeline ordered by `(vruntime, tid)`,
 /// plus the monotone `min_vruntime` reference.
@@ -36,12 +53,10 @@ struct CfsRq {
     min_vruntime: u64,
 }
 
-/// The reusable CFS mechanism: runqueues, vruntime accounting, placement,
-/// stealing, balancing. [`CfsScheduler`] exposes it unmodified;
-/// `WashScheduler` drives it through affinity masks.
+/// The CFS mechanism: runqueues, vruntime accounting, placement,
+/// stealing, balancing. [`CfsScheduler`] drives it under every rule.
 #[derive(Debug, Clone)]
-pub(crate) struct CfsEngine {
-    pub tunables: CfsTunables,
+struct CfsEngine {
     rqs: Vec<CfsRq>,
     vruntime: Vec<u64>,
     /// Which rq each thread sits on (None = running/blocked/finished).
@@ -49,16 +64,15 @@ pub(crate) struct CfsEngine {
 }
 
 impl CfsEngine {
-    pub fn new(num_cores: usize) -> CfsEngine {
+    fn new(num_cores: usize) -> CfsEngine {
         CfsEngine {
-            tunables: CfsTunables::default(),
             rqs: vec![CfsRq::default(); num_cores],
             vruntime: Vec::new(),
             queued_on: Vec::new(),
         }
     }
 
-    pub fn reset(&mut self, num_threads: usize) {
+    fn reset(&mut self, num_threads: usize) {
         for rq in &mut self.rqs {
             rq.tree.clear();
             rq.min_vruntime = 0;
@@ -67,18 +81,18 @@ impl CfsEngine {
         self.queued_on = vec![None; num_threads];
     }
 
-    pub fn nr_queued(&self, core: CoreId) -> usize {
+    fn nr_queued(&self, core: CoreId) -> usize {
         self.rqs[core.index()].tree.len()
     }
 
     /// Runnable load on a core: queued plus the running thread.
-    pub fn load(&self, ctx: &SchedCtx<'_>, core: CoreId) -> usize {
+    fn load(&self, ctx: &SchedCtx<'_>, core: CoreId) -> usize {
         self.nr_queued(core) + usize::from(ctx.running_on(core).is_some())
     }
 
     /// `select_task_rq`: least-loaded core among `allowed`, ties to the
     /// lowest id (which is where core-enumeration order enters).
-    pub fn select_core(
+    fn select_core(
         &self,
         ctx: &SchedCtx<'_>,
         allowed: impl Iterator<Item = CoreId>,
@@ -88,7 +102,7 @@ impl CfsEngine {
 
     /// Enqueues with min-vruntime placement (a sleeper's stale vruntime is
     /// forgiven up to the queue's current minimum).
-    pub fn enqueue(&mut self, thread: ThreadId, core: CoreId) {
+    fn enqueue(&mut self, thread: ThreadId, core: CoreId) {
         debug_assert!(self.queued_on[thread.index()].is_none());
         let rq = &mut self.rqs[core.index()];
         let vrt = self.vruntime[thread.index()].max(rq.min_vruntime);
@@ -98,7 +112,7 @@ impl CfsEngine {
     }
 
     /// Removes a specific queued thread (for balancing/stealing).
-    pub fn dequeue(&mut self, thread: ThreadId) -> bool {
+    fn dequeue(&mut self, thread: ThreadId) -> bool {
         let Some(core) = self.queued_on[thread.index()].take() else {
             return false;
         };
@@ -109,7 +123,7 @@ impl CfsEngine {
     }
 
     /// Pops the leftmost (minimum-vruntime) thread of a core's queue.
-    pub fn pop_local(&mut self, core: CoreId) -> Option<ThreadId> {
+    fn pop_local(&mut self, core: CoreId) -> Option<ThreadId> {
         let rq = &mut self.rqs[core.index()];
         let (vrt, tid) = rq.tree.pop_first()?;
         rq.min_vruntime = rq.min_vruntime.max(vrt);
@@ -120,7 +134,7 @@ impl CfsEngine {
 
     /// Empties a core's queue entirely (hot-unplug: the simulator
     /// re-routes the returned threads through `enqueue`).
-    pub fn drain(&mut self, core: CoreId) -> Vec<ThreadId> {
+    fn drain(&mut self, core: CoreId) -> Vec<ThreadId> {
         let mut drained = Vec::with_capacity(self.nr_queued(core));
         while let Some(thread) = self.pop_local(core) {
             drained.push(thread);
@@ -130,7 +144,7 @@ impl CfsEngine {
 
     /// Idle balancing: pull the leftmost thread of the most loaded other
     /// queue (among threads passing `allowed`).
-    pub fn steal_for(
+    fn steal_for(
         &mut self,
         core: CoreId,
         allowed: impl Fn(ThreadId, CoreId) -> bool,
@@ -164,23 +178,23 @@ impl CfsEngine {
     }
 
     /// `sched_slice`: latency divided by runnable tasks, floored.
-    pub fn slice(&self, ctx: &SchedCtx<'_>, core: CoreId) -> SimDuration {
+    fn slice(&self, ctx: &SchedCtx<'_>, core: CoreId) -> SimDuration {
         let nr = self.load(ctx, core).max(1) as u64;
-        let ns = (self.tunables.sched_latency / nr).max(self.tunables.min_granularity);
+        let ns = (SCHED_LATENCY_NS / nr).max(MIN_GRANULARITY_NS);
         SimDuration::from_nanos(ns)
     }
 
     /// `wakeup_preempt_entity`: preempt when the runner's vruntime leads
     /// the waker's by more than the wakeup granularity.
-    pub fn should_preempt(&self, incoming: ThreadId, running: ThreadId) -> bool {
+    fn should_preempt(&self, incoming: ThreadId, running: ThreadId) -> bool {
         let vr = self.vruntime[running.index()];
         let vi = self.vruntime[incoming.index()];
-        vr > vi.saturating_add(self.tunables.wakeup_granularity)
+        vr > vi.saturating_add(WAKEUP_GRANULARITY_NS)
     }
 
     /// Charges consumed CPU time to a thread's vruntime (equal weights —
     /// and, for the baseline, deliberately AMP-agnostic wall time).
-    pub fn charge(&mut self, thread: ThreadId, ran: SimDuration) {
+    fn charge(&mut self, thread: ThreadId, ran: SimDuration) {
         self.vruntime[thread.index()] =
             self.vruntime[thread.index()].saturating_add(ran.as_nanos());
     }
@@ -188,7 +202,7 @@ impl CfsEngine {
     /// Periodic load balance: move one queued thread from the most loaded
     /// to the least loaded core (when they differ by ≥ 2), respecting
     /// `allowed`.
-    pub fn balance(&mut self, ctx: &SchedCtx<'_>, allowed: impl Fn(ThreadId, CoreId) -> bool) {
+    fn balance(&mut self, ctx: &SchedCtx<'_>, allowed: impl Fn(ThreadId, CoreId) -> bool) {
         let cores = self.rqs.len();
         for _ in 0..cores {
             // Only online cores participate: pushing work to a
@@ -229,7 +243,7 @@ impl CfsEngine {
     /// Core a thread should requeue on: where it last ran, unless that
     /// core has been hot-unplugged, in which case the least-loaded online
     /// core takes it.
-    pub fn requeue_core(&self, ctx: &SchedCtx<'_>, thread: ThreadId) -> CoreId {
+    fn requeue_core(&self, ctx: &SchedCtx<'_>, thread: ThreadId) -> CoreId {
         match ctx.thread(thread).last_core {
             Some(core) if ctx.core_online(core) => core,
             _ => self
@@ -240,16 +254,92 @@ impl CfsEngine {
 
     /// Current vruntime of a thread (inspection for tests/diagnostics).
     #[cfg(test)]
-    pub fn vruntime(&self, thread: ThreadId) -> u64 {
+    fn vruntime(&self, thread: ThreadId) -> u64 {
         self.vruntime[thread.index()]
     }
 }
 
-/// The paper's `LINUX` baseline: plain CFS, asymmetric-agnostic.
+/// WASH's weights on the speedup, blocking and fairness z-scores, and
+/// the combined score above which a thread is bound to big cores.
+const WASH_SPEEDUP_WEIGHT: f64 = 1.0;
+const WASH_BLOCKING_WEIGHT: f64 = 1.0;
+const WASH_FAIRNESS_WEIGHT: f64 = 0.5;
+const WASH_BIG_THRESHOLD: f64 = 0.25;
+
+/// GTS's up- and down-migration thresholds (fractions of wall time spent
+/// runnable, mirroring big.LITTLE MP's hysteresis) and the EWMA weight of
+/// the newest window.
+const GTS_UP_THRESHOLD: f64 = 0.8;
+const GTS_DOWN_THRESHOLD: f64 = 0.3;
+const GTS_ALPHA: f64 = 0.5;
+
+/// The cluster a thread is bound to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Placement {
+    Anywhere,
+    Big,
+    Little,
+}
+
+impl Placement {
+    /// Whether a thread so bound may run on a core of the given kind.
+    fn fits(self, big: bool) -> bool {
+        match self {
+            Placement::Anywhere => true,
+            Placement::Big => big,
+            Placement::Little => !big,
+        }
+    }
+
+    /// The telemetry vocabulary equivalent: big-bound threads behave as
+    /// high-speedup, little-bound as non-critical, the rest as flexible.
+    fn class(self) -> LabelClass {
+        match self {
+            Placement::Anywhere => LabelClass::Flexible,
+            Placement::Big => LabelClass::HighSpeedup,
+            Placement::Little => LabelClass::NonCritical,
+        }
+    }
+}
+
+/// What a family member adds to plain CFS, with its per-run state.
+#[derive(Debug, Clone)]
+enum Rule {
+    Linux,
+    Wash {
+        model: SpeedupModel,
+        scratch: WashScratch,
+    },
+    Gts {
+        /// Per-thread load average.
+        load: Vec<f64>,
+        /// Per-thread `(run_time, ready_time)` at the last window boundary.
+        snapshots: Vec<(SimDuration, SimDuration)>,
+        last_tick: SimTime,
+    },
+    EqualProgress {
+        model: SpeedupModel,
+        /// Per-thread speedup predictions, refreshed each tick.
+        speedup: Vec<f64>,
+    },
+}
+
+/// Reused buffers for WASH's 10 ms scoring pass, so a tick allocates
+/// nothing once the buffers reach the live-thread high-water mark.
+#[derive(Debug, Clone, Default)]
+struct WashScratch {
+    live: Vec<ThreadId>,
+    speedup: Vec<f64>,
+    blocking: Vec<f64>,
+    deficit: Vec<f64>,
+}
+
+/// A CFS-family policy: `linux`, `wash`, `gts` or `equal-progress`.
 ///
 /// # Examples
 ///
 /// ```
+/// use amp_perf::SpeedupModel;
 /// use amp_sched::{CfsScheduler, Scheduler};
 /// use amp_sim::Simulation;
 /// use amp_types::{CoreOrder, MachineConfig};
@@ -264,55 +354,149 @@ impl CfsEngine {
 /// ).unwrap();
 /// let outcome = sim.run(&mut CfsScheduler::new(&machine)).unwrap();
 /// assert_eq!(outcome.scheduler, "linux");
+///
+/// let model = SpeedupModel::heuristic();
+/// assert_eq!(CfsScheduler::wash(&machine, model.clone()).name(), "wash");
+/// assert_eq!(CfsScheduler::gts(&machine).name(), "gts");
+/// let ep = CfsScheduler::equal_progress(&machine, model);
+/// assert_eq!(ep.name(), "equal-progress");
 /// ```
 #[derive(Debug, Clone)]
 pub struct CfsScheduler {
     engine: CfsEngine,
+    rule: Rule,
+    /// Per-thread binding, recomputed each tick by WASH and GTS.
+    placement: Vec<Placement>,
+    has_big: bool,
+    has_little: bool,
 }
 
 impl CfsScheduler {
-    /// Creates the baseline scheduler for a machine.
+    /// The paper's `LINUX` baseline: plain CFS, asymmetry-agnostic.
     pub fn new(machine: &MachineConfig) -> CfsScheduler {
+        CfsScheduler::with_rule(machine, Rule::Linux)
+    }
+
+    /// WASH, scoring speedup with `model`.
+    pub fn wash(machine: &MachineConfig, model: SpeedupModel) -> CfsScheduler {
+        let scratch = WashScratch::default();
+        CfsScheduler::with_rule(machine, Rule::Wash { model, scratch })
+    }
+
+    /// ARM GTS: load-average affinity.
+    pub fn gts(machine: &MachineConfig) -> CfsScheduler {
+        let rule = Rule::Gts {
+            load: Vec::new(),
+            snapshots: Vec::new(),
+            last_tick: SimTime::ZERO,
+        };
+        CfsScheduler::with_rule(machine, rule)
+    }
+
+    /// Equal-progress, converting little-core time into progress with
+    /// `model`'s speedup estimates.
+    pub fn equal_progress(machine: &MachineConfig, model: SpeedupModel) -> CfsScheduler {
+        let speedup = Vec::new();
+        CfsScheduler::with_rule(machine, Rule::EqualProgress { model, speedup })
+    }
+
+    fn with_rule(machine: &MachineConfig, rule: Rule) -> CfsScheduler {
         CfsScheduler {
             engine: CfsEngine::new(machine.num_cores()),
+            rule,
+            placement: Vec::new(),
+            has_big: machine.cores_of_kind(CoreKind::Big).next().is_some(),
+            has_little: machine.cores_of_kind(CoreKind::Little).next().is_some(),
         }
+    }
+
+    /// Whether the machine has a core `placement` fits.
+    fn has_cluster(&self, placement: Placement) -> bool {
+        (self.has_big && placement.fits(true)) || (self.has_little && placement.fits(false))
     }
 }
 
 impl Scheduler for CfsScheduler {
     fn name(&self) -> &'static str {
-        "linux"
+        match self.rule {
+            Rule::Linux => "linux",
+            Rule::Wash { .. } => "wash",
+            Rule::Gts { .. } => "gts",
+            Rule::EqualProgress { .. } => "equal-progress",
+        }
     }
 
     fn init(&mut self, ctx: &SchedCtx<'_>) {
-        self.engine.reset(ctx.num_threads());
+        let n = ctx.num_threads();
+        self.engine.reset(n);
+        self.placement = vec![Placement::Anywhere; n];
+        match &mut self.rule {
+            Rule::Linux | Rule::Wash { .. } => {}
+            Rule::Gts { load, snapshots, last_tick } => {
+                *load = vec![1.0; n]; // fresh threads look busy, as in the kernel
+                *snapshots = vec![(SimDuration::ZERO, SimDuration::ZERO); n];
+                *last_tick = ctx.now;
+            }
+            Rule::EqualProgress { speedup, .. } => *speedup = vec![1.5; n],
+        }
     }
 
     fn enqueue(&mut self, ctx: &SchedCtx<'_>, thread: ThreadId, reason: EnqueueReason) -> CoreId {
-        let core = match reason {
-            EnqueueReason::Requeue => self.engine.requeue_core(ctx, thread),
-            EnqueueReason::Spawn | EnqueueReason::Wake => self
+        let placement = self.placement[thread.index()];
+        let last = match reason {
+            EnqueueReason::Requeue => Some(self.engine.requeue_core(ctx, thread)),
+            EnqueueReason::Spawn | EnqueueReason::Wake => None,
+        };
+        let core = match last {
+            // A requeue stays put when its binding allows the core, or
+            // when the machine has no core the binding fits.
+            Some(core)
+                if placement.fits(ctx.core_kind(core).is_big())
+                    || !self.has_cluster(placement) =>
+            {
+                core
+            }
+            // Otherwise the least-loaded core of the bound cluster — or,
+            // when that cluster is hot-unplugged, any online core rather
+            // than stranding the thread.
+            _ => self
                 .engine
-                .select_core(ctx, ctx.online_cores())
-                .unwrap_or_else(|| self.engine.requeue_core(ctx, thread)),
+                .select_core(
+                    ctx,
+                    ctx.online_cores()
+                        .filter(|&c| placement.fits(ctx.core_kind(c).is_big())),
+                )
+                .or_else(|| self.engine.select_core(ctx, ctx.online_cores()))
+                .unwrap_or(CoreId::new(0)),
         };
         self.engine.enqueue(thread, core);
         core
     }
 
-    fn pick_next(&mut self, _ctx: &SchedCtx<'_>, core: CoreId) -> Pick {
+    fn pick_next(&mut self, ctx: &SchedCtx<'_>, core: CoreId) -> Pick {
         if let Some(t) = self.engine.pop_local(core) {
             return Pick::Run(t);
         }
-        // Idle balancing: pull from the busiest queue.
-        match self.engine.steal_for(core, |_, _| true) {
+        // Idle balancing: pull from the busiest queue a thread whose
+        // binding fits this core.
+        let placement = &self.placement;
+        let big = ctx.core_kind(core).is_big();
+        match self.engine.steal_for(core, |t, _| placement[t.index()].fits(big)) {
             Some(t) => Pick::Run(t),
             None => Pick::Idle,
         }
     }
 
-    fn time_slice(&self, ctx: &SchedCtx<'_>, _thread: ThreadId, core: CoreId) -> SimDuration {
-        self.engine.slice(ctx, core)
+    fn time_slice(&self, ctx: &SchedCtx<'_>, thread: ThreadId, core: CoreId) -> SimDuration {
+        let slice = self.engine.slice(ctx, core);
+        if let Rule::EqualProgress { speedup, .. } = &self.rule {
+            // The estimate in force for this slice: it converts
+            // little-core time into progress, so its error is the
+            // policy's key telemetry.
+            let predicted_speedup = speedup[thread.index()];
+            ctx.emit(core, SchedEvent::SlicePredict { thread, predicted_speedup, slice });
+        }
+        slice
     }
 
     fn should_preempt(
@@ -326,18 +510,46 @@ impl Scheduler for CfsScheduler {
     }
 
     fn on_tick(&mut self, ctx: &SchedCtx<'_>) {
-        self.engine.balance(ctx, |_, _| true);
+        match &mut self.rule {
+            Rule::Linux => {}
+            Rule::Wash { model, scratch } => {
+                if self.has_big {
+                    wash_pass(ctx, model, scratch, &mut self.placement);
+                }
+            }
+            Rule::Gts { load, snapshots, last_tick } => {
+                gts_pass(ctx, load, snapshots, last_tick, &mut self.placement);
+            }
+            Rule::EqualProgress { model, speedup } => {
+                for t in ctx.live_threads() {
+                    speedup[t.index()] = model.predict(&ctx.thread(t).pmu_window);
+                }
+            }
+        }
+        let placement = &self.placement;
+        self.engine.balance(ctx, |t, dest| {
+            placement[t.index()].fits(ctx.core_kind(dest).is_big())
+        });
     }
 
     fn on_stop(
         &mut self,
-        _ctx: &SchedCtx<'_>,
+        ctx: &SchedCtx<'_>,
         thread: ThreadId,
-        _core: CoreId,
+        core: CoreId,
         ran: SimDuration,
         _reason: StopReason,
     ) {
-        self.engine.charge(thread, ran);
+        let charged = match &self.rule {
+            // Progress accounting: little-core time is worth 1/speedup
+            // of a big-core millisecond, so under-served threads fall
+            // behind in vruntime and win subsequent picks everywhere.
+            Rule::EqualProgress { speedup, .. } if !ctx.core_kind(core).is_big() => {
+                ran.div_f64(speedup[thread.index()].max(1.0))
+            }
+            _ => ran,
+        };
+        self.engine.charge(thread, charged);
     }
 
     fn drain_core(&mut self, _ctx: &SchedCtx<'_>, core: CoreId) -> Vec<ThreadId> {
@@ -345,14 +557,132 @@ impl Scheduler for CfsScheduler {
     }
 }
 
+/// Rebinds `thread`, emitting a telemetry relabel when its binding flips.
+fn rebind(ctx: &SchedCtx<'_>, placement: &mut [Placement], thread: ThreadId, to: Placement) {
+    let from = std::mem::replace(&mut placement[thread.index()], to);
+    if from != to {
+        let core = ctx.thread(thread).last_core.unwrap_or(CoreId::new(0));
+        ctx.emit(
+            core,
+            SchedEvent::Relabel { thread, from: from.class(), to: to.class() },
+        );
+    }
+}
+
+/// WASH's 10 ms pass: z-score speedup, blocking and fairness across live
+/// threads, combine, and bind above-threshold threads to big cores.
+fn wash_pass(
+    ctx: &SchedCtx<'_>,
+    model: &SpeedupModel,
+    s: &mut WashScratch,
+    placement: &mut [Placement],
+) {
+    s.live.clear();
+    s.live.extend(ctx.live_threads());
+    if s.live.len() < 2 {
+        for &t in &s.live {
+            rebind(ctx, placement, t, Placement::Anywhere);
+        }
+        return;
+    }
+    s.speedup.clear();
+    s.speedup
+        .extend(s.live.iter().map(|&t| model.predict(&ctx.thread(t).pmu_window)));
+    s.blocking.clear();
+    s.blocking
+        .extend(s.live.iter().map(|&t| ctx.thread(t).blocking_ewma.as_secs_f64()));
+    // Fairness: threads that have had *less* big-core share deserve a
+    // boost (negated share, z-scored).
+    s.deficit.clear();
+    s.deficit.extend(s.live.iter().map(|&t| {
+        let v = ctx.thread(t);
+        let run = v.run_time.as_secs_f64();
+        if run > 0.0 {
+            -(v.big_time.as_secs_f64() / run)
+        } else {
+            0.0
+        }
+    }));
+
+    // z-scores are computed on the fly from (mean, std) — same
+    // per-element arithmetic as materializing the z vectors, without
+    // three more buffers.
+    let (ms, ss) = zstats(&s.speedup);
+    let (mb, sb) = zstats(&s.blocking);
+    let (mf, sf) = zstats(&s.deficit);
+    for (i, &t) in s.live.iter().enumerate() {
+        let score = WASH_SPEEDUP_WEIGHT * zscore(s.speedup[i], ms, ss)
+            + WASH_BLOCKING_WEIGHT * zscore(s.blocking[i], mb, sb)
+            + WASH_FAIRNESS_WEIGHT * zscore(s.deficit[i], mf, sf);
+        let to = if score > WASH_BIG_THRESHOLD {
+            Placement::Big
+        } else {
+            Placement::Anywhere
+        };
+        rebind(ctx, placement, t, to);
+    }
+}
+
+/// GTS's 10 ms pass: fold each live thread's runnable fraction of the
+/// window into its load average and rebind it across the thresholds.
+fn gts_pass(
+    ctx: &SchedCtx<'_>,
+    load: &mut [f64],
+    snapshots: &mut [(SimDuration, SimDuration)],
+    last_tick: &mut SimTime,
+    placement: &mut [Placement],
+) {
+    let window = ctx.now.saturating_since(*last_tick);
+    *last_tick = ctx.now;
+    if window.is_zero() {
+        return;
+    }
+    let window_s = window.as_secs_f64();
+    for t in ctx.live_threads() {
+        let v = ctx.thread(t);
+        let (prev_run, prev_ready) = snapshots[t.index()];
+        let runnable = (v.run_time - prev_run) + (v.ready_time - prev_ready);
+        snapshots[t.index()] = (v.run_time, v.ready_time);
+        let instant = (runnable.as_secs_f64() / window_s).min(1.0);
+        let avg = &mut load[t.index()];
+        *avg = (1.0 - GTS_ALPHA) * *avg + GTS_ALPHA * instant;
+        let to = if *avg >= GTS_UP_THRESHOLD {
+            Placement::Big
+        } else if *avg <= GTS_DOWN_THRESHOLD {
+            Placement::Little
+        } else {
+            // Hysteresis: keep the previous binding.
+            placement[t.index()]
+        };
+        rebind(ctx, placement, t, to);
+    }
+}
+
+/// Population mean and standard deviation of `values`.
+fn zstats(values: &[f64]) -> (f64, f64) {
+    let n = values.len() as f64;
+    let mean = values.iter().sum::<f64>() / n;
+    let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
+    (mean, var.sqrt())
+}
+
+/// One population z-score; zero when the population is degenerate.
+fn zscore(value: f64, mean: f64, std: f64) -> f64 {
+    if std < 1e-12 {
+        0.0
+    } else {
+        (value - mean) / std
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amp_sim::Simulation;
-    use amp_types::{CoreOrder, SimTime};
+    use amp_sim::{Simulation, SimulationOutcome};
+    use amp_types::CoreOrder;
     use amp_workloads::{BenchmarkId, Scale, WorkloadSpec};
 
-    fn run_at(bench: BenchmarkId, threads: usize, scale: Scale) -> amp_sim::SimulationOutcome {
+    fn run_at(bench: BenchmarkId, threads: usize, scale: Scale) -> SimulationOutcome {
         let machine = MachineConfig::paper_2b2s(CoreOrder::BigFirst);
         Simulation::build_scaled(&machine, &WorkloadSpec::single(bench, threads), 5, scale)
             .unwrap()
@@ -572,5 +902,158 @@ mod tests {
         assert!(e.should_preempt(ThreadId::new(1), ThreadId::new(0)));
         // The reverse must not preempt.
         assert!(!e.should_preempt(ThreadId::new(0), ThreadId::new(1)));
+    }
+
+    /// Population z-scores; zeros when the population is degenerate.
+    fn zscores(values: &[f64]) -> Vec<f64> {
+        let (mean, std) = zstats(values);
+        values.iter().map(|&v| zscore(v, mean, std)).collect()
+    }
+
+    #[test]
+    fn zscores_standardize() {
+        let z = zscores(&[1.0, 2.0, 3.0]);
+        assert!((z[0] + z[2]).abs() < 1e-12);
+        assert!(z[1].abs() < 1e-12);
+        assert_eq!(zscores(&[5.0, 5.0, 5.0]), vec![0.0; 3]);
+    }
+
+    #[test]
+    fn runs_single_and_multi_program_workloads() {
+        let machine = MachineConfig::paper_2b4s(CoreOrder::LittleFirst);
+        for spec in [
+            WorkloadSpec::single(BenchmarkId::Ferret, 6),
+            WorkloadSpec::named(
+                "mix",
+                vec![(BenchmarkId::Swaptions, 4), (BenchmarkId::Radix, 4)],
+            ),
+        ] {
+            let outcome = Simulation::build_scaled(&machine, &spec, 2, Scale::quick())
+                .unwrap()
+                .run(&mut CfsScheduler::wash(&machine, SpeedupModel::heuristic()))
+                .unwrap();
+            assert!(outcome.makespan > SimTime::ZERO);
+            assert_eq!(outcome.scheduler, "wash");
+        }
+    }
+
+    #[test]
+    fn high_speedup_threads_get_more_big_core_time() {
+        // Swaptions: core-insensitive master, core-sensitive workers. WASH
+        // should route worker time to big cores disproportionately.
+        let machine = MachineConfig::paper_2b2s(CoreOrder::BigFirst);
+        let spec = WorkloadSpec::single(BenchmarkId::Swaptions, 5);
+        let outcome = Simulation::build_scaled(&machine, &spec, 4, Scale::new(0.3))
+            .unwrap()
+            .run(&mut CfsScheduler::wash(&machine, SpeedupModel::heuristic()))
+            .unwrap();
+        let master = &outcome.threads[0];
+        let workers = &outcome.threads[1..];
+        let master_share = master.big_time.as_secs_f64() / master.run_time.as_secs_f64().max(1e-12);
+        let worker_share: f64 = workers
+            .iter()
+            .map(|w| w.big_time.as_secs_f64() / w.run_time.as_secs_f64().max(1e-12))
+            .sum::<f64>()
+            / workers.len() as f64;
+        assert!(
+            worker_share > master_share,
+            "workers {worker_share:.2} vs master {master_share:.2}"
+        );
+    }
+
+    #[test]
+    fn gts_completes_mixed_workloads() {
+        let machine = MachineConfig::paper_2b4s(CoreOrder::BigFirst);
+        let spec = WorkloadSpec::named(
+            "gts-mix",
+            vec![(BenchmarkId::Ferret, 6), (BenchmarkId::Radix, 4)],
+        );
+        let outcome = Simulation::build_scaled(&machine, &spec, 3, Scale::quick())
+            .unwrap()
+            .run(&mut CfsScheduler::gts(&machine))
+            .unwrap();
+        assert!(outcome.makespan > SimTime::ZERO);
+        assert_eq!(outcome.scheduler, "gts");
+    }
+
+    #[test]
+    fn busy_threads_climb_to_big_cores() {
+        // A compute-only workload with fewer threads than cores: every
+        // thread is 100% runnable, so all of them bind to big cores and
+        // contend there; little cores see at most spillover.
+        let machine = MachineConfig::paper_2b2s(CoreOrder::LittleFirst);
+        let spec = WorkloadSpec::single(BenchmarkId::Blackscholes, 2);
+        let outcome = Simulation::build_scaled(&machine, &spec, 5, Scale::new(0.5))
+            .unwrap()
+            .run(&mut CfsScheduler::gts(&machine))
+            .unwrap();
+        let total_big: f64 = outcome.threads.iter().map(|t| t.big_time.as_secs_f64()).sum();
+        let total_run: f64 = outcome.threads.iter().map(|t| t.run_time.as_secs_f64()).sum();
+        assert!(
+            total_big / total_run > 0.8,
+            "busy threads only {:.2} on big cores",
+            total_big / total_run
+        );
+    }
+
+    #[test]
+    fn thresholds_have_hysteresis_band() {
+        const { assert!(GTS_UP_THRESHOLD > GTS_DOWN_THRESHOLD) }
+    }
+
+    #[test]
+    fn equal_progress_completes_mixed_workloads() {
+        let machine = MachineConfig::paper_2b2s(CoreOrder::BigFirst);
+        let spec = WorkloadSpec::named(
+            "ep-mix",
+            vec![(BenchmarkId::Ferret, 6), (BenchmarkId::Radix, 4)],
+        );
+        let outcome = Simulation::build_scaled(&machine, &spec, 3, Scale::quick())
+            .unwrap()
+            .run(&mut CfsScheduler::equal_progress(
+                &machine,
+                SpeedupModel::heuristic(),
+            ))
+            .unwrap();
+        assert!(outcome.makespan > SimTime::ZERO);
+        assert_eq!(outcome.scheduler, "equal-progress");
+    }
+
+    #[test]
+    fn progress_is_more_even_than_under_cfs() {
+        // Identical compute threads, twice as many as cores: equal-
+        // progress should shrink the spread of *work completed per unit
+        // time* across threads compared to asymmetry-blind CFS. Since all
+        // threads run the same total work, compare the spread of finish
+        // times.
+        let machine = MachineConfig::paper_2b2s(CoreOrder::BigFirst);
+        let spec = WorkloadSpec::single(BenchmarkId::Blackscholes, 8);
+        let spread = |outcome: &SimulationOutcome| {
+            let finishes: Vec<f64> = outcome
+                .threads
+                .iter()
+                .map(|t| t.finish.as_secs_f64())
+                .collect();
+            let max = finishes.iter().cloned().fold(0.0, f64::max);
+            let min = finishes.iter().cloned().fold(f64::INFINITY, f64::min);
+            max / min
+        };
+        let cfs = Simulation::build_scaled(&machine, &spec, 5, Scale::new(0.5))
+            .unwrap()
+            .run(&mut CfsScheduler::new(&machine))
+            .unwrap();
+        let ep = Simulation::build_scaled(&machine, &spec, 5, Scale::new(0.5))
+            .unwrap()
+            .run(&mut CfsScheduler::equal_progress(
+                &machine,
+                SpeedupModel::heuristic(),
+            ))
+            .unwrap();
+        assert!(
+            spread(&ep) <= spread(&cfs) + 1e-9,
+            "equal-progress spread {:.3} vs CFS {:.3}",
+            spread(&ep),
+            spread(&cfs)
+        );
     }
 }

@@ -3,7 +3,7 @@
 //! conservation holds, and load-average migration goes both directions.
 
 use amp_perf::{ExecutionProfile, SpeedupModel};
-use amp_sched::{ColabScheduler, GtsScheduler, WashScheduler};
+use amp_sched::{CfsScheduler, ColabScheduler};
 use amp_sim::{SimParams, Simulation, ThreadStats};
 use amp_types::{CoreOrder, MachineConfig, SimDuration, ThreadId};
 use amp_workloads::{AppBuilder, BenchmarkId, CompiledApp, CompiledWorkload, Scale, WorkloadSpec};
@@ -26,7 +26,7 @@ fn wash_big_only_threads_never_run_on_little_after_binding() {
     let apps = CompiledWorkload::compile(&spec, 9, Scale::new(0.5)).unwrap().apps().to_vec();
     let sim = Simulation::from_compiled_with_params(&machine, apps, 9, traced_params()).unwrap();
     let outcome = sim
-        .run(&mut WashScheduler::new(&machine, SpeedupModel::heuristic()))
+        .run(&mut CfsScheduler::wash(&machine, SpeedupModel::heuristic()))
         .unwrap();
 
     // Workers are threads 1..4 (master is 0).
@@ -119,7 +119,7 @@ fn gts_down_migrates_mostly_idle_threads() {
     }
     let apps = CompiledApp::compile_all(&[app.build().unwrap()]).unwrap();
     let sim = Simulation::from_compiled_with_params(&machine, apps, 5, SimParams::default()).unwrap();
-    let outcome = sim.run(&mut GtsScheduler::new(&machine)).unwrap();
+    let outcome = sim.run(&mut CfsScheduler::gts(&machine)).unwrap();
 
     let share = |t: &ThreadStats| {
         if t.run_time.is_zero() {
@@ -151,8 +151,8 @@ fn policies_disagree_on_the_same_workload() {
         let sim = Simulation::build_scaled(&machine, &spec, 8, Scale::new(0.4)).unwrap();
         let outcome = match which {
             0 => sim.run(&mut amp_sched::CfsScheduler::new(&machine)),
-            1 => sim.run(&mut GtsScheduler::new(&machine)),
-            2 => sim.run(&mut WashScheduler::new(&machine, SpeedupModel::heuristic())),
+            1 => sim.run(&mut CfsScheduler::gts(&machine)),
+            2 => sim.run(&mut CfsScheduler::wash(&machine, SpeedupModel::heuristic())),
             _ => sim.run(&mut ColabScheduler::new(&machine, SpeedupModel::heuristic())),
         }
         .unwrap();

@@ -3,9 +3,7 @@
 //! purpose-built test schedulers so no policy crate is needed.
 
 use amp_perf::{ExecutionProfile, SpeedupModel};
-use amp_sched::{
-    CfsScheduler, ColabScheduler, EqualProgressScheduler, GtsScheduler, WashScheduler,
-};
+use amp_sched::{CfsScheduler, ColabScheduler};
 use amp_sim::{
     EnqueueReason, FaultPlan, Pick, RoundRobin, SchedCtx, Scheduler, SimParams, Simulation,
     StopReason,
@@ -401,10 +399,10 @@ fn five_schedulers(machine: &MachineConfig) -> [Box<dyn Scheduler>; 5] {
     let model = SpeedupModel::heuristic();
     [
         Box::new(CfsScheduler::new(machine)),
-        Box::new(GtsScheduler::new(machine)),
-        Box::new(WashScheduler::new(machine, model.clone())),
+        Box::new(CfsScheduler::gts(machine)),
+        Box::new(CfsScheduler::wash(machine, model.clone())),
         Box::new(ColabScheduler::new(machine, model.clone())),
-        Box::new(EqualProgressScheduler::new(machine, model)),
+        Box::new(CfsScheduler::equal_progress(machine, model)),
     ]
 }
 

@@ -30,8 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let sim = Simulation::build_scaled(&machine, &workload, 21, Scale::default())?;
         let outcome = match which {
             0 => sim.run(&mut CfsScheduler::new(&machine))?,
-            1 => sim.run(&mut GtsScheduler::new(&machine))?,
-            2 => sim.run(&mut WashScheduler::new(&machine, model.clone()))?,
+            1 => sim.run(&mut CfsScheduler::gts(&machine))?,
+            2 => sim.run(&mut CfsScheduler::wash(&machine, model.clone()))?,
             _ => sim.run(&mut ColabScheduler::new(&machine, model.clone()))?,
         };
         println!(

@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let sim = Simulation::build_scaled(&machine, &workload, 7, Scale::default())?;
         let outcome = match run {
             0 => sim.run(&mut CfsScheduler::new(&machine))?,
-            1 => sim.run(&mut WashScheduler::new(&machine, model.clone()))?,
+            1 => sim.run(&mut CfsScheduler::wash(&machine, model.clone()))?,
             _ => sim.run(&mut ColabScheduler::new(&machine, model.clone()))?,
         };
         let h_ntt = outcome.makespan.as_secs_f64() / baseline.as_secs_f64();

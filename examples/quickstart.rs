@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let sim = load(&machine, compiled.apps().to_vec())?;
         let outcome = match run {
             0 => sim.run(&mut CfsScheduler::new(&machine))?,
-            1 => sim.run(&mut WashScheduler::new(&machine, model.clone()))?,
+            1 => sim.run(&mut CfsScheduler::wash(&machine, model.clone()))?,
             _ => sim.run(&mut ColabScheduler::new(&machine, model.clone()))?,
         };
         let pairs: Vec<_> = outcome

@@ -43,10 +43,7 @@ pub use colab as experiments;
 pub mod prelude {
     pub use amp_metrics::{h_antt, h_ntt, h_stp, MixSummary};
     pub use amp_perf::{PmuCounters, SpeedupModel};
-    pub use amp_sched::{
-        CfsScheduler, ColabScheduler, EqualProgressScheduler, GtsScheduler, Scheduler,
-        WashScheduler,
-    };
+    pub use amp_sched::{CfsScheduler, ColabScheduler, Scheduler};
     pub use amp_sim::{Simulation, SimulationOutcome};
     pub use amp_types::{
         AppId, CoreId, CoreKind, CoreOrder, MachineConfig, SimDuration, SimTime, ThreadId,

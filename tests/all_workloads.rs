@@ -16,8 +16,8 @@ fn every_paper_workload_runs_under_every_scheduler() {
                 .unwrap_or_else(|e| panic!("{workload}: {e}"));
             let outcome = match which {
                 0 => sim.run(&mut CfsScheduler::new(&machine)),
-                1 => sim.run(&mut GtsScheduler::new(&machine)),
-                2 => sim.run(&mut WashScheduler::new(&machine, model.clone())),
+                1 => sim.run(&mut CfsScheduler::gts(&machine)),
+                2 => sim.run(&mut CfsScheduler::wash(&machine, model.clone())),
                 _ => sim.run(&mut ColabScheduler::new(&machine, model.clone())),
             }
             .unwrap_or_else(|e| panic!("{workload}: {e}"));

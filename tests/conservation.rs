@@ -13,7 +13,7 @@ fn outcomes(spec: &WorkloadSpec, seed: u64) -> Vec<SimulationOutcome> {
         let sim = Simulation::build_scaled(&machine, spec, seed, Scale::new(0.5)).unwrap();
         out.push(match run {
             0 => sim.run(&mut CfsScheduler::new(&machine)).unwrap(),
-            1 => sim.run(&mut WashScheduler::new(&machine, model.clone())).unwrap(),
+            1 => sim.run(&mut CfsScheduler::wash(&machine, model.clone())).unwrap(),
             _ => sim.run(&mut ColabScheduler::new(&machine, model.clone())).unwrap(),
         });
     }

@@ -18,7 +18,7 @@ fn run(order: CoreOrder, seed: u64, which: usize) -> SimulationOutcome {
     let model = SpeedupModel::heuristic();
     match which {
         0 => sim.run(&mut CfsScheduler::new(&machine)).unwrap(),
-        1 => sim.run(&mut WashScheduler::new(&machine, model)).unwrap(),
+        1 => sim.run(&mut CfsScheduler::wash(&machine, model)).unwrap(),
         _ => sim.run(&mut ColabScheduler::new(&machine, model)).unwrap(),
     }
 }

@@ -91,7 +91,7 @@ fn run(kind: &str) -> SimulationOutcome {
     match kind {
         "linux" => sim.run(&mut CfsScheduler::new(&machine)).unwrap(),
         "wash" => sim
-            .run(&mut WashScheduler::new(&machine, model))
+            .run(&mut CfsScheduler::wash(&machine, model))
             .unwrap(),
         _ => sim
             .run(&mut ColabScheduler::new(&machine, model))

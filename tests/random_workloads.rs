@@ -54,7 +54,7 @@ proptest! {
             let sim = Simulation::build_scaled(&machine, &spec, seed, Scale::quick()).unwrap();
             let outcome = match which {
                 0 => sim.run(&mut CfsScheduler::new(&machine)),
-                1 => sim.run(&mut WashScheduler::new(&machine, model.clone())),
+                1 => sim.run(&mut CfsScheduler::wash(&machine, model.clone())),
                 _ => sim.run(&mut ColabScheduler::new(&machine, model.clone())),
             };
             let outcome = outcome.expect("valid workload must not deadlock");
