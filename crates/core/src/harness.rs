@@ -60,14 +60,14 @@ impl SchedulerKind {
         }
     }
 
-    /// Instantiates the policy for a machine, COLAB with its default
-    /// tunables.
+    /// Instantiates the policy for a machine, COLAB with every mechanism
+    /// on.
     pub fn create(self, machine: &MachineConfig, model: &SpeedupModel) -> Box<dyn Scheduler> {
         self.create_with(machine, model, ColabConfig::default())
     }
 
-    /// Instantiates the policy for a machine, COLAB with the tunables
-    /// `colab` (other policies ignore them).
+    /// Instantiates the policy for a machine, COLAB with the ablation
+    /// switches `colab` (other policies ignore them).
     pub fn create_with(
         self,
         machine: &MachineConfig,

@@ -110,15 +110,15 @@ pub struct SweepCell {
     pub little: usize,
     /// The policy under test.
     pub kind: SchedulerKind,
-    /// COLAB's tunables when `kind` is COLAB (the ablation variants
-    /// switch mechanisms off); other policies ignore them.
+    /// COLAB's ablation switches when `kind` is COLAB (the ablation
+    /// variants switch mechanisms off); other policies ignore them.
     pub colab: ColabConfig,
     /// How the runs are set up.
     pub protocol: Protocol,
 }
 
 impl SweepCell {
-    /// A cell of the paper's protocol with COLAB's default tunables.
+    /// A cell of the paper's protocol with every COLAB mechanism on.
     pub fn new(
         workload: WorkloadSpec,
         big: usize,
@@ -135,22 +135,22 @@ impl SweepCell {
         }
     }
 
-    /// Whether this cell is a paper-protocol cell with COLAB's default
-    /// tunables: its run sets' telemetry and costs are reported.
+    /// Whether this cell is a paper-protocol cell with every COLAB
+    /// mechanism on: its run sets' telemetry and costs are reported.
     pub fn is_paper(&self) -> bool {
         self.protocol == Protocol::default() && self.colab == ColabConfig::default()
     }
 
     /// Whether the cell's H_ANTT is read, and so its isolated all-big
     /// baselines run: only under the paper's protocol (whatever the
-    /// policy's tunables).
+    /// COLAB's switches).
     pub(crate) fn needs_baseline(&self) -> bool {
         self.protocol == Protocol::default()
     }
 
     /// The plan-level key of this cell: `(workload, config label,
     /// scheduler, variant)`. The variant is empty for a paper cell and
-    /// otherwise the `Debug` text of the tunables and the protocol,
+    /// otherwise the `Debug` text of the switches and the protocol,
     /// which spells out every field (floats exactly, as they round-trip).
     pub fn key(&self) -> CellKey {
         let config = MachineConfig::asymmetric(self.big, self.little, CoreOrder::BigFirst).label();
@@ -160,24 +160,6 @@ impl SweepCell {
             format!("{:?} {:?}", self.colab, self.protocol)
         };
         (self.workload.clone(), config, self.kind.name(), variant)
-    }
-
-    /// A stable 64-bit hash of the cell's labels (FNV-1a over
-    /// `workload name\0config\0scheduler`, then `\0variant` unless the
-    /// variant is empty). Independent of process, platform and `HashMap`
-    /// seeding, so it can name cells in fixtures and logs.
-    pub fn stable_hash(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01B3;
-        let (workload, config, scheduler, variant) = self.key();
-        let mut labels = format!("{}\0{config}\0{scheduler}", workload.name());
-        if !variant.is_empty() {
-            labels.push('\0');
-            labels.push_str(&variant);
-        }
-        labels
-            .bytes()
-            .fold(OFFSET, |h, byte| (h ^ u64::from(byte)).wrapping_mul(PRIME))
     }
 
     /// The run sets this cell stands for under `config`, in seed order:

@@ -2,8 +2,8 @@
 //!
 //! The paper grid must always enumerate exactly 312 unique cells
 //! (26 workloads × 4 configurations × 3 schedulers), every cell key
-//! must hash stably (the hash is a pure function of the key, not of
-//! process state) and cover every field of an extension study's cell,
+//! must be stable (a pure function of the cell, not of process state or
+//! plan order) and cover every field of an extension study's cell,
 //! and the reducer must restore canonical plan order from *any*
 //! completion order — the property that makes the parallel executor's
 //! output independent of worker scheduling.
@@ -31,8 +31,8 @@ fn paper_cell() -> SweepCell {
 
 /// `paper_cell()` with one field set from `value`: `field` picks the
 /// little-cluster clock, the seed, the simulator parameters, the arrival
-/// gap, the fault plan's intensity or window, or a COLAB tunable.
-/// Distinct values give distinct fields.
+/// gap, the fault plan's intensity or window, or COLAB's ablation
+/// switches. Distinct values give distinct fields.
 fn study_cell(field: usize, value: u64) -> SweepCell {
     let base = paper_cell();
     let v = value as f64;
@@ -75,13 +75,16 @@ fn study_cell(field: usize, value: u64) -> SweepCell {
             ..Protocol::default()
         },
         _ => {
-            return SweepCell {
-                colab: ColabConfig {
-                    speedup_sigma: 0.5 + v,
-                    ..ColabConfig::default()
-                },
-                ..base
-            }
+            // Values 0..6 switch off distinct non-empty sets of
+            // mechanisms; 3 switches off two, so it is none of the
+            // single-switch cells below.
+            let off = value + 2;
+            let colab = ColabConfig {
+                hierarchical_allocation: off & 1 == 0,
+                blocking_selection: off & 2 == 0,
+                scale_slice: off & 4 == 0,
+            };
+            return SweepCell { colab, ..base };
         }
     };
     SweepCell { protocol, ..base }
@@ -137,7 +140,7 @@ fn full_plan_is_a_superset_of_the_paper_grid_with_no_duplicates() {
 }
 
 #[test]
-fn cell_hashes_are_stable_and_collision_free_over_the_full_plan() {
+fn cell_keys_are_stable_and_distinct_over_the_full_plan() {
     let mut plan = SweepPlan::full();
     plan.push(paper_cell());
     for cell in study_cells() {
@@ -149,36 +152,13 @@ fn cell_hashes_are_stable_and_collision_free_over_the_full_plan() {
     );
     let mut seen = HashSet::new();
     for cell in plan.cells() {
-        // Stable: hashing twice (and hashing a clone) agrees.
-        assert_eq!(cell.stable_hash(), cell.stable_hash());
-        assert_eq!(cell.stable_hash(), cell.clone().stable_hash());
-        assert!(
-            seen.insert(cell.stable_hash()),
-            "FNV collision within the plan at {:?}",
-            cell.key()
-        );
+        // Stable: keying twice (and keying a clone) agrees.
+        assert_eq!(cell.key(), cell.key());
+        assert_eq!(cell.key(), cell.clone().key());
+        // Only study cells name a variant.
+        assert_eq!(cell.key().3.is_empty(), cell.is_paper());
+        assert!(seen.insert(cell.key()), "duplicate key {:?}", cell.key());
     }
-    // Pin the paper cells' hash: any change to the key encoding is a
-    // breaking change to fixture naming and must be deliberate. Study
-    // cells extend it with their variant.
-    for cell in plan.cells() {
-        let (workload, config, scheduler, variant) = cell.key();
-        let labels = format!("{}\0{config}\0{scheduler}", workload.name());
-        if cell.is_paper() {
-            assert!(variant.is_empty());
-            assert_eq!(cell.stable_hash(), fnv(&labels));
-        } else {
-            assert_eq!(cell.stable_hash(), fnv(&format!("{labels}\0{variant}")));
-        }
-    }
-}
-
-fn fnv(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in s.as_bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 proptest! {
@@ -198,25 +178,23 @@ proptest! {
         prop_assert_eq!(reduced, (0..len).map(|i| i * 7 + 1).collect::<Vec<_>>());
     }
 
-    /// Every field of a study cell reaches its key and its hash: two
-    /// cells that differ in one field's value never share either, and
-    /// neither shares the paper cell's.
+    /// Every field of a study cell reaches its key: two cells that
+    /// differ in one field's value never share it, and neither shares
+    /// the paper cell's.
     #[test]
-    fn every_study_field_reaches_the_key_and_hash(field in 0usize..7, a in 0u64..6, b in 0u64..6) {
+    fn every_study_field_reaches_the_key(field in 0usize..7, a in 0u64..6, b in 0u64..6) {
         let (x, y) = (study_cell(field, a), study_cell(field, b));
         prop_assert_eq!(x.key() == y.key(), a == b);
-        prop_assert_eq!(x.stable_hash() == y.stable_hash(), a == b);
         prop_assert!(!x.is_paper());
         prop_assert!(x.key() != paper_cell().key());
-        prop_assert!(x.stable_hash() != paper_cell().stable_hash());
     }
 }
 
-/// Stable hashes depend only on the key fields, never on insertion
-/// order or adjacent plan contents: every paper-grid cell hashes the
-/// same inside the (differently ordered, larger) full plan.
+/// Keys depend only on the cell, never on insertion order or adjacent
+/// plan contents: every paper-grid cell keys the same inside the
+/// (differently ordered, larger) full plan.
 #[test]
-fn stable_hash_is_a_pure_function_of_the_key() {
+fn cell_key_is_a_pure_function_of_the_cell() {
     let a = SweepPlan::paper_grid();
     let mut b = SweepPlan::full();
     b.add_paper_grid(); // no-op: already present, order untouched
@@ -224,8 +202,8 @@ fn stable_hash_is_a_pure_function_of_the_key() {
         let twin = b
             .cells()
             .iter()
-            .find(|c| c.key() == cell.key())
+            .find(|&c| c == cell)
             .expect("full plan contains the paper grid");
-        assert_eq!(cell.stable_hash(), twin.stable_hash());
+        assert_eq!(cell.key(), twin.key());
     }
 }

@@ -48,11 +48,6 @@ impl TrainingSet {
     pub fn rows(&self) -> &[(PmuCounters, f64)] {
         &self.rows
     }
-
-    /// Merges another corpus into this one.
-    pub fn extend_from(&mut self, other: &TrainingSet) {
-        self.rows.extend(other.rows.iter().cloned());
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -313,13 +308,5 @@ mod tests {
         assert!(rendered.contains("A: "));
         assert!(rendered.contains("F: "));
         assert!(rendered.contains("committedInsts"));
-    }
-
-    #[test]
-    fn training_set_merge() {
-        let (mut a, _) = corpus(30, 2);
-        let (b, _) = corpus(20, 3);
-        a.extend_from(&b);
-        assert_eq!(a.len(), 50);
     }
 }

@@ -4,24 +4,23 @@
 //! with the largest effect on speedup modelling (Table 2). This module
 //! implements the required pieces with no external numerics dependency:
 //! column standardization, covariance, a cyclic Jacobi eigendecomposition
-//! for symmetric matrices, and PCA-based feature ranking.
+//! for symmetric matrices, and the feature ranking the speedup model
+//! selects its counters with ([`rank_features_for_target`]).
 //!
 //! # Examples
 //!
 //! ```
 //! use amp_perf::pca::Pca;
 //!
-//! // Two informative columns, one constant column.
+//! // Two perfectly correlated columns: one component carries everything.
 //! let rows: Vec<Vec<f64>> = (0..50)
 //!     .map(|i| {
 //!         let t = i as f64 / 10.0;
-//!         vec![t, -2.0 * t, 1.0]
+//!         vec![t, -2.0 * t]
 //!     })
 //!     .collect();
 //! let pca = Pca::fit(&rows).unwrap();
-//! let top = pca.rank_features();
-//! // The constant column carries no variance and ranks last.
-//! assert_eq!(top.last().copied(), Some(2));
+//! assert!(pca.explained_variance_ratio()[0] > 0.99);
 //! ```
 
 // Index-based loops read naturally for matrix algebra.
@@ -34,12 +33,10 @@ const MAX_SWEEPS: usize = 100;
 /// Convergence threshold on the squared off-diagonal Frobenius norm.
 const OFF_EPS: f64 = 1e-22;
 
-/// A fitted PCA: standardization parameters plus the eigendecomposition of
-/// the correlation matrix, components sorted by decreasing eigenvalue.
+/// A fitted PCA: the eigendecomposition of the correlation matrix,
+/// components sorted by decreasing eigenvalue.
 #[derive(Debug, Clone)]
 pub struct Pca {
-    mean: Vec<f64>,
-    std: Vec<f64>,
     eigenvalues: Vec<f64>,
     /// `components[c][f]`: loading of feature `f` on component `c`.
     components: Vec<Vec<f64>>,
@@ -131,8 +128,6 @@ impl Pca {
             .collect();
 
         Ok(Pca {
-            mean,
-            std,
             eigenvalues: sorted_vals,
             components: sorted_vecs,
         })
@@ -156,36 +151,6 @@ impl Pca {
             return vec![0.0; self.eigenvalues.len()];
         }
         self.eigenvalues.iter().map(|&v| v / total).collect()
-    }
-
-    /// Projects one observation onto the principal components.
-    pub fn transform(&self, row: &[f64]) -> Vec<f64> {
-        let z: Vec<f64> = row
-            .iter()
-            .zip(&self.mean)
-            .zip(&self.std)
-            .map(|((&x, &m), &s)| (x - m) / s)
-            .collect();
-        self.components
-            .iter()
-            .map(|comp| comp.iter().zip(&z).map(|(&c, &zi)| c * zi).sum())
-            .collect()
-    }
-
-    /// Ranks features by *effect*: the variance-weighted sum of squared
-    /// loadings across all components, descending. This is the PCA-based
-    /// feature-selection step the paper uses to shrink 225 counters to 6.
-    pub fn rank_features(&self) -> Vec<usize> {
-        let d = self.mean.len();
-        let mut scores = vec![0.0; d];
-        for (comp, &val) in self.components.iter().zip(&self.eigenvalues) {
-            for (f, &loading) in comp.iter().enumerate() {
-                scores[f] += val * loading * loading;
-            }
-        }
-        let mut order: Vec<usize> = (0..d).collect();
-        order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]));
-        order
     }
 }
 
@@ -377,32 +342,6 @@ mod tests {
     }
 
     #[test]
-    fn constant_columns_rank_last() {
-        let rows: Vec<Vec<f64>> = (0..40)
-            .map(|i| vec![i as f64, 7.0, (i as f64).sin()])
-            .collect();
-        let pca = Pca::fit(&rows).unwrap();
-        assert_eq!(*pca.rank_features().last().unwrap(), 1);
-    }
-
-    #[test]
-    fn transform_has_zero_mean() {
-        let rows: Vec<Vec<f64>> = (0..30)
-            .map(|i| vec![i as f64, (i * i) as f64 / 10.0])
-            .collect();
-        let pca = Pca::fit(&rows).unwrap();
-        let mut sums = vec![0.0; 2];
-        for r in &rows {
-            for (s, p) in sums.iter_mut().zip(pca.transform(r)) {
-                *s += p;
-            }
-        }
-        for s in sums {
-            assert!(approx(s / 30.0, 0.0, 1e-9));
-        }
-    }
-
-    #[test]
     fn degenerate_inputs_are_rejected() {
         assert!(Pca::fit(&[]).is_err());
         assert!(Pca::fit(&[vec![1.0]]).is_err());
@@ -418,9 +357,6 @@ mod tests {
         for ratio in pca.explained_variance_ratio() {
             assert!(approx(ratio, 0.0, 1e-9));
         }
-        let mut ranked = pca.rank_features();
-        ranked.sort_unstable();
-        assert_eq!(ranked, vec![0, 1, 2]);
     }
 
     #[test]

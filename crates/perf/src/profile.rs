@@ -153,14 +153,6 @@ impl ExecutionProfile {
         }
     }
 
-    /// Instructions committed by `work` big-core nanoseconds of this
-    /// profile's code (identical on both core kinds — the same instructions
-    /// retire, only the rate differs).
-    pub fn insts_for_work(&self, work: SimDuration) -> f64 {
-        // big core: 2.0 cycles per ns.
-        work.as_nanos() as f64 * 2.0 * self.ipc_big()
-    }
-
     /// Synthesizes a PMU snapshot for an execution interval.
     ///
     /// * `kind` — the core the thread ran on;

@@ -24,6 +24,8 @@ use amp_sim::telemetry::{LabelClass, SchedEvent};
 use amp_sim::{EnqueueReason, Pick, SchedCtx, Scheduler, StopReason, ThreadPhase};
 use amp_types::{CoreId, CoreKind, InlineVec, MachineConfig, SimDuration, ThreadId};
 
+use crate::cfs::WAKEUP_GRANULARITY_NS;
+
 /// Thread labels produced by the 10 ms multi-factor labeller (§3.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Label {
@@ -46,43 +48,36 @@ impl Label {
     }
 }
 
-/// COLAB tunables.
+/// Base time slice (applies unscaled to little cores).
+const BASE_SLICE: SimDuration = SimDuration::from_millis(6);
+/// Slice floor after speedup scaling on big cores.
+const MIN_SLICE: SimDuration = SimDuration::from_micros(500);
+/// Blocking EWMA above which a thread counts as a bottleneck.
+const BLOCK_THRESHOLD: SimDuration = SimDuration::from_micros(20);
+/// Fraction of a standard deviation above the mean predicted speedup
+/// required for the `HighSpeedup` label.
+const SPEEDUP_SIGMA: f64 = 0.25;
+/// A little-core running thread must predict at least this speedup (or
+/// be a bottleneck) for an idle big core to preempt-steal it.
+const STEAL_SPEEDUP_FLOOR: f64 = 1.25;
+
+/// COLAB's ablation switches: each turns one mechanism off.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ColabConfig {
-    /// Base time slice (applies unscaled to little cores).
-    pub base_slice: SimDuration,
-    /// Slice floor after speedup scaling on big cores.
-    pub min_slice: SimDuration,
-    /// Blocking EWMA above which a thread counts as a bottleneck.
-    pub block_threshold: SimDuration,
-    /// Vruntime lead (ns) required for wakeup preemption.
-    pub wakeup_granularity: u64,
-    /// Fraction of a standard deviation above the mean predicted speedup
-    /// required for the `HighSpeedup` label.
-    pub speedup_sigma: f64,
-    /// A little-core running thread must predict at least this speedup (or
-    /// be a bottleneck) for an idle big core to preempt-steal it.
-    pub steal_speedup_floor: f64,
-    /// Ablation switch: hierarchical label-driven core allocation
+    /// Hierarchical label-driven core allocation
     /// (disabled → plain round-robin over all cores).
     pub hierarchical_allocation: bool,
-    /// Ablation switch: max-blocking thread selection
-    /// (disabled → FIFO selection).
+    /// Max-blocking thread selection (disabled → FIFO selection).
     pub blocking_selection: bool,
-    /// Ablation switch: speedup-scaled big-core time slices
+    /// Speedup-scaled big-core time slices
     /// (disabled → uniform slices on both kinds).
     pub scale_slice: bool,
 }
 
 impl Default for ColabConfig {
+    /// Every mechanism on: COLAB as the paper evaluates it.
     fn default() -> Self {
         ColabConfig {
-            base_slice: SimDuration::from_millis(6),
-            min_slice: SimDuration::from_micros(500),
-            block_threshold: SimDuration::from_micros(20),
-            wakeup_granularity: 1_000_000,
-            speedup_sigma: 0.25,
-            steal_speedup_floor: 1.25,
             hierarchical_allocation: true,
             blocking_selection: true,
             scale_slice: true,
@@ -156,12 +151,12 @@ pub struct ColabScheduler {
 }
 
 impl ColabScheduler {
-    /// Creates COLAB with default tunables.
+    /// Creates COLAB with every mechanism on.
     pub fn new(machine: &MachineConfig, model: SpeedupModel) -> ColabScheduler {
         ColabScheduler::with_config(machine, model, ColabConfig::default())
     }
 
-    /// Creates COLAB with explicit tunables (used by the ablation benches).
+    /// Creates COLAB with the ablation switches `config`.
     pub fn with_config(
         machine: &MachineConfig,
         model: SpeedupModel,
@@ -341,11 +336,11 @@ impl ColabScheduler {
             .sum::<f64>()
             / n;
         let spread = var.sqrt().max(0.15);
-        let hi = mean + self.config.speedup_sigma * spread;
+        let hi = mean + SPEEDUP_SIGMA * spread;
 
         for &t in &live {
             let s = self.speedup[t.index()];
-            let blocked_others = ctx.thread(t).blocking_ewma >= self.config.block_threshold;
+            let blocked_others = ctx.thread(t).blocking_ewma >= BLOCK_THRESHOLD;
             let label = if s >= hi {
                 Label::HighSpeedup
             } else if s < mean && !blocked_others {
@@ -461,8 +456,8 @@ impl Scheduler for ColabScheduler {
             // Preempt-steal only threads worth a cross-cluster
             // migration: they run meaningfully faster on the big core or
             // they are a bottleneck others wait on.
-            let worth = self.speedup[victim.index()] >= self.config.steal_speedup_floor
-                || ctx.thread(victim).blocking_ewma >= self.config.block_threshold;
+            let worth = self.speedup[victim.index()] >= STEAL_SPEEDUP_FLOOR
+                || ctx.thread(victim).blocking_ewma >= BLOCK_THRESHOLD;
             if !worth {
                 continue;
             }
@@ -482,18 +477,14 @@ impl Scheduler for ColabScheduler {
             // Scale-slice equal progress: shorter slices on big cores, so
             // the selector runs more often there.
             let predicted = self.speedup[thread.index()];
-            let slice = self
-                .config
-                .base_slice
-                .div_f64(predicted.max(1.0))
-                .max(self.config.min_slice);
+            let slice = BASE_SLICE.div_f64(predicted.max(1.0)).max(MIN_SLICE);
             ctx.emit(
                 core,
                 SchedEvent::SlicePredict { thread, predicted_speedup: predicted, slice },
             );
             slice
         } else {
-            self.config.base_slice
+            BASE_SLICE
         }
     }
 
@@ -507,7 +498,7 @@ impl Scheduler for ColabScheduler {
         let on_big = self.config.scale_slice && ctx.core_kind(core).is_big();
         let vr = self.effective_vruntime(running, on_big);
         let vi = self.effective_vruntime(incoming, on_big);
-        vr > vi.saturating_add(self.config.wakeup_granularity)
+        vr > vi.saturating_add(WAKEUP_GRANULARITY_NS)
     }
 
     fn on_tick(&mut self, ctx: &SchedCtx<'_>) {
@@ -715,12 +706,8 @@ mod tests {
         sched.speedup = vec![2.0];
         sched.vruntime = vec![0];
         // Build a tiny ctx via a real sim is heavy; instead check the
-        // arithmetic path through config directly.
-        let scaled = sched
-            .config
-            .base_slice
-            .div_f64(sched.speedup[0])
-            .max(sched.config.min_slice);
+        // arithmetic path through the constants directly.
+        let scaled = BASE_SLICE.div_f64(sched.speedup[0]).max(MIN_SLICE);
         assert_eq!(scaled, SimDuration::from_millis(3));
     }
 }

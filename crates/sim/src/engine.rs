@@ -39,6 +39,13 @@ use crate::sched::{
 };
 use crate::trace::{Trace, TraceEvent};
 
+/// Per-core-kind power draw in watts, `(active, idle)`, calibrated to
+/// published Cortex-A57/A53 cluster measurements at the paper's clock
+/// speeds: an out-of-order A57 core draws roughly six times an in-order
+/// A53 core when active, and both kinds keep a small leakage/idle floor.
+const BIG_POWER_W: (f64, f64) = (1.5, 0.12);
+const LITTLE_POWER_W: (f64, f64) = (0.25, 0.03);
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
     CoreDone { core: CoreId, token: u64 },
@@ -101,12 +108,21 @@ fn exec_at(speedup: f64, work: SimDuration, kind: CoreKind) -> SimDuration {
     }
 }
 
+/// `freq_ghz` over the reference clock of its kind (2.0 GHz big, 1.2 GHz
+/// little) that the execution-rate model is calibrated at: >1 means the
+/// core is overclocked and runs proportionally faster.
+fn freq_ratio(kind: CoreKind, freq_ghz: f64) -> f64 {
+    freq_ghz
+        / match kind {
+            CoreKind::Big => 2.0,
+            CoreKind::Little => 1.2,
+        }
+}
+
 struct CoreState {
     kind: CoreKind,
     freq_ghz: f64,
-    /// `freq_ghz / reference frequency of the kind` (2.0 GHz big,
-    /// 1.2 GHz little): >1 means the core is overclocked relative to the
-    /// calibrated execution-rate model and runs proportionally faster.
+    /// [`freq_ratio`] of `kind` at `freq_ghz`.
     freq_ratio: f64,
     token: u64,
     /// When the running thread was dispatched: the start of its stint
@@ -313,11 +329,7 @@ impl Simulation {
             .map(|(_, spec)| CoreState {
                 kind: spec.kind,
                 freq_ghz: spec.freq_ghz,
-                freq_ratio: spec.freq_ghz
-                    / match spec.kind {
-                        CoreKind::Big => 2.0,
-                        CoreKind::Little => 1.2,
-                    },
+                freq_ratio: freq_ratio(spec.kind, spec.freq_ghz),
                 token: 0,
                 dispatched_at: SimTime::ZERO,
                 acct_from: SimTime::ZERO,
@@ -661,11 +673,7 @@ impl Simulation {
         let new_freq = nominal * factor;
         let c = &mut self.cores[i];
         c.freq_ghz = new_freq;
-        c.freq_ratio = new_freq
-            / match c.kind {
-                CoreKind::Big => 2.0,
-                CoreKind::Little => 1.2,
-            };
+        c.freq_ratio = freq_ratio(c.kind, new_freq);
         self.telemetry
             .borrow_mut()
             .record(self.now, core, SchedEvent::Throttle { core, factor });
@@ -1116,35 +1124,15 @@ impl Simulation {
                 continue;
             }
             let tid = ThreadId::new(ti as u32);
-            let state = &mut self.threads[ti];
-            if state.win_insts > 0.0 {
-                state.pmu_seq += 1;
-                let mut pmu = state.profile.synthesize_counters(
-                    state.win_kind,
-                    state.win_cycles,
-                    state.win_insts,
-                    state.pmu_seq,
-                    &mut self.rng,
-                );
-                if self.counter_dropout > 0.0 || self.counter_jitter > 0.0 {
-                    degrade_pmu(
-                        &mut pmu,
-                        self.counter_dropout,
-                        self.counter_jitter,
-                        &mut self.fault_rng,
-                    );
-                }
-                state.pmu_total.accumulate(&pmu);
-                state.insts_total += state.win_insts;
+            if let Some(pmu) = self.close_pmu_window(ti) {
                 self.views[ti].pmu_window = pmu;
-                state.win_cycles = 0.0;
-                state.win_insts = 0.0;
                 // Score the policy's latest speedup prediction against the
                 // profile's ground truth for the window that just closed.
-                let actual = state.speedup;
+                let actual = self.threads[ti].speedup;
                 self.telemetry.borrow_mut().observe_actual_speedup(tid, actual);
             }
             // Blocking window from the futex ledger.
+            let state = &mut self.threads[ti];
             let total = self.sync.futex().caused_wait(tid);
             let window = total - state.block_snapshot;
             state.block_snapshot = total;
@@ -1155,33 +1143,45 @@ impl Simulation {
         }
     }
 
+    /// Closes thread `ti`'s PMU window if it retired anything: synthesizes
+    /// the window's counters (degraded while counter faults are active),
+    /// folds them into the thread's totals, and returns them.
+    fn close_pmu_window(&mut self, ti: usize) -> Option<PmuCounters> {
+        let state = &mut self.threads[ti];
+        if state.win_insts > 0.0 {
+            state.pmu_seq += 1;
+            let mut pmu = state.profile.synthesize_counters(
+                state.win_kind,
+                state.win_cycles,
+                state.win_insts,
+                state.pmu_seq,
+                &mut self.rng,
+            );
+            if self.counter_dropout > 0.0 || self.counter_jitter > 0.0 {
+                degrade_pmu(
+                    &mut pmu,
+                    self.counter_dropout,
+                    self.counter_jitter,
+                    &mut self.fault_rng,
+                );
+            }
+            state.pmu_total.accumulate(&pmu);
+            state.insts_total += state.win_insts;
+            state.win_cycles = 0.0;
+            state.win_insts = 0.0;
+            Some(pmu)
+        } else {
+            None
+        }
+    }
+
     // ------------------------------------------------------------------
     // outcome
 
     fn into_outcome(mut self, scheduler: &str) -> SimulationOutcome {
         // Close the final partial PMU window into the totals.
         for ti in 0..self.threads.len() {
-            let state = &mut self.threads[ti];
-            if state.win_insts > 0.0 {
-                state.pmu_seq += 1;
-                let mut pmu = state.profile.synthesize_counters(
-                    state.win_kind,
-                    state.win_cycles,
-                    state.win_insts,
-                    state.pmu_seq,
-                    &mut self.rng,
-                );
-                if self.counter_dropout > 0.0 || self.counter_jitter > 0.0 {
-                    degrade_pmu(
-                        &mut pmu,
-                        self.counter_dropout,
-                        self.counter_jitter,
-                        &mut self.fault_rng,
-                    );
-                }
-                state.pmu_total.accumulate(&pmu);
-                state.insts_total += state.win_insts;
-            }
+            self.close_pmu_window(ti);
         }
 
         let futex = self.sync.futex();
@@ -1249,7 +1249,6 @@ impl Simulation {
 
         // Energy: active power while busy, idle power for the remainder
         // of the makespan.
-        let power = self.params.power;
         let mut per_core_joules = Vec::with_capacity(self.cores.len());
         let mut active_joules = 0.0;
         let mut idle_joules = 0.0;
@@ -1257,9 +1256,9 @@ impl Simulation {
             let busy_s = c.busy.as_secs_f64();
             let idle_s = (makespan.as_secs_f64() - busy_s).max(0.0);
             let (active_w, idle_w) = if c.kind.is_big() {
-                (power.big_active_w, power.big_idle_w)
+                BIG_POWER_W
             } else {
-                (power.little_active_w, power.little_idle_w)
+                LITTLE_POWER_W
             };
             let active = busy_s * active_w;
             let idle = idle_s * idle_w;
@@ -1315,6 +1314,15 @@ mod tests {
     use crate::rr::RoundRobin;
     use amp_types::CoreOrder;
     use amp_workloads::{AppSpec, BenchmarkId};
+
+    #[test]
+    fn power_draw_reflects_asymmetry() {
+        const {
+            assert!(BIG_POWER_W.0 > 4.0 * LITTLE_POWER_W.0);
+            assert!(BIG_POWER_W.1 < BIG_POWER_W.0 / 5.0);
+            assert!(LITTLE_POWER_W.1 < LITTLE_POWER_W.0);
+        }
+    }
 
     fn machine_2b2s() -> MachineConfig {
         MachineConfig::paper_2b2s(CoreOrder::BigFirst)

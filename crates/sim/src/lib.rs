@@ -69,7 +69,7 @@ pub use amp_faults::{FaultEvent, FaultKind, FaultPlan};
 pub use amp_telemetry as telemetry;
 pub use engine::Simulation;
 pub use outcome::{AppOutcome, DegradationReport, EnergyReport, SimulationOutcome, ThreadStats};
-pub use params::{PowerModel, SimParams};
+pub use params::SimParams;
 pub use rr::RoundRobin;
 pub use sched::{EnqueueReason, Pick, SchedCtx, Scheduler, StopReason, ThreadPhase};
 pub use trace::{Trace, TraceEvent};

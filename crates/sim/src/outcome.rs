@@ -52,9 +52,9 @@ pub struct AppOutcome {
     pub turnaround: SimDuration,
 }
 
-/// Energy accounting for one run, from the configured
-/// [`PowerModel`](crate::PowerModel): every core draws its active power
-/// while busy and its idle power for the rest of the makespan.
+/// Energy accounting for one run, from A57/A53-calibrated per-core power
+/// draw: every core draws its active power while busy and its idle power
+/// for the rest of the makespan.
 #[derive(Debug, Clone)]
 pub struct EnergyReport {
     /// Joules per core, indexed by core id.
@@ -135,7 +135,7 @@ pub struct SimulationOutcome {
     pub compute_events: u64,
     /// Per-core busy time, indexed by core id.
     pub core_busy: Vec<SimDuration>,
-    /// Energy accounting under the configured power model.
+    /// Energy accounting (see [`EnergyReport`]).
     pub energy: EnergyReport,
     /// Execution trace, one slice per stint (empty unless
     /// [`SimParams::trace_capacity`](crate::SimParams) was set).

@@ -2,42 +2,6 @@
 
 use amp_types::SimDuration;
 
-/// Per-core-kind power draw, in watts.
-///
-/// Defaults are calibrated to published Cortex-A57/A53 cluster
-/// measurements at the paper's clock speeds: an out-of-order A57 core
-/// draws roughly six times an in-order A53 core when active, and both
-/// kinds retain a small leakage/idle floor.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PowerModel {
-    /// Big core, executing.
-    pub big_active_w: f64,
-    /// Big core, idle (clock-gated).
-    pub big_idle_w: f64,
-    /// Little core, executing.
-    pub little_active_w: f64,
-    /// Little core, idle.
-    pub little_idle_w: f64,
-}
-
-impl PowerModel {
-    /// A57/A53-calibrated defaults.
-    pub fn arm_big_little() -> PowerModel {
-        PowerModel {
-            big_active_w: 1.5,
-            big_idle_w: 0.12,
-            little_active_w: 0.25,
-            little_idle_w: 0.03,
-        }
-    }
-}
-
-impl Default for PowerModel {
-    fn default() -> Self {
-        PowerModel::arm_big_little()
-    }
-}
-
 /// Cost and cadence parameters of the simulated machine and runtime.
 ///
 /// Defaults model the paper's environment: a 10 ms performance-model update
@@ -60,8 +24,6 @@ pub struct SimParams {
     pub migration_cross_kind: SimDuration,
     /// Hard wall-clock limit; exceeding it aborts with an error.
     pub horizon: amp_types::SimTime,
-    /// Per-core-kind power draw for the energy report.
-    pub power: PowerModel,
     /// Maximum execution slices the trace records (0 = tracing off).
     pub trace_capacity: usize,
     /// Maximum telemetry events the flight-recorder ring retains
@@ -79,7 +41,6 @@ impl SimParams {
             migration_same_kind: SimDuration::from_micros(10),
             migration_cross_kind: SimDuration::from_micros(20),
             horizon: amp_types::SimTime::from_millis(120_000),
-            power: PowerModel::default(),
             trace_capacity: 0,
             event_capacity: 0,
         }
@@ -102,13 +63,5 @@ mod tests {
         assert_eq!(p.tick, SimDuration::from_millis(10));
         assert!(p.migration_cross_kind > p.migration_same_kind);
         assert!(p.context_switch < p.migration_same_kind);
-    }
-
-    #[test]
-    fn power_model_reflects_asymmetry() {
-        let p = PowerModel::default();
-        assert!(p.big_active_w > 4.0 * p.little_active_w);
-        assert!(p.big_idle_w < p.big_active_w / 5.0);
-        assert!(p.little_idle_w < p.little_active_w);
     }
 }

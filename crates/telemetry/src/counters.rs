@@ -47,16 +47,6 @@ impl ClusterDirection {
             ClusterDirection::LittleToLittle => "little->little",
         }
     }
-
-    /// Whether the move leaves a big core.
-    pub fn leaves_big(self) -> bool {
-        matches!(self, ClusterDirection::BigToBig | ClusterDirection::BigToLittle)
-    }
-
-    /// Whether the move arrives on a big core.
-    pub fn enters_big(self) -> bool {
-        matches!(self, ClusterDirection::BigToBig | ClusterDirection::LittleToBig)
-    }
 }
 
 /// Why a running thread was descheduled early.
@@ -234,16 +224,6 @@ impl Counters {
         self.label_matrix.iter().flatten().sum()
     }
 
-    /// Migrations that entered the big cluster from outside it.
-    pub fn migrations_into_big(&self) -> u64 {
-        self.migrations[ClusterDirection::LittleToBig as usize]
-    }
-
-    /// Migrations that left the big cluster.
-    pub fn migrations_out_of_big(&self) -> u64 {
-        self.migrations[ClusterDirection::BigToLittle as usize]
-    }
-
     /// Folds another registry into this one.
     pub fn absorb(&mut self, other: &Counters) {
         self.picks += other.picks;
@@ -279,8 +259,6 @@ mod tests {
             ClusterDirection::from_kinds(CoreKind::Little, CoreKind::Big),
             ClusterDirection::LittleToBig
         );
-        assert!(ClusterDirection::LittleToBig.enters_big());
-        assert!(!ClusterDirection::LittleToBig.leaves_big());
     }
 
     #[test]

@@ -103,11 +103,6 @@ impl Telemetry {
         self.ring.iter()
     }
 
-    /// Whether event recording is enabled (ring capacity > 0).
-    pub fn events_enabled(&self) -> bool {
-        self.ring.capacity() > 0
-    }
-
     /// Total events offered to the ring (recorded + overwritten).
     pub fn events_seen(&self) -> u64 {
         self.ring.seen()
@@ -184,7 +179,6 @@ mod tests {
         );
         assert_eq!(tel.counters.idle_steals, 1);
         assert_eq!(tel.events().count(), 0);
-        assert!(!tel.events_enabled());
     }
 
     #[test]

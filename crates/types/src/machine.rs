@@ -169,25 +169,9 @@ impl MachineConfig {
         MachineConfig::asymmetric(2, 4, order)
     }
 
-    /// The paper's `4B2S` configuration (4 big + 2 little).
-    pub fn paper_4b2s(order: CoreOrder) -> MachineConfig {
-        MachineConfig::asymmetric(4, 2, order)
-    }
-
     /// The paper's `4B4S` configuration (4 big + 4 little).
     pub fn paper_4b4s(order: CoreOrder) -> MachineConfig {
         MachineConfig::asymmetric(4, 4, order)
-    }
-
-    /// All four configurations evaluated in the paper, in the order they
-    /// appear in the figures, with the given enumeration order.
-    pub fn paper_configs(order: CoreOrder) -> [MachineConfig; 4] {
-        [
-            MachineConfig::paper_2b2s(order),
-            MachineConfig::paper_2b4s(order),
-            MachineConfig::paper_4b2s(order),
-            MachineConfig::paper_4b4s(order),
-        ]
     }
 
     /// Number of cores.
@@ -224,11 +208,6 @@ impl MachineConfig {
         self.cores_of_kind(kind).count()
     }
 
-    /// Whether the machine mixes big and little cores.
-    pub fn is_asymmetric(&self) -> bool {
-        self.count_of_kind(CoreKind::Big) > 0 && self.count_of_kind(CoreKind::Little) > 0
-    }
-
     /// The paper-style label, e.g. `"4B2S"`; symmetric machines render as
     /// e.g. `"4B"` or `"2S"`.
     pub fn label(&self) -> String {
@@ -260,14 +239,14 @@ mod tests {
 
     #[test]
     fn paper_configs_have_expected_shapes() {
-        let expect = [(2, 2), (2, 4), (4, 2), (4, 4)];
-        for (cfg, (b, s)) in MachineConfig::paper_configs(CoreOrder::BigFirst)
-            .iter()
-            .zip(expect)
-        {
+        let order = CoreOrder::BigFirst;
+        for (cfg, (b, s)) in [
+            (MachineConfig::paper_2b2s(order), (2, 2)),
+            (MachineConfig::paper_2b4s(order), (2, 4)),
+            (MachineConfig::paper_4b4s(order), (4, 4)),
+        ] {
             assert_eq!(cfg.count_of_kind(CoreKind::Big), b);
             assert_eq!(cfg.count_of_kind(CoreKind::Little), s);
-            assert!(cfg.is_asymmetric());
         }
     }
 
