@@ -1,29 +1,6 @@
-//! The CFS family: Linux CFS and the three policies that steer it only
-//! by where a thread may run or by how its time is charged.
-//!
-//! One [`CfsScheduler`] runs the kernel's mechanics (per-core `vruntime`
-//! timelines, least-loaded placement, wakeup preemption, idle stealing,
-//! periodic balancing) under one of four rules:
-//!
-//! * **Linux** — the paper's `LINUX` baseline, AMP-*agnostic*: a big-core
-//!   millisecond and a little-core millisecond count the same.
-//! * **WASH** (Jibaja et al., CGO 2016) — every 10 ms, rank live threads
-//!   by one mixed z-score of predicted speedup, blocking and big-core
-//!   deficit, and bind the top-scoring ones to big cores. Selection,
-//!   preemption and placement within the mask stay CFS, so bottleneck and
-//!   high-speedup threads queue behind each other on the big cores — the
-//!   limitation the paper's motivating example targets. As in the paper's
-//!   methodology (§5.1) it is driven by a speedup model fit to the
-//!   simulated system.
-//! * **GTS** (ARM Global Task Scheduling, Table 1) — bind threads by load
-//!   average: an EWMA of the fraction of each 10 ms window a thread was
-//!   runnable. Above the up-migration threshold it goes big, below the
-//!   down-migration threshold little; the band between keeps its binding.
-//! * **Equal-progress** (Van Craeynest et al., PACT 2013, §2) — charge
-//!   little-core time in big-core equivalents (divided by the predicted
-//!   speedup), so threads stuck on little cores look behind and win the
-//!   next pick on any core. Core sensitivity and bottlenecks are not
-//!   considered (per Table 1).
+//! The CFS family: Linux CFS, and WASH, GTS and equal-progress, which
+//! steer it only through where a thread may run or how its time is
+//! charged (the crate docs describe each policy).
 //!
 //! A thread's binding is its [`Placement`]; [`Placement::fits`] is the
 //! one test of whether it may run on a core, used by enqueue, stealing
@@ -432,7 +409,11 @@ impl Scheduler for CfsScheduler {
         self.placement = vec![Placement::Anywhere; n];
         match &mut self.rule {
             Rule::Linux | Rule::Wash { .. } => {}
-            Rule::Gts { load, snapshots, last_tick } => {
+            Rule::Gts {
+                load,
+                snapshots,
+                last_tick,
+            } => {
                 *load = vec![1.0; n]; // fresh threads look busy, as in the kernel
                 *snapshots = vec![(SimDuration::ZERO, SimDuration::ZERO); n];
                 *last_tick = ctx.now;
@@ -451,8 +432,7 @@ impl Scheduler for CfsScheduler {
             // A requeue stays put when its binding allows the core, or
             // when the machine has no core the binding fits.
             Some(core)
-                if placement.fits(ctx.core_kind(core).is_big())
-                    || !self.has_cluster(placement) =>
+                if placement.fits(ctx.core_kind(core).is_big()) || !self.has_cluster(placement) =>
             {
                 core
             }
@@ -474,17 +454,16 @@ impl Scheduler for CfsScheduler {
     }
 
     fn pick_next(&mut self, ctx: &SchedCtx<'_>, core: CoreId) -> Pick {
-        if let Some(t) = self.engine.pop_local(core) {
-            return Pick::Run(t);
-        }
-        // Idle balancing: pull from the busiest queue a thread whose
-        // binding fits this core.
-        let placement = &self.placement;
-        let big = ctx.core_kind(core).is_big();
-        match self.engine.steal_for(core, |t, _| placement[t.index()].fits(big)) {
-            Some(t) => Pick::Run(t),
-            None => Pick::Idle,
-        }
+        // The local leftmost thread, else idle balancing: pull from the
+        // busiest queue a thread whose binding fits this core.
+        let (engine, placement) = (&mut self.engine, &self.placement);
+        engine
+            .pop_local(core)
+            .or_else(|| {
+                let big = ctx.core_kind(core).is_big();
+                engine.steal_for(core, |t, _| placement[t.index()].fits(big))
+            })
+            .map_or(Pick::Idle, Pick::Run)
     }
 
     fn time_slice(&self, ctx: &SchedCtx<'_>, thread: ThreadId, core: CoreId) -> SimDuration {
@@ -494,7 +473,14 @@ impl Scheduler for CfsScheduler {
             // little-core time into progress, so its error is the
             // policy's key telemetry.
             let predicted_speedup = speedup[thread.index()];
-            ctx.emit(core, SchedEvent::SlicePredict { thread, predicted_speedup, slice });
+            ctx.emit(
+                core,
+                SchedEvent::SlicePredict {
+                    thread,
+                    predicted_speedup,
+                    slice,
+                },
+            );
         }
         slice
     }
@@ -517,7 +503,11 @@ impl Scheduler for CfsScheduler {
                     wash_pass(ctx, model, scratch, &mut self.placement);
                 }
             }
-            Rule::Gts { load, snapshots, last_tick } => {
+            Rule::Gts {
+                load,
+                snapshots,
+                last_tick,
+            } => {
                 gts_pass(ctx, load, snapshots, last_tick, &mut self.placement);
             }
             Rule::EqualProgress { model, speedup } => {
@@ -564,7 +554,11 @@ fn rebind(ctx: &SchedCtx<'_>, placement: &mut [Placement], thread: ThreadId, to:
         let core = ctx.thread(thread).last_core.unwrap_or(CoreId::new(0));
         ctx.emit(
             core,
-            SchedEvent::Relabel { thread, from: from.class(), to: to.class() },
+            SchedEvent::Relabel {
+                thread,
+                from: from.class(),
+                to: to.class(),
+            },
         );
     }
 }
@@ -586,11 +580,17 @@ fn wash_pass(
         return;
     }
     s.speedup.clear();
-    s.speedup
-        .extend(s.live.iter().map(|&t| model.predict(&ctx.thread(t).pmu_window)));
+    s.speedup.extend(
+        s.live
+            .iter()
+            .map(|&t| model.predict(&ctx.thread(t).pmu_window)),
+    );
     s.blocking.clear();
-    s.blocking
-        .extend(s.live.iter().map(|&t| ctx.thread(t).blocking_ewma.as_secs_f64()));
+    s.blocking.extend(
+        s.live
+            .iter()
+            .map(|&t| ctx.thread(t).blocking_ewma.as_secs_f64()),
+    );
     // Fairness: threads that have had *less* big-core share deserve a
     // boost (negated share, z-scored).
     s.deficit.clear();
@@ -987,8 +987,16 @@ mod tests {
             .unwrap()
             .run(&mut CfsScheduler::gts(&machine))
             .unwrap();
-        let total_big: f64 = outcome.threads.iter().map(|t| t.big_time.as_secs_f64()).sum();
-        let total_run: f64 = outcome.threads.iter().map(|t| t.run_time.as_secs_f64()).sum();
+        let total_big: f64 = outcome
+            .threads
+            .iter()
+            .map(|t| t.big_time.as_secs_f64())
+            .sum();
+        let total_run: f64 = outcome
+            .threads
+            .iter()
+            .map(|t| t.run_time.as_secs_f64())
+            .sum();
         assert!(
             total_big / total_run > 0.8,
             "busy threads only {:.2} on big cores",

@@ -138,11 +138,6 @@ impl EventRing {
         }
     }
 
-    /// Maximum retained events.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Currently retained events.
     pub fn len(&self) -> usize {
         self.buf.len()

@@ -8,9 +8,10 @@
 //! Leather, Thomson — CGO 2020): a discrete-event asymmetric multicore
 //! simulator, synthetic PARSEC/SPLASH-2 workload models, a futex subsystem
 //! with blocking-time accounting, a PCA + linear-regression speedup model,
-//! and the schedulers — the Linux-CFS baseline, WASH and COLAB, plus ARM
-//! GTS and equal-progress as extensions — together with the harness that
-//! regenerates every table and figure of the paper.
+//! and the schedulers — COLAB, and one CFS scheduler that runs the
+//! Linux-CFS baseline, WASH, and (as extensions) ARM GTS and
+//! equal-progress — together with the harness that regenerates every
+//! table and figure of the paper.
 //!
 //! # Examples
 //!
