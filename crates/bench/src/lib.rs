@@ -1,4 +1,4 @@
-//! Shared helpers for the benches and the `repro` figure regenerator.
+//! Shared helpers for the `repro` figure regenerator and its tests.
 
 #![warn(missing_docs)]
 
@@ -10,22 +10,14 @@ use amp_types::{CoreId, CoreOrder, MachineConfig, ThreadId};
 use amp_workloads::{CompiledWorkload, Scale, WorkloadSpec};
 use colab::{ExperimentConfig, Harness, SchedulerKind};
 
-/// Builds a harness at the given scale, optionally with the trained
-/// Table 2 model (the full pipeline) instead of the analytic heuristic.
+/// Builds a harness at the given scale with `replications` per cell,
+/// optionally with the trained Table 2 model (the full pipeline) instead
+/// of the analytic heuristic.
 ///
 /// # Panics
 ///
 /// Panics if model training fails — that means a benchmark model is
-/// broken, which should fail loudly in benches.
-pub fn harness_at(scale: f64, train: bool) -> Harness {
-    harness_with(scale, train, 1)
-}
-
-/// Like [`harness_at`] with explicit replications per cell.
-///
-/// # Panics
-///
-/// Panics if model training fails.
+/// broken, which should fail loudly.
 pub fn harness_with(scale: f64, train: bool, replications: u32) -> Harness {
     let config = ExperimentConfig {
         scale: Scale::new(scale),

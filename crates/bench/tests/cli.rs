@@ -154,7 +154,7 @@ fn repro_traces_use_the_runs_speedup_model() {
         let written = std::fs::read_to_string(dir.join("ferret-colab.json"))
             .expect("repro writes the COLAB trace");
         std::fs::remove_dir_all(&dir).expect("trace directory is removable");
-        let harness = colab_bench::harness_at(SCALE, train);
+        let harness = colab_bench::harness_with(SCALE, train, 1);
         let expected = chrome_trace_json(&spec, SchedulerKind::Colab, SCALE, harness.model());
         assert!(
             written == expected,

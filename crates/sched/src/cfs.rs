@@ -386,11 +386,6 @@ impl CfsScheduler {
             has_little: machine.cores_of_kind(CoreKind::Little).next().is_some(),
         }
     }
-
-    /// Whether the machine has a core `placement` fits.
-    fn has_cluster(&self, placement: Placement) -> bool {
-        (self.has_big && placement.fits(true)) || (self.has_little && placement.fits(false))
-    }
 }
 
 impl Scheduler for CfsScheduler {
@@ -429,13 +424,8 @@ impl Scheduler for CfsScheduler {
             EnqueueReason::Spawn | EnqueueReason::Wake => None,
         };
         let core = match last {
-            // A requeue stays put when its binding allows the core, or
-            // when the machine has no core the binding fits.
-            Some(core)
-                if placement.fits(ctx.core_kind(core).is_big()) || !self.has_cluster(placement) =>
-            {
-                core
-            }
+            // A requeue stays put when its binding allows the core.
+            Some(core) if placement.fits(ctx.core_kind(core).is_big()) => core,
             // Otherwise the least-loaded core of the bound cluster — or,
             // when that cluster is hot-unplugged, any online core rather
             // than stranding the thread.
@@ -508,7 +498,15 @@ impl Scheduler for CfsScheduler {
                 snapshots,
                 last_tick,
             } => {
-                gts_pass(ctx, load, snapshots, last_tick, &mut self.placement);
+                gts_pass(
+                    ctx,
+                    load,
+                    snapshots,
+                    last_tick,
+                    self.has_big,
+                    self.has_little,
+                    &mut self.placement,
+                );
             }
             Rule::EqualProgress { model, speedup } => {
                 for t in ctx.live_threads() {
@@ -625,11 +623,15 @@ fn wash_pass(
 
 /// GTS's 10 ms pass: fold each live thread's runnable fraction of the
 /// window into its load average and rebind it across the thresholds.
+/// A cluster the machine lacks is never bound to, so on a machine of one
+/// core kind GTS schedules as CFS.
 fn gts_pass(
     ctx: &SchedCtx<'_>,
     load: &mut [f64],
     snapshots: &mut [(SimDuration, SimDuration)],
     last_tick: &mut SimTime,
+    has_big: bool,
+    has_little: bool,
     placement: &mut [Placement],
 ) {
     let window = ctx.now.saturating_since(*last_tick);
@@ -638,6 +640,13 @@ fn gts_pass(
         return;
     }
     let window_s = window.as_secs_f64();
+    let bind = |cluster, present| {
+        if present {
+            cluster
+        } else {
+            Placement::Anywhere
+        }
+    };
     for t in ctx.live_threads() {
         let v = ctx.thread(t);
         let (prev_run, prev_ready) = snapshots[t.index()];
@@ -647,9 +656,9 @@ fn gts_pass(
         let avg = &mut load[t.index()];
         *avg = (1.0 - GTS_ALPHA) * *avg + GTS_ALPHA * instant;
         let to = if *avg >= GTS_UP_THRESHOLD {
-            Placement::Big
+            bind(Placement::Big, has_big)
         } else if *avg <= GTS_DOWN_THRESHOLD {
-            Placement::Little
+            bind(Placement::Little, has_little)
         } else {
             // Hysteresis: keep the previous binding.
             placement[t.index()]

@@ -51,13 +51,6 @@ pub struct EventKey {
     seq: u64,
 }
 
-impl EventKey {
-    /// The event's scheduled time in nanoseconds.
-    pub fn time(&self) -> u64 {
-        self.time
-    }
-}
-
 #[derive(Debug, Clone)]
 struct Entry<T> {
     time: u64,
@@ -83,22 +76,6 @@ pub struct Popped<T> {
 }
 
 /// A monotone event queue ordered by `(time, seq)`.
-///
-/// # Examples
-///
-/// ```
-/// use amp_sim::equeue::EventQueue;
-///
-/// let mut q = EventQueue::new();
-/// q.push(200, "tick");
-/// let key = q.push(100, "core-done");
-/// q.push(100, "arrival"); // same time: FIFO by push order
-///
-/// assert_eq!(q.cancel(key), Some("core-done"));
-/// assert_eq!(q.pop().unwrap().item, "arrival");
-/// assert_eq!(q.pop().unwrap().item, "tick");
-/// assert!(q.pop().is_none());
-/// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<T> {
     /// Queued events sorted by `(time, seq)` descending — the minimum is
@@ -108,12 +85,6 @@ pub struct EventQueue<T> {
     seq: u64,
 }
 
-impl<T> Default for EventQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<T> EventQueue<T> {
     /// Creates an empty queue.
     pub fn new() -> EventQueue<T> {
@@ -121,16 +92,6 @@ impl<T> EventQueue<T> {
             entries: Vec::new(),
             seq: 0,
         }
-    }
-
-    /// Total queued events.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no events are queued.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Schedules `item` at `time` (nanoseconds) and returns its handle.
@@ -175,7 +136,7 @@ mod tests {
     #[test]
     fn empty_queue() {
         let mut q: EventQueue<u32> = EventQueue::new();
-        assert!(q.is_empty());
+        assert!(q.entries.is_empty());
         assert_eq!(q.pop(), None);
     }
 
@@ -226,7 +187,7 @@ mod tests {
         assert_eq!(q.pop().unwrap().item, "b");
         assert_eq!(q.cancel(late), Some("late"));
         assert_eq!(q.cancel(b), None, "popped events cannot be cancelled");
-        assert!(q.is_empty());
+        assert!(q.entries.is_empty());
     }
 
     #[test]
@@ -342,7 +303,7 @@ mod tests {
             let p = q.pop().unwrap();
             t = p.time;
         }
-        assert!(q.is_empty());
+        assert!(q.entries.is_empty());
         assert!(
             q.entries.capacity() <= 16,
             "queue grew: {}",

@@ -57,7 +57,7 @@
 #![warn(missing_docs)]
 
 mod engine;
-pub mod equeue;
+mod equeue;
 mod outcome;
 mod params;
 mod rr;

@@ -32,6 +32,8 @@
 //! assert_eq!(spec.threads.len(), 2);
 //! ```
 
+use std::ops::{Deref, DerefMut};
+
 use amp_perf::ExecutionProfile;
 use amp_types::{BarrierId, ChannelId, LockId, Result, SimDuration};
 
@@ -94,7 +96,7 @@ impl AppBuilder {
         ThreadBuilder {
             app: self,
             index,
-            ops: Vec::new(),
+            body: LoopBuilder { ops: Vec::new() },
         }
     }
 
@@ -120,16 +122,44 @@ impl AppBuilder {
     }
 }
 
-/// Builds one thread's program; drop it (or call [`done`](Self::done)) to
-/// commit the ops to the owning [`AppBuilder`].
+/// Builds one thread's program; drop it (or call
+/// [`done`](LoopBuilder::done)) to commit the ops to the owning
+/// [`AppBuilder`]. The op-appending methods are [`LoopBuilder`]'s,
+/// reached through `Deref`.
 #[derive(Debug)]
 pub struct ThreadBuilder<'a> {
     app: &'a mut AppBuilder,
     index: usize,
+    body: LoopBuilder,
+}
+
+impl Deref for ThreadBuilder<'_> {
+    type Target = LoopBuilder;
+
+    fn deref(&self) -> &LoopBuilder {
+        &self.body
+    }
+}
+
+impl DerefMut for ThreadBuilder<'_> {
+    fn deref_mut(&mut self) -> &mut LoopBuilder {
+        &mut self.body
+    }
+}
+
+impl Drop for ThreadBuilder<'_> {
+    fn drop(&mut self) {
+        self.app.threads[self.index].program = Program::new(std::mem::take(&mut self.body.ops));
+    }
+}
+
+/// Appends ops to a thread's program or a loop body (loops nest).
+#[derive(Debug)]
+pub struct LoopBuilder {
     ops: Vec<Op>,
 }
 
-impl ThreadBuilder<'_> {
+impl LoopBuilder {
     /// Appends a compute segment (big-core time).
     pub fn compute(&mut self, work: SimDuration) -> &mut Self {
         self.ops.push(Op::Compute(work));
@@ -189,81 +219,9 @@ impl ThreadBuilder<'_> {
         self
     }
 
-    /// Ends a builder chain explicitly; the program is committed when the
-    /// builder drops.
+    /// Ends a builder chain explicitly; a thread's program is committed
+    /// when its [`ThreadBuilder`] drops.
     pub fn done(&mut self) {}
-}
-
-impl Drop for ThreadBuilder<'_> {
-    fn drop(&mut self) {
-        self.app.threads[self.index].program = Program::new(std::mem::take(&mut self.ops));
-    }
-}
-
-/// Builds a loop body (supports the same ops, including nesting).
-#[derive(Debug)]
-pub struct LoopBuilder {
-    ops: Vec<Op>,
-}
-
-impl LoopBuilder {
-    /// Appends a compute segment.
-    pub fn compute(&mut self, work: SimDuration) -> &mut Self {
-        self.ops.push(Op::Compute(work));
-        self
-    }
-
-    /// Appends a lock acquisition.
-    pub fn lock(&mut self, lock: LockId) -> &mut Self {
-        self.ops.push(Op::Lock(lock));
-        self
-    }
-
-    /// Appends a lock release.
-    pub fn unlock(&mut self, lock: LockId) -> &mut Self {
-        self.ops.push(Op::Unlock(lock));
-        self
-    }
-
-    /// Appends a barrier arrival.
-    pub fn barrier(&mut self, barrier: BarrierId) -> &mut Self {
-        self.ops.push(Op::Barrier(barrier));
-        self
-    }
-
-    /// Appends a channel push.
-    pub fn push(&mut self, channel: ChannelId) -> &mut Self {
-        self.ops.push(Op::Push(channel));
-        self
-    }
-
-    /// Appends a channel pop.
-    pub fn pop(&mut self, channel: ChannelId) -> &mut Self {
-        self.ops.push(Op::Pop(channel));
-        self
-    }
-
-    /// Appends a critical section: lock, compute `held`, unlock.
-    pub fn critical(&mut self, lock: LockId, held: SimDuration) -> &mut Self {
-        self.lock(lock).compute(held).unlock(lock)
-    }
-
-    /// Appends a phase change: subsequent compute uses `profile`.
-    pub fn phase(&mut self, profile: ExecutionProfile) -> &mut Self {
-        self.ops.push(Op::SetProfile(profile));
-        self
-    }
-
-    /// Appends a nested counted loop.
-    pub fn repeat(&mut self, count: u32, fill: impl FnOnce(&mut LoopBuilder)) -> &mut Self {
-        let mut body = LoopBuilder { ops: Vec::new() };
-        fill(&mut body);
-        self.ops.push(Op::Loop {
-            count,
-            body: body.ops,
-        });
-        self
-    }
 }
 
 #[cfg(test)]

@@ -3,7 +3,9 @@
 //! little cores, one with no big cores, and a 2B2S machine that loses
 //! both big cores mid-run. No golden fixture reaches these paths, so each
 //! run's fingerprint — makespan, per-app turnarounds, events processed
-//! and the decision counters — is pinned to recorded values.
+//! and the decision counters — is pinned to recorded values. GTS lays
+//! its rule over CFS, so on a machine of one core kind its run must also
+//! equal Linux's.
 
 use amp_faults::{FaultEvent, FaultKind, FaultPlan};
 use amp_perf::SpeedupModel;
@@ -76,6 +78,18 @@ fn check(machine: &MachineConfig, plan: FaultPlan, expected: [&str; 4]) {
     }
 }
 
+/// GTS's makespan, per-app turnarounds and events equal Linux's on
+/// `machine`; only the decision counters differ, by GTS's relabels.
+fn check_gts_schedules_as_linux(machine: &MachineConfig) {
+    let run = |kind| {
+        let got = fingerprint(kind, machine, FaultPlan::empty());
+        let (run, _counters) = got.rsplit_once(' ').expect("fingerprint ends in a hash");
+        run.to_string()
+    };
+    let (gts, linux) = (run(SchedulerKind::Gts), run(SchedulerKind::Linux));
+    assert_eq!(gts, linux, "gts against linux on {}", machine.label());
+}
+
 #[test]
 fn no_little_cores() {
     check(
@@ -84,10 +98,11 @@ fn no_little_cores() {
         [
             "187825000 [187825000, 112304110] 389 509089324eb48c86",
             "187825000 [187825000, 112304110] 389 fa9f7a034f9b63a6",
-            "187825000 [187825000, 112863110] 390 1a78ecaea8806c5e",
+            "187825000 [187825000, 112304110] 389 8ac5da2cf6abd7f1",
             "187825000 [187825000, 112304110] 389 41affb6a7fca7eae",
         ],
     );
+    check_gts_schedules_as_linux(&MachineConfig::all_big(4));
 }
 
 #[test]
@@ -98,10 +113,11 @@ fn no_big_cores() {
         [
             "389313444 [389313444, 245967250] 629 ffcf5235e1a2e81c",
             "389313444 [389313444, 245967250] 629 ffcf5235e1a2e81c",
-            "505532530 [505532530, 363853796] 641 ac0d0f8ddc9fc940",
+            "389313444 [389313444, 245967250] 629 56c0d4109ef18a65",
             "378534207 [378534207, 253742021] 632 fd390e5e07111612",
         ],
     );
+    check_gts_schedules_as_linux(&MachineConfig::all_little(4));
 }
 
 #[test]

@@ -109,6 +109,9 @@ fn serial_path_matches_golden_fixtures() {
     let mut h = quick_harness();
     let rendered = write_csvs(&mut h, "serial");
     assert_matches_golden(&rendered, "serial mix path");
+    // The §5 summary aggregates every cell of the paper grid.
+    let summary = colab::experiments::summary(&mut h).expect("the grid is memoized");
+    assert_eq!(summary.experiments, 312);
 }
 
 /// The run sets the extension studies add beyond `SweepPlan::full()`:
