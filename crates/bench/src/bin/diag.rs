@@ -11,7 +11,8 @@
 //! `--jobs N` runs the per-scheduler simulations on N worker threads
 //! (default: available parallelism). Each scheduler's block is rendered
 //! to a buffer and printed in the fixed policy order, so output is
-//! byte-identical for every N.
+//! byte-identical for every N. Every scheduler predicts speedups with
+//! the trained Table 2 model, the one `repro` reports under.
 //!
 //! An unknown flag or workload name, a core count that is not a
 //! non-negative integer, a machine with no cores, a scale that is not a
@@ -100,9 +101,9 @@ fn main() -> ExitCode {
         opts.workload.name()
     );
 
-    let model = SpeedupModel::heuristic();
+    let harness = colab_bench::harness_with(scale, 1);
     let blocks = parallel_map(opts.jobs, &SchedulerKind::ALL, |&kind| {
-        render_scheduler(kind, &spec, &model, big, little, scale)
+        render_scheduler(kind, &spec, harness.model(), big, little, scale)
     });
     for block in blocks {
         match block {

@@ -1,7 +1,7 @@
 //! Regenerates every table and figure of the paper.
 //!
 //! ```text
-//! repro [--scale F] [--heuristic-model] [--jobs N] [--reps N]
+//! repro [--scale F] [--jobs N] [--reps N]
 //!       [--table2|--table3|--table4] [--fig4|--fig5|--fig6|--fig7|--fig8|--fig9]
 //!       [--summary] [--check] [--ablation] [--energy] [--table1]
 //!       [--sensitivity] [--fairness] [--freqsweep] [--staggered] [--faults]
@@ -12,8 +12,8 @@
 //! error (exit status 1). `--reps N` runs every cell N times with
 //! derived seeds and averages them (N ≥ 1; default 1, the paper's protocol). `--scale` shrinks the
 //! workloads (default 1.0, the calibrated full size); the shapes are
-//! stable down to about 0.25. `--heuristic-model` skips the offline
-//! training run and uses the analytic speedup model.
+//! stable down to about 0.25. Every scale runs under the same speedup
+//! model: the Table 2 model, trained at the calibrated size.
 //!
 //! `--jobs N` runs the whole evaluation on N worker threads (default: the
 //! host's available parallelism; `--jobs 1` is the exact serial path):
@@ -50,7 +50,6 @@ use colab::SchedulerKind;
 
 struct Options {
     scale: f64,
-    train: bool,
     replications: u32,
     jobs: usize,
     targets: Vec<String>,
@@ -72,7 +71,6 @@ fn default_jobs() -> usize {
 
 fn parse_args() -> Result<Options, String> {
     let mut scale = 1.0;
-    let mut train = true;
     let mut targets = Vec::new();
     let mut csv_dir = None;
     let mut trace_dir = None;
@@ -119,7 +117,6 @@ fn parse_args() -> Result<Options, String> {
                     return Err("--scale must be positive".into());
                 }
             }
-            "--heuristic-model" => train = false,
             other => match other.strip_prefix("--") {
                 Some(name) if TARGETS.contains(&name) => targets.push(name.to_string()),
                 Some(_) => return Err(format!("unknown flag {other}")),
@@ -132,7 +129,6 @@ fn parse_args() -> Result<Options, String> {
     }
     Ok(Options {
         scale,
-        train,
         replications,
         jobs,
         targets,
@@ -207,12 +203,8 @@ fn main() -> ExitCode {
     };
 
     let start = Instant::now();
-    eprintln!(
-        "building harness (scale {}, {} model)...",
-        options.scale,
-        if options.train { "trained" } else { "heuristic" }
-    );
-    let mut harness = colab_bench::harness_with(options.scale, options.train, options.replications);
+    eprintln!("building harness (scale {})...", options.scale);
+    let mut harness = colab_bench::harness_with(options.scale, options.replications);
     eprintln!("harness ready in {:.1?}", start.elapsed());
 
     if let Some(dir) = &options.trace_dir {

@@ -11,6 +11,9 @@
 //! An unknown workload or scheduler name, or a scale that is not a
 //! positive number, exits with status 1.
 //!
+//! The run predicts speedups with the trained Table 2 model, the one
+//! `repro` reports under.
+//!
 //! Each row is a core; each letter is the thread running there (`A` =
 //! thread 0); `.` is idle time. The legend maps letters to thread roles
 //! and criticality, and a decision-telemetry block summarizes the run.
@@ -23,7 +26,6 @@
 //! ring is bounded too but keeps the most *recent* events (drop-oldest).
 //! Both report how much was dropped.
 
-use amp_perf::SpeedupModel;
 use amp_sim::{SimParams, Simulation};
 use amp_types::{CoreOrder, MachineConfig};
 use amp_workloads::{BenchmarkId, CompiledWorkload, PaperWorkload, Scale, WorkloadSpec};
@@ -82,7 +84,8 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let mut sched = kind.create(&machine, &SpeedupModel::heuristic());
+    let harness = colab_bench::harness_with(scale, 1);
+    let mut sched = kind.create(&machine, harness.model());
     let outcome = match sim.run(sched.as_mut()) {
         Ok(outcome) => outcome,
         Err(e) => {

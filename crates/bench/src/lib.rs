@@ -11,18 +11,16 @@ use amp_workloads::{CompiledWorkload, Scale, WorkloadSpec};
 use colab::{ExperimentConfig, Harness, SchedulerKind};
 
 /// Builds a harness at the given scale with `replications` per cell,
-/// optionally with the trained Table 2 model (the full pipeline) instead
-/// of the analytic heuristic.
+/// under the trained Table 2 model.
 ///
 /// # Panics
 ///
 /// Panics if model training fails — that means a benchmark model is
 /// broken, which should fail loudly.
-pub fn harness_with(scale: f64, train: bool, replications: u32) -> Harness {
+pub fn harness_with(scale: f64, replications: u32) -> Harness {
     let config = ExperimentConfig {
         scale: Scale::new(scale),
         seed: 42,
-        train_model: train,
         replications,
         ..ExperimentConfig::default()
     };

@@ -19,7 +19,7 @@ fn stderr(output: &Output) -> String {
 fn repro_rejects_an_unknown_flag() {
     let out = run(
         env!("CARGO_BIN_EXE_repro"),
-        &["--sumary", "--heuristic-model"],
+        &["--sumary"],
     );
     assert!(!out.status.success(), "a typo'd flag must fail");
     assert!(
@@ -34,7 +34,7 @@ fn repro_rejects_an_unknown_flag() {
 fn repro_rejects_zero_reps() {
     let out = run(
         env!("CARGO_BIN_EXE_repro"),
-        &["--heuristic-model", "--reps", "0", "--table3"],
+        &["--reps", "0", "--table3"],
     );
     assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr(&out));
     assert!(stderr(&out).contains("--reps"), "stderr: {}", stderr(&out));
@@ -46,7 +46,6 @@ fn repro_accepts_selection_flags() {
     let out = run(
         env!("CARGO_BIN_EXE_repro"),
         &[
-            "--heuristic-model",
             "--scale",
             "0.05",
             "--jobs",
@@ -82,7 +81,6 @@ fn repro_usage_lists_the_real_flags() {
         "--summary",
         "--jobs",
         "--scale",
-        "--heuristic-model",
         "--csv",
         "--trace-json",
         "--all",
@@ -101,7 +99,6 @@ fn repro_bench_json_counts_paper_cells_only() {
     let out = run(
         env!("CARGO_BIN_EXE_repro"),
         &[
-            "--heuristic-model",
             "--scale",
             "0.05",
             "--ablation",
@@ -131,36 +128,24 @@ fn repro_bench_json_counts_paper_cells_only() {
 }
 
 /// `repro --trace-json` renders its traces under the speedup model of the
-/// run it reports: the trained one by default, the analytic heuristic
-/// with `--heuristic-model`.
+/// run it reports, the trained Table 2 model.
 #[test]
 fn repro_traces_use_the_runs_speedup_model() {
     const SCALE: f64 = 0.1;
     let spec = WorkloadSpec::single(BenchmarkId::Ferret, 6);
-    for train in [true, false] {
-        let dir =
-            std::env::temp_dir().join(format!("repro-trace-json-{}-{train}", std::process::id()));
-        let mut args = vec![
-            "--trace-json",
-            dir.to_str().expect("UTF-8 path"),
-            "--scale",
-            "0.1",
-        ];
-        if !train {
-            args.push("--heuristic-model");
-        }
-        let out = run(env!("CARGO_BIN_EXE_repro"), &args);
-        assert!(out.status.success(), "stderr: {}", stderr(&out));
-        let written = std::fs::read_to_string(dir.join("ferret-colab.json"))
-            .expect("repro writes the COLAB trace");
-        std::fs::remove_dir_all(&dir).expect("trace directory is removable");
-        let harness = colab_bench::harness_with(SCALE, train, 1);
-        let expected = chrome_trace_json(&spec, SchedulerKind::Colab, SCALE, harness.model());
-        assert!(
-            written == expected,
-            "--trace-json (trained: {train}) differs from chrome_trace_json under its model"
-        );
-    }
+    let dir = std::env::temp_dir().join(format!("repro-trace-json-{}", std::process::id()));
+    let args = ["--trace-json", dir.to_str().expect("UTF-8 path"), "--scale", "0.1"];
+    let out = run(env!("CARGO_BIN_EXE_repro"), &args);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let written = std::fs::read_to_string(dir.join("ferret-colab.json"))
+        .expect("repro writes the COLAB trace");
+    std::fs::remove_dir_all(&dir).expect("trace directory is removable");
+    let harness = colab_bench::harness_with(SCALE, 1);
+    let expected = chrome_trace_json(&spec, SchedulerKind::Colab, SCALE, harness.model());
+    assert!(
+        written == expected,
+        "--trace-json differs from chrome_trace_json under the run's model"
+    );
 }
 
 #[test]

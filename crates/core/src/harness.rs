@@ -93,12 +93,9 @@ impl SchedulerKind {
 pub struct ExperimentConfig {
     /// Workload size scale (1.0 = the calibrated full size).
     pub scale: Scale,
-    /// Master seed; workload materialization and PMU noise derive from it.
+    /// Master seed; workload materialization, PMU noise and the Table 2
+    /// model's training runs derive from it.
     pub seed: u64,
-    /// Train the Table 2 model offline (`true`, the paper's pipeline) or
-    /// use the analytic heuristic model (`false`, much faster start-up —
-    /// for tests).
-    pub train_model: bool,
     /// Independent replications per cell: each replication uses a derived
     /// seed (different workload jitter and PMU noise) and is memoized as
     /// its own run set of both core orders; a cell's summary averages
@@ -113,7 +110,6 @@ impl Default for ExperimentConfig {
         ExperimentConfig {
             scale: Scale::default(),
             seed: 42,
-            train_model: true,
             replications: 1,
             sim_params: SimParams::default(),
         }
@@ -121,14 +117,12 @@ impl Default for ExperimentConfig {
 }
 
 impl ExperimentConfig {
-    /// A fast configuration for tests: shrunk workloads, heuristic model.
+    /// A fast configuration for tests: shrunk workloads, the default
+    /// model.
     pub fn quick() -> ExperimentConfig {
         ExperimentConfig {
             scale: Scale::quick(),
-            seed: 42,
-            train_model: false,
-            replications: 1,
-            sim_params: SimParams::default(),
+            ..ExperimentConfig::default()
         }
     }
 }
@@ -215,17 +209,16 @@ pub struct Harness {
 }
 
 impl Harness {
-    /// Creates the harness, training the speedup model if configured.
+    /// Creates the harness, training the Table 2 speedup model on
+    /// 4 cores at the calibrated workload size ([`Scale::default`]),
+    /// whatever `config.scale` is: one seed gives one model at every
+    /// scale.
     ///
     /// # Errors
     ///
     /// Propagates training failures.
     pub fn new(config: ExperimentConfig) -> Result<Harness> {
-        let model = if config.train_model {
-            training::train_model(4, config.seed, config.scale)?
-        } else {
-            SpeedupModel::heuristic()
-        };
+        let model = training::train_model(4, config.seed, Scale::default())?;
         Ok(Harness {
             config,
             model,
@@ -697,6 +690,14 @@ mod tests {
         let cells = h.telemetry_cells();
         assert_eq!(cells.len(), 1);
         assert_eq!(cells[0].3.runs, 4, "two seeds × two core orders");
+    }
+
+    #[test]
+    fn one_model_at_every_scale() {
+        let quick = Harness::new(ExperimentConfig::quick()).unwrap();
+        let full = Harness::new(ExperimentConfig::default()).unwrap();
+        assert_eq!(format!("{:?}", quick.model()), format!("{:?}", full.model()));
+        assert_eq!(crate::experiments::table2(&quick), crate::experiments::table2(&full));
     }
 
     #[test]

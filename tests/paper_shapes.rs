@@ -10,7 +10,6 @@ fn harness(scale: f64) -> Harness {
     Harness::new(ExperimentConfig {
         scale: Scale::new(scale),
         seed: 42,
-        train_model: false,
         ..ExperimentConfig::default()
     })
     .expect("harness builds")
@@ -31,6 +30,55 @@ fn ferret_gains_most_from_amp_awareness() {
         colab < 0.8 * linux,
         "COLAB must cut ferret's H_NTT by >20%: {colab:.3} vs {linux:.3}"
     );
+}
+
+#[test]
+fn ferret_colab_over_linux_is_pinned_across_seeds() {
+    // Figure 4's ferret claim (COLAB/Linux < 0.8) over seeds 1–16 and
+    // 42, each seed with its own trained model. It fails on seeds 12, 15
+    // and 16, where Linux's own H_NTT reads 1.01–1.02 instead of ~1.5:
+    // a regime tied to CFS's machine-wide wake placement. Giving CFS
+    // v3.16's cluster-local wake placement (ROADMAP item 9) is expected
+    // to move this pin on purpose.
+    const PINNED: [(u64, f64); 17] = [
+        (1, 0.680444),
+        (2, 0.709432),
+        (3, 0.675486),
+        (4, 0.663026),
+        (5, 0.675355),
+        (6, 0.686053),
+        (7, 0.686969),
+        (8, 0.674233),
+        (9, 0.686004),
+        (10, 0.697479),
+        (11, 0.678755),
+        (12, 1.014938),
+        (13, 0.706891),
+        (14, 0.690716),
+        (15, 1.022710),
+        (16, 1.014672),
+        (42, 0.681130),
+    ];
+    let threads = BenchmarkId::Ferret.clamp_threads(4);
+    let mut held = Vec::new();
+    for (seed, pinned) in PINNED {
+        let mut h = Harness::new(ExperimentConfig {
+            seed,
+            ..ExperimentConfig::default()
+        })
+        .expect("harness builds");
+        let mut h_ntt = |kind| h.single(BenchmarkId::Ferret, threads, 2, 2, kind).unwrap();
+        let ratio = h_ntt(SchedulerKind::Colab) / h_ntt(SchedulerKind::Linux);
+        assert!(
+            (ratio - pinned).abs() < 1e-6,
+            "seed {seed}: COLAB/Linux {ratio:.6}, pinned {pinned:.6}"
+        );
+        if ratio < 0.8 {
+            held.push(seed);
+        }
+    }
+    let expected: Vec<u64> = (1..=16).chain([42]).filter(|s| ![12, 15, 16].contains(s)).collect();
+    assert_eq!(held, expected, "seeds on which COLAB/Linux < 0.8");
 }
 
 #[test]
