@@ -17,10 +17,7 @@ fn stderr(output: &Output) -> String {
 
 #[test]
 fn repro_rejects_an_unknown_flag() {
-    let out = run(
-        env!("CARGO_BIN_EXE_repro"),
-        &["--sumary"],
-    );
+    let out = run(env!("CARGO_BIN_EXE_repro"), &["--sumary"]);
     assert!(!out.status.success(), "a typo'd flag must fail");
     assert!(
         stderr(&out).contains("--sumary"),
@@ -32,10 +29,7 @@ fn repro_rejects_an_unknown_flag() {
 
 #[test]
 fn repro_rejects_zero_reps() {
-    let out = run(
-        env!("CARGO_BIN_EXE_repro"),
-        &["--reps", "0", "--table3"],
-    );
+    let out = run(env!("CARGO_BIN_EXE_repro"), &["--reps", "0", "--table3"]);
     assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr(&out));
     assert!(stderr(&out).contains("--reps"), "stderr: {}", stderr(&out));
     assert!(out.stdout.is_empty(), "nothing may run");
@@ -45,14 +39,7 @@ fn repro_rejects_zero_reps() {
 fn repro_accepts_selection_flags() {
     let out = run(
         env!("CARGO_BIN_EXE_repro"),
-        &[
-            "--scale",
-            "0.05",
-            "--jobs",
-            "1",
-            "--table3",
-            "--table4",
-        ],
+        &["--scale", "0.05", "--jobs", "1", "--table3", "--table4"],
     );
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     assert!(!out.stdout.is_empty());
@@ -134,7 +121,12 @@ fn repro_traces_use_the_runs_speedup_model() {
     const SCALE: f64 = 0.1;
     let spec = WorkloadSpec::single(BenchmarkId::Ferret, 6);
     let dir = std::env::temp_dir().join(format!("repro-trace-json-{}", std::process::id()));
-    let args = ["--trace-json", dir.to_str().expect("UTF-8 path"), "--scale", "0.1"];
+    let args = [
+        "--trace-json",
+        dir.to_str().expect("UTF-8 path"),
+        "--scale",
+        "0.1",
+    ];
     let out = run(env!("CARGO_BIN_EXE_repro"), &args);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     let written = std::fs::read_to_string(dir.join("ferret-colab.json"))

@@ -696,8 +696,14 @@ mod tests {
     fn one_model_at_every_scale() {
         let quick = Harness::new(ExperimentConfig::quick()).unwrap();
         let full = Harness::new(ExperimentConfig::default()).unwrap();
-        assert_eq!(format!("{:?}", quick.model()), format!("{:?}", full.model()));
-        assert_eq!(crate::experiments::table2(&quick), crate::experiments::table2(&full));
+        assert_eq!(
+            format!("{:?}", quick.model()),
+            format!("{:?}", full.model())
+        );
+        assert_eq!(
+            crate::experiments::table2(&quick),
+            crate::experiments::table2(&full)
+        );
     }
 
     #[test]
