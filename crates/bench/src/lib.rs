@@ -10,8 +10,8 @@ use amp_types::{CoreId, CoreOrder, MachineConfig, ThreadId};
 use amp_workloads::{CompiledWorkload, Scale, WorkloadSpec};
 use colab::{ExperimentConfig, Harness, SchedulerKind};
 
-/// Builds a harness at the given scale with `replications` per cell,
-/// under the trained Table 2 model.
+/// Builds a harness at the given scale with `replications` per cell and
+/// the default seed, under the trained Table 2 model.
 ///
 /// # Panics
 ///
@@ -20,7 +20,6 @@ use colab::{ExperimentConfig, Harness, SchedulerKind};
 pub fn harness_with(scale: f64, replications: u32) -> Harness {
     let config = ExperimentConfig {
         scale: Scale::new(scale),
-        seed: 42,
         replications,
         ..ExperimentConfig::default()
     };

@@ -117,8 +117,7 @@ impl Default for ExperimentConfig {
 }
 
 impl ExperimentConfig {
-    /// A fast configuration for tests: shrunk workloads, the default
-    /// model.
+    /// A fast configuration for tests: shrunk workloads.
     pub fn quick() -> ExperimentConfig {
         ExperimentConfig {
             scale: Scale::quick(),

@@ -9,7 +9,6 @@ use colab_suite::workloads::{PaperWorkload, Scale, WorkloadClass};
 fn harness(scale: f64) -> Harness {
     Harness::new(ExperimentConfig {
         scale: Scale::new(scale),
-        seed: 42,
         ..ExperimentConfig::default()
     })
     .expect("harness builds")
