@@ -101,7 +101,7 @@ fn main() -> ExitCode {
         opts.workload.name()
     );
 
-    let harness = colab_bench::harness_with(scale, 1);
+    let harness = colab_bench::harness_with(scale);
     let blocks = parallel_map(opts.jobs, &SchedulerKind::ALL, |&kind| {
         render_scheduler(kind, &spec, harness.model(), big, little, scale)
     });

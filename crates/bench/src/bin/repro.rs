@@ -1,7 +1,7 @@
 //! Regenerates every table and figure of the paper.
 //!
 //! ```text
-//! repro [--scale F] [--jobs N] [--reps N]
+//! repro [--scale F] [--jobs N]
 //!       [--table2|--table3|--table4] [--fig4|--fig5|--fig6|--fig7|--fig8|--fig9]
 //!       [--summary] [--check] [--ablation] [--energy] [--table1]
 //!       [--sensitivity] [--fairness] [--freqsweep] [--staggered] [--faults]
@@ -9,11 +9,12 @@
 //! ```
 //!
 //! With no selection flags, `--all` is assumed. Any other flag is an
-//! error (exit status 1). `--reps N` runs every cell N times with
-//! derived seeds and averages them (N ≥ 1; default 1, the paper's protocol). `--scale` shrinks the
-//! workloads (default 1.0, the calibrated full size); the shapes are
-//! stable down to about 0.25. Every scale runs under the same speedup
-//! model: the Table 2 model, trained at the calibrated size.
+//! error (exit status 1). Every cell runs once per core-enumeration
+//! order at the one seed the harness holds (42), as the paper's protocol
+//! does. `--scale` shrinks the workloads (default 1.0, the calibrated
+//! full size); the shapes are stable down to about 0.25. Every scale
+//! runs under the same speedup model: the Table 2 model, trained at the
+//! calibrated size.
 //!
 //! `--jobs N` runs the whole evaluation on N worker threads (default: the
 //! host's available parallelism; `--jobs 1` is the exact serial path):
@@ -50,7 +51,6 @@ use colab::SchedulerKind;
 
 struct Options {
     scale: f64,
-    replications: u32,
     jobs: usize,
     targets: Vec<String>,
     csv_dir: Option<std::path::PathBuf>,
@@ -75,7 +75,6 @@ fn parse_args() -> Result<Options, String> {
     let mut csv_dir = None;
     let mut trace_dir = None;
     let mut bench_json = None;
-    let mut replications = 1u32;
     let mut jobs = default_jobs();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -86,15 +85,6 @@ fn parse_args() -> Result<Options, String> {
                     .parse::<usize>()
                     .map_err(|e| format!("bad --jobs {value}: {e}"))?
                     .max(1);
-            }
-            "--reps" => {
-                let value = args.next().ok_or("--reps needs a count")?;
-                replications = value
-                    .parse::<u32>()
-                    .map_err(|e| format!("bad --reps {value}: {e}"))?;
-                if replications == 0 {
-                    return Err("--reps must be at least 1".into());
-                }
             }
             "--csv" => {
                 let dir = args.next().ok_or("--csv needs a directory")?;
@@ -129,7 +119,6 @@ fn parse_args() -> Result<Options, String> {
     }
     Ok(Options {
         scale,
-        replications,
         jobs,
         targets,
         csv_dir,
@@ -204,7 +193,7 @@ fn main() -> ExitCode {
 
     let start = Instant::now();
     eprintln!("building harness (scale {})...", options.scale);
-    let mut harness = colab_bench::harness_with(options.scale, options.replications);
+    let mut harness = colab_bench::harness_with(options.scale);
     eprintln!("harness ready in {:.1?}", start.elapsed());
 
     if let Some(dir) = &options.trace_dir {

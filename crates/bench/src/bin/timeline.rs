@@ -84,7 +84,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let harness = colab_bench::harness_with(scale, 1);
+    let harness = colab_bench::harness_with(scale);
     let mut sched = kind.create(&machine, harness.model());
     let outcome = match sim.run(sched.as_mut()) {
         Ok(outcome) => outcome,

@@ -10,17 +10,16 @@ use amp_types::{CoreId, CoreOrder, MachineConfig, ThreadId};
 use amp_workloads::{CompiledWorkload, Scale, WorkloadSpec};
 use colab::{ExperimentConfig, Harness, SchedulerKind};
 
-/// Builds a harness at the given scale with `replications` per cell and
-/// the default seed, under the trained Table 2 model.
+/// Builds a harness at the given scale and the default seed, under the
+/// trained Table 2 model.
 ///
 /// # Panics
 ///
 /// Panics if model training fails — that means a benchmark model is
 /// broken, which should fail loudly.
-pub fn harness_with(scale: f64, replications: u32) -> Harness {
+pub fn harness_with(scale: f64) -> Harness {
     let config = ExperimentConfig {
         scale: Scale::new(scale),
-        replications,
         ..ExperimentConfig::default()
     };
     Harness::new(config).expect("harness construction succeeds")
@@ -90,8 +89,9 @@ pub fn bench_run_json(harness: &Harness, wall_secs: f64, cells: usize) -> String
 
     let interning = harness.intern_stats();
     let telemetry_buckets: usize = harness
-        .telemetry_run_sets()
-        .map(|report| {
+        .telemetry_cells()
+        .into_iter()
+        .map(|(_, _, _, report)| {
             report.wakeup_to_run.buckets().len()
                 + report.runqueue_wait.buckets().len()
                 + report.futex_block.buckets().len()

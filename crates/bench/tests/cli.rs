@@ -28,14 +28,6 @@ fn repro_rejects_an_unknown_flag() {
 }
 
 #[test]
-fn repro_rejects_zero_reps() {
-    let out = run(env!("CARGO_BIN_EXE_repro"), &["--reps", "0", "--table3"]);
-    assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr(&out));
-    assert!(stderr(&out).contains("--reps"), "stderr: {}", stderr(&out));
-    assert!(out.stdout.is_empty(), "nothing may run");
-}
-
-#[test]
 fn repro_accepts_selection_flags() {
     let out = run(
         env!("CARGO_BIN_EXE_repro"),
@@ -54,7 +46,6 @@ fn repro_usage_lists_the_real_flags() {
         .and_then(|rest| rest.split("```").next())
         .expect("repro.rs documents its usage");
     for flag in [
-        "--reps",
         "--check",
         "--bench-json",
         "--energy",
@@ -132,7 +123,7 @@ fn repro_traces_use_the_runs_speedup_model() {
     let written = std::fs::read_to_string(dir.join("ferret-colab.json"))
         .expect("repro writes the COLAB trace");
     std::fs::remove_dir_all(&dir).expect("trace directory is removable");
-    let harness = colab_bench::harness_with(SCALE, 1);
+    let harness = colab_bench::harness_with(SCALE);
     let expected = chrome_trace_json(&spec, SchedulerKind::Colab, SCALE, harness.model());
     assert!(
         written == expected,

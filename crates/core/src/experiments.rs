@@ -27,45 +27,40 @@ use crate::sweep::{Protocol, RandomFaults, SweepCell, SweepPlan};
 pub const CONFIGS: [(usize, usize); 4] = [(2, 2), (2, 4), (4, 2), (4, 4)];
 
 /// Runs a study's `cells` as one plan on the harness's workers and
-/// returns each cell's memoized runs (seed-major, then core order), in
-/// the order given.
-fn run_cells<'h>(h: &'h mut Harness, cells: &[SweepCell]) -> Result<Vec<Vec<&'h RunRecord>>> {
+/// returns each cell's memoized runs (in core order), in the order
+/// given.
+fn run_cells<'h>(h: &'h mut Harness, cells: &[SweepCell]) -> Result<Vec<&'h [RunRecord]>> {
     let plan: SweepPlan = cells.iter().cloned().collect();
     h.run_plan(&plan, h.jobs())?;
     let h: &'h Harness = h;
-    let runs = |cell: &SweepCell| {
-        let sets = cell.run_sets(h.config());
-        sets.iter().flat_map(|s| &h.cells[&s.key].runs).collect()
-    };
-    Ok(cells.iter().map(runs).collect())
+    Ok(cells
+        .iter()
+        .map(|cell| h.cells[&cell.run_set(h.config()).key].runs.as_slice())
+        .collect())
 }
 
-/// A cell of one run set at `seed` under `protocol`'s other fields.
+/// A cell under `protocol`.
 fn study_cell(
     spec: &WorkloadSpec,
     (big, little): (usize, usize),
     kind: SchedulerKind,
-    seed: u64,
     protocol: Protocol,
 ) -> SweepCell {
     SweepCell {
-        protocol: Protocol {
-            seed: Some(seed),
-            ..protocol
-        },
+        protocol,
         ..SweepCell::new(spec.clone(), big, little, kind)
     }
 }
 
-/// The Linux and COLAB cells of every Sync workload on 2B4S at `seed`,
-/// under each of `protocols` in turn.
-fn sync_pairs(seed: u64, protocols: impl IntoIterator<Item = Protocol>) -> Vec<SweepCell> {
+/// The Linux and COLAB cells of every Sync workload on 2B4S, under each
+/// of `protocols` in turn.
+fn sync_pairs(protocols: impl IntoIterator<Item = Protocol>) -> Vec<SweepCell> {
     let specs = class_specs(WorkloadClass::Sync);
     let mut cells = Vec::new();
     for protocol in protocols {
         for spec in &specs {
             for kind in [SchedulerKind::Linux, SchedulerKind::Colab] {
-                cells.push(study_cell(spec, (2, 4), kind, seed, protocol));
+                cells.push(study_cell(spec, (2, 4), kind, protocol));
             }
         }
     }
@@ -74,10 +69,10 @@ fn sync_pairs(seed: u64, protocols: impl IntoIterator<Item = Protocol>) -> Vec<S
 
 /// Geomean per-app COLAB/Linux turnaround over Linux/COLAB cell pairs,
 /// each app's turnaround summed over its cell's runs.
-fn colab_vs_linux(pairs: &[Vec<&RunRecord>]) -> f64 {
+fn colab_vs_linux(pairs: &[&[RunRecord]]) -> f64 {
     let mut ratios = Vec::new();
     for pair in pairs.chunks(2) {
-        let (linux, colab) = (turnaround_secs(&pair[0]), turnaround_secs(&pair[1]));
+        let (linux, colab) = (turnaround_secs(pair[0]), turnaround_secs(pair[1]));
         ratios.extend(colab.iter().zip(&linux).map(|(c, l)| c / l));
     }
     geomean(&ratios)
@@ -95,7 +90,7 @@ fn geomean_vs_first(per_kind: &[Vec<f64>], k: usize) -> f64 {
 
 /// Each app's turnaround in seconds, summed over a cell's runs in run
 /// order.
-fn turnaround_secs(runs: &[&RunRecord]) -> Vec<f64> {
+fn turnaround_secs(runs: &[RunRecord]) -> Vec<f64> {
     let mut sums = vec![0.0; runs[0].turnarounds.len()];
     for run in runs {
         for (sum, t) in sums.iter_mut().zip(&run.turnarounds) {
@@ -647,8 +642,7 @@ pub struct Staggered {
     pub rows: Vec<StaggeredRow>,
 }
 
-/// Runs the staggered-arrival study on 2B4S, at the harness's seed
-/// whatever its replications.
+/// Runs the staggered-arrival study on 2B4S.
 ///
 /// # Errors
 ///
@@ -659,13 +653,12 @@ pub fn staggered(h: &mut Harness) -> Result<Staggered> {
         arrival_gap: SimDuration::from_millis(40),
         ..Protocol::default()
     };
-    let seed = h.config().seed;
     let cells: Vec<SweepCell> = PaperWorkload::all()
         .into_iter()
         .filter(|w| w.num_programs() == 4)
         .flat_map(|w| {
             let spec = w.spec();
-            kinds.map(|kind| study_cell(&spec, (2, 4), kind, seed, protocol))
+            kinds.map(|kind| study_cell(&spec, (2, 4), kind, protocol))
         })
         .collect();
     let outcomes = run_cells(h, &cells)?;
@@ -728,7 +721,7 @@ pub struct FrequencySweep {
 }
 
 /// Runs the asymmetry sweep on a 2-big + 4-little machine shape, big
-/// cores first, at the harness's seed whatever its replications.
+/// cores first.
 ///
 /// # Errors
 ///
@@ -740,7 +733,7 @@ pub fn frequency_sweep(h: &mut Harness) -> Result<FrequencySweep> {
         big_first_only: true,
         ..Protocol::default()
     });
-    let cells = sync_pairs(h.config().seed, protocols);
+    let cells = sync_pairs(protocols);
     let outcomes = run_cells(h, &cells)?;
 
     let points = LITTLE_GHZ
@@ -1028,8 +1021,7 @@ pub struct Sensitivity {
     pub rows: Vec<SensitivityRow>,
 }
 
-/// Runs the sensitivity sweep at the harness's seed, whatever its
-/// replications.
+/// Runs the sensitivity sweep.
 ///
 /// # Errors
 ///
@@ -1075,7 +1067,7 @@ pub fn sensitivity(h: &mut Harness) -> Result<Sensitivity> {
         params: Some(params),
         ..Protocol::default()
     });
-    let cells = sync_pairs(h.config().seed, protocols);
+    let cells = sync_pairs(protocols);
     let outcomes = run_cells(h, &cells)?;
 
     let per_variant = cells.len() / variants.len();
@@ -1129,7 +1121,7 @@ pub struct Ablation {
 
 /// Runs the ablation study. The full-COLAB row is the paper's COLAB
 /// cells against its Linux cells; each reduced variant is a COLAB cell
-/// of the same protocol (both core orders, every replication, the
+/// of the same protocol (both core orders, the harness's seed, the
 /// configured simulator parameters) with one mechanism switched off,
 /// read against the same Linux cells.
 ///
@@ -1294,11 +1286,12 @@ pub fn faults(h: &mut Harness) -> Result<FaultsStudy> {
     let kinds = SchedulerKind::ALL;
     let cell = |kind: SchedulerKind, seed: u64, faults: Option<RandomFaults>| {
         let protocol = Protocol {
+            seed: Some(seed),
             big_first_only: true,
             faults,
             ..Protocol::default()
         };
-        study_cell(&spec, (2, 2), kind, seed, protocol)
+        study_cell(&spec, (2, 2), kind, protocol)
     };
 
     // Clean runs, one per (seed, scheduler); the Linux makespan bounds
@@ -1339,8 +1332,8 @@ pub fn faults(h: &mut Harness) -> Result<FaultsStudy> {
             let mut stp = Vec::new();
             let mut antt = Vec::new();
             for (si, outcome) in runs.iter().enumerate() {
-                let clean = clean[si * kinds.len() + ki][0];
-                let run = outcome[0];
+                let clean = &clean[si * kinds.len() + ki][0];
+                let run = &outcome[0];
                 let d = &run.degradation;
                 faults_injected += d.faults_injected as f64;
                 forced += d.forced_migrations as f64;

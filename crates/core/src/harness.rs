@@ -1,7 +1,6 @@
 //! The experiment harness: scheduler factory, baseline cache, and the
 //! per-cell evaluation protocol of §5.1.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -93,14 +92,10 @@ impl SchedulerKind {
 pub struct ExperimentConfig {
     /// Workload size scale (1.0 = the calibrated full size).
     pub scale: Scale,
-    /// Master seed; workload materialization, PMU noise and the Table 2
-    /// model's training runs derive from it.
+    /// The harness's one seed: workload materialization, PMU noise and
+    /// the Table 2 model's training runs derive from it, and every cell
+    /// runs at it unless its protocol names another.
     pub seed: u64,
-    /// Independent replications per cell: each replication uses a derived
-    /// seed (different workload jitter and PMU noise) and is memoized as
-    /// its own run set of both core orders; a cell's summary averages
-    /// them when read. 1 reproduces the paper's protocol exactly.
-    pub replications: u32,
     /// Simulator cost parameters.
     pub sim_params: SimParams,
 }
@@ -110,7 +105,6 @@ impl Default for ExperimentConfig {
         ExperimentConfig {
             scale: Scale::default(),
             seed: 42,
-            replications: 1,
             sim_params: SimParams::default(),
         }
     }
@@ -135,8 +129,8 @@ pub(crate) type CellKey = (WorkloadSpec, String, &'static str, String);
 /// Key of a memoized run set: its cell's key and its seed.
 pub(crate) type RunKey = (CellKey, u64);
 
-/// What one simulation run leaves in the memo; summaries, energy and
-/// replication averages are computed from these when read.
+/// What one simulation run leaves in the memo; summaries and energy are
+/// computed from these when read.
 pub(crate) struct RunRecord {
     /// Each application's turnaround (arrival to finish).
     pub(crate) turnarounds: Vec<SimDuration>,
@@ -159,28 +153,14 @@ pub(crate) struct CellOutcome {
     pub(crate) telemetry: TelemetryReport,
 }
 
-/// Seed for replication `rep` of a sweep with master seed `master`
-/// (replication 0 is the master seed, so `replications == 1` reproduces
-/// the paper's protocol bit-for-bit).
-pub(crate) fn rep_seed(master: u64, rep: u32) -> u64 {
-    master.wrapping_add(u64::from(rep).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
-impl ExperimentConfig {
-    /// The replication seeds, in replication order.
-    pub(crate) fn rep_seeds(&self) -> impl Iterator<Item = u64> + '_ {
-        (0..self.replications.max(1)).map(|rep| rep_seed(self.seed, rep))
-    }
-}
-
-/// One seed's runs of a planned cell, resolved against the harness's
+/// The runs of a planned cell, resolved against the harness's
 /// configuration: the unit the memo keys and the executor evaluates.
 pub(crate) struct RunSet<'c> {
     pub(crate) cell: &'c SweepCell,
     pub(crate) seed: u64,
     pub(crate) params: SimParams,
     pub(crate) key: RunKey,
-    /// A replication seed, and every other field the paper's: only
+    /// The harness's seed, and every other field the paper's: only
     /// these keep telemetry and are recorded in [`crate::simcost`].
     pub(crate) paper: bool,
 }
@@ -191,12 +171,11 @@ pub(crate) struct RunSet<'c> {
 pub struct Harness {
     pub(crate) config: ExperimentConfig,
     pub(crate) model: SpeedupModel,
-    /// `(workload, total cores, seed) → per-app T_SB`.
-    pub(crate) baselines: HashMap<(WorkloadSpec, usize, u64), Vec<SimDuration>>,
-    /// Memoized `run set key → outcome`: one record per run of one
-    /// seed, plus the decision telemetry absorbed over a paper run set's
-    /// runs. Summaries, energy and replication averages are computed
-    /// from these when read.
+    /// `(workload, total cores) → per-app T_SB` at the harness's seed.
+    pub(crate) baselines: HashMap<(WorkloadSpec, usize), Vec<SimDuration>>,
+    /// Memoized `run set key → outcome`: one record per run, plus the
+    /// decision telemetry absorbed over a paper run set's runs.
+    /// Summaries and energy are computed from these when read.
     pub(crate) cells: HashMap<RunKey, CellOutcome>,
     /// Interned compiled workloads, shared by the serial path and every
     /// `run_plan` worker: each distinct `(workload, seed, scale)` is
@@ -251,17 +230,17 @@ impl Harness {
         self.jobs
     }
 
-    /// Computes the isolated big-only baselines `T_SB` at `seed` for
-    /// every app of `workload` on an all-big machine with `total_cores`
-    /// cores. A pure function of its inputs, like
+    /// Computes the isolated big-only baselines `T_SB` at the harness's
+    /// seed for every app of `workload` on an all-big machine with
+    /// `total_cores` cores. A pure function of its inputs, like
     /// [`compute_cell`](Harness::compute_cell).
     pub(crate) fn compute_baseline(
         &self,
         workload: &WorkloadSpec,
         total_cores: usize,
-        seed: u64,
     ) -> Result<Vec<SimDuration>> {
         let machine = MachineConfig::all_big(total_cores);
+        let seed = self.config.seed;
         let compiled = self
             .programs
             .get_or_compile(workload, seed, self.config.scale)?;
@@ -281,7 +260,7 @@ impl Harness {
             .collect()
     }
 
-    /// The cell protocol for one seed: evaluates `set` — its cell's
+    /// The cell protocol: evaluates `set` — its cell's
     /// workload on its machine under its policy, once per core-enumeration
     /// order, every field of its [`Protocol`](crate::sweep::Protocol)
     /// applied — and records each run (§5.1). A fresh [`Simulation`] and
@@ -348,7 +327,7 @@ impl Harness {
 
     /// Evaluates one experiment cell: `workload` on a `big`×`little`
     /// machine under `kind`, run once per core-enumeration order and
-    /// replication seed and averaged (§5.1). Memoized across figures.
+    /// averaged (§5.1). Memoized across figures.
     ///
     /// # Errors
     ///
@@ -372,32 +351,23 @@ impl Harness {
 
     /// The H_ANTT/H_STP summary of a cell planned with the paper's
     /// protocol, or `None` unless its runs and baselines are memoized.
-    /// Each app's turnaround is summed over the runs (seed-major, then
-    /// core order) and divided by their count, its baseline summed over
-    /// the seeds and divided by theirs.
+    /// Each app's turnaround is summed over the runs (in core order) and
+    /// divided by their count.
     pub(crate) fn summary(&self, cell: &SweepCell) -> Option<MixSummary> {
-        let apps = cell.workload.num_apps();
-        let (mut t_m, mut t_sb) = (vec![SimDuration::ZERO; apps], vec![SimDuration::ZERO; apps]);
-        let (mut runs, mut seeds) = (0, 0);
-        let total = cell.big + cell.little;
-        for set in cell.run_sets(&self.config) {
-            for run in &self.cells.get(&set.key)?.runs {
-                for (sum, &t) in t_m.iter_mut().zip(&run.turnarounds) {
-                    *sum += t;
-                }
-                runs += 1;
-            }
-            let baseline = self
-                .baselines
-                .get(&(cell.workload.clone(), total, set.seed))?;
-            for (sum, &t) in t_sb.iter_mut().zip(baseline) {
+        let runs = &self.cells.get(&cell.run_set(&self.config).key)?.runs;
+        let baseline = self
+            .baselines
+            .get(&(cell.workload.clone(), cell.big + cell.little))?;
+        let mut t_m = vec![SimDuration::ZERO; cell.workload.num_apps()];
+        for run in runs {
+            for (sum, &t) in t_m.iter_mut().zip(&run.turnarounds) {
                 *sum += t;
             }
-            seeds += 1;
         }
         // Every app of a `WorkloadSpec` is named after its benchmark.
-        let apps = (cell.workload.entries().iter().zip(t_m).zip(t_sb))
-            .map(|((&(bench, _), m), sb)| (bench.name().to_string(), m / runs, sb / seeds))
+        let count = runs.len() as u64;
+        let apps = (cell.workload.entries().iter().zip(t_m).zip(baseline))
+            .map(|((&(bench, _), m), &sb)| (bench.name().to_string(), m / count, sb))
             .collect();
         let label = MachineConfig::asymmetric(cell.big, cell.little, CoreOrder::BigFirst).label();
         Some(MixSummary::new(
@@ -428,49 +398,26 @@ impl Harness {
         Ok(amp_metrics::h_ntt(*t_m, *t_sb))
     }
 
-    /// Number of run sets evaluated so far (one per cell and seed, the
-    /// extension studies' included; cells that resolve to the same runs
-    /// share one), for diagnostics.
+    /// Number of run sets evaluated so far (one per cell, the extension
+    /// studies' included; cells that resolve to the same runs share
+    /// one), for diagnostics.
     pub fn cells_evaluated(&self) -> usize {
         self.cells.len()
     }
 
-    /// Each memoized paper run set's `(cell key, replication, telemetry)`,
-    /// in memo order.
-    fn paper_telemetry(&self) -> impl Iterator<Item = (&CellKey, usize, &TelemetryReport)> {
-        self.cells
-            .iter()
-            .filter(|((labels, _), _)| labels.3.is_empty())
-            .filter_map(|((labels, seed), outcome)| {
-                let rep = self.config.rep_seeds().position(|s| s == *seed)?;
-                Some((labels, rep, &outcome.telemetry))
-            })
-    }
-
-    /// The telemetry report of every memoized paper run set (one per
-    /// paper cell and replication seed), as the memo stores it and in no
-    /// particular order: what the memo's telemetry footprint is made of.
-    /// [`telemetry_cells`](Harness::telemetry_cells) merges these per cell.
-    pub fn telemetry_run_sets(&self) -> impl Iterator<Item = &TelemetryReport> {
-        self.paper_telemetry().map(|(_, _, report)| report)
-    }
-
     /// Decision telemetry of every evaluated paper-protocol cell, as
     /// `(workload, config, scheduler, report)` rows sorted for
-    /// deterministic output. A cell's report merges its paper run sets
-    /// in seed order.
-    pub fn telemetry_cells(&self) -> Vec<(&str, &str, &str, Cow<'_, TelemetryReport>)> {
-        let mut sets: Vec<(&CellKey, usize, &TelemetryReport)> = self.paper_telemetry().collect();
-        sets.sort_unstable_by(|((wa, ca, sa, _), ra, _), ((wb, cb, sb, _), rb, _)| {
-            (wa.name(), ca, sa, wa.entries(), ra).cmp(&(wb.name(), cb, sb, wb.entries(), rb))
+    /// deterministic output.
+    pub fn telemetry_cells(&self) -> Vec<(&str, &str, &str, &TelemetryReport)> {
+        let mut cells: Vec<(&CellKey, &TelemetryReport)> = (self.cells.iter())
+            .filter(|((labels, seed), _)| labels.3.is_empty() && *seed == self.config.seed)
+            .map(|((labels, _), outcome)| (labels, &outcome.telemetry))
+            .collect();
+        cells.sort_unstable_by(|((wa, ca, sa, _), _), ((wb, cb, sb, _), _)| {
+            (wa.name(), ca, sa, wa.entries()).cmp(&(wb.name(), cb, sb, wb.entries()))
         });
-        sets.chunk_by(|(a, _, _), (b, _, _)| a == b)
-            .map(|cell| {
-                let ((workload, config, scheduler, _), _, first) = cell[0];
-                let mut report = Cow::Borrowed(first);
-                for (_, _, other) in &cell[1..] {
-                    report.to_mut().absorb(other);
-                }
+        (cells.into_iter())
+            .map(|((workload, config, scheduler, _), report)| {
                 (workload.name(), config.as_str(), *scheduler, report)
             })
             .collect()
@@ -599,9 +546,7 @@ mod tests {
 
     #[test]
     fn memoized_histograms_store_no_empty_bucket_and_pool_in_any_order() {
-        let mut config = ExperimentConfig::quick();
-        config.replications = 2;
-        let mut h = Harness::new(config).unwrap();
+        let mut h = Harness::new(ExperimentConfig::quick()).unwrap();
         let mut plan = SweepPlan::new();
         let specs = [
             WorkloadSpec::single(BenchmarkId::Ferret, 4),
@@ -620,13 +565,13 @@ mod tests {
             }
         }
         assert!(stored > 0, "paper run sets keep their histograms");
-        assert_eq!(h.telemetry_run_sets().count(), 2 * plan.len());
 
         let cells = h.telemetry_cells();
+        assert_eq!(cells.len(), plan.len());
         for (name, pooled) in h.telemetry_by_scheduler() {
             let of_kind: Vec<&TelemetryReport> = (cells.iter())
                 .filter(|(_, _, sched, _)| *sched == name)
-                .map(|(_, _, _, report)| report.as_ref())
+                .map(|&(_, _, _, report)| report)
                 .collect();
             for order in [of_kind.clone(), of_kind.iter().rev().copied().collect()] {
                 let folded = order.iter().fold(TelemetryReport::new(), |acc, r| acc.merged(r));
@@ -636,59 +581,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn replications_are_run_sets_averaged_on_read() {
-        let mut config = ExperimentConfig::quick();
-        config.replications = 2;
-        let mut h = Harness::new(config).unwrap();
-        let spec = WorkloadSpec::named(
-            "test-mix",
-            vec![(BenchmarkId::Ferret, 3), (BenchmarkId::Swaptions, 2)],
-        );
-        let cell = SweepCell::new(spec.clone(), 2, 2, SchedulerKind::Colab);
-        let summary = h.mix(&spec, 2, 2, SchedulerKind::Colab).unwrap();
-
-        let sets = cell.run_sets(h.config());
-        let seeds: Vec<u64> = sets.iter().map(|set| set.seed).collect();
-        assert_eq!(seeds, [rep_seed(42, 0), rep_seed(42, 1)]);
-        assert!(sets.iter().all(|set| set.paper));
-        assert_eq!(h.cells_evaluated(), 2, "one memo entry per seed");
-
-        // Rebuild the summary from the two seeds' records and baselines.
-        let mut t_m = [SimDuration::ZERO; 2];
-        let mut t_sb = [SimDuration::ZERO; 2];
-        for set in &sets {
-            let runs = &h.cells[&set.key].runs;
-            assert_eq!(runs.len(), 2, "one run per core order");
-            for run in runs {
-                t_m[0] += run.turnarounds[0];
-                t_m[1] += run.turnarounds[1];
-            }
-            let baseline = &h.baselines[&(spec.clone(), 4, set.seed)];
-            t_sb[0] += baseline[0];
-            t_sb[1] += baseline[1];
-        }
-        let first = &h.cells[&sets[0].key].runs[0];
-        let second = &h.cells[&sets[1].key].runs[0];
-        assert_ne!(first.turnarounds, second.turnarounds, "the seeds differ");
-        let apps = vec![
-            ("ferret".to_string(), t_m[0] / 4, t_sb[0] / 2),
-            ("swaptions".to_string(), t_m[1] / 4, t_sb[1] / 2),
-        ];
-        let expected = MixSummary::new("test-mix", "2B2S", "colab", apps);
-        assert_eq!(summary.apps, expected.apps);
-        assert_eq!(summary.h_antt.to_bits(), expected.h_antt.to_bits());
-        assert_eq!(summary.h_stp.to_bits(), expected.h_stp.to_bits());
-        assert_eq!(
-            (summary.workload, summary.config),
-            (expected.workload, expected.config)
-        );
-
-        let cells = h.telemetry_cells();
-        assert_eq!(cells.len(), 1);
-        assert_eq!(cells[0].3.runs, 4, "two seeds × two core orders");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Cross-cell interning of compiled workloads.
 //!
 //! Every experiment cell instantiates and compiles the same workload at
-//! the same `(seed, scale)` — once per core-enumeration order per
-//! replication, and again for the isolated baseline and for every other
+//! the same `(seed, scale)` — once per core-enumeration order, and
+//! again for the isolated baseline and for every other
 //! machine configuration and scheduler of the grid. The compiled
 //! segment stream ([`CompiledWorkload`]) is immutable and position-free
 //! (per-thread progress lives in the engine's `SegPos`), so one copy

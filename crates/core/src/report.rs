@@ -143,7 +143,7 @@ pub fn staggered_csv(study: &Staggered) -> String {
 
 /// Decision-telemetry rows, one per evaluated `(workload, config,
 /// scheduler)` cell: counts are per simulation run (each cell averages
-/// the two core orders and any replications), the prediction column is
+/// the two core orders), the prediction column is
 /// the speedup model's mean absolute error, and the latency column is
 /// the pooled wakeup-to-first-run p95 in microseconds.
 pub fn telemetry_csv(h: &Harness) -> String {

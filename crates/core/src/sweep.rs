@@ -6,9 +6,9 @@
 //! study is a grid of cells too, each departing from that protocol in
 //! the fields of its [`Protocol`]. [`SweepPlan`] enumerates every cell
 //! up front in a canonical order; the executor ([`Harness::run_plan`])
-//! runs each cell's run sets (one seed's runs each, shared by cells that
-//! run the same simulations) on a bounded pool of `std::thread` workers
-//! that pull jobs from a shared queue, one fresh
+//! runs each cell's run set (its runs, shared by cells that run the same
+//! simulations) on a bounded pool of `std::thread` workers that pull
+//! jobs from a shared queue, one fresh
 //! [`Simulation`](amp_sim::Simulation) per run so no mutable state ever
 //! crosses a run-set boundary; and the
 //! reducer ([`reduce`]) merges results back in plan order, so the
@@ -50,17 +50,14 @@ use crate::harness::{CellKey, CellOutcome, ExperimentConfig, Harness, RunSet, Sc
 // Plan
 
 /// How a cell's runs are set up. The default is the paper's protocol
-/// (§5.1): the calibrated little-cluster clock, every replication of the
-/// harness's master seed, both core-enumeration orders, the harness's
-/// simulator parameters, every application launched at once, and a
-/// fault-free machine.
+/// (§5.1): the calibrated little-cluster clock, the harness's seed, both
+/// core-enumeration orders, the harness's simulator parameters, every
+/// application launched at once, and a fault-free machine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Protocol {
     /// Little-cluster clock in GHz (the big cluster keeps its own).
     pub little_ghz: f64,
-    /// `None`: one run set per replication of the harness's seed, as
-    /// `--reps` asks. `Some(seed)`: one run set at `seed`, whatever
-    /// `--reps` says.
+    /// The seed of the runs; `None` uses the harness's.
     pub seed: Option<u64>,
     /// Run the big-cores-first order only instead of both orders.
     pub big_first_only: bool,
@@ -98,8 +95,8 @@ pub struct RandomFaults {
 
 /// One independent experiment cell: a workload on a `big`×`little`
 /// machine under one scheduling policy, run as its [`Protocol`] says.
-/// It resolves into one run set per seed (each core-enumeration order
-/// at that seed), which the harness memoizes and reads it from.
+/// It resolves into one run set (each core-enumeration order at its
+/// seed), which the harness memoizes and reads it from.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepCell {
     /// The multiprogrammed workload (single-program for Figure 4 cells).
@@ -136,7 +133,7 @@ impl SweepCell {
     }
 
     /// Whether this cell is a paper-protocol cell with every COLAB
-    /// mechanism on: its run sets' telemetry and costs are reported.
+    /// mechanism on: its run set's telemetry and costs are reported.
     pub fn is_paper(&self) -> bool {
         self.protocol == Protocol::default() && self.colab == ColabConfig::default()
     }
@@ -162,13 +159,14 @@ impl SweepCell {
         (self.workload.clone(), config, self.kind.name(), variant)
     }
 
-    /// The run sets this cell stands for under `config`, in seed order:
-    /// `Protocol::seed: None` becomes one per replication seed, and
-    /// `Protocol::params: None` the configured parameters. Each is keyed
+    /// The run set this cell stands for under `config`:
+    /// `Protocol::seed: None` becomes the harness's seed, and
+    /// `Protocol::params: None` the configured parameters. It is keyed
     /// by its seed and the key of this cell with no seed and the
     /// parameters named only when not the configured ones, so cells that
-    /// run the same simulations share their run sets.
-    pub(crate) fn run_sets(&self, config: &ExperimentConfig) -> Vec<RunSet<'_>> {
+    /// run the same simulations share their run set.
+    pub(crate) fn run_set(&self, config: &ExperimentConfig) -> RunSet<'_> {
+        let seed = self.protocol.seed.unwrap_or(config.seed);
         let params = self.protocol.params.unwrap_or(config.sim_params);
         let shape = SweepCell {
             protocol: Protocol {
@@ -178,21 +176,13 @@ impl SweepCell {
             },
             ..self.clone()
         };
-        let (key, paper) = (shape.key(), shape.is_paper());
-        let seeds: Vec<u64> = match self.protocol.seed {
-            Some(seed) => vec![seed],
-            None => config.rep_seeds().collect(),
-        };
-        seeds
-            .into_iter()
-            .map(|seed| RunSet {
-                cell: self,
-                seed,
-                params,
-                key: (key.clone(), seed),
-                paper: paper && config.rep_seeds().any(|s| s == seed),
-            })
-            .collect()
+        RunSet {
+            cell: self,
+            seed,
+            params,
+            key: (shape.key(), seed),
+            paper: shape.is_paper() && seed == config.seed,
+        }
     }
 
     /// The core-enumeration orders each run set runs in.
@@ -439,11 +429,11 @@ pub fn reduce<O>(mut results: Vec<(usize, O)>, expected: usize) -> Vec<O> {
 pub struct SweepReport {
     /// Cells in the plan.
     pub planned: usize,
-    /// Run sets (one per cell and seed) actually simulated.
+    /// Run sets (one per cell) actually simulated.
     pub executed: usize,
     /// Run sets served from the harness memo cache.
     pub cached: usize,
-    /// Baseline (`T_SB`) jobs simulated, one per seed.
+    /// Baseline (`T_SB`) jobs simulated.
     pub baselines: usize,
     /// Worker threads used.
     pub jobs: usize,
@@ -486,8 +476,8 @@ impl Harness {
     /// and study reads are pure cache hits.
     ///
     /// Two phases, each a [`parallel_map`]: first the unique isolated
-    /// baselines the plan needs (one per replication seed), then every
-    /// not-yet-memoized run set the planned cells resolve to, each once.
+    /// baselines the plan needs, then every not-yet-memoized run set the
+    /// planned cells resolve to, each once.
     /// Results are reduced in plan order; `jobs == 1` runs the identical
     /// code serially on the calling thread. Output is bit-identical for
     /// any `jobs`. The harness keeps `jobs` for the plans the extension
@@ -502,19 +492,14 @@ impl Harness {
         self.jobs = jobs;
 
         // Phase 1: baselines not yet memoized.
-        let baseline_jobs: Vec<(WorkloadSpec, usize, u64)> = plan
+        let baseline_jobs: Vec<(WorkloadSpec, usize)> = plan
             .baseline_jobs()
             .into_iter()
-            .flat_map(|(workload, total)| {
-                self.config
-                    .rep_seeds()
-                    .map(move |seed| (workload.clone(), total, seed))
-            })
             .filter(|job| !self.baselines.contains_key(job))
             .collect();
         let baseline_results: Vec<Result<Vec<SimDuration>>> =
-            parallel_map(jobs, &baseline_jobs, |(workload, total, seed)| {
-                self.compute_baseline(workload, *total, *seed)
+            parallel_map(jobs, &baseline_jobs, |(workload, total)| {
+                self.compute_baseline(workload, *total)
             });
         for (job, result) in baseline_jobs.iter().zip(baseline_results) {
             self.baselines.insert(job.clone(), result?);
@@ -524,7 +509,7 @@ impl Harness {
         let sets: Vec<RunSet<'_>> = plan
             .cells()
             .iter()
-            .flat_map(|cell| cell.run_sets(&self.config))
+            .map(|cell| cell.run_set(&self.config))
             .collect();
         let mut seen = std::collections::HashSet::new();
         let (cached, todo): (Vec<&RunSet<'_>>, Vec<&RunSet<'_>>) = sets

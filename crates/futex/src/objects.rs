@@ -35,11 +35,6 @@ impl OpResult {
     pub fn proceed() -> OpResult {
         OpResult::Proceed { woken: WakeList::new() }
     }
-
-    /// Whether the caller blocks.
-    pub fn is_block(&self) -> bool {
-        matches!(self, OpResult::Block)
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -267,11 +262,6 @@ impl SyncObjects {
         self.channels[channel.index()].occupied
     }
 
-    /// Threads currently arrived-and-waiting at `barrier`.
-    pub fn barrier_waiting(&self, barrier: BarrierId) -> u32 {
-        self.barriers[barrier.index()].arrived
-    }
-
     /// Read access to the underlying futex table (criticality queries).
     pub fn futex(&self) -> &FutexTable {
         &self.table
@@ -305,8 +295,8 @@ mod tests {
         let mut sync = SyncObjects::new(3);
         let l = sync.add_lock();
         assert_eq!(sync.lock(l, t(0), ms(0)), OpResult::proceed());
-        assert!(sync.lock(l, t(1), ms(1)).is_block());
-        assert!(sync.lock(l, t(2), ms(2)).is_block());
+        assert_eq!(sync.lock(l, t(1), ms(1)), OpResult::Block);
+        assert_eq!(sync.lock(l, t(2), ms(2)), OpResult::Block);
         assert_eq!(sync.unlock(l, t(0), ms(5)), vec![t(1)]);
         assert_eq!(sync.lock_owner(l), Some(t(1)));
         assert_eq!(sync.unlock(l, t(1), ms(7)), vec![t(2)]);
@@ -329,18 +319,16 @@ mod tests {
     fn barrier_releases_all_and_charges_last() {
         let mut sync = SyncObjects::new(3);
         let b = sync.add_barrier(3);
-        assert!(sync.barrier_arrive(b, t(0), ms(0)).is_block());
-        assert!(sync.barrier_arrive(b, t(1), ms(2)).is_block());
-        assert_eq!(sync.barrier_waiting(b), 2);
+        assert_eq!(sync.barrier_arrive(b, t(0), ms(0)), OpResult::Block);
+        assert_eq!(sync.barrier_arrive(b, t(1), ms(2)), OpResult::Block);
         match sync.barrier_arrive(b, t(2), ms(6)) {
             OpResult::Proceed { woken } => assert_eq!(woken, vec![t(0), t(1)]),
             OpResult::Block => panic!("last arriver must proceed"),
         }
         // Straggler t2 caused 6 + 4 = 10ms of waiting.
         assert_eq!(sync.futex().caused_wait(t(2)), SimDuration::from_millis(10));
-        // Barrier resets for the next generation.
-        assert_eq!(sync.barrier_waiting(b), 0);
-        assert!(sync.barrier_arrive(b, t(0), ms(7)).is_block());
+        // Barrier resets for the next generation: a fresh arrival blocks.
+        assert_eq!(sync.barrier_arrive(b, t(0), ms(7)), OpResult::Block);
     }
 
     #[test]
@@ -357,7 +345,7 @@ mod tests {
         assert_eq!(sync.push(q, t(0), ms(0)), OpResult::proceed());
         assert_eq!(sync.push(q, t(0), ms(1)), OpResult::proceed());
         assert_eq!(sync.channel_occupied(q), 2);
-        assert!(sync.push(q, t(0), ms(2)).is_block());
+        assert_eq!(sync.push(q, t(0), ms(2)), OpResult::Block);
     }
 
     #[test]
@@ -365,7 +353,7 @@ mod tests {
         let mut sync = SyncObjects::new(2);
         let q = sync.add_channel(1);
         sync.push(q, t(0), ms(0));
-        assert!(sync.push(q, t(0), ms(1)).is_block());
+        assert_eq!(sync.push(q, t(0), ms(1)), OpResult::Block);
         match sync.pop(q, t(1), ms(5)) {
             OpResult::Proceed { woken } => assert_eq!(woken, vec![t(0)]),
             OpResult::Block => panic!("pop from non-empty channel must proceed"),
@@ -380,7 +368,7 @@ mod tests {
     fn push_hands_item_to_parked_consumer() {
         let mut sync = SyncObjects::new(2);
         let q = sync.add_channel(4);
-        assert!(sync.pop(q, t(1), ms(0)).is_block());
+        assert_eq!(sync.pop(q, t(1), ms(0)), OpResult::Block);
         match sync.push(q, t(0), ms(3)) {
             OpResult::Proceed { woken } => assert_eq!(woken, vec![t(1)]),
             OpResult::Block => panic!("push with parked consumer must proceed"),
@@ -394,14 +382,14 @@ mod tests {
     fn rendezvous_channel_pairs_operations() {
         let mut sync = SyncObjects::new(2);
         let q = sync.add_channel(0);
-        assert!(sync.push(q, t(0), ms(0)).is_block());
+        assert_eq!(sync.push(q, t(0), ms(0)), OpResult::Block);
         match sync.pop(q, t(1), ms(2)) {
             OpResult::Proceed { woken } => assert_eq!(woken, vec![t(0)]),
             OpResult::Block => panic!("pop must pair with parked producer"),
         }
         assert_eq!(sync.channel_occupied(q), 0);
         // Reverse order: consumer first.
-        assert!(sync.pop(q, t(1), ms(3)).is_block());
+        assert_eq!(sync.pop(q, t(1), ms(3)), OpResult::Block);
         match sync.push(q, t(0), ms(4)) {
             OpResult::Proceed { woken } => assert_eq!(woken, vec![t(1)]),
             OpResult::Block => panic!("push must pair with parked consumer"),

@@ -56,8 +56,6 @@ struct ThreadLedger {
     waited: SimDuration,
     /// Number of completed waits.
     wait_count: u64,
-    /// Number of threads this thread has woken.
-    wake_count: u64,
 }
 
 /// Futex wait queues plus per-thread blocking accounting.
@@ -132,7 +130,6 @@ impl FutexTable {
 
             let waker_entry = &mut self.ledger[waker.index()];
             waker_entry.caused_wait += waited;
-            waker_entry.wake_count += 1;
         }
         woken
     }
@@ -184,11 +181,6 @@ impl FutexTable {
         self.ledger[thread.index()].wait_count
     }
 
-    /// Threads woken by `thread`.
-    pub fn wake_count(&self, thread: ThreadId) -> u64 {
-        self.ledger[thread.index()].wake_count
-    }
-
     /// Number of threads the table accounts for.
     pub fn num_threads(&self) -> usize {
         self.ledger.len()
@@ -232,7 +224,6 @@ mod tests {
         assert_eq!(table.caused_wait(t(0)), SimDuration::from_millis(14));
         assert_eq!(table.waited(t(1)), SimDuration::from_millis(8));
         assert_eq!(table.waited(t(2)), SimDuration::from_millis(6));
-        assert_eq!(table.wake_count(t(0)), 2);
         assert_eq!(table.wait_count(t(1)), 1);
     }
 

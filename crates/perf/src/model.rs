@@ -151,8 +151,7 @@ impl SpeedupModel {
         }
         let raw = match &self.kind {
             ModelKind::Trained { selected, model } => {
-                let x: Vec<f64> = selected.iter().map(|&c| pmu.normalized(c)).collect();
-                model.predict(&x)
+                model.predict(selected.iter().map(|&c| pmu.normalized(c)))
             }
             ModelKind::Heuristic => heuristic_predict(pmu),
         };
