@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
 """Compares the bench-smoke wall time of two `repro` builds.
 
-    bench_pairs.py BASE_REPRO CHANGE_REPRO [PAIRS]
+    bench_pairs.py BASE_REPRO CHANGE_REPRO
 
 Runs `repro --summary --table1 --scale 0.25 --jobs 2 --bench-json` under
-each binary PAIRS times (default 5), interleaved and alternating which
-side runs first, so both see the same machine load. Prints every reading,
-then fails (exit 1) when the change's fastest `sim.run_ms` is more than
-1.10 x the base's, or its best `sim.events_per_sec` below 0.90 x the
-base's. Minimum and maximum, not the mean: on a shared runner the noise
-only ever adds time, so the best run of each side is the one closest to
-what the code costs.
+each binary PAIRS times, interleaved and alternating which side runs
+first, so both see the same machine load. Prints every reading, then
+fails (exit 1) when the change's fastest `sim.run_ms` is more than
+MAX_RUN_MS_RATIO x the base's. The minimum, not the mean: on a shared
+runner the noise only ever adds time, so the best run of each side is the
+one closest to what the code costs.
+
+`sim.events_per_sec` is printed but not gated: the exact-counter check
+before this one pins `sim.events`, so it is `events / run_ms` and its
+ratio is the reciprocal of the `run_ms` one.
 """
 
 import json
@@ -20,8 +23,8 @@ import sys
 import tempfile
 
 ARGS = ["--summary", "--table1", "--scale", "0.25", "--jobs", "2"]
+PAIRS = 30
 MAX_RUN_MS_RATIO = 1.10
-MIN_EVENTS_RATIO = 0.90
 
 
 def bench(repro, out_dir, name):
@@ -38,13 +41,12 @@ def bench(repro, out_dir, name):
 
 
 def main():
-    if len(sys.argv) not in (3, 4):
+    if len(sys.argv) != 3:
         sys.exit(__doc__)
     sides = {"base": sys.argv[1], "change": sys.argv[2]}
-    pairs = int(sys.argv[3]) if len(sys.argv) == 4 else 5
     readings = {"base": [], "change": []}
     with tempfile.TemporaryDirectory() as out_dir:
-        for pair in range(pairs):
+        for pair in range(PAIRS):
             order = ["base", "change"] if pair % 2 == 0 else ["change", "base"]
             for side in order:
                 sim = bench(sides[side], out_dir, f"{side}-{pair}.json")
@@ -56,18 +58,16 @@ def main():
     best_ms = {side: min(r["run_ms"] for r in runs) for side, runs in readings.items()}
     best_eps = {side: max(r["events_per_sec"] for r in runs) for side, runs in readings.items()}
     ms_ratio = best_ms["change"] / best_ms["base"]
-    eps_ratio = best_eps["change"] / best_eps["base"]
-    ms_bad = ms_ratio > MAX_RUN_MS_RATIO
-    eps_bad = eps_ratio < MIN_EVENTS_RATIO
+    regressed = ms_ratio > MAX_RUN_MS_RATIO
     print(
-        f"{'REGRESSION' if ms_bad else 'ok'}: min run_ms {best_ms['change']:.3f} "
+        f"{'REGRESSION' if regressed else 'ok'}: min run_ms {best_ms['change']:.3f} "
         f"vs base {best_ms['base']:.3f} (x{ms_ratio:.3f}, limit x{MAX_RUN_MS_RATIO})"
     )
     print(
-        f"{'REGRESSION' if eps_bad else 'ok'}: max events_per_sec {best_eps['change']:.0f} "
-        f"vs base {best_eps['base']:.0f} (x{eps_ratio:.3f}, limit x{MIN_EVENTS_RATIO})"
+        f"info: max events_per_sec {best_eps['change']:.0f} vs base {best_eps['base']:.0f} "
+        f"(x{best_eps['change'] / best_eps['base']:.3f})"
     )
-    if ms_bad or eps_bad:
+    if regressed:
         sys.exit("bench smoke regressed against the base commit")
 
 

@@ -15,7 +15,7 @@
 //! let model = LinearModel::fit(&xs, &ys).unwrap();
 //! assert!((model.coefficients()[0] - 3.0).abs() < 1e-6);
 //! assert!((model.intercept() - 1.0).abs() < 1e-6);
-//! assert!((model.predict([10.0]) - 31.0).abs() < 1e-5);
+//! assert!((model.predict(&[10.0]) - 31.0).abs() < 1e-5);
 //! ```
 
 // Index-based loops read naturally for matrix algebra.
@@ -124,25 +124,18 @@ impl LinearModel {
         self.r_squared
     }
 
-    /// Evaluates the model on one observation, its features in training
-    /// order. Takes them as an iterator so a caller can compute them on
-    /// the fly, without collecting them first.
+    /// Evaluates the model on one observation.
     ///
     /// # Panics
     ///
     /// Panics if `x` has a different length than the training features.
-    pub fn predict<I>(&self, x: I) -> f64
-    where
-        I: IntoIterator<Item = f64>,
-        I::IntoIter: ExactSizeIterator,
-    {
-        let x = x.into_iter();
+    pub fn predict(&self, x: &[f64]) -> f64 {
         assert_eq!(
             x.len(),
             self.coefficients.len(),
             "prediction input must match feature count"
         );
-        self.intercept + x.zip(&self.coefficients).map(|(a, &c)| a * c).sum::<f64>()
+        self.intercept + x.iter().zip(&self.coefficients).map(|(&a, &c)| a * c).sum::<f64>()
     }
 }
 
@@ -269,6 +262,6 @@ mod tests {
         let xs: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64]).collect();
         let ys: Vec<f64> = (0..10).map(|i| i as f64).collect();
         let m = LinearModel::fit(&xs, &ys).unwrap();
-        m.predict([1.0, 2.0]);
+        m.predict(&[1.0, 2.0]);
     }
 }

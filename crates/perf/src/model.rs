@@ -12,7 +12,7 @@
 
 use amp_types::{Error, Result};
 
-use crate::counters::{Counter, PmuCounters};
+use crate::counters::{Counter, PmuCounters, NUM_COUNTERS};
 use crate::linreg::LinearModel;
 use crate::profile::ExecutionProfile;
 
@@ -151,7 +151,12 @@ impl SpeedupModel {
         }
         let raw = match &self.kind {
             ModelKind::Trained { selected, model } => {
-                model.predict(selected.iter().map(|&c| pmu.normalized(c)))
+                // A stack buffer, not a Vec: this runs per thread per tick.
+                let mut x = [0.0; NUM_COUNTERS];
+                for (slot, &c) in x.iter_mut().zip(selected) {
+                    *slot = pmu.normalized(c);
+                }
+                model.predict(&x[..selected.len()])
             }
             ModelKind::Heuristic => heuristic_predict(pmu),
         };

@@ -107,7 +107,7 @@ proptest! {
             let dot: f64 = xs
                 .iter()
                 .zip(&ys)
-                .map(|(r, &y)| (y - model.predict(r.iter().copied())) * r[f])
+                .map(|(r, &y)| (y - model.predict(r)) * r[f])
                 .sum();
             prop_assert!(dot.abs() < 1e-4, "residual·x{f} = {dot}");
         }
