@@ -60,9 +60,26 @@ struct Options {
 
 /// The selection flags, without their `--`.
 const TARGETS: [&str; 20] = [
-    "all", "table2", "table3", "table4", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-    "summary", "check", "ablation", "energy", "table1", "sensitivity", "fairness", "freqsweep",
-    "staggered", "faults",
+    "all",
+    "table2",
+    "table3",
+    "table4",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "summary",
+    "check",
+    "ablation",
+    "energy",
+    "table1",
+    "sensitivity",
+    "fairness",
+    "freqsweep",
+    "staggered",
+    "faults",
 ];
 
 fn default_jobs() -> usize {
@@ -169,8 +186,7 @@ fn export_chrome_traces(
     for kind in SchedulerKind::EXTENDED {
         let json = colab_bench::chrome_trace_json(&spec, kind, scale, model);
         let name = format!("{}-{}.json", spec.name(), kind.name());
-        std::fs::write(dir.join(&name), json)
-            .map_err(|e| format!("writing {name}: {e}"))?;
+        std::fs::write(dir.join(&name), json).map_err(|e| format!("writing {name}: {e}"))?;
         written.push(name);
     }
     Ok(written)
@@ -184,12 +200,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let wants = |name: &str| {
-        options
-            .targets
-            .iter()
-            .any(|t| t == name || t == "all")
-    };
+    let wants = |name: &str| options.targets.iter().any(|t| t == name || t == "all");
 
     let start = Instant::now();
     eprintln!("building harness (scale {})...", options.scale);

@@ -64,7 +64,11 @@ pub fn bench_run_json(harness: &Harness, wall_secs: f64, cells: usize) -> String
             .iter()
             .find(|(name, _)| *name == kind.name)
             .map_or(0, |&(_, picks)| picks);
-        let per_pick = if picks == 0 { 0.0 } else { kind.run_ns as f64 / picks as f64 };
+        let per_pick = if picks == 0 {
+            0.0
+        } else {
+            kind.run_ns as f64 / picks as f64
+        };
         if !policies.is_empty() {
             policies.push(',');
         }
@@ -117,7 +121,11 @@ pub fn bench_run_json(harness: &Harness, wall_secs: f64, cells: usize) -> String
         ),
         wall_secs,
         cells,
-        if wall_secs > 0.0 { cells as f64 / wall_secs } else { 0.0 },
+        if wall_secs > 0.0 {
+            cells as f64 / wall_secs
+        } else {
+            0.0
+        },
         cost.build_ns as f64 / 1e6,
         cost.run_ns() as f64 / 1e6,
         cost.runs(),
@@ -138,7 +146,9 @@ pub fn bench_run_json(harness: &Harness, wall_secs: f64, cells: usize) -> String
 /// `VmHWM` line of `/proc/self/status`; `None` where that is unavailable.
 fn peak_rss_mb() -> Option<f64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let kb = status.lines().find_map(|line| line.strip_prefix("VmHWM:"))?;
+    let kb = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))?;
     let kb: f64 = kb.trim().trim_end_matches("kB").trim().parse().ok()?;
     Some(kb / 1024.0)
 }
@@ -222,58 +232,83 @@ pub fn render_chrome_trace(machine: &MachineConfig, outcome: &SimulationOutcome)
     );
     // The templates are built before the first event allocates the
     // document, so that they do not sit after it on the heap.
-    let slices: Vec<Template> =
-        (0..outcome.threads.len()).map(|t| slice_template(&mut trace, t)).collect();
+    let slices: Vec<Template> = (0..outcome.threads.len())
+        .map(|t| slice_template(&mut trace, t))
+        .collect();
     let markers = MARKERS.map(|(name, keys)| {
         let args: Vec<_> = keys.iter().map(|&key| (key, None)).collect();
         trace.template(Kind::Instant(name), MARKER_CATEGORY, PID, &args)
     });
     trace.process_name(PID, &format!("{} on {machine}", outcome.scheduler));
     for (id, spec) in machine.iter() {
-        trace.thread_name(PID, id.index() as u64, &format!("{} core {}", spec.kind, id.index()));
+        trace.thread_name(
+            PID,
+            id.index() as u64,
+            &format!("{} core {}", spec.kind, id.index()),
+        );
     }
     for slice in outcome.trace.events() {
         let t = slice.thread.index();
-        let kind = slices.get(t).copied().unwrap_or_else(|| slice_template(&mut trace, t));
+        let kind = slices
+            .get(t)
+            .copied()
+            .unwrap_or_else(|| slice_template(&mut trace, t));
         let ts = slice.from.as_nanos();
         let dur = slice.to.saturating_since(slice.from).as_nanos();
         let stop = [Arg::Label(slice.reason.label())];
         trace.complete(&kind, slice.core.index() as u64, ts, dur, &stop);
     }
 
-    let [
-        migrate,
-        preempt,
-        relabel,
-        slice_predict,
-        futex_wake,
-        idle_steal,
-        core_offline,
-        core_online,
-        throttle,
-    ] = &markers;
+    let [migrate, preempt, relabel, slice_predict, futex_wake, idle_steal, core_offline, core_online, throttle] =
+        &markers;
     let thread = |t: ThreadId| Arg::Thread(t.index());
     let core = |c: CoreId| Arg::Uint(c.index() as u64);
     for stamped in &outcome.telemetry_events {
         let (tid, ts) = (stamped.core.index() as u64, stamped.at.as_nanos());
         let mut instant = |kind: &Template, args: &[Arg]| trace.instant(kind, tid, ts, args);
         match stamped.event {
-            SchedEvent::Migrate { thread: t, from, to, direction } => instant(
+            SchedEvent::Migrate {
+                thread: t,
+                from,
+                to,
+                direction,
+            } => instant(
                 migrate,
-                &[thread(t), core(from), core(to), Arg::Label(direction.label())],
+                &[
+                    thread(t),
+                    core(from),
+                    core(to),
+                    Arg::Label(direction.label()),
+                ],
             ),
             SchedEvent::Preempt { victim, cause } => {
                 instant(preempt, &[thread(victim), Arg::Label(cause.label())])
             }
-            SchedEvent::Relabel { thread: t, from, to } => instant(
+            SchedEvent::Relabel {
+                thread: t,
+                from,
+                to,
+            } => instant(
                 relabel,
                 &[thread(t), Arg::Label(from.label()), Arg::Label(to.label())],
             ),
-            SchedEvent::SlicePredict { thread: t, predicted_speedup, slice } => instant(
+            SchedEvent::SlicePredict {
+                thread: t,
+                predicted_speedup,
+                slice,
+            } => instant(
                 slice_predict,
-                &[thread(t), Arg::Fixed2(predicted_speedup), Arg::Duration(slice)],
+                &[
+                    thread(t),
+                    Arg::Fixed2(predicted_speedup),
+                    Arg::Duration(slice),
+                ],
             ),
-            SchedEvent::FutexWake { waker, woken, blocked } => instant(
+            SchedEvent::FutexWake {
+                waker,
+                woken,
+                blocked,
+            } => instant(
                 futex_wake,
                 &[thread(waker), thread(woken), Arg::Duration(blocked)],
             ),
@@ -333,7 +368,10 @@ mod tests {
             SchedEvent::IdleSteal { thread: t, from: c },
             SchedEvent::CoreOffline { core: c },
             SchedEvent::CoreOnline { core: c },
-            SchedEvent::Throttle { core: c, factor: 1.0 },
+            SchedEvent::Throttle {
+                core: c,
+                factor: 1.0,
+            },
         ];
         let mut texts: Vec<&str> = events.iter().map(SchedEvent::kind).collect();
         texts.extend(

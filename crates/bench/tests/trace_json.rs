@@ -375,11 +375,20 @@ fn truncated_trace_draws_only_recorded_slices() {
         assert_eq!(outcome.trace.events().len(), 16, "{case}");
         assert!(outcome.trace.dropped() > 0, "{case}: the trace filled up");
         let json = render_chrome_trace(&machine, &outcome);
-        assert!(!json.contains("\"stop\":\"horizon\""), "{case}: slice to the horizon");
+        assert!(
+            !json.contains("\"stop\":\"horizon\""),
+            "{case}: slice to the horizon"
+        );
         assert_eq!(check_slices(case, &machine, &json), 16, "{case}");
 
         let width = 120;
-        let last_end = outcome.trace.events().iter().map(|s| s.to).max().expect("16 slices");
+        let last_end = outcome
+            .trace
+            .events()
+            .iter()
+            .map(|s| s.to)
+            .max()
+            .expect("16 slices");
         let last_col = (last_end.as_nanos() as u128 * width as u128
             / outcome.makespan.as_nanos() as u128) as usize;
         assert!(last_col + 1 < width, "{case}: the recorded prefix is short");

@@ -135,7 +135,10 @@ pub fn figure4(h: &mut Harness) -> Result<Fig4> {
         for (i, kind) in SchedulerKind::ALL.into_iter().enumerate() {
             h_ntt[i] = h.single(bench, threads, 2, 2, kind)?;
         }
-        rows.push(Fig4Row { benchmark: bench, h_ntt });
+        rows.push(Fig4Row {
+            benchmark: bench,
+            h_ntt,
+        });
     }
     let geo = |i: usize| geomean(&rows.iter().map(|r| r.h_ntt[i]).collect::<Vec<_>>());
     let geomean = [geo(0), geo(1), geo(2)];
@@ -148,7 +151,11 @@ impl fmt::Display for Fig4 {
             f,
             "Figure 4 — single-program H_NTT on 2B2S (lower is better)"
         )?;
-        writeln!(f, "{:<16} {:>8} {:>8} {:>8}", "benchmark", "LINUX", "WASH", "COLAB")?;
+        writeln!(
+            f,
+            "{:<16} {:>8} {:>8} {:>8}",
+            "benchmark", "LINUX", "WASH", "COLAB"
+        )?;
         for row in &self.rows {
             writeln!(
                 f,
@@ -243,9 +250,7 @@ pub fn grouped(
                 colab_stp: geomean(&colab_stp),
             });
         }
-        let geo = |get: fn(&ConfigCell) -> f64| {
-            geomean(&cells.iter().map(get).collect::<Vec<_>>())
-        };
+        let geo = |get: fn(&ConfigCell) -> f64| geomean(&cells.iter().map(get).collect::<Vec<_>>());
         let geomean = ConfigCell {
             config: "geomean".into(),
             wash_antt: geo(|c| c.wash_antt),
@@ -978,10 +983,7 @@ pub fn fairness(h: &mut Harness) -> Result<FairnessStudy> {
 
 impl fmt::Display for FairnessStudy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "Fairness study (extension) — all multiprogrammed cells"
-        )?;
+        writeln!(f, "Fairness study (extension) — all multiprogrammed cells")?;
         writeln!(
             f,
             "{:<8} {:>12} {:>16}",
@@ -1138,7 +1140,10 @@ pub fn ablation(h: &mut Harness) -> Result<Ablation> {
             "− blocking selection",
             ColabConfig::default().without_blocking_selection(),
         ),
-        ("− scale-slice", ColabConfig::default().without_scale_slice()),
+        (
+            "− scale-slice",
+            ColabConfig::default().without_scale_slice(),
+        ),
     ];
 
     let specs = class_specs(WorkloadClass::Sync);
@@ -1398,8 +1403,9 @@ pub fn table2(h: &Harness) -> String {
 
 /// Table 3: benchmark categorisation, as encoded in the workload models.
 pub fn table3() -> String {
-    let mut out =
-        String::from("Table 3 — benchmark categorisation\nname              sync rate   comm/comp\n");
+    let mut out = String::from(
+        "Table 3 — benchmark categorisation\nname              sync rate   comm/comp\n",
+    );
     for bench in BenchmarkId::ALL {
         let info = bench.info();
         out.push_str(&format!(

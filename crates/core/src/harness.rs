@@ -574,7 +574,9 @@ mod tests {
                 .map(|&(_, _, _, report)| report)
                 .collect();
             for order in [of_kind.clone(), of_kind.iter().rev().copied().collect()] {
-                let folded = order.iter().fold(TelemetryReport::new(), |acc, r| acc.merged(r));
+                let folded = order
+                    .iter()
+                    .fold(TelemetryReport::new(), |acc, r| acc.merged(r));
                 for (a, b) in histograms(&pooled).into_iter().zip(histograms(&folded)) {
                     assert!(a.buckets().eq(b.buckets()), "{name}: {a:?} vs {b:?}");
                     assert_eq!(a, b, "{name}");
@@ -601,9 +603,7 @@ mod tests {
     fn single_program_h_ntt_at_least_one() {
         let mut h = Harness::new(ExperimentConfig::quick()).unwrap();
         for kind in SchedulerKind::ALL {
-            let ntt = h
-                .single(BenchmarkId::Blackscholes, 4, 2, 2, kind)
-                .unwrap();
+            let ntt = h.single(BenchmarkId::Blackscholes, 4, 2, 2, kind).unwrap();
             assert!(
                 ntt > 0.95,
                 "{}: H_NTT {ntt} below the physical floor",

@@ -210,8 +210,7 @@ pub fn table1_csv(t: &Table1Quantified) -> String {
 /// Propagates simulation failures; I/O failures are wrapped in
 /// [`amp_types::Error::InvalidConfig`].
 pub fn write_all(h: &mut Harness, dir: &Path) -> Result<Vec<String>> {
-    let io_err =
-        |e: std::io::Error| amp_types::Error::InvalidConfig(format!("writing CSVs: {e}"));
+    let io_err = |e: std::io::Error| amp_types::Error::InvalidConfig(format!("writing CSVs: {e}"));
     std::fs::create_dir_all(dir).map_err(io_err)?;
 
     let mut written = Vec::new();

@@ -202,7 +202,13 @@ impl SweepCell {
         };
         let cores = MachineConfig::asymmetric(self.big, self.little, order)
             .iter()
-            .map(|(_, core)| if core.kind == CoreKind::Little { little } else { core })
+            .map(|(_, core)| {
+                if core.kind == CoreKind::Little {
+                    little
+                } else {
+                    core
+                }
+            })
             .collect();
         MachineConfig::from_cores(cores)
     }
@@ -266,8 +272,7 @@ impl SweepPlan {
     /// Adds the paper's 312-cell grid: the 26 Table 4 workloads × the 4
     /// hardware configurations × the 3 evaluated schedulers.
     pub fn add_paper_grid(&mut self) {
-        let specs: Vec<WorkloadSpec> =
-            PaperWorkload::all().iter().map(|w| w.spec()).collect();
+        let specs: Vec<WorkloadSpec> = PaperWorkload::all().iter().map(|w| w.spec()).collect();
         self.add_grid(&specs, &CONFIGS, &SchedulerKind::ALL);
     }
 
@@ -286,8 +291,7 @@ impl SweepPlan {
     /// equal-progress comparators (plus the Linux normalizer, deduped if
     /// already planned) over the full workload × configuration grid.
     pub fn add_table1(&mut self) {
-        let specs: Vec<WorkloadSpec> =
-            PaperWorkload::all().iter().map(|w| w.spec()).collect();
+        let specs: Vec<WorkloadSpec> = PaperWorkload::all().iter().map(|w| w.spec()).collect();
         self.add_grid(
             &specs,
             &CONFIGS,
@@ -573,7 +577,11 @@ mod tests {
     fn run_plan_matches_serial_mix() {
         let spec = WorkloadSpec::single(BenchmarkId::Swaptions, 4);
         let mut plan = SweepPlan::new();
-        plan.add_grid(std::slice::from_ref(&spec), &[(2, 2), (2, 4)], &SchedulerKind::ALL);
+        plan.add_grid(
+            std::slice::from_ref(&spec),
+            &[(2, 2), (2, 4)],
+            &SchedulerKind::ALL,
+        );
 
         let mut serial = Harness::new(ExperimentConfig::quick()).unwrap();
         let mut parallel = Harness::new(ExperimentConfig::quick()).unwrap();
@@ -582,8 +590,12 @@ mod tests {
         assert_eq!(report.cached, 0);
 
         for cell in plan.cells() {
-            let a = serial.mix(&cell.workload, cell.big, cell.little, cell.kind).unwrap();
-            let b = parallel.mix(&cell.workload, cell.big, cell.little, cell.kind).unwrap();
+            let a = serial
+                .mix(&cell.workload, cell.big, cell.little, cell.kind)
+                .unwrap();
+            let b = parallel
+                .mix(&cell.workload, cell.big, cell.little, cell.kind)
+                .unwrap();
             assert_eq!(a.h_antt.to_bits(), b.h_antt.to_bits(), "{:?}", cell.key());
             assert_eq!(a.h_stp.to_bits(), b.h_stp.to_bits(), "{:?}", cell.key());
             assert_eq!(a.apps, b.apps, "{:?}", cell.key());
@@ -591,8 +603,15 @@ mod tests {
         // The parallel harness must have served everything from cache.
         assert_eq!(parallel.cells_evaluated(), plan.len());
         // Telemetry merged identically.
-        assert_eq!(serial.telemetry_cells().len(), parallel.telemetry_cells().len());
-        for (a, b) in serial.telemetry_cells().iter().zip(parallel.telemetry_cells()) {
+        assert_eq!(
+            serial.telemetry_cells().len(),
+            parallel.telemetry_cells().len()
+        );
+        for (a, b) in serial
+            .telemetry_cells()
+            .iter()
+            .zip(parallel.telemetry_cells())
+        {
             assert_eq!(a.3.runs, b.3.runs);
             assert_eq!(a.3.counters, b.3.counters);
         }

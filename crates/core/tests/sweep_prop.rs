@@ -130,7 +130,11 @@ fn paper_grid_enumerates_exactly_312_unique_cells() {
 fn full_plan_is_a_superset_of_the_paper_grid_with_no_duplicates() {
     let full = SweepPlan::full();
     let keys: HashSet<_> = full.cells().iter().map(SweepCell::key).collect();
-    assert_eq!(keys.len(), full.len(), "union of grids stays duplicate-free");
+    assert_eq!(
+        keys.len(),
+        full.len(),
+        "union of grids stays duplicate-free"
+    );
     let paper: HashSet<_> = SweepPlan::paper_grid()
         .cells()
         .iter()

@@ -105,7 +105,10 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// The no-fault plan: injects nothing, perturbs nothing.
     pub fn empty() -> FaultPlan {
-        FaultPlan { seed: 0, events: Vec::new() }
+        FaultPlan {
+            seed: 0,
+            events: Vec::new(),
+        }
     }
 
     /// Builds a plan from explicit events, stably sorted by time. `seed`
@@ -131,7 +134,10 @@ impl FaultPlan {
         let cores = machine.num_cores();
         let budget = (intensity * cores as f64).round() as usize;
         if budget == 0 || window.is_zero() {
-            return FaultPlan { seed, events: Vec::new() };
+            return FaultPlan {
+                seed,
+                events: Vec::new(),
+            };
         }
         let mut rng = StdRng::seed_from_u64(seed ^ 0xFA17_5EED);
         let span = window.as_nanos();
@@ -144,7 +150,10 @@ impl FaultPlan {
                 // past the window — the run may end with the core down).
                 0..=39 => {
                     let down = SimDuration::from_nanos(rng.gen_range(span / 20..span / 2));
-                    events.push(FaultEvent { at, kind: FaultKind::CoreOffline { core } });
+                    events.push(FaultEvent {
+                        at,
+                        kind: FaultKind::CoreOffline { core },
+                    });
                     events.push(FaultEvent {
                         at: at + down,
                         kind: FaultKind::CoreOnline { core },
@@ -154,7 +163,10 @@ impl FaultPlan {
                 40..=69 => {
                     let factor = rng.gen_range(0.3..0.9);
                     let hold = SimDuration::from_nanos(rng.gen_range(span / 20..span / 2));
-                    events.push(FaultEvent { at, kind: FaultKind::Throttle { core, factor } });
+                    events.push(FaultEvent {
+                        at,
+                        kind: FaultKind::Throttle { core, factor },
+                    });
                     events.push(FaultEvent {
                         at: at + hold,
                         kind: FaultKind::Throttle { core, factor: 1.0 },
@@ -163,11 +175,17 @@ impl FaultPlan {
                 70..=84 => {
                     let dropout = rng.gen_range(0.05..0.5);
                     let jitter = rng.gen_range(0.05..0.3);
-                    events.push(FaultEvent { at, kind: FaultKind::CounterNoise { dropout, jitter } });
+                    events.push(FaultEvent {
+                        at,
+                        kind: FaultKind::CounterNoise { dropout, jitter },
+                    });
                 }
                 _ => {
                     let factor = rng.gen_range(1.5..8.0);
-                    events.push(FaultEvent { at, kind: FaultKind::MigrationSpike { factor } });
+                    events.push(FaultEvent {
+                        at,
+                        kind: FaultKind::MigrationSpike { factor },
+                    });
                 }
             }
         }
@@ -226,7 +244,10 @@ impl FaultPlan {
         let cores = machine.num_cores();
         let check_core = |core: CoreId| -> Result<()> {
             if core.index() >= cores {
-                return bad(format!("core {} out of range (machine has {cores})", core.index()));
+                return bad(format!(
+                    "core {} out of range (machine has {cores})",
+                    core.index()
+                ));
             }
             Ok(())
         };
@@ -267,7 +288,9 @@ impl FaultPlan {
                 }
                 FaultKind::MigrationSpike { factor } => {
                     if !factor.is_finite() || factor < 0.0 {
-                        return bad(format!("migration-cost factor {factor} must be finite and >= 0"));
+                        return bad(format!(
+                            "migration-cost factor {factor} must be finite and >= 0"
+                        ));
                     }
                 }
             }
@@ -310,7 +333,10 @@ mod tests {
                 },
                 FaultEvent {
                     at: SimTime::from_millis(5),
-                    kind: FaultKind::CounterNoise { dropout: 0.1, jitter: 0.1 },
+                    kind: FaultKind::CounterNoise {
+                        dropout: 0.1,
+                        jitter: 0.1,
+                    },
                 },
             ],
         );
@@ -350,7 +376,9 @@ mod tests {
             0,
             vec![FaultEvent {
                 at: SimTime::ZERO,
-                kind: FaultKind::CoreOffline { core: CoreId::new(99) },
+                kind: FaultKind::CoreOffline {
+                    core: CoreId::new(99),
+                },
             }],
         );
         assert!(matches!(
@@ -364,7 +392,9 @@ mod tests {
         let events = (0..4)
             .map(|i| FaultEvent {
                 at: SimTime::from_millis(i as u64),
-                kind: FaultKind::CoreOffline { core: CoreId::new(i) },
+                kind: FaultKind::CoreOffline {
+                    core: CoreId::new(i),
+                },
             })
             .collect();
         let plan = FaultPlan::from_events(0, events);
@@ -377,13 +407,31 @@ mod tests {
     #[test]
     fn validate_rejects_bad_factors() {
         for kind in [
-            FaultKind::Throttle { core: CoreId::new(0), factor: 0.0 },
-            FaultKind::Throttle { core: CoreId::new(0), factor: f64::NAN },
-            FaultKind::CounterNoise { dropout: 1.5, jitter: 0.0 },
+            FaultKind::Throttle {
+                core: CoreId::new(0),
+                factor: 0.0,
+            },
+            FaultKind::Throttle {
+                core: CoreId::new(0),
+                factor: f64::NAN,
+            },
+            FaultKind::CounterNoise {
+                dropout: 1.5,
+                jitter: 0.0,
+            },
             FaultKind::MigrationSpike { factor: -1.0 },
         ] {
-            let plan = FaultPlan::from_events(0, vec![FaultEvent { at: SimTime::ZERO, kind }]);
-            assert!(plan.validate(&machine()).is_err(), "{kind:?} must be rejected");
+            let plan = FaultPlan::from_events(
+                0,
+                vec![FaultEvent {
+                    at: SimTime::ZERO,
+                    kind,
+                }],
+            );
+            assert!(
+                plan.validate(&machine()).is_err(),
+                "{kind:?} must be rejected"
+            );
         }
     }
 }

@@ -156,7 +156,9 @@ impl FutexTable {
 
     /// Number of threads parked on `key`.
     pub fn queue_len(&self, key: FutexKey) -> usize {
-        self.queues.get(key.word() as usize).map_or(0, VecDeque::len)
+        self.queues
+            .get(key.word() as usize)
+            .map_or(0, VecDeque::len)
     }
 
     /// Total threads parked across all futexes.

@@ -157,8 +157,7 @@ impl MixSummary {
         scheduler: impl Into<String>,
         apps: Vec<(String, SimDuration, SimDuration)>,
     ) -> MixSummary {
-        let pairs: Vec<(SimDuration, SimDuration)> =
-            apps.iter().map(|&(_, m, b)| (m, b)).collect();
+        let pairs: Vec<(SimDuration, SimDuration)> = apps.iter().map(|&(_, m, b)| (m, b)).collect();
         MixSummary {
             workload: workload.into(),
             config: config.into(),
@@ -200,11 +199,7 @@ mod tests {
 
     #[test]
     fn h_stp_bounded_by_app_count() {
-        let pairs = [
-            (ms(150), ms(100)),
-            (ms(300), ms(100)),
-            (ms(120), ms(100)),
-        ];
+        let pairs = [(ms(150), ms(100)), (ms(300), ms(100)), (ms(120), ms(100))];
         assert!(h_stp(&pairs) <= pairs.len() as f64);
     }
 

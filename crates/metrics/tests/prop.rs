@@ -7,12 +7,8 @@ use proptest::prelude::*;
 
 fn pairs_strategy() -> impl Strategy<Value = Vec<(SimDuration, SimDuration)>> {
     proptest::collection::vec(
-        (1u64..1_000_000, 1u64..1_000_000).prop_map(|(m, b)| {
-            (
-                SimDuration::from_micros(m),
-                SimDuration::from_micros(b),
-            )
-        }),
+        (1u64..1_000_000, 1u64..1_000_000)
+            .prop_map(|(m, b)| (SimDuration::from_micros(m), SimDuration::from_micros(b))),
         1..10,
     )
 }

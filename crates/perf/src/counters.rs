@@ -259,7 +259,10 @@ mod tests {
 
     #[test]
     fn names_match_paper_table() {
-        assert_eq!(Counter::RenameSqFullEvents.to_string(), "rename.SQFullEvents");
+        assert_eq!(
+            Counter::RenameSqFullEvents.to_string(),
+            "rename.SQFullEvents"
+        );
         assert_eq!(
             Counter::IcacheWaitRetryStallCycles.gem5_name(),
             "fetch.IcacheWaitRetryStallCycles"

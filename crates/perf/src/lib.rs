@@ -42,8 +42,8 @@
 
 mod counters;
 pub mod linreg;
-pub mod pca;
 mod model;
+pub mod pca;
 mod profile;
 
 pub use counters::{Counter, PmuCounters, NUM_COUNTERS, TABLE2_COUNTERS};

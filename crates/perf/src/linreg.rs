@@ -47,7 +47,9 @@ impl LinearModel {
         }
         let d = xs[0].len();
         if xs.iter().any(|r| r.len() != d) {
-            return Err(Error::Numerical("regression input must be rectangular".into()));
+            return Err(Error::Numerical(
+                "regression input must be rectangular".into(),
+            ));
         }
         if n <= d {
             return Err(Error::Numerical(format!(
@@ -95,12 +97,20 @@ impl LinearModel {
         let mut ss_res = 0.0;
         let mut ss_tot = 0.0;
         for (row, &y) in xs.iter().zip(ys) {
-            let pred: f64 =
-                intercept + row.iter().zip(&coefficients).map(|(&x, &c)| x * c).sum::<f64>();
+            let pred: f64 = intercept
+                + row
+                    .iter()
+                    .zip(&coefficients)
+                    .map(|(&x, &c)| x * c)
+                    .sum::<f64>();
             ss_res += (y - pred) * (y - pred);
             ss_tot += (y - mean_y) * (y - mean_y);
         }
-        let r_squared = if ss_tot > 0.0 { 1.0 - ss_res / ss_tot } else { 1.0 };
+        let r_squared = if ss_tot > 0.0 {
+            1.0 - ss_res / ss_tot
+        } else {
+            1.0
+        };
 
         Ok(LinearModel {
             coefficients,
@@ -135,7 +145,11 @@ impl LinearModel {
             self.coefficients.len(),
             "prediction input must match feature count"
         );
-        self.intercept + x.iter().zip(&self.coefficients).map(|(&a, &c)| a * c).sum::<f64>()
+        self.intercept
+            + x.iter()
+                .zip(&self.coefficients)
+                .map(|(&a, &c)| a * c)
+                .sum::<f64>()
     }
 }
 

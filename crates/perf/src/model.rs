@@ -196,7 +196,10 @@ impl SpeedupModel {
                     let letter = (b'A' + i as u8) as char;
                     out.push_str(&format!(" + ({coef:+.4}*{letter}/G)"));
                 }
-                out.push_str(&format!("\n  (G = commit.committedInsts, R^2 = {:.3})", model.r_squared()));
+                out.push_str(&format!(
+                    "\n  (G = commit.committedInsts, R^2 = {:.3})",
+                    model.r_squared()
+                ));
                 out
             }
         }
@@ -208,10 +211,8 @@ impl SpeedupModel {
 fn heuristic_predict(pmu: &PmuCounters) -> f64 {
     let cycles = pmu[Counter::NumCycles].max(1.0);
     let fp_ratio = (pmu.normalized(Counter::FpRegfileWrites) / 0.6).clamp(0.0, 1.0);
-    let branchiness =
-        ((pmu.normalized(Counter::FetchBranches) - 0.04) / 0.18).clamp(0.0, 1.0);
-    let mem_ratio =
-        ((pmu.normalized(Counter::DcacheTagsInUse) - 0.05) / 0.45).clamp(0.0, 1.0);
+    let branchiness = ((pmu.normalized(Counter::FetchBranches) - 0.04) / 0.18).clamp(0.0, 1.0);
+    let mem_ratio = ((pmu.normalized(Counter::DcacheTagsInUse) - 0.05) / 0.45).clamp(0.0, 1.0);
     let ilp = (1.0 - pmu[Counter::DecodeBlockedCycles] / (0.10 * cycles)).clamp(0.0, 1.0);
     1.06 + 1.35 * ilp * (1.0 - 0.50 * mem_ratio) + 0.22 * fp_ratio * (1.0 - mem_ratio)
         - 0.20 * branchiness * (1.0 - ilp)
@@ -250,9 +251,7 @@ mod tests {
             "trained model R^2 too low: {}",
             model.r_squared()
         );
-        assert!(!model
-            .selected_counters()
-            .contains(&Counter::CommittedInsts));
+        assert!(!model.selected_counters().contains(&Counter::CommittedInsts));
     }
 
     #[test]
@@ -281,7 +280,10 @@ mod tests {
 
     #[test]
     fn empty_counters_predict_neutral() {
-        assert_eq!(SpeedupModel::heuristic().predict(&PmuCounters::zeroed()), 1.0);
+        assert_eq!(
+            SpeedupModel::heuristic().predict(&PmuCounters::zeroed()),
+            1.0
+        );
     }
 
     #[test]

@@ -361,9 +361,7 @@ mod tests {
 
     #[test]
     fn rejects_non_finite_inputs() {
-        let mut rows: Vec<Vec<f64>> = (0..20)
-            .map(|i| vec![i as f64, (i as f64).cos()])
-            .collect();
+        let mut rows: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64, (i as f64).cos()]).collect();
         rows[5][1] = f64::NAN;
         assert!(Pca::fit(&rows).is_err());
         let target = vec![0.0; 20];

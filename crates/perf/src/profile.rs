@@ -178,8 +178,7 @@ impl ExecutionProfile {
             insts * self.store_pressure * (0.030 * bigf + 0.002) * noise();
         pmu[Counter::QuiesceCycles] = cycles * 0.08 * self.quiesce * noise();
         pmu[Counter::DcacheTagsInUse] = insts * (0.05 + 0.45 * self.mem_ratio) * noise();
-        pmu[Counter::IcacheWaitRetryStallCycles] =
-            cycles * 0.05 * self.icache_pressure * noise();
+        pmu[Counter::IcacheWaitRetryStallCycles] = cycles * 0.05 * self.icache_pressure * noise();
         pmu[Counter::IntRegfileWrites] = insts * (0.9 - 0.5 * self.fp_ratio) * noise();
         pmu[Counter::FetchInsts] = insts * (1.1 + 0.3 * self.branchiness) * noise();
         pmu[Counter::DecodeBlockedCycles] = cycles * 0.10 * (1.0 - self.ilp) * noise();

@@ -23,7 +23,10 @@ fn wash_big_only_threads_never_run_on_little_after_binding() {
     // allow a small transition tail right after the tick.
     let machine = MachineConfig::paper_2b4s(CoreOrder::BigFirst);
     let spec = WorkloadSpec::single(BenchmarkId::Swaptions, 4);
-    let apps = CompiledWorkload::compile(&spec, 9, Scale::new(0.5)).unwrap().apps().to_vec();
+    let apps = CompiledWorkload::compile(&spec, 9, Scale::new(0.5))
+        .unwrap()
+        .apps()
+        .to_vec();
     let sim = Simulation::from_compiled_with_params(&machine, apps, 9, traced_params()).unwrap();
     let outcome = sim
         .run(&mut CfsScheduler::wash(&machine, SpeedupModel::heuristic()))
@@ -60,10 +63,16 @@ fn colab_big_cores_never_idle_with_ready_threads() {
     // one slice and the start of the next on the same big core.
     let machine = MachineConfig::paper_2b2s(CoreOrder::BigFirst);
     let spec = WorkloadSpec::single(BenchmarkId::Blackscholes, 10);
-    let apps = CompiledWorkload::compile(&spec, 4, Scale::new(0.4)).unwrap().apps().to_vec();
+    let apps = CompiledWorkload::compile(&spec, 4, Scale::new(0.4))
+        .unwrap()
+        .apps()
+        .to_vec();
     let sim = Simulation::from_compiled_with_params(&machine, apps, 4, traced_params()).unwrap();
     let outcome = sim
-        .run(&mut ColabScheduler::new(&machine, SpeedupModel::heuristic()))
+        .run(&mut ColabScheduler::new(
+            &machine,
+            SpeedupModel::heuristic(),
+        ))
         .unwrap();
 
     // Ignore the endgame where fewer threads remain than cores.
@@ -118,7 +127,8 @@ fn gts_down_migrates_mostly_idle_threads() {
             .done();
     }
     let apps = CompiledApp::compile_all(&[app.build().unwrap()]).unwrap();
-    let sim = Simulation::from_compiled_with_params(&machine, apps, 5, SimParams::default()).unwrap();
+    let sim =
+        Simulation::from_compiled_with_params(&machine, apps, 5, SimParams::default()).unwrap();
     let outcome = sim.run(&mut CfsScheduler::gts(&machine)).unwrap();
 
     let share = |t: &ThreadStats| {
@@ -153,7 +163,10 @@ fn policies_disagree_on_the_same_workload() {
             0 => sim.run(&mut amp_sched::CfsScheduler::new(&machine)),
             1 => sim.run(&mut CfsScheduler::gts(&machine)),
             2 => sim.run(&mut CfsScheduler::wash(&machine, SpeedupModel::heuristic())),
-            _ => sim.run(&mut ColabScheduler::new(&machine, SpeedupModel::heuristic())),
+            _ => sim.run(&mut ColabScheduler::new(
+                &machine,
+                SpeedupModel::heuristic(),
+            )),
         }
         .unwrap();
         makespans.push(outcome.makespan);

@@ -34,9 +34,7 @@ use rand::{Rng, SeedableRng};
 use crate::equeue::{EventKey, EventQueue};
 use crate::outcome::{AppOutcome, DegradationReport, SimulationOutcome, ThreadStats};
 use crate::params::SimParams;
-use crate::sched::{
-    EnqueueReason, Pick, SchedCtx, Scheduler, StopReason, ThreadPhase, ThreadView,
-};
+use crate::sched::{EnqueueReason, Pick, SchedCtx, Scheduler, StopReason, ThreadPhase, ThreadView};
 use crate::trace::{Trace, TraceEvent};
 
 /// Per-core-kind power draw in watts, `(active, idle)`, calibrated to
@@ -48,12 +46,19 @@ const LITTLE_POWER_W: (f64, f64) = (0.25, 0.03);
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
-    CoreDone { core: CoreId, token: u64 },
+    CoreDone {
+        core: CoreId,
+        token: u64,
+    },
     Tick,
     /// A staggered application's threads become ready.
-    Arrival { app: AppId },
+    Arrival {
+        app: AppId,
+    },
     /// The `index`-th event of the fault plan strikes.
-    Fault { index: usize },
+    Fault {
+        index: usize,
+    },
 }
 
 /// Engine-private per-thread state (public facts live in [`ThreadView`]).
@@ -421,7 +426,8 @@ impl Simulation {
         plan.validate(&self.machine)?;
         self.fault_rng = StdRng::seed_from_u64(plan.seed() ^ 0xFA_07);
         for (index, event) in plan.events().iter().enumerate() {
-            self.events.push(event.at.as_nanos(), Event::Fault { index });
+            self.events
+                .push(event.at.as_nanos(), Event::Fault { index });
         }
         self.fault_plan = plan;
         Ok(self)
@@ -448,7 +454,12 @@ impl Simulation {
                     self.note_enqueue_target(target);
                 }
             } else {
-                self.push_event(arrival, Event::Arrival { app: AppId::new(ai as u32) });
+                self.push_event(
+                    arrival,
+                    Event::Arrival {
+                        app: AppId::new(ai as u32),
+                    },
+                );
             }
         }
         self.kick_idle_cores(sched);
@@ -492,10 +503,7 @@ impl Simulation {
                 Event::Arrival { app } => {
                     for i in 0..self.apps[app.index()].1.len() {
                         let tid = self.apps[app.index()].1[i];
-                        debug_assert_eq!(
-                            self.views[tid.index()].phase,
-                            ThreadPhase::NotStarted
-                        );
+                        debug_assert_eq!(self.views[tid.index()].phase, ThreadPhase::NotStarted);
                         self.views[tid.index()].phase = ThreadPhase::Ready;
                         self.threads[tid.index()].ready_since = self.now;
                         let target = sched.enqueue(&self.ctx(), tid, EnqueueReason::Spawn);
@@ -514,9 +522,10 @@ impl Simulation {
                     }
                     // Deadlock check: nothing runnable, nothing running,
                     // nothing in flight.
-                    let stuck = self.views.iter().all(|v| {
-                        matches!(v.phase, ThreadPhase::Blocked | ThreadPhase::Finished)
-                    }) && self.arrivals.iter().all(|&a| a <= self.now);
+                    let stuck =
+                        self.views.iter().all(|v| {
+                            matches!(v.phase, ThreadPhase::Blocked | ThreadPhase::Finished)
+                        }) && self.arrivals.iter().all(|&a| a <= self.now);
                     if stuck {
                         let blocked = self
                             .views
@@ -856,7 +865,11 @@ impl Simulation {
             self.telemetry.borrow_mut().record(
                 self.now,
                 waker_core,
-                SchedEvent::FutexWake { waker, woken: tid, blocked },
+                SchedEvent::FutexWake {
+                    waker,
+                    woken: tid,
+                    blocked,
+                },
             );
         }
 
@@ -924,9 +937,19 @@ impl Simulation {
     ) {
         let (now, ti) = (self.now, tid.index());
         let from = self.cores[core.index()].dispatched_at;
-        debug_assert_eq!(self.cores[core.index()].acct_from, now, "stint not accounted");
+        debug_assert_eq!(
+            self.cores[core.index()].acct_from,
+            now,
+            "stint not accounted"
+        );
         self.clear_core(core, tid);
-        self.trace.record(TraceEvent { core, thread: tid, from, to: now, reason });
+        self.trace.record(TraceEvent {
+            core,
+            thread: tid,
+            from,
+            to: now,
+            reason,
+        });
         match reason {
             StopReason::QuantumExpired | StopReason::Preempted => {
                 if reason == StopReason::Preempted {
@@ -934,7 +957,11 @@ impl Simulation {
                     // the deferred `need_resched` at the waker's next
                     // boundary) are wakeup-driven today; tick-driven
                     // displacement would land here with the `Tick` cause.
-                    let cause = if self.in_tick { PreemptCause::Tick } else { PreemptCause::Wakeup };
+                    let cause = if self.in_tick {
+                        PreemptCause::Tick
+                    } else {
+                        PreemptCause::Wakeup
+                    };
                     self.telemetry.borrow_mut().record(
                         now,
                         core,
@@ -1028,7 +1055,10 @@ impl Simulation {
                 self.telemetry.borrow_mut().record(
                     self.now,
                     core,
-                    SchedEvent::IdleSteal { thread: vt, from: victim },
+                    SchedEvent::IdleSteal {
+                        thread: vt,
+                        from: victim,
+                    },
                 );
                 self.start_thread(core, vt, sched);
                 self.dispatch(victim, sched);
@@ -1129,7 +1159,9 @@ impl Simulation {
                 // Score the policy's latest speedup prediction against the
                 // profile's ground truth for the window that just closed.
                 let actual = self.threads[ti].speedup;
-                self.telemetry.borrow_mut().observe_actual_speedup(tid, actual);
+                self.telemetry
+                    .borrow_mut()
+                    .observe_actual_speedup(tid, actual);
             }
             // Blocking window from the futex ledger.
             let state = &mut self.threads[ti];
@@ -1422,7 +1454,10 @@ mod tests {
             .run(&mut RoundRobin::new())
             .unwrap();
         assert_eq!(outcome.apps.len(), 2);
-        assert!(outcome.apps.iter().all(|a| a.turnaround > SimDuration::ZERO));
+        assert!(outcome
+            .apps
+            .iter()
+            .all(|a| a.turnaround > SimDuration::ZERO));
     }
 
     #[test]

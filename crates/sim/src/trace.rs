@@ -83,8 +83,7 @@ impl Trace {
         // One row of ASCII glyphs per core, back to back.
         let mut grid = vec![b'.'; cores * width];
         let col_of = |t: SimTime| -> usize {
-            ((t.as_nanos() as u128 * width as u128 / horizon.as_nanos().max(1) as u128)
-                as usize)
+            ((t.as_nanos() as u128 * width as u128 / horizon.as_nanos().max(1) as u128) as usize)
                 .min(width - 1)
         };
         for slice in &self.events {
@@ -149,7 +148,15 @@ mod tests {
         let art = trace.gantt(&machine, ms(10), 10);
         let lines: Vec<&str> = art.lines().collect();
         assert_eq!(lines.len(), 2);
-        assert!(lines[0].ends_with("AAAAAA...."), "core 0 ran thread A: {}", lines[0]);
-        assert!(lines[1].ends_with(".....BBBB."), "core 1 ran thread B: {}", lines[1]);
+        assert!(
+            lines[0].ends_with("AAAAAA...."),
+            "core 0 ran thread A: {}",
+            lines[0]
+        );
+        assert!(
+            lines[1].ends_with(".....BBBB."),
+            "core 1 ran thread B: {}",
+            lines[1]
+        );
     }
 }

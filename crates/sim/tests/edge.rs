@@ -157,10 +157,7 @@ impl Scheduler for GreedyStealer {
     }
     fn init(&mut self, ctx: &SchedCtx<'_>) {
         self.queue.clear();
-        self.littles = ctx
-            .machine
-            .cores_of_kind(CoreKind::Little)
-            .collect();
+        self.littles = ctx.machine.cores_of_kind(CoreKind::Little).collect();
     }
     fn enqueue(&mut self, _ctx: &SchedCtx<'_>, thread: ThreadId, _r: EnqueueReason) -> CoreId {
         self.queue.push(thread);
@@ -249,7 +246,14 @@ impl Scheduler for AlwaysPreempt {
     fn on_tick(&mut self, ctx: &SchedCtx<'_>) {
         self.inner.on_tick(ctx);
     }
-    fn on_stop(&mut self, ctx: &SchedCtx<'_>, t: ThreadId, c: CoreId, ran: SimDuration, r: StopReason) {
+    fn on_stop(
+        &mut self,
+        ctx: &SchedCtx<'_>,
+        t: ThreadId,
+        c: CoreId,
+        ran: SimDuration,
+        r: StopReason,
+    ) {
         self.inner.on_stop(ctx, t, c, ran, r);
     }
 }
@@ -361,10 +365,7 @@ fn staggered_arrivals_are_respected() {
     // its last finish instant.
     let late_app = &outcome.apps[1];
     let last_finish = late_threads.iter().map(|t| t.finish).max().unwrap();
-    assert_eq!(
-        late_app.turnaround,
-        last_finish.saturating_since(arrival)
-    );
+    assert_eq!(late_app.turnaround, last_finish.saturating_since(arrival));
 }
 
 /// A two-app mix, compiled: the unit the arrival tests stagger.
@@ -435,7 +436,11 @@ fn staggered_arrivals_compose_with_random_fault_plans() {
             );
             for t in outcome.threads.iter().filter(|t| t.app == AppId::new(1)) {
                 assert!(t.finish > arrival, "{name}: {} ran before arriving", t.name);
-                assert!(t.work_done > SimDuration::ZERO, "{name}: {} stalled", t.name);
+                assert!(
+                    t.work_done > SimDuration::ZERO,
+                    "{name}: {} stalled",
+                    t.name
+                );
             }
         }
     }
@@ -449,7 +454,9 @@ fn empty_plan_and_zero_arrivals_are_bit_identical_to_a_plain_run() {
         event_capacity: 1 << 12,
         ..SimParams::default()
     };
-    let pairs = five_schedulers(&machine).into_iter().zip(five_schedulers(&machine));
+    let pairs = five_schedulers(&machine)
+        .into_iter()
+        .zip(five_schedulers(&machine));
     for (mut plain_sched, mut staged_sched) in pairs {
         let plain = Simulation::from_compiled_with_params(&machine, two_apps(9), 9, params)
             .unwrap()

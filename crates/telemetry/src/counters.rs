@@ -271,7 +271,10 @@ mod tests {
             to: CoreId(1),
             direction: ClusterDirection::BigToLittle,
         });
-        c.apply(&SchedEvent::Preempt { victim: t, cause: PreemptCause::Wakeup });
+        c.apply(&SchedEvent::Preempt {
+            victim: t,
+            cause: PreemptCause::Wakeup,
+        });
         c.apply(&SchedEvent::Relabel {
             thread: t,
             from: LabelClass::Flexible,
@@ -282,11 +285,21 @@ mod tests {
             predicted_speedup: 1.8,
             slice: SimDuration::from_micros(250),
         });
-        c.apply(&SchedEvent::FutexWake { waker: t, woken: ThreadId(1), blocked: SimDuration::ZERO });
-        c.apply(&SchedEvent::IdleSteal { thread: t, from: CoreId(0) });
+        c.apply(&SchedEvent::FutexWake {
+            waker: t,
+            woken: ThreadId(1),
+            blocked: SimDuration::ZERO,
+        });
+        c.apply(&SchedEvent::IdleSteal {
+            thread: t,
+            from: CoreId(0),
+        });
         c.apply(&SchedEvent::CoreOffline { core: CoreId(1) });
         c.apply(&SchedEvent::CoreOnline { core: CoreId(1) });
-        c.apply(&SchedEvent::Throttle { core: CoreId(0), factor: 0.5 });
+        c.apply(&SchedEvent::Throttle {
+            core: CoreId(0),
+            factor: 0.5,
+        });
 
         assert_eq!(c.total_migrations(), 1);
         assert_eq!(c.total_preemptions(), 1);

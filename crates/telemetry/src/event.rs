@@ -172,7 +172,12 @@ impl EventRing {
         self.core_seq[core_idx] += 1;
         self.seen += 1;
 
-        let stamped = StampedEvent { at, core, seq, event };
+        let stamped = StampedEvent {
+            at,
+            core,
+            seq,
+            event,
+        };
         if self.buf.len() < self.capacity {
             self.buf.push(stamped);
         } else {
@@ -203,7 +208,10 @@ mod tests {
     use amp_types::ThreadId;
 
     fn ev(t: u32) -> SchedEvent {
-        SchedEvent::IdleSteal { thread: ThreadId(t), from: CoreId(0) }
+        SchedEvent::IdleSteal {
+            thread: ThreadId(t),
+            from: CoreId(0),
+        }
     }
 
     #[test]

@@ -65,7 +65,10 @@ fn bucket_upper_bound(index: usize) -> u64 {
 /// Panics if `count` does not fit in [`COUNT_BITS`] bits, so a count can
 /// never spill into the index bits.
 fn entry(index: usize, count: u64) -> u64 {
-    assert!(count <= MAX_COUNT, "bucket {index} count {count} exceeds 2^{COUNT_BITS} - 1");
+    assert!(
+        count <= MAX_COUNT,
+        "bucket {index} count {count} exceeds 2^{COUNT_BITS} - 1"
+    );
     ((index as u64) << COUNT_BITS) | count
 }
 
@@ -88,7 +91,12 @@ struct Totals {
 }
 
 impl Totals {
-    const EMPTY: Totals = Totals { count: 0, sum: 0, min: u64::MAX, max: 0 };
+    const EMPTY: Totals = Totals {
+        count: 0,
+        sum: 0,
+        min: u64::MAX,
+        max: 0,
+    };
 
     fn add(&mut self, value: u64) {
         self.count += 1;
@@ -116,7 +124,10 @@ pub(crate) struct HistogramRecorder {
 
 impl HistogramRecorder {
     pub(crate) fn new() -> Self {
-        HistogramRecorder { counts: Vec::new(), totals: Totals::EMPTY }
+        HistogramRecorder {
+            counts: Vec::new(),
+            totals: Totals::EMPTY,
+        }
     }
 
     /// Records one duration sample.
@@ -141,7 +152,10 @@ impl HistogramRecorder {
                 .filter(|&(_, &n)| n > 0)
                 .map(|(index, &n)| entry(index, n)),
         );
-        LatencyHistogram { entries, totals: self.totals }
+        LatencyHistogram {
+            entries,
+            totals: self.totals,
+        }
     }
 }
 
@@ -178,7 +192,10 @@ impl FromIterator<SimDuration> for LatencyHistogram {
 impl LatencyHistogram {
     /// An empty histogram.
     pub fn new() -> Self {
-        LatencyHistogram { entries: Vec::new(), totals: Totals::EMPTY }
+        LatencyHistogram {
+            entries: Vec::new(),
+            totals: Totals::EMPTY,
+        }
     }
 
     /// Number of recorded samples.
@@ -239,7 +256,9 @@ impl LatencyHistogram {
     /// pairs, none when the histogram is empty, and each count is
     /// non-zero.
     pub fn buckets(&self) -> impl ExactSizeIterator<Item = (usize, u64)> + '_ {
-        self.entries.iter().map(|&e| (entry_index(e), entry_count(e)))
+        self.entries
+            .iter()
+            .map(|&e| (entry_index(e), entry_count(e)))
     }
 
     /// Folds another histogram into this one: a sorted merge of the two
@@ -328,7 +347,10 @@ mod tests {
     use super::*;
 
     fn histogram_of(samples: &[u64]) -> LatencyHistogram {
-        samples.iter().map(|&v| SimDuration::from_nanos(v)).collect()
+        samples
+            .iter()
+            .map(|&v| SimDuration::from_nanos(v))
+            .collect()
     }
 
     #[test]

@@ -78,7 +78,12 @@ impl Telemetry {
     /// appends to the ring if event recording is enabled.
     pub fn record(&mut self, at: SimTime, core: CoreId, event: SchedEvent) {
         self.counters.apply(&event);
-        if let SchedEvent::SlicePredict { thread, predicted_speedup, .. } = event {
+        if let SchedEvent::SlicePredict {
+            thread,
+            predicted_speedup,
+            ..
+        } = event
+        {
             let slot = thread.index();
             if slot >= self.pending_predictions.len() {
                 self.pending_predictions.resize(slot + 1, None);
@@ -165,7 +170,10 @@ mod tests {
                 direction: ClusterDirection::from_kinds(CoreKind::Little, CoreKind::Big),
             },
         );
-        assert_eq!(tel.counters.migrations[ClusterDirection::LittleToBig as usize], 1);
+        assert_eq!(
+            tel.counters.migrations[ClusterDirection::LittleToBig as usize],
+            1
+        );
         assert_eq!(tel.events().count(), 1);
     }
 
@@ -175,7 +183,10 @@ mod tests {
         tel.record(
             SimTime::ZERO,
             CoreId(0),
-            SchedEvent::IdleSteal { thread: ThreadId(3), from: CoreId(1) },
+            SchedEvent::IdleSteal {
+                thread: ThreadId(3),
+                from: CoreId(1),
+            },
         );
         assert_eq!(tel.counters.idle_steals, 1);
         assert_eq!(tel.events().count(), 0);
@@ -192,7 +203,11 @@ mod tests {
         tel.record(
             SimTime::ZERO,
             CoreId(0),
-            SchedEvent::SlicePredict { thread: t, predicted_speedup: 2.0, slice: SimDuration::from_micros(500) },
+            SchedEvent::SlicePredict {
+                thread: t,
+                predicted_speedup: 2.0,
+                slice: SimDuration::from_micros(500),
+            },
         );
         tel.observe_actual_speedup(t, 1.5);
         tel.observe_actual_speedup(t, 2.5);

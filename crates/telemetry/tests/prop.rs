@@ -40,7 +40,10 @@ fn event_strategy() -> impl Strategy<Value = SchedEvent> {
             woken: ThreadId(b),
             blocked: SimDuration::from_micros(u64::from(c)),
         },
-        _ => SchedEvent::IdleSteal { thread: ThreadId(a), from: CoreId(b % 4) },
+        _ => SchedEvent::IdleSteal {
+            thread: ThreadId(a),
+            from: CoreId(b % 4),
+        },
     })
 }
 
@@ -56,7 +59,10 @@ fn sample_strategy() -> impl Strategy<Value = u64> {
 }
 
 fn histogram_of(samples: &[u64]) -> LatencyHistogram {
-    samples.iter().map(|&s| SimDuration::from_nanos(s)).collect()
+    samples
+        .iter()
+        .map(|&s| SimDuration::from_nanos(s))
+        .collect()
 }
 
 fn buckets(h: &LatencyHistogram) -> Vec<(usize, u64)> {
@@ -113,7 +119,9 @@ impl DenseReference {
             index as u64
         } else {
             let shift = index / 16 - 1;
-            (((16 + index % 16 + 1) as u128) << shift).saturating_sub(1).min(u64::MAX.into()) as u64
+            (((16 + index % 16 + 1) as u128) << shift)
+                .saturating_sub(1)
+                .min(u64::MAX.into()) as u64
         }
     }
 

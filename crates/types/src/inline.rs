@@ -48,7 +48,10 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
     /// Creates an empty vector (no allocation).
     pub fn new() -> InlineVec<T, N> {
         InlineVec {
-            repr: Repr::Inline { buf: [T::default(); N], len: 0 },
+            repr: Repr::Inline {
+                buf: [T::default(); N],
+                len: 0,
+            },
         }
     }
 

@@ -284,10 +284,7 @@ mod tests {
     #[test]
     fn constructors_agree_on_units() {
         assert_eq!(SimDuration::from_millis(1), SimDuration::from_micros(1000));
-        assert_eq!(
-            SimDuration::from_micros(1),
-            SimDuration::from_nanos(1000)
-        );
+        assert_eq!(SimDuration::from_micros(1), SimDuration::from_nanos(1000));
         assert_eq!(SimTime::from_millis(2).as_nanos(), 2_000_000);
     }
 
@@ -339,7 +336,9 @@ mod tests {
         }
         let mut state = 0x243F_6A88_85A3_08D3u64;
         for _ in 0..10_000 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let ns = state >> 20; // ~44-bit nanosecond magnitudes
             let factor = (state % 10_000) as f64 / 1_000.0 + 0.0001;
             let x = ns as f64 * factor;
@@ -358,7 +357,10 @@ mod tests {
     #[test]
     fn addition_saturates_at_max() {
         assert_eq!(SimTime::MAX + SimDuration::from_nanos(1), SimTime::MAX);
-        assert_eq!(SimDuration::MAX + SimDuration::from_nanos(1), SimDuration::MAX);
+        assert_eq!(
+            SimDuration::MAX + SimDuration::from_nanos(1),
+            SimDuration::MAX
+        );
     }
 
     #[test]

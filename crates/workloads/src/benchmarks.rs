@@ -279,9 +279,7 @@ impl BenchmarkId {
         match self {
             BenchmarkId::Dedup => 5,
             BenchmarkId::Ferret => 6,
-            BenchmarkId::Swaptions
-            | BenchmarkId::Bodytrack
-            | BenchmarkId::Freqmine => 2,
+            BenchmarkId::Swaptions | BenchmarkId::Bodytrack | BenchmarkId::Freqmine => 2,
             _ => 1,
         }
     }
@@ -332,8 +330,11 @@ impl BenchmarkId {
             ),
             Dedup => {
                 let k = (n - 2).max(3);
-                let (k1, k2, k3) =
-                    (k / 3 + usize::from(!k.is_multiple_of(3)), k / 3 + usize::from(k % 3 > 1), k / 3);
+                let (k1, k2, k3) = (
+                    k / 3 + usize::from(!k.is_multiple_of(3)),
+                    k / 3 + usize::from(k % 3 > 1),
+                    k / 3,
+                );
                 let stages = [
                     StageSpec {
                         name: "fragment",
@@ -621,8 +622,14 @@ mod tests {
 
     #[test]
     fn table3_categorization_matches_paper() {
-        assert_eq!(BenchmarkId::Fluidanimate.info().sync_rate, SyncRate::VeryHigh);
-        assert_eq!(BenchmarkId::Fluidanimate.info().comm_comp, CommCompRatio::Low);
+        assert_eq!(
+            BenchmarkId::Fluidanimate.info().sync_rate,
+            SyncRate::VeryHigh
+        );
+        assert_eq!(
+            BenchmarkId::Fluidanimate.info().comm_comp,
+            CommCompRatio::Low
+        );
         assert_eq!(BenchmarkId::Ferret.info().sync_rate, SyncRate::High);
         assert_eq!(BenchmarkId::Ferret.info().comm_comp, CommCompRatio::Medium);
         assert_eq!(BenchmarkId::Swaptions.info().sync_rate, SyncRate::Low);

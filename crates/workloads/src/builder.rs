@@ -263,11 +263,12 @@ mod tests {
     #[test]
     fn nested_loops_compose() {
         let mut app = AppBuilder::new("nested");
-        app.thread("t", ExecutionProfile::balanced()).repeat(3, |outer| {
-            outer.repeat(4, |inner| {
-                inner.compute(us(1));
+        app.thread("t", ExecutionProfile::balanced())
+            .repeat(3, |outer| {
+                outer.repeat(4, |inner| {
+                    inner.compute(us(1));
+                });
             });
-        });
         let spec = app.build().unwrap();
         assert_eq!(spec.threads[0].program.flat_len(), 12);
     }
@@ -276,13 +277,19 @@ mod tests {
     fn barrier_parties_are_checked() {
         let mut app = AppBuilder::new("barrier");
         let b = app.barrier(2);
-        app.thread("a", ExecutionProfile::balanced()).barrier(b).done();
-        app.thread("b", ExecutionProfile::balanced()).barrier(b).done();
+        app.thread("a", ExecutionProfile::balanced())
+            .barrier(b)
+            .done();
+        app.thread("b", ExecutionProfile::balanced())
+            .barrier(b)
+            .done();
         app.build().unwrap();
 
         let mut bad = AppBuilder::new("barrier-bad");
         let b = bad.barrier(3);
-        bad.thread("a", ExecutionProfile::balanced()).barrier(b).done();
+        bad.thread("a", ExecutionProfile::balanced())
+            .barrier(b)
+            .done();
         assert!(bad.build().is_err());
     }
 

@@ -327,25 +327,37 @@ mod tests {
             vec![Op::Loop {
                 count: 3,
                 body: vec![
-                    Op::Loop { count: 4, body: vec![Op::Compute(us(2))] },
+                    Op::Loop {
+                        count: 4,
+                        body: vec![Op::Compute(us(2))],
+                    },
                     Op::Compute(us(7)),
                 ],
             }],
             // Computes around a single-pass loop.
             vec![
                 Op::Compute(us(1)),
-                Op::Loop { count: 1, body: vec![Op::Compute(us(2))] },
+                Op::Loop {
+                    count: 1,
+                    body: vec![Op::Compute(us(2))],
+                },
                 Op::Compute(us(3)),
             ],
             // A multiplicative nest.
             vec![Op::Loop {
                 count: 100,
-                body: vec![Op::Loop { count: 100, body: vec![Op::Compute(us(1))] }],
+                body: vec![Op::Loop {
+                    count: 100,
+                    body: vec![Op::Compute(us(1))],
+                }],
             }],
             // A large inner pass.
             vec![Op::Loop {
                 count: 3,
-                body: vec![Op::Loop { count: 5000, body: vec![Op::Compute(us(1))] }],
+                body: vec![Op::Loop {
+                    count: 5000,
+                    body: vec![Op::Compute(us(1))],
+                }],
             }],
             // A profile switch between computes.
             vec![Op::Compute(us(1)), Op::SetProfile(p2), Op::Compute(us(2))],
@@ -361,7 +373,10 @@ mod tests {
         // the source tree: one leaf and two backward jumps.
         let p = Program::new(vec![Op::Loop {
             count: 1000,
-            body: vec![Op::Loop { count: 1000, body: vec![Op::Compute(us(1))] }],
+            body: vec![Op::Loop {
+                count: 1000,
+                body: vec![Op::Compute(us(1))],
+            }],
         }]);
         let c = CompiledProgram::compile(&p);
         assert!(c.segments().len() <= 3, "{:?}", c.segments());
@@ -399,11 +414,20 @@ mod tests {
     #[test]
     fn zero_count_and_actionless_loops_disappear() {
         let p = Program::new(vec![
-            Op::Loop { count: 0, body: vec![Op::Compute(us(1))] },
-            Op::Loop { count: 9, body: vec![] },
+            Op::Loop {
+                count: 0,
+                body: vec![Op::Compute(us(1))],
+            },
+            Op::Loop {
+                count: 9,
+                body: vec![],
+            },
             Op::Loop {
                 count: 5,
-                body: vec![Op::Loop { count: 0, body: vec![Op::Barrier(BarrierId::new(0))] }],
+                body: vec![Op::Loop {
+                    count: 0,
+                    body: vec![Op::Barrier(BarrierId::new(0))],
+                }],
             },
             Op::Compute(us(7)),
         ]);

@@ -116,12 +116,7 @@ impl PaperWorkload {
             (NSync, 1) => vec![(WaterSpatial, 2), (LuCb, 2)],
             (NSync, 2) => vec![(Blackscholes, 8), (Swaptions, 8)],
             (NSync, 3) => vec![(Radix, 2), (Fft, 2), (WaterSpatial, 2), (LuCb, 2)],
-            (NSync, 4) => vec![
-                (Blackscholes, 8),
-                (OceanCp, 4),
-                (LuNcb, 4),
-                (Swaptions, 4),
-            ],
+            (NSync, 4) => vec![(Blackscholes, 8), (OceanCp, 4), (LuNcb, 4), (Swaptions, 4)],
             (Comm, 1) => vec![(WaterNsquared, 2), (Blackscholes, 2)],
             (Comm, 2) => vec![(Ferret, 6), (Dedup, 10)],
             (Comm, 3) => vec![(WaterNsquared, 2), (Fft, 2), (Radix, 2), (Bodytrack, 3)],
@@ -134,23 +129,13 @@ impl PaperWorkload {
             (Comp, 1) => vec![(WaterSpatial, 2), (Fmm, 2)],
             (Comp, 2) => vec![(Fluidanimate, 8), (Swaptions, 9)],
             (Comp, 3) => vec![(LuNcb, 2), (Fmm, 2), (WaterSpatial, 2), (LuCb, 2)],
-            (Comp, 4) => vec![
-                (Fluidanimate, 8),
-                (OceanCp, 4),
-                (LuNcb, 4),
-                (Swaptions, 4),
-            ],
+            (Comp, 4) => vec![(Fluidanimate, 8), (OceanCp, 4), (LuNcb, 4), (Swaptions, 4)],
             (Rand, 1) => vec![(LuCb, 9), (Dedup, 10)],
             (Rand, 2) => vec![(LuNcb, 4), (Bodytrack, 6)],
             (Rand, 3) => vec![(Ferret, 7), (WaterSpatial, 2)],
             (Rand, 4) => vec![(OceanCp, 4), (Fft, 4)],
             (Rand, 5) => vec![(Freqmine, 4), (WaterNsquared, 2)],
-            (Rand, 6) => vec![
-                (WaterSpatial, 2),
-                (Fmm, 2),
-                (Fft, 9),
-                (Fluidanimate, 8),
-            ],
+            (Rand, 6) => vec![(WaterSpatial, 2), (Fmm, 2), (Fft, 9), (Fluidanimate, 8)],
             (Rand, 7) => vec![(Fmm, 2), (WaterSpatial, 2), (Ferret, 8), (Swaptions, 8)],
             (Rand, 8) => vec![
                 (WaterSpatial, 2),
@@ -314,7 +299,13 @@ mod tests {
 
     #[test]
     fn names_render_like_the_paper() {
-        assert_eq!(PaperWorkload::new(WorkloadClass::NSync, 3).name(), "NSync-3");
-        assert_eq!(PaperWorkload::new(WorkloadClass::Rand, 10).to_string(), "Rand-10");
+        assert_eq!(
+            PaperWorkload::new(WorkloadClass::NSync, 3).name(),
+            "NSync-3"
+        );
+        assert_eq!(
+            PaperWorkload::new(WorkloadClass::Rand, 10).to_string(),
+            "Rand-10"
+        );
     }
 }

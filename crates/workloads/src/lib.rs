@@ -43,8 +43,8 @@ pub mod skeletons;
 mod spec;
 
 pub use benchmarks::{BenchmarkId, BenchmarkInfo, CommCompRatio, SyncRate};
-pub use compiled::{CompiledApp, CompiledProgram, CompiledThread, CompiledWorkload, SegPos};
 pub use builder::{AppBuilder, LoopBuilder, ThreadBuilder};
+pub use compiled::{CompiledApp, CompiledProgram, CompiledThread, CompiledWorkload, SegPos};
 pub use compositions::{PaperWorkload, WorkloadClass};
 pub use program::{Action, Cursor, Op, Program};
 pub use spec::{AppSpec, Scale, ThreadSpec, WorkloadSpec};

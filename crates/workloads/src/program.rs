@@ -183,15 +183,11 @@ impl Program {
                         }
                         held.push(*l);
                     }
-                    Op::Unlock(l) => {
-                        match held.pop() {
-                            Some(top) if top == *l => {}
-                            Some(top) => {
-                                return Err(format!("unlock of {l} but {top} is innermost"))
-                            }
-                            None => return Err(format!("unlock of {l} with no lock held")),
-                        }
-                    }
+                    Op::Unlock(l) => match held.pop() {
+                        Some(top) if top == *l => {}
+                        Some(top) => return Err(format!("unlock of {l} but {top} is innermost")),
+                        None => return Err(format!("unlock of {l} with no lock held")),
+                    },
                     Op::Barrier(_) | Op::Push(_) | Op::Pop(_) => {
                         if let Some(l) = held.first() {
                             return Err(format!("blocking op while holding {l}"));

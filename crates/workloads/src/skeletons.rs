@@ -37,9 +37,7 @@ pub fn split_items(total: u32, parts: usize) -> Vec<u32> {
     assert!(parts > 0, "cannot split over zero workers");
     let base = total / parts as u32;
     let extra = (total % parts as u32) as usize;
-    (0..parts)
-        .map(|i| base + u32::from(i < extra))
-        .collect()
+    (0..parts).map(|i| base + u32::from(i < extra)).collect()
 }
 
 /// Optional per-step critical section for [`data_parallel`].
@@ -114,8 +112,7 @@ pub fn data_parallel(
                     }
                     body.extend(inner);
                     // Remaining non-critical step work.
-                    let section_total =
-                        (section.open_work + section.held_work) * u64::from(acqs);
+                    let section_total = (section.open_work + section.held_work) * u64::from(acqs);
                     let rest = step_work.saturating_sub(section_total);
                     if !rest.is_zero() {
                         body.push(Op::Compute(rest));

@@ -162,8 +162,7 @@ impl AppSpec {
             }
         }
         for (bi, arrivals) in barrier_arrivals.iter().enumerate() {
-            let participants: Vec<u64> =
-                arrivals.iter().copied().filter(|&n| n > 0).collect();
+            let participants: Vec<u64> = arrivals.iter().copied().filter(|&n| n > 0).collect();
             if participants.is_empty() {
                 continue; // declared but unused is harmless
             }
@@ -227,10 +226,7 @@ impl WorkloadSpec {
     /// # Panics
     ///
     /// Panics if `entries` is empty or any thread count is zero.
-    pub fn named(
-        name: impl Into<String>,
-        entries: Vec<(BenchmarkId, usize)>,
-    ) -> WorkloadSpec {
+    pub fn named(name: impl Into<String>, entries: Vec<(BenchmarkId, usize)>) -> WorkloadSpec {
         assert!(!entries.is_empty(), "a workload needs at least one app");
         assert!(
             entries.iter().all(|&(_, n)| n > 0),

@@ -93,7 +93,11 @@ fn pipelines_communicate_more_than_data_parallel_codes() {
     // SPLASH-2 kernels only hit barriers.
     let dedup = comm_rate(BenchmarkId::Dedup, 8);
     let ferret = comm_rate(BenchmarkId::Ferret, 8);
-    for quiet in [BenchmarkId::LuCb, BenchmarkId::OceanCp, BenchmarkId::WaterSpatial] {
+    for quiet in [
+        BenchmarkId::LuCb,
+        BenchmarkId::OceanCp,
+        BenchmarkId::WaterSpatial,
+    ] {
         let other = comm_rate(quiet, 4);
         assert!(dedup > other, "dedup {dedup:.3} vs {quiet} {other:.3}");
         assert!(ferret > other, "ferret {ferret:.3} vs {quiet} {other:.3}");
@@ -106,10 +110,7 @@ fn low_comm_low_sync_benchmarks_are_mostly_compute() {
         let info = bench.info();
         if info.sync_rate == SyncRate::Low && info.comm_comp == CommCompRatio::Low {
             let rate = sync_rate(bench, 4);
-            assert!(
-                rate < 2.0,
-                "{bench} claims low/low but syncs {rate:.2}/ms"
-            );
+            assert!(rate < 2.0, "{bench} claims low/low but syncs {rate:.2}/ms");
         }
     }
 }

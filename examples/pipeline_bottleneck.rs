@@ -49,7 +49,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             };
             println!(
                 "   {:<16} caused-wait {:>10}  big-core share {:>5.2}",
-                t.name, t.caused_wait.to_string(), big_share
+                t.name,
+                t.caused_wait.to_string(),
+                big_share
             );
         }
         println!();

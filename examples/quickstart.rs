@@ -38,8 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let big_twin = machine.big_only_twin();
     let mut baselines = Vec::new();
     for app in compiled.apps() {
-        let outcome = load(&big_twin, vec![app.clone()])?
-            .run(&mut CfsScheduler::new(&big_twin))?;
+        let outcome = load(&big_twin, vec![app.clone()])?.run(&mut CfsScheduler::new(&big_twin))?;
         baselines.push(outcome.apps[0].turnaround);
     }
 

@@ -20,9 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ],
     );
     let gap = SimTime::from_millis(60);
-    println!(
-        "ocean_cp(4) at 0ms, ferret(6) at 60ms, blackscholes(4) at 120ms on 2B4S\n"
-    );
+    println!("ocean_cp(4) at 0ms, ferret(6) at 60ms, blackscholes(4) at 120ms on 2B4S\n");
     println!(
         "{:<8} {:>12} {:>12} {:>14} {:>14}",
         "policy", "makespan", "ocean_cp", "ferret", "blackscholes"

@@ -293,14 +293,20 @@ pub mod collection {
     impl From<std::ops::Range<usize>> for SizeRange {
         fn from(r: std::ops::Range<usize>) -> Self {
             assert!(r.start < r.end, "empty collection size range");
-            SizeRange { lo: r.start, hi: r.end - 1 }
+            SizeRange {
+                lo: r.start,
+                hi: r.end - 1,
+            }
         }
     }
 
     impl From<std::ops::RangeInclusive<usize>> for SizeRange {
         fn from(r: std::ops::RangeInclusive<usize>) -> Self {
             assert!(r.start() <= r.end(), "empty collection size range");
-            SizeRange { lo: *r.start(), hi: *r.end() }
+            SizeRange {
+                lo: *r.start(),
+                hi: *r.end(),
+            }
         }
     }
 
@@ -312,7 +318,10 @@ pub mod collection {
 
     /// Strategy for `Vec`s of `element` values with length in `size`.
     pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S> {
-        VecStrategy { element, size: size.into() }
+        VecStrategy {
+            element,
+            size: size.into(),
+        }
     }
 
     impl<S: Strategy> Strategy for VecStrategy<S> {
@@ -530,16 +539,16 @@ mod tests {
             Node(Vec<Tree>),
         }
 
-        let strat = (0u8..8).prop_map(Tree::Leaf).prop_recursive(3, 64, 4, |inner| {
-            crate::collection::vec(inner, 0..4).prop_map(Tree::Node)
-        });
+        let strat = (0u8..8)
+            .prop_map(Tree::Leaf)
+            .prop_recursive(3, 64, 4, |inner| {
+                crate::collection::vec(inner, 0..4).prop_map(Tree::Node)
+            });
 
         fn depth(t: &Tree) -> usize {
             match t {
                 Tree::Leaf(_) => 0,
-                Tree::Node(children) => {
-                    1 + children.iter().map(depth).max().unwrap_or(0)
-                }
+                Tree::Node(children) => 1 + children.iter().map(depth).max().unwrap_or(0),
             }
         }
 

@@ -58,13 +58,18 @@ fn random_fault_plans_never_panic_or_strand_threads() {
             let outcome = run_with_plan(kind, 40 + seed, plan.clone());
             let d = &outcome.degradation;
             assert_eq!(
-                d.stranded_enqueues, 0,
+                d.stranded_enqueues,
+                0,
                 "{} stranded threads on offline cores (plan seed {seed})",
                 kind.name()
             );
             assert_eq!(
                 outcome.threads.len(),
-                outcome.threads.iter().filter(|t| t.work_done > SimDuration::ZERO).count(),
+                outcome
+                    .threads
+                    .iter()
+                    .filter(|t| t.work_done > SimDuration::ZERO)
+                    .count(),
                 "{} left threads without progress (plan seed {seed})",
                 kind.name()
             );
@@ -94,13 +99,20 @@ fn empty_fault_plan_is_byte_identical_to_plain_run() {
         assert!(faulted.degradation.is_clean(), "{}", kind.name());
         assert_eq!(plain.makespan, faulted.makespan, "{} makespan", kind.name());
         assert_eq!(
-            plain.context_switches, faulted.context_switches,
+            plain.context_switches,
+            faulted.context_switches,
             "{} switches",
             kind.name()
         );
-        assert_eq!(plain.migrations, faulted.migrations, "{} migrations", kind.name());
         assert_eq!(
-            plain.events_processed, faulted.events_processed,
+            plain.migrations,
+            faulted.migrations,
+            "{} migrations",
+            kind.name()
+        );
+        assert_eq!(
+            plain.events_processed,
+            faulted.events_processed,
             "{} events",
             kind.name()
         );
@@ -111,8 +123,20 @@ fn empty_fault_plan_is_byte_identical_to_plain_run() {
             assert_eq!(a.finish, b.finish, "{} thread {}", kind.name(), a.name);
             assert_eq!(a.run_time, b.run_time, "{} thread {}", kind.name(), a.name);
             assert_eq!(a.big_time, b.big_time, "{} thread {}", kind.name(), a.name);
-            assert_eq!(a.migrations, b.migrations, "{} thread {}", kind.name(), a.name);
-            assert_eq!(a.pmu_total, b.pmu_total, "{} thread {} PMU", kind.name(), a.name);
+            assert_eq!(
+                a.migrations,
+                b.migrations,
+                "{} thread {}",
+                kind.name(),
+                a.name
+            );
+            assert_eq!(
+                a.pmu_total,
+                b.pmu_total,
+                "{} thread {} PMU",
+                kind.name(),
+                a.name
+            );
         }
     }
 }
@@ -128,11 +152,15 @@ fn hotplug_cycle_forces_migrations_and_counts_downtime() {
         vec![
             FaultEvent {
                 at: SimTime::from_millis(5),
-                kind: FaultKind::CoreOffline { core: CoreId::new(0) },
+                kind: FaultKind::CoreOffline {
+                    core: CoreId::new(0),
+                },
             },
             FaultEvent {
                 at: SimTime::from_millis(60),
-                kind: FaultKind::CoreOnline { core: CoreId::new(0) },
+                kind: FaultKind::CoreOnline {
+                    core: CoreId::new(0),
+                },
             },
         ],
     );
@@ -161,7 +189,9 @@ fn offlining_the_last_core_is_a_typed_error_not_a_panic() {
     let events = (0..4)
         .map(|c| FaultEvent {
             at: SimTime::from_millis(1),
-            kind: FaultKind::CoreOffline { core: CoreId::new(c) },
+            kind: FaultKind::CoreOffline {
+                core: CoreId::new(c),
+            },
         })
         .collect();
     let plan = FaultPlan::from_events(0, events);
@@ -171,10 +201,7 @@ fn offlining_the_last_core_is_a_typed_error_not_a_panic() {
         .with_fault_plan(plan);
     match attached {
         Ok(_) => panic!("a machine-draining plan must be rejected"),
-        Err(err) => assert!(
-            matches!(err, Error::InvalidFaultPlan(_)),
-            "got {err:?}"
-        ),
+        Err(err) => assert!(matches!(err, Error::InvalidFaultPlan(_)), "got {err:?}"),
     }
 }
 
@@ -190,7 +217,10 @@ fn throttled_runs_are_no_faster_than_clean_ones() {
     let events = (0..4)
         .map(|c| FaultEvent {
             at: SimTime::from_millis(2),
-            kind: FaultKind::Throttle { core: CoreId::new(c), factor: 0.25 },
+            kind: FaultKind::Throttle {
+                core: CoreId::new(c),
+                factor: 0.25,
+            },
         })
         .collect();
     let plan = FaultPlan::from_events(9, events);

@@ -51,7 +51,8 @@ fn all_benchmarks_and_compositions_compile_equivalently() {
                     assert!(compiled.is_finished(&pos));
                     let want = cursor_actions(&thread.program);
                     assert_eq!(
-                        got, want,
+                        got,
+                        want,
                         "{}/{} seed {seed}: compiled stream diverged from cursor",
                         spec.name(),
                         thread.name,
@@ -61,7 +62,10 @@ fn all_benchmarks_and_compositions_compile_equivalently() {
             }
         }
     }
-    assert!(programs > 100, "expected broad coverage, checked {programs}");
+    assert!(
+        programs > 100,
+        "expected broad coverage, checked {programs}"
+    );
 }
 
 #[test]

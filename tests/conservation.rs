@@ -13,8 +13,12 @@ fn outcomes(spec: &WorkloadSpec, seed: u64) -> Vec<SimulationOutcome> {
         let sim = Simulation::build_scaled(&machine, spec, seed, Scale::new(0.5)).unwrap();
         out.push(match run {
             0 => sim.run(&mut CfsScheduler::new(&machine)).unwrap(),
-            1 => sim.run(&mut CfsScheduler::wash(&machine, model.clone())).unwrap(),
-            _ => sim.run(&mut ColabScheduler::new(&machine, model.clone())).unwrap(),
+            1 => sim
+                .run(&mut CfsScheduler::wash(&machine, model.clone()))
+                .unwrap(),
+            _ => sim
+                .run(&mut ColabScheduler::new(&machine, model.clone()))
+                .unwrap(),
         });
     }
     out
@@ -34,10 +38,7 @@ fn mixed_spec() -> WorkloadSpec {
 #[test]
 fn total_work_is_scheduler_invariant() {
     let outcomes = outcomes(&mixed_spec(), 3);
-    let works: Vec<u64> = outcomes
-        .iter()
-        .map(|o| o.total_work().as_nanos())
-        .collect();
+    let works: Vec<u64> = outcomes.iter().map(|o| o.total_work().as_nanos()).collect();
     let max = *works.iter().max().unwrap();
     let min = *works.iter().min().unwrap();
     // The retired work is a property of the programs, not of scheduling;
@@ -104,7 +105,11 @@ fn caused_wait_is_conserved_against_blocked_time() {
     // Every nanosecond a thread was blocked-and-woken was charged to some
     // waker; totals must match (no cancelled waits exist in these apps).
     for outcome in outcomes(&mixed_spec(), 7) {
-        let caused: u64 = outcome.threads.iter().map(|t| t.caused_wait.as_nanos()).sum();
+        let caused: u64 = outcome
+            .threads
+            .iter()
+            .map(|t| t.caused_wait.as_nanos())
+            .sum();
         let blocked: u64 = outcome
             .threads
             .iter()

@@ -148,7 +148,11 @@ fn parallel_executor_reproduces_golden_at_jobs_1_2_8() {
     for jobs in [1usize, 2, 8] {
         let mut h = quick_harness();
         let report = h.run_plan(&plan, jobs).expect("sweep runs");
-        assert_eq!(report.executed, plan.len(), "jobs={jobs}: fresh harness executes all");
+        assert_eq!(
+            report.executed,
+            plan.len(),
+            "jobs={jobs}: fresh harness executes all"
+        );
         let prewarmed = h.cells_evaluated();
         let rendered = write_csvs(&mut h, &format!("jobs{jobs}"));
         // The figures read only the prewarmed cache: no paper-protocol

@@ -10,8 +10,8 @@
 //! bottleneck β1 on the little core and *prioritize* it there, losing
 //! nothing for β while freeing the big core for α1 and γ.
 
-use colab_suite::prelude::*;
 use colab_suite::perf::ExecutionProfile;
+use colab_suite::prelude::*;
 use colab_suite::sim::SimParams;
 use colab_suite::types::{ChannelId, SimDuration};
 use colab_suite::workloads::{AppSpec, BenchmarkId, CompiledApp, Op, Program, ThreadSpec};
@@ -28,10 +28,7 @@ fn blocking_pair(name: &str, producer_profile: ExecutionProfile) -> AppSpec {
         profile: producer_profile,
         program: Program::new(vec![Op::Loop {
             count: ITEMS,
-            body: vec![
-                Op::Compute(SimDuration::from_micros(900)),
-                Op::Push(q),
-            ],
+            body: vec![Op::Compute(SimDuration::from_micros(900)), Op::Push(q)],
         }]),
     };
     let consumer = ThreadSpec {
@@ -39,10 +36,7 @@ fn blocking_pair(name: &str, producer_profile: ExecutionProfile) -> AppSpec {
         profile: ExecutionProfile::new(0.5, 0.5, 0.4, 0.3, 0.3, 0.2, 0.1),
         program: Program::new(vec![Op::Loop {
             count: ITEMS,
-            body: vec![
-                Op::Pop(q),
-                Op::Compute(SimDuration::from_micros(150)),
-            ],
+            body: vec![Op::Pop(q), Op::Compute(SimDuration::from_micros(150))],
         }]),
     };
     AppSpec {
@@ -86,16 +80,13 @@ fn build_apps() -> Vec<AppSpec> {
 fn run(kind: &str) -> SimulationOutcome {
     let machine = MachineConfig::asymmetric(1, 1, CoreOrder::BigFirst);
     let apps = CompiledApp::compile_all(&build_apps()).unwrap();
-    let sim = Simulation::from_compiled_with_params(&machine, apps, 9, SimParams::default()).unwrap();
+    let sim =
+        Simulation::from_compiled_with_params(&machine, apps, 9, SimParams::default()).unwrap();
     let model = SpeedupModel::heuristic();
     match kind {
         "linux" => sim.run(&mut CfsScheduler::new(&machine)).unwrap(),
-        "wash" => sim
-            .run(&mut CfsScheduler::wash(&machine, model))
-            .unwrap(),
-        _ => sim
-            .run(&mut ColabScheduler::new(&machine, model))
-            .unwrap(),
+        "wash" => sim.run(&mut CfsScheduler::wash(&machine, model)).unwrap(),
+        _ => sim.run(&mut ColabScheduler::new(&machine, model)).unwrap(),
     }
 }
 

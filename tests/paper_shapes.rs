@@ -116,7 +116,10 @@ fn colab_dominates_on_thread_low_workloads() {
     let mut h = harness(1.0);
     let mut vs_linux = Vec::new();
     let mut vs_wash = Vec::new();
-    for w in PaperWorkload::all().into_iter().filter(|w| w.is_thread_low()) {
+    for w in PaperWorkload::all()
+        .into_iter()
+        .filter(|w| w.is_thread_low())
+    {
         let spec = w.spec();
         for (big, little) in [(2usize, 4usize), (4, 4)] {
             let linux = h.mix(&spec, big, little, SchedulerKind::Linux).unwrap();

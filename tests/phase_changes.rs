@@ -64,7 +64,10 @@ fn colab_relabels_after_a_phase_change() {
     };
     let sim = load(&machine, &build_workload(), params);
     let outcome = sim
-        .run(&mut ColabScheduler::new(&machine, SpeedupModel::heuristic()))
+        .run(&mut ColabScheduler::new(
+            &machine,
+            SpeedupModel::heuristic(),
+        ))
         .unwrap();
 
     // Split the chameleon's dispatches at the midpoint of the run and
@@ -79,7 +82,11 @@ fn colab_relabels_after_a_phase_change() {
             continue;
         }
         let is_big = machine.core(slice.core).kind.is_big();
-        let bucket = if slice.from < midpoint { &mut early } else { &mut late };
+        let bucket = if slice.from < midpoint {
+            &mut early
+        } else {
+            &mut late
+        };
         if is_big {
             bucket.0 += 1;
         } else {
@@ -101,9 +108,7 @@ fn phase_change_alters_execution_speed() {
     // big-only makespan is close to 240 ms for the chameleon alone.
     let machine = MachineConfig::all_big(1);
     let sim = load(&machine, &build_workload()[..1], SimParams::default());
-    let outcome = sim
-        .run(&mut CfsScheduler::new(&machine))
-        .unwrap();
+    let outcome = sim.run(&mut CfsScheduler::new(&machine)).unwrap();
     let secs = outcome.makespan.as_secs_f64();
     assert!(
         (0.23..0.26).contains(&secs),
