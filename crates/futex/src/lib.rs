@@ -16,6 +16,11 @@
 //!   libraries are, so every blocking interaction flows through the same
 //!   accounting point.
 //!
+//! An operation that wakes threads appends them, in wake order, to a
+//! `Vec<ThreadId>` the caller passes in. The simulator keeps one such list
+//! for a whole run and clears it after each operation, so no wake
+//! allocates.
+//!
 //! # Examples
 //!
 //! ```
@@ -28,8 +33,9 @@
 //!
 //! // Thread b waits at t=1ms; thread a wakes it at t=5ms.
 //! table.wait(word, b, SimTime::from_millis(1));
-//! let woken = table.wake(word, 1, a, SimTime::from_millis(5));
-//! assert_eq!(woken, vec![b]);
+//! let mut woken = Vec::new();
+//! table.wake(word, 1, a, SimTime::from_millis(5), &mut woken);
+//! assert_eq!(woken, [b]);
 //! // a is charged the 4ms it made b wait: the criticality metric.
 //! assert_eq!(table.caused_wait(a), SimDuration::from_millis(4));
 //! ```
@@ -40,4 +46,4 @@ mod objects;
 mod table;
 
 pub use objects::{OpResult, SyncObjects};
-pub use table::{FutexKey, FutexTable, WakeList};
+pub use table::{FutexKey, FutexTable};

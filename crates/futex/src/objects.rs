@@ -8,35 +8,25 @@
 //! [`FutexTable::wait`]/[`FutexTable::wake`] where criticality is accounted.
 //!
 //! Semantics contract with the simulator: when an operation returns
-//! [`OpResult::Block`] the calling thread must be descheduled; when a thread
-//! appears in a `woken` list, its blocking operation *has completed* (lock
+//! [`OpResult::Block`] the calling thread must be descheduled. An operation
+//! that releases other threads appends them, in wake order, to the caller's
+//! `woken` list; each such thread's blocking operation *has completed* (lock
 //! handed off, barrier passed, item transferred) and it resumes at its next
-//! action.
+//! action. Only an operation that returns [`OpResult::Proceed`] wakes
+//! anyone.
 
 use amp_types::{BarrierId, ChannelId, LockId, SimTime, ThreadId};
 
-use crate::table::{FutexKey, FutexTable, WakeList};
+use crate::table::{FutexKey, FutexTable};
 
 /// Outcome of a potentially blocking synchronization operation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpResult {
-    /// The calling thread proceeds; `woken` lists threads released as a
-    /// side effect (their own blocked operation has completed).
-    Proceed {
-        /// Threads released by this operation, in wake order.
-        woken: WakeList,
-    },
+    /// The calling thread proceeds; any threads it released were
+    /// appended to the caller's `woken` list.
+    Proceed,
     /// The calling thread must block.
     Block,
-}
-
-impl OpResult {
-    /// A `Proceed` with no side-effect wakeups.
-    pub fn proceed() -> OpResult {
-        OpResult::Proceed {
-            woken: WakeList::new(),
-        }
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -73,11 +63,12 @@ struct ChannelState {
 /// let (a, b) = (ThreadId::new(0), ThreadId::new(1));
 /// let t0 = SimTime::ZERO;
 ///
-/// assert_eq!(sync.lock(lock, a, t0), OpResult::proceed());
+/// assert_eq!(sync.lock(lock, a, t0), OpResult::Proceed);
 /// assert_eq!(sync.lock(lock, b, t0), OpResult::Block);
 /// // Unlock hands the lock to b and charges a with b's waiting time.
-/// let woken = sync.unlock(lock, a, SimTime::from_millis(1));
-/// assert_eq!(&woken[..], &[b]);
+/// let mut woken = Vec::new();
+/// sync.unlock(lock, a, SimTime::from_millis(1), &mut woken);
+/// assert_eq!(woken, [b]);
 /// assert_eq!(sync.lock_owner(lock), Some(b));
 /// ```
 #[derive(Debug, Clone)]
@@ -150,7 +141,7 @@ impl SyncObjects {
         match state.owner {
             None => {
                 state.owner = Some(thread);
-                OpResult::proceed()
+                OpResult::Proceed
             }
             Some(owner) => {
                 debug_assert_ne!(owner, thread, "{thread} relocking a lock it owns");
@@ -162,12 +153,18 @@ impl SyncObjects {
 
     /// Releases `lock`; if a waiter exists, ownership is handed directly to
     /// the FIFO-first waiter, whose accumulated waiting time is charged to
-    /// the releaser. Returns the woken threads (zero or one).
+    /// the releaser. Appends the woken thread, if any, to `woken`.
     ///
     /// # Panics
     ///
     /// Panics if `thread` does not own the lock.
-    pub fn unlock(&mut self, lock: LockId, thread: ThreadId, now: SimTime) -> WakeList {
+    pub fn unlock(
+        &mut self,
+        lock: LockId,
+        thread: ThreadId,
+        now: SimTime,
+        woken: &mut Vec<ThreadId>,
+    ) {
         let key = {
             let state = &self.locks[lock.index()];
             assert_eq!(
@@ -177,19 +174,20 @@ impl SyncObjects {
             );
             state.key
         };
-        let woken = self.table.wake(key, 1, thread, now);
-        self.locks[lock.index()].owner = woken.first().copied();
-        woken
+        let first = woken.len();
+        self.table.wake(key, 1, thread, now, woken);
+        self.locks[lock.index()].owner = woken.get(first).copied();
     }
 
-    /// Arrives at `barrier`. The last arriver releases everyone and is
-    /// charged all of their accumulated waiting time (it *was* the
-    /// bottleneck); earlier arrivers block.
+    /// Arrives at `barrier`. The last arriver releases everyone, appending
+    /// them to `woken`, and is charged all of their accumulated waiting
+    /// time (it *was* the bottleneck); earlier arrivers block.
     pub fn barrier_arrive(
         &mut self,
         barrier: BarrierId,
         thread: ThreadId,
         now: SimTime,
+        woken: &mut Vec<ThreadId>,
     ) -> OpResult {
         let (key, full) = {
             let state = &mut self.barriers[barrier.index()];
@@ -198,8 +196,8 @@ impl SyncObjects {
         };
         if full {
             self.barriers[barrier.index()].arrived = 0;
-            let woken = self.table.wake(key, usize::MAX, thread, now);
-            OpResult::Proceed { woken }
+            self.table.wake(key, usize::MAX, thread, now, woken);
+            OpResult::Proceed
         } else {
             self.table.wait(key, thread, now);
             OpResult::Block
@@ -209,21 +207,27 @@ impl SyncObjects {
     /// Pushes one item into `channel`.
     ///
     /// If a consumer is parked the item is handed to it directly (it wakes,
-    /// its pop complete). Otherwise the item is buffered if space remains,
-    /// or the producer blocks on a full channel.
-    pub fn push(&mut self, channel: ChannelId, thread: ThreadId, now: SimTime) -> OpResult {
+    /// its pop complete, and is appended to `woken`). Otherwise the item is
+    /// buffered if space remains, or the producer blocks on a full channel.
+    pub fn push(
+        &mut self,
+        channel: ChannelId,
+        thread: ThreadId,
+        now: SimTime,
+        woken: &mut Vec<ThreadId>,
+    ) -> OpResult {
         let (consumers, producers, capacity) = {
             let c = &self.channels[channel.index()];
             (c.consumers, c.producers, c.capacity)
         };
         if self.table.queue_len(consumers) > 0 {
-            let woken = self.table.wake(consumers, 1, thread, now);
-            return OpResult::Proceed { woken };
+            self.table.wake(consumers, 1, thread, now, woken);
+            return OpResult::Proceed;
         }
         let state = &mut self.channels[channel.index()];
         if state.occupied < capacity {
             state.occupied += 1;
-            OpResult::proceed()
+            OpResult::Proceed
         } else {
             self.table.wait(producers, thread, now);
             OpResult::Block
@@ -235,25 +239,33 @@ impl SyncObjects {
     /// Taking a buffered item may unblock a parked producer (whose deferred
     /// push lands immediately, keeping the buffer full). On an empty
     /// channel, a parked producer (rendezvous case) is woken directly;
-    /// otherwise the consumer blocks.
-    pub fn pop(&mut self, channel: ChannelId, thread: ThreadId, now: SimTime) -> OpResult {
+    /// otherwise the consumer blocks. A woken producer is appended to
+    /// `woken`.
+    pub fn pop(
+        &mut self,
+        channel: ChannelId,
+        thread: ThreadId,
+        now: SimTime,
+        woken: &mut Vec<ThreadId>,
+    ) -> OpResult {
         let (producers, consumers, occupied) = {
             let c = &self.channels[channel.index()];
             (c.producers, c.consumers, c.occupied)
         };
         if occupied > 0 {
-            self.channels[channel.index()].occupied -= 1;
-            let woken = self.table.wake(producers, 1, thread, now);
-            if !woken.is_empty() {
-                // The woken producer's push lands in the freed slot.
-                self.channels[channel.index()].occupied += 1;
+            let before = woken.len();
+            self.table.wake(producers, 1, thread, now, woken);
+            if woken.len() == before {
+                // No parked producer: the slot stays free. Otherwise the
+                // woken producer's push lands in it.
+                self.channels[channel.index()].occupied -= 1;
             }
-            return OpResult::Proceed { woken };
+            return OpResult::Proceed;
         }
         if self.table.queue_len(producers) > 0 {
             // Rendezvous: take the item straight from a parked producer.
-            let woken = self.table.wake(producers, 1, thread, now);
-            return OpResult::Proceed { woken };
+            self.table.wake(producers, 1, thread, now, woken);
+            return OpResult::Proceed;
         }
         self.table.wait(consumers, thread, now);
         OpResult::Block
@@ -291,9 +303,11 @@ mod tests {
     fn uncontended_lock_round_trip() {
         let mut sync = SyncObjects::new(1);
         let l = sync.add_lock();
-        assert_eq!(sync.lock(l, t(0), ms(0)), OpResult::proceed());
+        assert_eq!(sync.lock(l, t(0), ms(0)), OpResult::Proceed);
         assert_eq!(sync.lock_owner(l), Some(t(0)));
-        assert!(sync.unlock(l, t(0), ms(1)).is_empty());
+        let mut woken = Vec::new();
+        sync.unlock(l, t(0), ms(1), &mut woken);
+        assert!(woken.is_empty());
         assert_eq!(sync.lock_owner(l), None);
     }
 
@@ -301,13 +315,21 @@ mod tests {
     fn contended_lock_hands_off_fifo() {
         let mut sync = SyncObjects::new(3);
         let l = sync.add_lock();
-        assert_eq!(sync.lock(l, t(0), ms(0)), OpResult::proceed());
+        let mut woken = Vec::new();
+        assert_eq!(sync.lock(l, t(0), ms(0)), OpResult::Proceed);
         assert_eq!(sync.lock(l, t(1), ms(1)), OpResult::Block);
         assert_eq!(sync.lock(l, t(2), ms(2)), OpResult::Block);
-        assert_eq!(sync.unlock(l, t(0), ms(5)), vec![t(1)]);
+        sync.unlock(l, t(0), ms(5), &mut woken);
+        assert_eq!(woken, [t(1)]);
         assert_eq!(sync.lock_owner(l), Some(t(1)));
-        assert_eq!(sync.unlock(l, t(1), ms(7)), vec![t(2)]);
-        assert!(sync.unlock(l, t(2), ms(8)).is_empty());
+        // The list is appended to: the new owner is the thread this
+        // unlock woke, not the list's first entry.
+        sync.unlock(l, t(1), ms(7), &mut woken);
+        assert_eq!(woken, [t(1), t(2)]);
+        assert_eq!(sync.lock_owner(l), Some(t(2)));
+        sync.unlock(l, t(2), ms(8), &mut woken);
+        assert_eq!(woken, [t(1), t(2)]);
+        assert_eq!(sync.lock_owner(l), None);
         // Criticality: t0 held 4ms of t1's waiting, t1 held 5ms of t2's.
         assert_eq!(sync.futex().caused_wait(t(0)), SimDuration::from_millis(4));
         assert_eq!(sync.futex().caused_wait(t(1)), SimDuration::from_millis(5));
@@ -319,52 +341,75 @@ mod tests {
         let mut sync = SyncObjects::new(2);
         let l = sync.add_lock();
         sync.lock(l, t(0), ms(0));
-        sync.unlock(l, t(1), ms(1));
+        sync.unlock(l, t(1), ms(1), &mut Vec::new());
     }
 
     #[test]
     fn barrier_releases_all_and_charges_last() {
         let mut sync = SyncObjects::new(3);
         let b = sync.add_barrier(3);
-        assert_eq!(sync.barrier_arrive(b, t(0), ms(0)), OpResult::Block);
-        assert_eq!(sync.barrier_arrive(b, t(1), ms(2)), OpResult::Block);
-        match sync.barrier_arrive(b, t(2), ms(6)) {
-            OpResult::Proceed { woken } => assert_eq!(woken, vec![t(0), t(1)]),
-            OpResult::Block => panic!("last arriver must proceed"),
-        }
+        let mut woken = Vec::new();
+        assert_eq!(
+            sync.barrier_arrive(b, t(0), ms(0), &mut woken),
+            OpResult::Block
+        );
+        assert_eq!(
+            sync.barrier_arrive(b, t(1), ms(2), &mut woken),
+            OpResult::Block
+        );
+        assert!(woken.is_empty());
+        assert_eq!(
+            sync.barrier_arrive(b, t(2), ms(6), &mut woken),
+            OpResult::Proceed,
+            "last arriver must proceed"
+        );
+        assert_eq!(woken, [t(0), t(1)]);
         // Straggler t2 caused 6 + 4 = 10ms of waiting.
         assert_eq!(sync.futex().caused_wait(t(2)), SimDuration::from_millis(10));
         // Barrier resets for the next generation: a fresh arrival blocks.
-        assert_eq!(sync.barrier_arrive(b, t(0), ms(7)), OpResult::Block);
+        assert_eq!(
+            sync.barrier_arrive(b, t(0), ms(7), &mut woken),
+            OpResult::Block
+        );
     }
 
     #[test]
     fn single_party_barrier_never_blocks() {
         let mut sync = SyncObjects::new(1);
         let b = sync.add_barrier(1);
-        assert_eq!(sync.barrier_arrive(b, t(0), ms(0)), OpResult::proceed());
+        let mut woken = Vec::new();
+        assert_eq!(
+            sync.barrier_arrive(b, t(0), ms(0), &mut woken),
+            OpResult::Proceed
+        );
+        assert!(woken.is_empty());
     }
 
     #[test]
     fn channel_buffers_until_capacity() {
         let mut sync = SyncObjects::new(2);
         let q = sync.add_channel(2);
-        assert_eq!(sync.push(q, t(0), ms(0)), OpResult::proceed());
-        assert_eq!(sync.push(q, t(0), ms(1)), OpResult::proceed());
+        let mut woken = Vec::new();
+        assert_eq!(sync.push(q, t(0), ms(0), &mut woken), OpResult::Proceed);
+        assert_eq!(sync.push(q, t(0), ms(1), &mut woken), OpResult::Proceed);
         assert_eq!(sync.channel_occupied(q), 2);
-        assert_eq!(sync.push(q, t(0), ms(2)), OpResult::Block);
+        assert_eq!(sync.push(q, t(0), ms(2), &mut woken), OpResult::Block);
+        assert!(woken.is_empty());
     }
 
     #[test]
     fn pop_unblocks_parked_producer_and_keeps_buffer_full() {
         let mut sync = SyncObjects::new(2);
         let q = sync.add_channel(1);
-        sync.push(q, t(0), ms(0));
-        assert_eq!(sync.push(q, t(0), ms(1)), OpResult::Block);
-        match sync.pop(q, t(1), ms(5)) {
-            OpResult::Proceed { woken } => assert_eq!(woken, vec![t(0)]),
-            OpResult::Block => panic!("pop from non-empty channel must proceed"),
-        }
+        let mut woken = Vec::new();
+        sync.push(q, t(0), ms(0), &mut woken);
+        assert_eq!(sync.push(q, t(0), ms(1), &mut woken), OpResult::Block);
+        assert_eq!(
+            sync.pop(q, t(1), ms(5), &mut woken),
+            OpResult::Proceed,
+            "pop from non-empty channel must proceed"
+        );
+        assert_eq!(woken, [t(0)]);
         // The producer's deferred push landed: still 1 item buffered.
         assert_eq!(sync.channel_occupied(q), 1);
         // The consumer is charged for the producer's wait.
@@ -375,11 +420,14 @@ mod tests {
     fn push_hands_item_to_parked_consumer() {
         let mut sync = SyncObjects::new(2);
         let q = sync.add_channel(4);
-        assert_eq!(sync.pop(q, t(1), ms(0)), OpResult::Block);
-        match sync.push(q, t(0), ms(3)) {
-            OpResult::Proceed { woken } => assert_eq!(woken, vec![t(1)]),
-            OpResult::Block => panic!("push with parked consumer must proceed"),
-        }
+        let mut woken = Vec::new();
+        assert_eq!(sync.pop(q, t(1), ms(0), &mut woken), OpResult::Block);
+        assert_eq!(
+            sync.push(q, t(0), ms(3), &mut woken),
+            OpResult::Proceed,
+            "push with parked consumer must proceed"
+        );
+        assert_eq!(woken, [t(1)]);
         // Direct handoff: nothing buffered.
         assert_eq!(sync.channel_occupied(q), 0);
         assert_eq!(sync.futex().caused_wait(t(0)), SimDuration::from_millis(3));
@@ -389,18 +437,24 @@ mod tests {
     fn rendezvous_channel_pairs_operations() {
         let mut sync = SyncObjects::new(2);
         let q = sync.add_channel(0);
-        assert_eq!(sync.push(q, t(0), ms(0)), OpResult::Block);
-        match sync.pop(q, t(1), ms(2)) {
-            OpResult::Proceed { woken } => assert_eq!(woken, vec![t(0)]),
-            OpResult::Block => panic!("pop must pair with parked producer"),
-        }
+        let mut woken = Vec::new();
+        assert_eq!(sync.push(q, t(0), ms(0), &mut woken), OpResult::Block);
+        assert_eq!(
+            sync.pop(q, t(1), ms(2), &mut woken),
+            OpResult::Proceed,
+            "pop must pair with parked producer"
+        );
+        assert_eq!(woken, [t(0)]);
         assert_eq!(sync.channel_occupied(q), 0);
         // Reverse order: consumer first.
-        assert_eq!(sync.pop(q, t(1), ms(3)), OpResult::Block);
-        match sync.push(q, t(0), ms(4)) {
-            OpResult::Proceed { woken } => assert_eq!(woken, vec![t(1)]),
-            OpResult::Block => panic!("push must pair with parked consumer"),
-        }
+        woken.clear();
+        assert_eq!(sync.pop(q, t(1), ms(3), &mut woken), OpResult::Block);
+        assert_eq!(
+            sync.push(q, t(0), ms(4), &mut woken),
+            OpResult::Proceed,
+            "push must pair with parked consumer"
+        );
+        assert_eq!(woken, [t(1)]);
     }
 
     #[test]

@@ -3,14 +3,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use amp_types::{InlineVec, SimDuration, SimTime, ThreadId};
-
-/// Threads released by one wake operation, in wake order.
-///
-/// Almost every wake releases zero or one thread (lock handoff, channel
-/// transfer); a barrier release wakes all parties at once and spills.
-/// Inline storage keeps the per-operation path allocation-free.
-pub type WakeList = InlineVec<ThreadId, 4>;
+use amp_types::{SimDuration, SimTime, ThreadId};
 
 /// Identifies one futex word (one wait queue).
 ///
@@ -47,8 +40,6 @@ struct Waiter {
 struct ThreadLedger {
     /// Set while the thread is parked on some futex.
     waiting_on: Option<FutexKey>,
-    /// When the current wait began.
-    wait_start: SimTime,
     /// Cumulative time this thread has *caused others* to wait — the
     /// paper's criticality metric, charged at wake.
     caused_wait: SimDuration,
@@ -105,17 +96,23 @@ impl FutexTable {
             entry.waiting_on.expect("checked above")
         );
         entry.waiting_on = Some(key);
-        entry.wait_start = now;
         self.queue_mut(key).push_back(Waiter { thread, since: now });
     }
 
     /// Wakes up to `n` threads parked on `key`, FIFO, charging their
     /// accumulated waiting time to `waker` (the paper's `wake_futex`
-    /// instrumentation point). Returns the woken threads in wake order.
-    pub fn wake(&mut self, key: FutexKey, n: usize, waker: ThreadId, now: SimTime) -> WakeList {
-        let mut woken = WakeList::new();
+    /// instrumentation point). Appends the woken threads to `woken` in
+    /// wake order.
+    pub fn wake(
+        &mut self,
+        key: FutexKey,
+        n: usize,
+        waker: ThreadId,
+        now: SimTime,
+        woken: &mut Vec<ThreadId>,
+    ) {
         let Some(queue) = self.queues.get_mut(key.word() as usize) else {
-            return woken;
+            return;
         };
         for _ in 0..n {
             let Some(waiter) = queue.pop_front() else {
@@ -131,22 +128,6 @@ impl FutexTable {
             let waker_entry = &mut self.ledger[waker.index()];
             waker_entry.caused_wait += waited;
         }
-        woken
-    }
-
-    /// Removes `thread` from whatever futex it waits on without charging
-    /// anyone (models a timed-out or cancelled wait). Returns the key it
-    /// was waiting on, if any. The thread's own waited time still accrues.
-    pub fn cancel_wait(&mut self, thread: ThreadId, now: SimTime) -> Option<FutexKey> {
-        let entry = &mut self.ledger[thread.index()];
-        let key = entry.waiting_on.take()?;
-        let since = entry.wait_start;
-        entry.waited += now.saturating_since(since);
-        entry.wait_count += 1;
-        if let Some(queue) = self.queues.get_mut(key.word() as usize) {
-            queue.retain(|w| w.thread != thread);
-        }
-        Some(key)
     }
 
     /// The futex `thread` is currently parked on, if any.
@@ -159,11 +140,6 @@ impl FutexTable {
         self.queues
             .get(key.word() as usize)
             .map_or(0, VecDeque::len)
-    }
-
-    /// Total threads parked across all futexes.
-    pub fn total_waiters(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
     }
 
     /// Cumulative time `thread` has caused other threads to wait — the
@@ -181,11 +157,6 @@ impl FutexTable {
     /// Completed waits for `thread`.
     pub fn wait_count(&self, thread: ThreadId) -> u64 {
         self.ledger[thread.index()].wait_count
-    }
-
-    /// Number of threads the table accounts for.
-    pub fn num_threads(&self) -> usize {
-        self.ledger.len()
     }
 }
 
@@ -208,11 +179,14 @@ mod tests {
         table.wait(key, t(2), ms(2));
         table.wait(key, t(3), ms(3));
         assert_eq!(table.queue_len(key), 3);
-        let woken = table.wake(key, 2, t(0), ms(10));
-        assert_eq!(woken, vec![t(1), t(2)]);
+        let mut woken = Vec::new();
+        table.wake(key, 2, t(0), ms(10), &mut woken);
+        assert_eq!(woken, [t(1), t(2)]);
         assert_eq!(table.queue_len(key), 1);
-        assert_eq!(table.wake(key, 5, t(0), ms(11)), vec![t(3)]);
-        assert_eq!(table.total_waiters(), 0);
+        // A later wake appends after what the list already holds.
+        table.wake(key, 5, t(0), ms(11), &mut woken);
+        assert_eq!(woken, [t(1), t(2), t(3)]);
+        assert_eq!(table.queue_len(key), 0);
     }
 
     #[test]
@@ -221,7 +195,7 @@ mod tests {
         let key = FutexKey::new(0);
         table.wait(key, t(1), ms(2));
         table.wait(key, t(2), ms(4));
-        table.wake(key, 2, t(0), ms(10));
+        table.wake(key, 2, t(0), ms(10), &mut Vec::new());
         // t0 caused (10-2) + (10-4) = 14ms of waiting.
         assert_eq!(table.caused_wait(t(0)), SimDuration::from_millis(14));
         assert_eq!(table.waited(t(1)), SimDuration::from_millis(8));
@@ -232,7 +206,9 @@ mod tests {
     #[test]
     fn wake_on_empty_futex_is_noop() {
         let mut table = FutexTable::new(2);
-        assert!(table.wake(FutexKey::new(5), 3, t(0), ms(1)).is_empty());
+        let mut woken = Vec::new();
+        table.wake(FutexKey::new(5), 3, t(0), ms(1), &mut woken);
+        assert!(woken.is_empty());
         assert_eq!(table.caused_wait(t(0)), SimDuration::ZERO);
     }
 
@@ -243,7 +219,7 @@ mod tests {
         assert_eq!(table.waiting_on(t(1)), None);
         table.wait(key, t(1), ms(0));
         assert_eq!(table.waiting_on(t(1)), Some(key));
-        table.wake(key, 1, t(0), ms(1));
+        table.wake(key, 1, t(0), ms(1), &mut Vec::new());
         assert_eq!(table.waiting_on(t(1)), None);
     }
 
@@ -256,26 +232,13 @@ mod tests {
     }
 
     #[test]
-    fn cancel_wait_removes_without_charging() {
-        let mut table = FutexTable::new(2);
-        let key = FutexKey::new(0);
-        table.wait(key, t(1), ms(1));
-        assert_eq!(table.cancel_wait(t(1), ms(5)), Some(key));
-        assert_eq!(table.waiting_on(t(1)), None);
-        assert_eq!(table.queue_len(key), 0);
-        assert_eq!(table.waited(t(1)), SimDuration::from_millis(4));
-        // Nobody gets criticality credit for a cancelled wait.
-        assert_eq!(table.caused_wait(t(0)), SimDuration::ZERO);
-        assert_eq!(table.cancel_wait(t(1), ms(6)), None);
-    }
-
-    #[test]
     fn distinct_futexes_are_independent() {
         let mut table = FutexTable::new(3);
         table.wait(FutexKey::new(0), t(1), ms(0));
         table.wait(FutexKey::new(1), t(2), ms(0));
-        let woken = table.wake(FutexKey::new(0), 10, t(0), ms(1));
-        assert_eq!(woken, vec![t(1)]);
+        let mut woken = Vec::new();
+        table.wake(FutexKey::new(0), 10, t(0), ms(1), &mut woken);
+        assert_eq!(woken, [t(1)]);
         assert_eq!(table.waiting_on(t(2)), Some(FutexKey::new(1)));
     }
 }

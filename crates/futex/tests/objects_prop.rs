@@ -49,6 +49,7 @@ proptest! {
         let mut state = [State::Free; THREADS as usize];
         let mut occupancy_model = [0i32; 2];
         let mut now = SimTime::ZERO;
+        let mut woken = Vec::new();
 
         // Applies the side effects of a wake list to the model.
         fn apply_wakes(
@@ -80,6 +81,7 @@ proptest! {
         for (who, op) in ops {
             now += SimDuration::from_micros(10);
             let tid = ThreadId::new(u32::from(who));
+            woken.clear();
             if state[tid.index()] != State::Free
                 && !matches!((state[tid.index()], op), (State::HoldsLock(h), Op::Unlock(l)) if h == l)
             {
@@ -91,8 +93,7 @@ proptest! {
                         continue; // no nesting in this model
                     }
                     match sync.lock(locks[l as usize], tid, now) {
-                        OpResult::Proceed { woken } => {
-                            prop_assert!(woken.is_empty());
+                        OpResult::Proceed => {
                             // Mutual exclusion: nobody else holds it.
                             prop_assert!(!state.contains(&State::HoldsLock(l)));
                             state[tid.index()] = State::HoldsLock(l);
@@ -106,14 +107,14 @@ proptest! {
                     if state[tid.index()] != State::HoldsLock(l) {
                         continue;
                     }
-                    let woken = sync.unlock(locks[l as usize], tid, now);
+                    sync.unlock(locks[l as usize], tid, now, &mut woken);
                     prop_assert!(woken.len() <= 1, "lock hand-off is single");
                     state[tid.index()] = State::Free;
                     apply_wakes(&mut state, &woken, Some(l));
                 }
                 Op::Push(c) => {
-                    match sync.push(chans[c as usize], tid, now) {
-                        OpResult::Proceed { woken } => {
+                    match sync.push(chans[c as usize], tid, now, &mut woken) {
+                        OpResult::Proceed => {
                             if woken.is_empty() {
                                 occupancy_model[c as usize] += 1;
                             }
@@ -121,13 +122,14 @@ proptest! {
                             apply_wakes(&mut state, &woken, None);
                         }
                         OpResult::Block => {
+                            prop_assert!(woken.is_empty(), "a blocked push woke a thread");
                             state[tid.index()] = State::BlockedOnPush(c);
                         }
                     }
                 }
                 Op::Pop(c) => {
-                    match sync.pop(chans[c as usize], tid, now) {
-                        OpResult::Proceed { woken } => {
+                    match sync.pop(chans[c as usize], tid, now, &mut woken) {
+                        OpResult::Proceed => {
                             if woken.is_empty() {
                                 occupancy_model[c as usize] -= 1;
                             }
@@ -136,6 +138,7 @@ proptest! {
                             apply_wakes(&mut state, &woken, None);
                         }
                         OpResult::Block => {
+                            prop_assert!(woken.is_empty(), "a blocked pop woke a thread");
                             state[tid.index()] = State::BlockedOnPop(c);
                         }
                     }

@@ -1,8 +1,8 @@
 //! Property tests for the futex accounting invariants.
 //!
 //! Conservation law: every nanosecond a thread spends in a *completed* wait
-//! that ended in a wake is charged to exactly one waker, so
-//! `Σ caused_wait == Σ waited − Σ cancelled-wait time` at all times.
+//! (every wait ends in a wake) is charged to exactly one waker, so
+//! `Σ caused_wait == Σ waited` at all times.
 
 use amp_futex::{FutexKey, FutexTable};
 use amp_types::{SimDuration, SimTime, ThreadId};
@@ -12,14 +12,12 @@ use proptest::prelude::*;
 enum Op {
     Wait { thread: u8, key: u8 },
     Wake { waker: u8, key: u8, n: u8 },
-    Cancel { thread: u8 },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         3 => (0u8..8, 0u8..4).prop_map(|(thread, key)| Op::Wait { thread, key }),
         3 => (0u8..8, 0u8..4, 1u8..4).prop_map(|(waker, key, n)| Op::Wake { waker, key, n }),
-        1 => (0u8..8).prop_map(|thread| Op::Cancel { thread }),
     ]
 }
 
@@ -30,8 +28,7 @@ proptest! {
     fn caused_wait_conserves_woken_wait_time(ops in proptest::collection::vec(op_strategy(), 1..200)) {
         let mut table = FutexTable::new(8);
         let mut now = SimTime::ZERO;
-        let mut cancelled_time = SimDuration::ZERO;
-        let mut wait_started: [Option<SimTime>; 8] = [None; 8];
+        let mut woken = Vec::new();
 
         for op in ops {
             now += SimDuration::from_micros(100);
@@ -40,28 +37,20 @@ proptest! {
                     let tid = ThreadId::new(thread as u32);
                     if table.waiting_on(tid).is_none() {
                         table.wait(FutexKey::new(key as u32), tid, now);
-                        wait_started[thread as usize] = Some(now);
                     }
                 }
                 Op::Wake { waker, key, n } => {
-                    let woken = table.wake(
+                    woken.clear();
+                    table.wake(
                         FutexKey::new(key as u32),
                         n as usize,
                         ThreadId::new(waker as u32),
                         now,
+                        &mut woken,
                     );
-                    for t in woken {
-                        wait_started[t.index()] = None;
-                    }
-                }
-                Op::Cancel { thread } => {
-                    let tid = ThreadId::new(thread as u32);
-                    if table.waiting_on(tid).is_some() {
-                        let started = wait_started[thread as usize]
-                            .expect("waiting thread has a recorded start");
-                        table.cancel_wait(tid, now);
-                        cancelled_time += now.saturating_since(started);
-                        wait_started[thread as usize] = None;
+                    prop_assert!(woken.len() <= n as usize);
+                    for &t in &woken {
+                        prop_assert_eq!(table.waiting_on(t), None);
                     }
                 }
             }
@@ -70,7 +59,7 @@ proptest! {
                 (0..8).map(|i| table.caused_wait(ThreadId::new(i))).sum();
             let total_waited: SimDuration =
                 (0..8).map(|i| table.waited(ThreadId::new(i))).sum();
-            prop_assert_eq!(total_caused + cancelled_time, total_waited);
+            prop_assert_eq!(total_caused, total_waited);
         }
     }
 
@@ -85,11 +74,12 @@ proptest! {
             if table.waiting_on(tid).is_none() {
                 table.wait(FutexKey::new(key as u32), tid, now);
             }
-            // total_waiters counts each waiting thread exactly once.
+            // The queues hold each waiting thread exactly once.
             let waiting = (0..8)
                 .filter(|&i| table.waiting_on(ThreadId::new(i)).is_some())
                 .count();
-            prop_assert_eq!(table.total_waiters(), waiting);
+            let queued: usize = (0..4).map(|k| table.queue_len(FutexKey::new(k))).sum();
+            prop_assert_eq!(queued, waiting);
         }
     }
 }

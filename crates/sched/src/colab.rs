@@ -22,7 +22,7 @@
 use amp_perf::SpeedupModel;
 use amp_sim::telemetry::{LabelClass, SchedEvent};
 use amp_sim::{EnqueueReason, Pick, SchedCtx, Scheduler, StopReason, ThreadPhase};
-use amp_types::{CoreId, CoreKind, InlineVec, MachineConfig, SimDuration, ThreadId};
+use amp_types::{CoreId, CoreKind, MachineConfig, SimDuration, ThreadId};
 
 use crate::cfs::WAKEUP_GRANULARITY_NS;
 
@@ -132,10 +132,9 @@ impl ColabConfig {
 pub struct ColabScheduler {
     model: SpeedupModel,
     config: ColabConfig,
-    /// Cluster core lists, inline so `pick_next` scans them without a
-    /// pointer chase (see [`InlineVec`]).
-    big_cores: InlineVec<CoreId, 8>,
-    little_cores: InlineVec<CoreId, 8>,
+    /// Cluster core lists, in machine order.
+    big_cores: Vec<CoreId>,
+    little_cores: Vec<CoreId>,
     labels: Vec<Label>,
     /// Cached per-thread speedup predictions, refreshed each tick.
     speedup: Vec<f64>,

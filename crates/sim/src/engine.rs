@@ -167,6 +167,11 @@ pub struct Simulation {
     running: Vec<Option<ThreadId>>,
     cores: Vec<CoreState>,
     sync: SyncObjects,
+    /// Threads released by the sync operation in progress, in wake order.
+    /// Allocated once with room for every thread (one operation wakes at
+    /// most all the others) and cleared after each operation, so no wake
+    /// allocates.
+    woken: Vec<ThreadId>,
     /// Per app: name and member threads.
     apps: Vec<(String, Vec<ThreadId>)>,
     /// Per app: arrival instant (ZERO = at the checkpoint, as the paper).
@@ -357,6 +362,7 @@ impl Simulation {
             running: vec![None; num_cores],
             cores,
             sync,
+            woken: Vec::with_capacity(total_threads),
             arrivals: vec![SimTime::ZERO; app_table.len()],
             apps: app_table,
             lock_map,
@@ -777,17 +783,16 @@ impl Simulation {
                         state.insts_per_ns = 2.0 * profile.ipc_big();
                     }
                     Some(sync_action) => {
-                        let result = self.apply_sync(tid, sync_action);
-                        match result {
-                            OpResult::Proceed { woken } => {
-                                for w in woken {
-                                    self.wake_thread(w, core, sched);
-                                }
-                            }
-                            OpResult::Block => {
-                                self.deschedule(core, tid, StopReason::Blocked, sched);
-                                return;
-                            }
+                        let mut woken = std::mem::take(&mut self.woken);
+                        let result = self.apply_sync(tid, sync_action, &mut woken);
+                        for &w in &woken {
+                            self.wake_thread(w, core, sched);
+                        }
+                        woken.clear();
+                        self.woken = woken;
+                        if result == OpResult::Block {
+                            self.deschedule(core, tid, StopReason::Blocked, sched);
+                            return;
                         }
                     }
                 }
@@ -822,27 +827,28 @@ impl Simulation {
     }
 
     /// Applies one synchronization action through the futex subsystem,
-    /// remapping app-local ids to global ones.
-    fn apply_sync(&mut self, tid: ThreadId, action: Action) -> OpResult {
+    /// remapping app-local ids to global ones. Threads the action
+    /// releases are appended to `woken`.
+    fn apply_sync(&mut self, tid: ThreadId, action: Action, woken: &mut Vec<ThreadId>) -> OpResult {
         let app = self.views[tid.index()].app.index();
+        let now = self.now;
         match action {
-            Action::Lock(l) => self.sync.lock(self.lock_map[app][l.index()], tid, self.now),
+            Action::Lock(l) => self.sync.lock(self.lock_map[app][l.index()], tid, now),
             Action::Unlock(l) => {
-                let woken = self
-                    .sync
-                    .unlock(self.lock_map[app][l.index()], tid, self.now);
-                OpResult::Proceed { woken }
+                self.sync
+                    .unlock(self.lock_map[app][l.index()], tid, now, woken);
+                OpResult::Proceed
             }
             Action::Barrier(b) => {
                 self.sync
-                    .barrier_arrive(self.barrier_map[app][b.index()], tid, self.now)
+                    .barrier_arrive(self.barrier_map[app][b.index()], tid, now, woken)
             }
             Action::Push(c) => self
                 .sync
-                .push(self.channel_map[app][c.index()], tid, self.now),
+                .push(self.channel_map[app][c.index()], tid, now, woken),
             Action::Pop(c) => self
                 .sync
-                .pop(self.channel_map[app][c.index()], tid, self.now),
+                .pop(self.channel_map[app][c.index()], tid, now, woken),
             Action::Compute(_) | Action::SetProfile(_) => {
                 unreachable!("compute/phase actions handled by the caller")
             }

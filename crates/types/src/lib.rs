@@ -23,12 +23,10 @@
 
 mod error;
 mod ids;
-mod inline;
 mod machine;
 mod time;
 
 pub use error::{Error, Result};
 pub use ids::{AppId, BarrierId, ChannelId, CoreId, LockId, ThreadId};
-pub use inline::InlineVec;
 pub use machine::{CoreKind, CoreOrder, CoreSpec, MachineConfig};
 pub use time::{SimDuration, SimTime};
