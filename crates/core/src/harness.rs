@@ -574,9 +574,10 @@ mod tests {
                 .map(|&(_, _, _, report)| report)
                 .collect();
             for order in [of_kind.clone(), of_kind.iter().rev().copied().collect()] {
-                let folded = order
-                    .iter()
-                    .fold(TelemetryReport::new(), |acc, r| acc.merged(r));
+                let mut folded = TelemetryReport::new();
+                for r in order {
+                    folded.absorb(r);
+                }
                 for (a, b) in histograms(&pooled).into_iter().zip(histograms(&folded)) {
                     assert!(a.buckets().eq(b.buckets()), "{name}: {a:?} vs {b:?}");
                     assert_eq!(a, b, "{name}");

@@ -34,26 +34,15 @@ impl TelemetryReport {
         Self::default()
     }
 
-    /// Pure combining form of [`absorb`]: a new report covering the runs
-    /// of both inputs. Used by the sweep reducer to fold per-cell reports
-    /// back together in canonical cell order.
+    /// Folds another report into this one: counters and event totals
+    /// add, histograms pool their samples. The sweep reducer folds
+    /// per-cell reports back together with it, in canonical cell order.
     ///
     /// Conservation guarantees (tested in `tests/merge.rs`):
     /// every counter of the result equals the sum of the inputs' counters,
     /// `runs`/`events_seen`/`events_dropped` add, and each histogram's
     /// per-bucket counts add — so merged quantiles stay within one
     /// log-bucket of the quantiles of the pooled samples.
-    ///
-    /// [`absorb`]: TelemetryReport::absorb
-    #[must_use]
-    pub fn merged(&self, other: &TelemetryReport) -> TelemetryReport {
-        let mut out = self.clone();
-        out.absorb(other);
-        out
-    }
-
-    /// Folds another report into this one: counters and event totals
-    /// add, histograms pool their samples.
     pub fn absorb(&mut self, other: &TelemetryReport) {
         self.runs += other.runs;
         self.counters.absorb(&other.counters);

@@ -1,4 +1,4 @@
-//! Conservation tests for [`TelemetryReport::merged`], the combinator
+//! Conservation tests for [`TelemetryReport::absorb`], the combinator
 //! the sweep reducer uses to fold per-cell reports back together.
 //!
 //! Two guarantees: merged decision counters equal the *sum* of the
@@ -51,9 +51,10 @@ fn synthetic_report(seed: u64) -> TelemetryReport {
 #[test]
 fn merged_counters_equal_the_sum_of_per_cell_counters() {
     let cells: Vec<TelemetryReport> = (0..8).map(synthetic_report).collect();
-    let merged = cells
-        .iter()
-        .fold(TelemetryReport::new(), |acc, cell| acc.merged(cell));
+    let mut merged = TelemetryReport::new();
+    for cell in &cells {
+        merged.absorb(cell);
+    }
 
     let sum = |f: &dyn Fn(&TelemetryReport) -> u64| cells.iter().map(f).sum::<u64>();
     assert_eq!(merged.runs, sum(&|r| r.runs));
@@ -112,14 +113,18 @@ fn merged_counters_equal_the_sum_of_per_cell_counters() {
 }
 
 #[test]
-fn merged_is_commutative_and_leaves_inputs_untouched() {
-    let a = synthetic_report(1);
-    let b = synthetic_report(2);
-    let ab = a.merged(&b);
-    let ba = b.merged(&a);
+fn absorb_is_commutative_and_leaves_its_argument_untouched() {
+    let (a, b) = (synthetic_report(1), synthetic_report(2));
+    let mut ab = a.clone();
+    ab.absorb(&b);
+    let mut ba = b.clone();
+    ba.absorb(&a);
     assert_eq!(ab, ba, "merge must be commutative");
-    assert_eq!(a, synthetic_report(1), "merged must not mutate self");
-    assert_eq!(b, synthetic_report(2), "merged must not mutate other");
+    assert_eq!(
+        b,
+        synthetic_report(2),
+        "absorb must not mutate its argument"
+    );
 }
 
 /// Exact quantile of a sorted sample set at the same "smallest value
