@@ -1,36 +1,31 @@
 //! Diagnostic: detailed per-scheduler stats for one paper workload.
 //!
 //! ```text
-//! diag [--jobs N] [workload] [big] [little] [scale]
+//! diag [workload] [big] [little] [scale]
 //!   workload: a Table 4 name (Sync-2, Rand-7, …; default: Sync-2)
 //!   big:      big-core count (default: 2)
 //!   little:   little-core count (default: 2)
 //!   scale:    workload scale factor (default: 1)
 //! ```
 //!
-//! `--jobs N` runs the per-scheduler simulations on N worker threads
-//! (default: available parallelism). Each scheduler's block is rendered
-//! to a buffer and printed in the fixed policy order, so output is
-//! byte-identical for every N. Every scheduler predicts speedups with
-//! the trained Table 2 model, the one `repro` reports under.
+//! Runs Linux, WASH and COLAB in that order and prints one block per
+//! scheduler. Every scheduler predicts speedups with the trained Table 2
+//! model, the one `repro` reports under.
 //!
-//! An unknown flag or workload name, a core count that is not a
+//! Any flag, an unknown workload name, a core count that is not a
 //! non-negative integer, a machine with no cores, a scale that is not a
 //! positive number, or a fifth positional argument exits with status 1.
 
-use std::fmt::Write as _;
 use std::process::ExitCode;
 
 use amp_perf::SpeedupModel;
 use amp_sim::Simulation;
 use amp_types::{CoreOrder, MachineConfig};
 use amp_workloads::{PaperWorkload, Scale, WorkloadSpec};
-use colab::sweep::parallel_map;
 use colab::SchedulerKind;
 
 /// A validated command line.
 struct Options {
-    jobs: usize,
     workload: PaperWorkload,
     big: usize,
     little: usize,
@@ -38,20 +33,12 @@ struct Options {
 }
 
 fn parse_args() -> Result<Options, String> {
-    let mut jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut positional: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--jobs" {
-            jobs = args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .ok_or("--jobs needs a count")?;
-        } else if arg.starts_with("--") {
+    for arg in std::env::args().skip(1) {
+        if arg.starts_with("--") {
             return Err(format!("unknown flag {arg}"));
-        } else {
-            positional.push(arg);
         }
+        positional.push(arg);
     }
     if let Some(extra) = positional.get(4) {
         return Err(format!("unexpected argument {extra}"));
@@ -78,7 +65,6 @@ fn parse_args() -> Result<Options, String> {
         _ => return Err(format!("bad scale {scale_arg}; use a positive number")),
     };
     Ok(Options {
-        jobs,
         workload,
         big,
         little,
@@ -102,30 +88,24 @@ fn main() -> ExitCode {
     );
 
     let harness = colab_bench::harness_with(scale);
-    let blocks = parallel_map(opts.jobs, &SchedulerKind::ALL, |&kind| {
-        render_scheduler(kind, &spec, harness.model(), big, little, scale)
-    });
-    for block in blocks {
-        match block {
-            Ok(text) => print!("{text}"),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
+    for kind in SchedulerKind::ALL {
+        if let Err(e) = run_scheduler(kind, &spec, harness.model(), big, little, scale) {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
         }
     }
     ExitCode::SUCCESS
 }
 
-/// Runs one scheduler on the workload and renders its diagnostic block.
-fn render_scheduler(
+/// Runs one scheduler on the workload and prints its diagnostic block.
+fn run_scheduler(
     kind: SchedulerKind,
     spec: &WorkloadSpec,
     model: &SpeedupModel,
     big: usize,
     little: usize,
     scale: f64,
-) -> Result<String, String> {
+) -> Result<(), String> {
     let machine = MachineConfig::asymmetric(big, little, CoreOrder::BigFirst);
     let sim = Simulation::build_scaled(&machine, spec, 42, Scale::new(scale))
         .map_err(|e| format!("building {} workload: {e}", spec.name()))?;
@@ -133,9 +113,7 @@ fn render_scheduler(
     let out = sim
         .run(sched.as_mut())
         .map_err(|e| format!("running {}: {e}", kind.name()))?;
-    let mut text = String::new();
-    let _ = writeln!(
-        text,
+    println!(
         "\n== {:<6} makespan {}  util {:.2}  switches {}  migrations {}",
         kind.name(),
         out.makespan,
@@ -144,7 +122,7 @@ fn render_scheduler(
         out.migrations
     );
     for app in &out.apps {
-        let _ = writeln!(text, "  app {:<14} turnaround {}", app.name, app.turnaround);
+        println!("  app {:<14} turnaround {}", app.name, app.turnaround);
     }
     let mut by_app: Vec<(f64, f64, f64, f64)> = vec![(0.0, 0.0, 0.0, 0.0); out.apps.len()];
     for t in &out.threads {
@@ -155,14 +133,13 @@ fn render_scheduler(
         e.3 += t.ready_time.as_secs_f64();
     }
     for (i, (bigt, littlet, blocked, ready)) in by_app.iter().enumerate() {
-        let _ = writeln!(
-            text,
+        println!(
             "  app {:<14} big {:.3}s little {:.3}s blocked {:.3}s ready {:.3}s",
             out.apps[i].name, bigt, littlet, blocked, ready
         );
     }
     let idle_ratio: f64 = 1.0 - out.utilization();
-    let _ = writeln!(text, "  idle fraction {:.3}", idle_ratio);
-    let _ = write!(text, "{}", out.telemetry);
-    Ok(text)
+    println!("  idle fraction {:.3}", idle_ratio);
+    print!("{}", out.telemetry);
+    Ok(())
 }

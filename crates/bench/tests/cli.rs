@@ -185,10 +185,7 @@ fn diag_rejects_bad_input() {
 
 #[test]
 fn diag_runs_a_named_workload() {
-    let out = run(
-        env!("CARGO_BIN_EXE_diag"),
-        &["--jobs", "1", "Sync-2", "1", "1", "0.05"],
-    );
+    let out = run(env!("CARGO_BIN_EXE_diag"), &["Sync-2", "1", "1", "0.05"]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
