@@ -831,24 +831,24 @@ impl Simulation {
     /// releases are appended to `woken`.
     fn apply_sync(&mut self, tid: ThreadId, action: Action, woken: &mut Vec<ThreadId>) -> OpResult {
         let app = self.views[tid.index()].app.index();
-        let now = self.now;
         match action {
-            Action::Lock(l) => self.sync.lock(self.lock_map[app][l.index()], tid, now),
+            Action::Lock(l) => self.sync.lock(self.lock_map[app][l.index()], tid, self.now),
             Action::Unlock(l) => {
                 self.sync
-                    .unlock(self.lock_map[app][l.index()], tid, now, woken);
+                    .unlock(self.lock_map[app][l.index()], tid, self.now, woken);
                 OpResult::Proceed
             }
             Action::Barrier(b) => {
                 self.sync
-                    .barrier_arrive(self.barrier_map[app][b.index()], tid, now, woken)
+                    .barrier_arrive(self.barrier_map[app][b.index()], tid, self.now, woken)
             }
-            Action::Push(c) => self
-                .sync
-                .push(self.channel_map[app][c.index()], tid, now, woken),
+            Action::Push(c) => {
+                self.sync
+                    .push(self.channel_map[app][c.index()], tid, self.now, woken)
+            }
             Action::Pop(c) => self
                 .sync
-                .pop(self.channel_map[app][c.index()], tid, now, woken),
+                .pop(self.channel_map[app][c.index()], tid, self.now, woken),
             Action::Compute(_) | Action::SetProfile(_) => {
                 unreachable!("compute/phase actions handled by the caller")
             }
