@@ -536,7 +536,8 @@ pub fn energy(h: &mut Harness) -> Result<EnergyStudy> {
                 runs.iter().fold(0.0, |sum, run| sum + of(run)) / runs.len() as f64
             };
             energies[ki].push(mean(|run| run.joules));
-            edps[ki].push(mean(|run| run.edp));
+            // The same product `SimulationOutcome::edp` forms.
+            edps[ki].push(mean(|run| run.joules * run.makespan.as_secs_f64()));
         }
     }
 

@@ -140,8 +140,6 @@ pub(crate) struct RunRecord {
     pub(crate) degradation: DegradationReport,
     /// Total energy of the run in joules.
     pub(crate) joules: f64,
-    /// The run's energy-delay product.
-    pub(crate) edp: f64,
 }
 
 /// Everything one evaluated run set yields.
@@ -318,7 +316,6 @@ impl Harness {
                 turnarounds: outcome.apps.iter().map(|app| app.turnaround).collect(),
                 makespan: outcome.makespan,
                 joules: outcome.energy.total_joules(),
-                edp: outcome.edp(),
                 degradation: outcome.degradation,
             });
         }

@@ -359,7 +359,7 @@ impl FromIterator<SweepCell> for SweepPlan {
 /// fixed by construction. `jobs <= 1` (or a single item) runs everything
 /// inline on the calling thread, in order — the exact serial path, with
 /// no pool at all.
-pub fn parallel_map<I, O, F>(jobs: usize, items: &[I], f: F) -> Vec<O>
+pub(crate) fn parallel_map<I, O, F>(jobs: usize, items: &[I], f: F) -> Vec<O>
 where
     I: Sync,
     O: Send,
@@ -479,7 +479,7 @@ impl Harness {
     /// the results into the harness memo, so subsequent figure, table
     /// and study reads are pure cache hits.
     ///
-    /// Two phases, each a [`parallel_map`]: first the unique isolated
+    /// Two phases, each a `parallel_map`: first the unique isolated
     /// baselines the plan needs, then every not-yet-memoized run set the
     /// planned cells resolve to, each once.
     /// Results are reduced in plan order; `jobs == 1` runs the identical

@@ -1,13 +1,17 @@
 //! The discrete-event simulation engine.
 //!
 //! Time advances through a priority queue of events; between events the
-//! machine state is exact. Two event kinds exist:
+//! machine state is exact. Four event kinds exist:
 //!
 //! * `CoreDone` — the thread running on a core reaches the end of its
-//!   current compute segment *or* its time slice, whichever is sooner;
+//!   current compute segment *or* its time slice, whichever is sooner.
+//!   Each core has at most one armed, and stopping the thread cancels it,
+//!   so a completion that pops always belongs to the running thread;
 //! * `Tick` — the periodic (10 ms) runtime update: PMU windows are
 //!   finalized, blocking windows computed, and the scheduler's
-//!   [`on_tick`](crate::Scheduler::on_tick) labelling pass runs.
+//!   [`on_tick`](crate::Scheduler::on_tick) labelling pass runs;
+//! * `Arrival` — a staggered application's threads become ready;
+//! * `Fault` — an event of the armed fault plan strikes.
 //!
 //! Synchronization actions (lock, unlock, barrier, push, pop) execute
 //! inline at segment boundaries: they are instantaneous but may block the
@@ -48,7 +52,6 @@ const LITTLE_POWER_W: (f64, f64) = (0.25, 0.03);
 enum Event {
     CoreDone {
         core: CoreId,
-        token: u64,
     },
     Tick,
     /// A staggered application's threads become ready.
@@ -89,8 +92,6 @@ struct ThreadState {
     woken_at: Option<SimTime>,
     finish: SimTime,
     work_done: SimDuration,
-    migrations: u64,
-    preemptions: u64,
     /// Window accumulators for PMU synthesis.
     win_cycles: f64,
     win_insts: f64,
@@ -129,7 +130,6 @@ struct CoreState {
     freq_ghz: f64,
     /// [`freq_ratio`] of `kind` at `freq_ghz`.
     freq_ratio: f64,
-    token: u64,
     /// When the running thread was dispatched: the start of its stint
     /// and of the execution slice the trace records when the stint ends.
     dispatched_at: SimTime,
@@ -141,9 +141,8 @@ struct CoreState {
     /// after it.
     overhead_end: SimTime,
     quantum_end: SimTime,
-    /// Handle to the core's in-flight `CoreDone` event. Cancelled eagerly
-    /// in [`Simulation::clear_core`] so superseded events never sit in
-    /// the queue (the `token` check remains as a backstop).
+    /// Handle to the core's in-flight `CoreDone` event. Cancelled in
+    /// [`Simulation::clear_core`], so a superseded completion never pops.
     pending_done: Option<EventKey>,
     last_thread: Option<ThreadId>,
     need_resched: bool,
@@ -207,9 +206,6 @@ pub struct Simulation {
     /// can hand policies a recording hook; every borrow is short-lived
     /// and write-only, so telemetry can never feed back into decisions.
     telemetry: RefCell<Telemetry>,
-    /// Whether the engine is inside `Event::Tick` processing (classifies
-    /// preemption causes for telemetry).
-    in_tick: bool,
     events: EventQueue<Event>,
     events_processed: u64,
     /// Compute leaves retired — one per `Compute` action the program
@@ -308,8 +304,6 @@ impl Simulation {
                     woken_at: None,
                     finish: SimTime::ZERO,
                     work_done: SimDuration::ZERO,
-                    migrations: 0,
-                    preemptions: 0,
                     win_cycles: 0.0,
                     win_insts: 0.0,
                     win_kind: CoreKind::Big,
@@ -320,9 +314,8 @@ impl Simulation {
                 });
                 views.push(ThreadView {
                     app: app_id,
-                    phase: ThreadPhase::Ready,
+                    phase: ThreadPhase::NotStarted,
                     pmu_window: PmuCounters::zeroed(),
-                    blocking_window: SimDuration::ZERO,
                     blocking_ewma: SimDuration::ZERO,
                     blocking_total: SimDuration::ZERO,
                     run_time: SimDuration::ZERO,
@@ -340,7 +333,6 @@ impl Simulation {
                 kind: spec.kind,
                 freq_ghz: spec.freq_ghz,
                 freq_ratio: freq_ratio(spec.kind, spec.freq_ghz),
-                token: 0,
                 dispatched_at: SimTime::ZERO,
                 acct_from: SimTime::ZERO,
                 overhead_end: SimTime::ZERO,
@@ -380,7 +372,6 @@ impl Simulation {
             fatal: None,
             trace: Trace::with_capacity(params.trace_capacity),
             telemetry: RefCell::new(Telemetry::new(params.event_capacity)),
-            in_tick: false,
             events: EventQueue::new(),
             events_processed: 0,
             compute_leaves: 0,
@@ -404,16 +395,6 @@ impl Simulation {
             return Err(Error::InvalidConfig(
                 "one arrival time per application is required".into(),
             ));
-        }
-        for ((_, members), &arrival) in self.apps.iter().zip(&arrivals) {
-            let phase = if arrival == SimTime::ZERO {
-                ThreadPhase::Ready
-            } else {
-                ThreadPhase::NotStarted
-            };
-            for t in members {
-                self.views[t.index()].phase = phase;
-            }
         }
         self.arrivals = arrivals;
         Ok(self)
@@ -449,23 +430,15 @@ impl Simulation {
         sched.init(&self.ctx());
 
         // The paper starts from a post-initialization checkpoint: every
-        // thread of an already-arrived app is ready at t=0; staggered
-        // apps get an arrival event.
+        // thread of an app arriving at t=0 is ready now; staggered apps
+        // get an arrival event.
         for ai in 0..self.apps.len() {
+            let app = AppId::new(ai as u32);
             let arrival = self.arrivals[ai];
             if arrival == SimTime::ZERO {
-                for i in 0..self.apps[ai].1.len() {
-                    let t = self.apps[ai].1[i];
-                    let target = sched.enqueue(&self.ctx(), t, EnqueueReason::Spawn);
-                    self.note_enqueue_target(target);
-                }
+                self.arrive(app, sched);
             } else {
-                self.push_event(
-                    arrival,
-                    Event::Arrival {
-                        app: AppId::new(ai as u32),
-                    },
-                );
+                self.push_event(arrival, Event::Arrival { app });
             }
         }
         self.kick_idle_cores(sched);
@@ -476,14 +449,10 @@ impl Simulation {
         self.push_event(self.now + tick, Event::Tick);
 
         while self.finished < self.threads.len() {
-            let Some(popped) = self.events.pop() else {
-                let blocked = self
-                    .views
-                    .iter()
-                    .filter(|v| v.phase == ThreadPhase::Blocked)
-                    .count();
-                return Err(Error::Deadlock { blocked });
-            };
+            let popped = self
+                .events
+                .pop()
+                .expect("the tick stays queued until every thread finishes");
             self.now = SimTime::from_nanos(popped.time);
             self.events_processed += 1;
             if self.now > self.params.horizon {
@@ -497,37 +466,26 @@ impl Simulation {
                 });
             }
             match popped.item {
-                Event::CoreDone { core, token } => {
-                    // Eager cancellation in `clear_core` means a popped
-                    // CoreDone is (almost) always the core's live event;
-                    // the token test is retained as a correctness backstop.
+                Event::CoreDone { core } => {
+                    // `clear_core` cancels the armed completion of every
+                    // thread it stops, so the one that pops is the running
+                    // thread's segment or slice boundary.
                     self.cores[core.index()].pending_done = None;
-                    if self.cores[core.index()].token == token {
-                        self.core_done(core, sched);
-                    }
+                    let tid = self.running[core.index()]
+                        .expect("a popped completion belongs to a running thread");
+                    self.account_run(core, tid);
+                    self.continue_thread(core, tid, sched);
                 }
                 Event::Arrival { app } => {
-                    for i in 0..self.apps[app.index()].1.len() {
-                        let tid = self.apps[app.index()].1[i];
-                        debug_assert_eq!(self.views[tid.index()].phase, ThreadPhase::NotStarted);
-                        self.views[tid.index()].phase = ThreadPhase::Ready;
-                        self.threads[tid.index()].ready_since = self.now;
-                        let target = sched.enqueue(&self.ctx(), tid, EnqueueReason::Spawn);
-                        self.note_enqueue_target(target);
-                        if let Some(current) = self.running[target.index()] {
-                            if sched.should_preempt(&self.ctx(), tid, target, current) {
-                                self.preempt_core(target, sched);
-                            }
-                        }
-                    }
+                    self.arrive(app, sched);
                     self.kick_idle_cores(sched);
                 }
                 Event::Tick => {
                     if self.finished == self.threads.len() {
                         continue;
                     }
-                    // Deadlock check: nothing runnable, nothing running,
-                    // nothing in flight.
+                    // The one deadlock check: nothing runnable, nothing
+                    // running, nothing yet to arrive.
                     let stuck =
                         self.views.iter().all(|v| {
                             matches!(v.phase, ThreadPhase::Blocked | ThreadPhase::Finished)
@@ -540,11 +498,9 @@ impl Simulation {
                             .count();
                         return Err(Error::Deadlock { blocked });
                     }
-                    self.in_tick = true;
                     self.sample_windows();
                     sched.on_tick(&self.ctx());
                     self.kick_idle_cores(sched);
-                    self.in_tick = false;
                     self.push_event(self.now + tick, Event::Tick);
                 }
                 Event::Fault { index } => {
@@ -577,11 +533,36 @@ impl Simulation {
         }
     }
 
-    /// Tracks where the policy routed an enqueue: routing a runnable
-    /// thread to an offline core is the invariant the chaos layer checks.
-    fn note_enqueue_target(&mut self, target: CoreId) {
+    /// Hands a runnable thread to the policy and returns the core it
+    /// chose. Routing one to an offline core is the invariant the chaos
+    /// layer checks, so it is counted here.
+    fn enqueue(
+        &mut self,
+        tid: ThreadId,
+        reason: EnqueueReason,
+        sched: &mut dyn Scheduler,
+    ) -> CoreId {
+        let target = sched.enqueue(&self.ctx(), tid, reason);
         if !self.online[target.index()] {
             self.degradation.stranded_enqueues += 1;
+        }
+        target
+    }
+
+    /// Makes every thread of `app` ready, hands each to the policy as a
+    /// spawn, and applies wakeup preemption on the core it lands on.
+    fn arrive(&mut self, app: AppId, sched: &mut dyn Scheduler) {
+        for i in 0..self.apps[app.index()].1.len() {
+            let tid = self.apps[app.index()].1[i];
+            debug_assert_eq!(self.views[tid.index()].phase, ThreadPhase::NotStarted);
+            self.views[tid.index()].phase = ThreadPhase::Ready;
+            self.threads[tid.index()].ready_since = self.now;
+            let target = self.enqueue(tid, EnqueueReason::Spawn, sched);
+            if let Some(current) = self.running[target.index()] {
+                if sched.should_preempt(&self.ctx(), tid, target, current) {
+                    self.preempt_core(target, PreemptCause::Wakeup, sched);
+                }
+            }
         }
     }
 
@@ -592,10 +573,7 @@ impl Simulation {
     fn apply_fault(&mut self, index: usize, sched: &mut dyn Scheduler) -> Result<()> {
         let event = self.fault_plan.events()[index];
         self.degradation.faults_injected += 1;
-        // Fault-driven preemptions are machine-initiated, like tick
-        // rebalancing — classify them as such in telemetry.
-        self.in_tick = true;
-        let result = match event.kind {
+        match event.kind {
             FaultKind::CoreOffline { core } => self.core_offline(core, sched),
             FaultKind::CoreOnline { core } => {
                 self.core_online(core, sched);
@@ -616,9 +594,7 @@ impl Simulation {
                 self.migration_cost_factor = factor;
                 Ok(())
             }
-        };
-        self.in_tick = false;
-        result
+        }
     }
 
     /// Hot-unplugs `core`: evicts its running thread, drains its
@@ -635,23 +611,21 @@ impl Simulation {
         }
         self.online[i] = false;
         self.offline_since[i] = Some(self.now);
-        self.degradation.hotplug_offlines += 1;
         self.telemetry
             .borrow_mut()
             .record(self.now, core, SchedEvent::CoreOffline { core });
-        if let Some(tid) = self.running[i] {
-            self.account_run(core, tid);
-            self.threads[tid.index()].preemptions += 1;
+        // Evictions are machine-initiated, like tick rebalancing, and
+        // carry the `Tick` cause.
+        if self.running[i].is_some() {
             self.degradation.forced_migrations += 1;
-            self.deschedule(core, tid, StopReason::Preempted, sched);
+            self.preempt_core(core, PreemptCause::Tick, sched);
         }
         // Threads queued on the dead core must be re-routed, or they
         // would wait forever on a core that never picks again.
         let orphans = sched.drain_core(&self.ctx(), core);
         for tid in orphans {
             self.degradation.forced_migrations += 1;
-            let target = sched.enqueue(&self.ctx(), tid, EnqueueReason::Requeue);
-            self.note_enqueue_target(target);
+            self.enqueue(tid, EnqueueReason::Requeue, sched);
         }
         self.kick_idle_cores(sched);
         Ok(())
@@ -667,7 +641,6 @@ impl Simulation {
         if let Some(since) = self.offline_since[i].take() {
             self.degradation.offline_core_time += self.now.saturating_since(since);
         }
-        self.degradation.hotplug_onlines += 1;
         self.telemetry
             .borrow_mut()
             .record(self.now, core, SchedEvent::CoreOnline { core });
@@ -680,7 +653,6 @@ impl Simulation {
     /// policy can reconsider its placement.
     fn throttle_core(&mut self, core: CoreId, factor: f64, sched: &mut dyn Scheduler) {
         let i = core.index();
-        self.degradation.throttles += 1;
         if let Some(tid) = self.running[i] {
             self.account_run(core, tid);
         }
@@ -694,22 +666,12 @@ impl Simulation {
             .record(self.now, core, SchedEvent::Throttle { core, factor });
         if self.running[i].is_some() {
             self.degradation.forced_migrations += 1;
-            self.preempt_core(core, sched);
+            self.preempt_core(core, PreemptCause::Tick, sched);
         }
     }
 
     // ------------------------------------------------------------------
     // core lifecycle
-
-    /// The running thread on `core` reached its scheduled segment/slice
-    /// boundary.
-    fn core_done(&mut self, core: CoreId, sched: &mut dyn Scheduler) {
-        let Some(tid) = self.running[core.index()] else {
-            return; // stale event after the core went idle
-        };
-        self.account_run(core, tid);
-        self.continue_thread(core, tid, sched);
-    }
 
     /// Charges the on-CPU time since the last accounting point to the
     /// thread. Time inside the overhead window counts as run time (the
@@ -798,13 +760,14 @@ impl Simulation {
                 }
             } else {
                 let c = &self.cores[core.index()];
-                if c.need_resched || self.now >= c.quantum_end {
-                    let reason = if c.need_resched {
-                        StopReason::Preempted
-                    } else {
-                        StopReason::QuantumExpired
-                    };
-                    self.deschedule(core, tid, reason, sched);
+                if c.need_resched {
+                    // The deferred half of wakeup preemption: this thread
+                    // woke a thread that should displace it.
+                    self.preempt_core(core, PreemptCause::Wakeup, sched);
+                    return;
+                }
+                if self.now >= c.quantum_end {
+                    self.deschedule(core, tid, StopReason::QuantumExpired, sched);
                     return;
                 }
                 // Arm the current leaf's completion, capped at the
@@ -816,10 +779,8 @@ impl Simulation {
                 let dur = exec_pending
                     .div_f64(c.freq_ratio)
                     .min(c.quantum_end - self.now);
-                let token = c.token;
                 debug_assert!(c.acct_from == self.now);
-                let key = self.push_event(self.now + dur, Event::CoreDone { core, token });
-                self.cores[core.index()].pending_done = Some(key);
+                self.arm_done(core, self.now + dur);
                 self.compute_events += 1;
                 return;
             }
@@ -879,8 +840,7 @@ impl Simulation {
             );
         }
 
-        let target = sched.enqueue(&self.ctx(), tid, EnqueueReason::Wake);
-        self.note_enqueue_target(target);
+        let target = self.enqueue(tid, EnqueueReason::Wake, sched);
         match self.running[target.index()] {
             None => self.dispatch(target, sched),
             Some(current) if current != tid => {
@@ -888,7 +848,7 @@ impl Simulation {
                     if target == waker_core {
                         self.cores[target.index()].need_resched = true;
                     } else {
-                        self.preempt_core(target, sched);
+                        self.preempt_core(target, PreemptCause::Wakeup, sched);
                     }
                 }
             }
@@ -898,13 +858,16 @@ impl Simulation {
         self.kick_idle_cores(sched);
     }
 
-    /// Stops the thread running on `core` and re-enqueues it.
-    fn preempt_core(&mut self, core: CoreId, sched: &mut dyn Scheduler) {
-        let Some(tid) = self.running[core.index()] else {
-            return;
-        };
+    /// The one preemption path: stops the thread running on `core`
+    /// before its boundary, records why, and re-enqueues it.
+    fn preempt_core(&mut self, core: CoreId, cause: PreemptCause, sched: &mut dyn Scheduler) {
+        let tid = self.running[core.index()].expect("only a running thread is preempted");
         self.account_run(core, tid);
-        self.threads[tid.index()].preemptions += 1;
+        self.telemetry.borrow_mut().record(
+            self.now,
+            core,
+            SchedEvent::Preempt { victim: tid, cause },
+        );
         self.deschedule(core, tid, StopReason::Preempted, sched);
     }
 
@@ -921,8 +884,7 @@ impl Simulation {
         self.end_stint(core, tid, reason, sched);
         let runnable = matches!(reason, StopReason::QuantumExpired | StopReason::Preempted);
         if runnable {
-            let target = sched.enqueue(&self.ctx(), tid, EnqueueReason::Requeue);
-            self.note_enqueue_target(target);
+            self.enqueue(tid, EnqueueReason::Requeue, sched);
         }
         self.dispatch(core, sched);
         if runnable {
@@ -958,22 +920,6 @@ impl Simulation {
         });
         match reason {
             StopReason::QuantumExpired | StopReason::Preempted => {
-                if reason == StopReason::Preempted {
-                    // Both preemption paths (immediate `preempt_core` and
-                    // the deferred `need_resched` at the waker's next
-                    // boundary) are wakeup-driven today; tick-driven
-                    // displacement would land here with the `Tick` cause.
-                    let cause = if self.in_tick {
-                        PreemptCause::Tick
-                    } else {
-                        PreemptCause::Wakeup
-                    };
-                    self.telemetry.borrow_mut().record(
-                        now,
-                        core,
-                        SchedEvent::Preempt { victim: tid, cause },
-                    );
-                }
                 self.views[ti].phase = ThreadPhase::Ready;
                 self.threads[ti].ready_since = now;
             }
@@ -993,21 +939,26 @@ impl Simulation {
         sched.on_stop(&self.ctx(), tid, core, now - from, reason);
     }
 
-    /// Detaches the thread from the core and invalidates in-flight events.
+    /// Detaches the thread from the core and cancels its armed
+    /// completion: the only guard against a stale `CoreDone`.
     fn clear_core(&mut self, core: CoreId, tid: ThreadId) {
         debug_assert_eq!(self.running[core.index()], Some(tid));
         let c = &mut self.cores[core.index()];
-        c.token += 1;
         c.need_resched = false;
         c.last_thread = Some(tid);
         let pending = c.pending_done.take();
         self.running[core.index()] = None;
-        // Remove the superseded CoreDone instead of letting it pop and be
-        // discarded by the token check — the queue stays minimal and the
-        // engine never spends a loop iteration on a dead event.
         if let Some(key) = pending {
-            self.events.cancel(key);
+            let cancelled = self.events.cancel(key);
+            debug_assert!(cancelled.is_some(), "armed completion was not queued");
         }
+    }
+
+    /// Queues `core`'s completion at `at`; a core has at most one armed.
+    fn arm_done(&mut self, core: CoreId, at: SimTime) {
+        debug_assert!(self.cores[core.index()].pending_done.is_none());
+        let key = self.push_event(at, Event::CoreDone { core });
+        self.cores[core.index()].pending_done = Some(key);
     }
 
     /// Gives an idle core work via the scheduler. Offline cores are never
@@ -1057,7 +1008,6 @@ impl Simulation {
                 };
                 self.account_run(victim, vt);
                 self.end_stint(victim, vt, StopReason::Stolen, sched);
-                self.threads[vt.index()].preemptions += 1;
                 self.telemetry.borrow_mut().record(
                     self.now,
                     core,
@@ -1083,8 +1033,7 @@ impl Simulation {
         let prev_core = self.views[tid.index()].last_core;
         if let Some(prev) = prev_core {
             if prev != core {
-                self.threads[tid.index()].migrations += 1;
-                let prev_kind = self.machine.core(prev).kind;
+                let prev_kind = self.cores[prev.index()].kind;
                 self.telemetry.borrow_mut().record(
                     self.now,
                     core,
@@ -1127,9 +1076,7 @@ impl Simulation {
         c.acct_from = self.now;
         c.overhead_end = self.now + overhead;
         c.quantum_end = self.now + overhead + slice;
-        let token = c.token;
-        let key = self.push_event(self.now + overhead, Event::CoreDone { core, token });
-        self.cores[core.index()].pending_done = Some(key);
+        self.arm_done(core, self.now + overhead);
     }
 
     fn kick_idle_cores(&mut self, sched: &mut dyn Scheduler) {
@@ -1175,7 +1122,6 @@ impl Simulation {
             let window = total - state.block_snapshot;
             state.block_snapshot = total;
             let view = &mut self.views[ti];
-            view.blocking_window = window;
             view.blocking_ewma = (view.blocking_ewma + window) / 2;
             view.blocking_total = total;
         }
@@ -1243,8 +1189,6 @@ impl Simulation {
                     ready_time: v.ready_time,
                     caused_wait: futex.caused_wait(tid),
                     wait_count: futex.wait_count(tid),
-                    migrations: s.migrations,
-                    preemptions: s.preemptions,
                     pmu_total: s.pmu_total,
                     insts: s.insts_total,
                 }
@@ -1306,6 +1250,7 @@ impl Simulation {
         }
 
         let (telemetry, telemetry_events) = self.telemetry.into_inner().finish();
+        let migrations = telemetry.counters.total_migrations();
         SimulationOutcome {
             scheduler: scheduler.to_string(),
             makespan,
@@ -1315,7 +1260,7 @@ impl Simulation {
             telemetry_events,
             trace: std::mem::take(&mut self.trace),
             context_switches: self.cores.iter().map(|c| c.switches).sum(),
-            migrations: self.threads.iter().map(|t| t.migrations).sum(),
+            migrations,
             events_processed: self.events_processed,
             compute_leaves: self.compute_leaves,
             compute_events: self.compute_events,

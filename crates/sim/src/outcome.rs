@@ -31,10 +31,6 @@ pub struct ThreadStats {
     pub caused_wait: SimDuration,
     /// Completed futex waits.
     pub wait_count: u64,
-    /// Times the thread changed core.
-    pub migrations: u64,
-    /// Times the thread was preempted before its slice ended.
-    pub preemptions: u64,
     /// Lifetime PMU accumulation (training data source).
     pub pmu_total: PmuCounters,
     /// Instructions committed.
@@ -80,12 +76,6 @@ impl EnergyReport {
 pub struct DegradationReport {
     /// Fault events consumed from the plan.
     pub faults_injected: u64,
-    /// Cores hot-unplugged (idempotent repeats not counted).
-    pub hotplug_offlines: u64,
-    /// Cores brought back online.
-    pub hotplug_onlines: u64,
-    /// Clock-rescale (throttle) faults applied.
-    pub throttles: u64,
     /// Counter-degradation faults applied.
     pub counter_faults: u64,
     /// Migration-cost-spike faults applied.
@@ -121,7 +111,8 @@ pub struct SimulationOutcome {
     pub threads: Vec<ThreadStats>,
     /// Context switches across all cores.
     pub context_switches: u64,
-    /// Thread migrations across all cores.
+    /// Thread migrations across all cores: the telemetry counters'
+    /// [`total_migrations`](amp_telemetry::Counters::total_migrations).
     pub migrations: u64,
     /// Discrete events processed by the engine loop (the denominator of
     /// the events/sec throughput metric in `BENCH_*.json`).

@@ -66,7 +66,10 @@ pub enum Pick {
 /// Lifecycle phase of a thread, as exposed to schedulers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ThreadPhase {
-    /// Its application has not arrived yet (staggered-arrival workloads).
+    /// Its application has not arrived yet. Every thread starts here —
+    /// including during [`Scheduler::init`] — and turns
+    /// [`Ready`](ThreadPhase::Ready) when its app arrives: at t=0 for the
+    /// paper's checkpoint protocol, later for staggered arrivals.
     NotStarted,
     /// Enqueued on some runqueue, waiting for a core.
     Ready,
@@ -89,10 +92,9 @@ pub struct ThreadView {
     /// retired instructions. All zero until the first such window closes
     /// at a tick; a window with no instructions leaves the previous one.
     pub pmu_window: PmuCounters,
-    /// Time this thread caused others to wait during the last window —
-    /// the paper's bottleneck/criticality signal.
-    pub blocking_window: SimDuration,
-    /// Exponentially-weighted blocking average across windows.
+    /// Exponentially-weighted average of the time this thread caused
+    /// others to wait per 10 ms window — the paper's
+    /// bottleneck/criticality signal.
     pub blocking_ewma: SimDuration,
     /// Cumulative caused-waiting since simulation start.
     pub blocking_total: SimDuration,
@@ -126,7 +128,7 @@ impl<'a> SchedCtx<'a> {
     }
 
     /// Iterator over all thread ids.
-    pub fn thread_ids(&self) -> impl Iterator<Item = ThreadId> {
+    fn thread_ids(&self) -> impl Iterator<Item = ThreadId> {
         (0..self.threads.len() as u32).map(ThreadId::new)
     }
 
@@ -201,7 +203,10 @@ pub trait Scheduler: Send {
     /// Short policy name, e.g. `"linux"`, `"wash"`, `"colab"`.
     fn name(&self) -> &'static str;
 
-    /// Called once before the simulation starts.
+    /// Called once before the simulation starts, while every thread is
+    /// still [`ThreadPhase::NotStarted`]: even an app arriving at t=0
+    /// is handed over through [`enqueue`](Scheduler::enqueue) only after
+    /// `init` returns.
     fn init(&mut self, ctx: &SchedCtx<'_>);
 
     /// Place a runnable thread on some core's runqueue and return that

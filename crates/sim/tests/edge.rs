@@ -268,7 +268,7 @@ fn aggressive_wakeup_preemption_stays_correct() {
             inner: RoundRobin::new(),
         })
         .unwrap();
-    let preemptions: u64 = outcome.threads.iter().map(|t| t.preemptions).sum();
+    let preemptions = outcome.telemetry.counters.total_preemptions();
     assert!(preemptions > 0, "futex wakes must have preempted someone");
     for t in &outcome.threads {
         let accounted = t.run_time + t.ready_time + t.blocked_time;

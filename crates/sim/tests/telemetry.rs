@@ -85,7 +85,6 @@ fn event_recording_does_not_perturb_scheduling() {
     for (a, b) in off.threads.iter().zip(on.threads.iter()) {
         assert_eq!(a.finish, b.finish, "thread {:?} finish differs", a.id);
         assert_eq!(a.run_time, b.run_time);
-        assert_eq!(a.preemptions, b.preemptions);
     }
     // Same decisions → same counters; only the ring totals differ.
     assert_eq!(off.telemetry.counters, on.telemetry.counters);

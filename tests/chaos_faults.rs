@@ -105,9 +105,9 @@ fn empty_fault_plan_is_byte_identical_to_plain_run() {
             kind.name()
         );
         assert_eq!(
-            plain.migrations,
-            faulted.migrations,
-            "{} migrations",
+            plain.telemetry.counters,
+            faulted.telemetry.counters,
+            "{} telemetry counters",
             kind.name()
         );
         assert_eq!(
@@ -123,13 +123,6 @@ fn empty_fault_plan_is_byte_identical_to_plain_run() {
             assert_eq!(a.finish, b.finish, "{} thread {}", kind.name(), a.name);
             assert_eq!(a.run_time, b.run_time, "{} thread {}", kind.name(), a.name);
             assert_eq!(a.big_time, b.big_time, "{} thread {}", kind.name(), a.name);
-            assert_eq!(
-                a.migrations,
-                b.migrations,
-                "{} thread {}",
-                kind.name(),
-                a.name
-            );
             assert_eq!(
                 a.pmu_total,
                 b.pmu_total,
@@ -167,8 +160,9 @@ fn hotplug_cycle_forces_migrations_and_counts_downtime() {
     for kind in FIVE {
         let outcome = run_with_plan(kind, 3, plan.clone());
         let d = &outcome.degradation;
-        assert_eq!(d.hotplug_offlines, 1, "{}", kind.name());
-        assert_eq!(d.hotplug_onlines, 1, "{}", kind.name());
+        let c = &outcome.telemetry.counters;
+        assert_eq!(c.core_offlines, 1, "{}", kind.name());
+        assert_eq!(c.core_onlines, 1, "{}", kind.name());
         assert_eq!(d.stranded_enqueues, 0, "{}", kind.name());
         assert!(
             d.offline_core_time >= SimDuration::from_millis(50),
@@ -208,6 +202,7 @@ fn offlining_the_last_core_is_a_typed_error_not_a_panic() {
 #[test]
 fn throttled_runs_are_no_faster_than_clean_ones() {
     use amp_sim::faults::{FaultEvent, FaultKind};
+    use amp_sim::telemetry::PreemptCause;
     use amp_types::{CoreId, SimTime};
 
     // Quarter-speed every core early and never restore: a partial
@@ -227,7 +222,23 @@ fn throttled_runs_are_no_faster_than_clean_ones() {
     for kind in FIVE {
         let clean = run_with_plan(kind, 5, FaultPlan::empty());
         let throttled = run_with_plan(kind, 5, plan.clone());
-        assert_eq!(throttled.degradation.throttles, 4, "{}", kind.name());
+        assert_eq!(throttled.telemetry.counters.throttles, 4, "{}", kind.name());
+        // Only a machine-initiated eviction carries the tick cause: a
+        // clean run has none, and each throttle that found its core busy
+        // evicted exactly one thread.
+        let tick = PreemptCause::Tick as usize;
+        assert_eq!(
+            clean.telemetry.counters.preemptions[tick],
+            0,
+            "{}",
+            kind.name()
+        );
+        assert_eq!(
+            throttled.telemetry.counters.preemptions[tick],
+            throttled.degradation.forced_migrations,
+            "{}",
+            kind.name()
+        );
         assert!(
             throttled.makespan >= clean.makespan,
             "{}: throttled {} beat clean {}",
