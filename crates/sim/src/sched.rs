@@ -9,8 +9,8 @@ use amp_types::{AppId, CoreId, CoreKind, MachineConfig, SimDuration, SimTime, Th
 /// Why a thread is being enqueued.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnqueueReason {
-    /// First arrival at simulation start (all threads are ready at the
-    /// post-initialization checkpoint, as in the paper's methodology).
+    /// Its app arrived: at t=0 for the paper's post-initialization
+    /// checkpoint, later for staggered arrivals.
     Spawn,
     /// Woken from a futex wait.
     Wake,
